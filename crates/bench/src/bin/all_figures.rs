@@ -13,6 +13,5 @@ fn main() {
     safetypin_bench::figures::fig13::run();
     safetypin_bench::figures::table14::run();
     safetypin_bench::figures::bandwidth::run();
-    safetypin_bench::figures::perf::run();
     println!("done; outputs mirrored under bench_out/");
 }

@@ -42,29 +42,11 @@ pub fn run() {
             .backup(b"123456", b"disk key material!", 0, &mut rng)
             .unwrap();
 
-        // Recover through the deployment-level orchestration path by hand
-        // (Deployment::recover assumes the deployment's own params).
-        let attempt = client
-            .start_recovery(b"123456", &artifact.ciphertext, false, &mut rng)
+        let outcome = deployment
+            .recover(&client, b"123456", &artifact, &mut rng)
             .unwrap();
-        let (id, value) = attempt.log_entry();
-        deployment.datacenter.insert_log(&id, &value).unwrap();
-        deployment.datacenter.run_epoch().unwrap();
-        let inclusion = deployment.datacenter.prove_inclusion(&id, &value).unwrap();
-        let mut phases = safetypin_hsm::RecoveryPhases::default();
-        let mut responses = Vec::new();
-        let requests = attempt.requests(&inclusion);
-        let contacted = requests.len();
-        for (hsm_id, request) in requests {
-            let (response, p) = deployment
-                .datacenter
-                .route_recovery_with_phases(hsm_id, &request, &mut rng)
-                .unwrap();
-            phases.add(&p);
-            responses.push(response);
-        }
-        let msg = attempt.finish(responses).unwrap();
-        assert_eq!(msg, b"disk key material!");
+        assert_eq!(outcome.message, b"disk key material!");
+        let (phases, contacted) = (outcome.phases, outcome.contacted);
 
         // Per-HSM time (cluster works in parallel): total/contacted.
         let mut per = phases.total();

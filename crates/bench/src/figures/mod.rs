@@ -8,7 +8,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig8;
 pub mod fig9;
-pub mod perf;
 pub mod table14;
 pub mod table2;
 pub mod table7;

@@ -5,8 +5,7 @@
 //! mirrored to `bench_out/<name>.txt` when the `BENCH_OUT` environment
 //! variable or default output directory is writable. Figures that record
 //! [`metric`](Report::metric) values additionally emit a machine-readable
-//! `bench_out/BENCH_<name>.json` so the performance trajectory of the
-//! repository can accumulate across commits (see README "Performance").
+//! `bench_out/BENCH_<name>.json` (see README "`BENCH_*.json` format").
 
 use std::fmt::Write as _;
 use std::fs;

@@ -166,8 +166,8 @@ impl BfePublicKey {
     /// MSM folds a whole coalesced batch — across users — into one
     /// [`p256::mul_multi`] plus a single fixed-base multiplication,
     /// which is what an HSM serving a recovery storm calls once per
-    /// batch ([`decrypt_traced`](BfeSecretKey::decrypt_traced) supplies
-    /// the traces). An empty batch passes.
+    /// batch ([`decrypt_many_traced`](BfeSecretKey::decrypt_many_traced)
+    /// supplies the traces). An empty batch passes.
     pub fn audit_slot_scalars<R: RngCore + CryptoRng>(
         &self,
         traces: &[(u64, Scalar)],
@@ -538,7 +538,8 @@ impl BfeSecretKey {
     }
 
     /// Attempts to decrypt `ct` (created under `tag`) using any surviving
-    /// slot key.
+    /// slot key: [`decrypt_many_traced`](Self::decrypt_many_traced) over
+    /// a batch of one.
     ///
     /// The slot indices are recomputed from `tag` rather than trusted from
     /// the ciphertext, so a malicious ciphertext cannot route decryption
@@ -550,60 +551,9 @@ impl BfeSecretKey {
         context: &[u8],
         ct: &BfeCiphertext,
     ) -> Result<(Vec<u8>, OpReport)> {
-        self.decrypt_traced(store, tag, context, ct)
-            .map(|(pt, report, _)| (pt, report))
-    }
-
-    /// Like [`decrypt`](Self::decrypt), additionally returning the
-    /// `(slot index, slot scalar)` that produced the plaintext.
-    ///
-    /// The trace is what lets an HSM serving a **coalesced multi-user
-    /// batch** audit every slot scalar it read from outsourced storage
-    /// against its own published public key in a single multi-scalar
-    /// multiplication ([`BfePublicKey::audit_slot_scalars`]) instead of
-    /// one naive `g^x` check per share.
-    pub fn decrypt_traced<S: BlockStore>(
-        &mut self,
-        store: &mut S,
-        tag: &[u8],
-        context: &[u8],
-        ct: &BfeCiphertext,
-    ) -> Result<(Vec<u8>, OpReport, (u64, Scalar))> {
-        let mut report = OpReport::default();
-        let expected = self.params.indices_for_tag(tag);
-        let eph_sec1 = ct.eph.to_sec1();
-        for idx in expected {
-            // Find the DEM the encryptor placed for this slot.
-            let Some((_, dem)) = ct.slots.iter().find(|(slot, _)| *slot == idx) else {
-                continue;
-            };
-            let before = self.array.metrics();
-            let scalar_bytes = match self.array.read(store, idx) {
-                Ok(b) => b,
-                Err(StorageError::Deleted(_)) => continue,
-                Err(_) => return Err(CryptoError::DecryptionFailed),
-            };
-            let after = self.array.metrics();
-            report.aead_ops += after.aead_dec_ops - before.aead_dec_ops;
-            report.aead_bytes += after.bytes_decrypted - before.bytes_decrypted;
-            report.blocks_read += after.blocks_fetched - before.blocks_fetched;
-            let arr: [u8; 32] = scalar_bytes
-                .as_slice()
-                .try_into()
-                .map_err(|_| CryptoError::InvalidScalar)?;
-            let scalar =
-                Option::<Scalar>::from(Scalar::from_repr(arr)).ok_or(CryptoError::InvalidScalar)?;
-            let shared = *ct.eph.as_point() * scalar;
-            report.group_ops += 1;
-            let key = dem_key(&shared, &eph_sec1, idx, context);
-            report.aead_ops += 1;
-            if let Ok(pt) = aead::open(&key, context, dem) {
-                return Ok((pt, report, (idx, scalar)));
-            }
-            // An authentication failure on a surviving slot means the
-            // ciphertext is malformed for this tag; try remaining slots.
-        }
-        Err(CryptoError::DecryptionFailed)
+        let (mut outcomes, report) = self.decrypt_many_traced(store, &[(tag, context, ct)]);
+        let (pt, _) = outcomes.pop().ok_or(CryptoError::DecryptionFailed)??;
+        Ok((pt, report))
     }
 
     /// Decrypts many ciphertexts — typically **many users'** coalesced
@@ -615,11 +565,15 @@ impl BfeSecretKey {
     /// [`SecureArray::read_batch`], so the union of all items'
     /// root-to-leaf paths is fetched and AEAD-opened **once** instead of
     /// once per item (a recovery storm's paths share their upper
-    /// levels). Outcomes per item are exactly what
-    /// [`decrypt_traced`](Self::decrypt_traced) would produce — same
-    /// slot-candidate order, same error cases — only the meters differ.
+    /// levels). Outcomes per item are exactly what decrypting the items
+    /// one batch each would produce — same slot-candidate order, same
+    /// error cases — only the meters differ.
     ///
-    /// Returns per-item results in input order plus one aggregate
+    /// Returns per-item results in input order — the plaintext plus the
+    /// `(slot index, slot scalar)` that produced it, which is what lets
+    /// an HSM audit every scalar it read from outsourced storage against
+    /// its published public key in one multi-scalar multiplication
+    /// ([`BfePublicKey::audit_slot_scalars`]) — and one aggregate
     /// [`OpReport`] for the whole batch.
     #[allow(clippy::type_complexity)]
     pub fn decrypt_many_traced<S: BlockStore>(
@@ -632,10 +586,9 @@ impl BfeSecretKey {
             Vec::with_capacity(items.len());
         out.resize_with(items.len(), || None);
 
-        // Per item: candidate slots in tag order, restricted (like the
-        // serial path) to slots the encryptor actually placed a DEM for,
-        // plus the ephemeral point's SEC1 encoding hoisted once per item
-        // (the same hoist the serial path performs per ciphertext).
+        // Per item: candidate slots in tag order, restricted to slots
+        // the encryptor actually placed a DEM for, plus the ephemeral
+        // point's SEC1 encoding hoisted once per item.
         let mut eph_sec1: Vec<[u8; POINT_LEN]> = Vec::with_capacity(items.len());
         let mut active: Vec<(usize, Vec<u64>, usize)> = Vec::with_capacity(items.len());
         for (k, (tag, _, ct)) in items.iter().enumerate() {
@@ -647,8 +600,7 @@ impl BfeSecretKey {
                 .filter(|idx| ct.slots.iter().any(|(slot, _)| slot == idx))
                 .collect();
             if slots.is_empty() {
-                // No candidate slot carries a DEM for this tag — the
-                // serial path would exhaust its loop and fail.
+                // No candidate slot carries a DEM for this tag.
                 out[k] = Some(Err(CryptoError::DecryptionFailed));
             } else {
                 active.push((k, slots, 0));
@@ -675,8 +627,7 @@ impl BfeSecretKey {
                                 |arr: [u8; 32]| Option::<Scalar>::from(Scalar::from_repr(arr)),
                             );
                             match parsed {
-                                // A malformed stored scalar is a hard error,
-                                // exactly like the serial path.
+                                // A malformed stored scalar is a hard error.
                                 None => Some(Err(CryptoError::InvalidScalar)),
                                 Some(scalar) => {
                                     let shared = *ct.eph.as_point() * scalar;
@@ -740,27 +691,7 @@ impl BfeSecretKey {
         tag: &[u8],
         rng: &mut R,
     ) -> Result<OpReport> {
-        let mut report = OpReport::default();
-        let indices = self.params.indices_for_tag(tag);
-        let before = self.array.metrics();
-        // `delete_batch` treats already-deleted leaves as no-ops, so the
-        // only failures are storage-integrity errors.
-        if self.array.delete_batch(store, &indices, rng).is_err() {
-            return Err(CryptoError::DecryptionFailed);
-        }
-        // Rotation accounting is per requested slot (matching the paper's
-        // "each puncture deletes at most k slots" budget), so overlapping
-        // tags keep the same conservative trigger as sequential deletion.
-        self.slots_deleted += indices.len() as u64;
-        let after = self.array.metrics();
-        report.aead_ops +=
-            (after.aead_dec_ops - before.aead_dec_ops) + (after.aead_enc_ops - before.aead_enc_ops);
-        report.aead_bytes += (after.bytes_decrypted - before.bytes_decrypted)
-            + (after.bytes_encrypted - before.bytes_encrypted);
-        report.blocks_read += after.blocks_fetched - before.blocks_fetched;
-        report.blocks_written += after.blocks_written - before.blocks_written;
-        self.punctures += 1;
-        Ok(report)
+        self.puncture_many(store, &[tag], rng)
     }
 
     /// Punctures many **distinct** tags in one coalesced pass: the union
@@ -1082,13 +1013,11 @@ mod tests {
 
         let (batched, report) = batch.decrypt_many_traced(&mut store_b, &items);
         assert!(report.aead_ops > 0 && report.blocks_read > 0);
-        for (k, (tag, context, ct)) in items.iter().enumerate() {
-            let single = serial.decrypt_traced(&mut store_a, tag, context, ct);
-            match (&batched[k], &single) {
-                (Ok((pt_b, trace_b)), Ok((pt_s, _, trace_s))) => {
-                    assert_eq!(pt_b, pt_s, "item {k}");
-                    assert_eq!(trace_b, trace_s, "item {k}");
-                }
+        // One batch of n ≡ n batches of one, item for item.
+        for (k, item) in items.iter().enumerate() {
+            let (single, _) = serial.decrypt_many_traced(&mut store_a, &[*item]);
+            match (&batched[k], &single[0]) {
+                (Ok(b), Ok(s)) => assert_eq!(b, s, "item {k}"),
                 (Err(_), Err(_)) => {}
                 other => panic!("item {k} diverged: {other:?}"),
             }
@@ -1100,7 +1029,7 @@ mod tests {
         let (_, mut lone, _) = keygen(small_params(), &mut store_c, &mut rng3).unwrap();
         let mut serial_report = OpReport::default();
         for (tag, context, ct) in &items {
-            if let Ok((_, r, _)) = lone.decrypt_traced(&mut store_c, tag, context, ct) {
+            if let Ok((_, r)) = lone.decrypt(&mut store_c, tag, context, ct) {
                 serial_report.add(&r);
             }
         }
@@ -1118,7 +1047,8 @@ mod tests {
         let mut store = MemStore::new();
         let (pk, mut sk, _) = keygen(small_params(), &mut store, &mut rng).unwrap();
         let ct = encrypt(&pk, b"t", b"c", b"m", &mut rng);
-        let (pt, _, (idx, scalar)) = sk.decrypt_traced(&mut store, b"t", b"c", &ct).unwrap();
+        let (mut outcomes, _) = sk.decrypt_many_traced(&mut store, &[(b"t", b"c", &ct)]);
+        let (pt, (idx, scalar)) = outcomes.pop().unwrap().unwrap();
         assert_eq!(pt, b"m");
         // The trace is the slot's true discrete log.
         assert!(pk.params.indices_for_tag(b"t").contains(&idx));
@@ -1132,13 +1062,19 @@ mod tests {
         let mut store = MemStore::new();
         let (pk, mut sk, _) = keygen(small_params(), &mut store, &mut rng).unwrap();
         // Collect honest traces across several "users" (tags).
-        let mut traces = Vec::new();
-        for t in 0..4u64 {
-            let tag = t.to_be_bytes();
-            let ct = encrypt(&pk, &tag, b"c", b"m", &mut rng);
-            let (_, _, trace) = sk.decrypt_traced(&mut store, &tag, b"c", &ct).unwrap();
-            traces.push(trace);
-        }
+        let cts: Vec<([u8; 8], BfeCiphertext)> = (0..4u64)
+            .map(|t| {
+                let tag = t.to_be_bytes();
+                let ct = encrypt(&pk, &tag, b"c", b"m", &mut rng);
+                (tag, ct)
+            })
+            .collect();
+        let items: Vec<(&[u8], &[u8], &BfeCiphertext)> = cts
+            .iter()
+            .map(|(tag, ct)| (tag.as_slice(), b"c" as &[u8], ct))
+            .collect();
+        let (outcomes, _) = sk.decrypt_many_traced(&mut store, &items);
+        let traces: Vec<(u64, Scalar)> = outcomes.into_iter().map(|o| o.unwrap().1).collect();
         assert!(pk.audit_slot_scalars(&traces, &mut rng));
         assert!(pk.audit_slot_scalars(&[], &mut rng), "empty batch passes");
 

@@ -7,7 +7,7 @@
 //! Two properties make scenarios replayable from one `u64` seed:
 //!
 //! 1. every random stream (provisioning, traffic, each fault link) is
-//!    derived from the scenario seed via [`mix`](crate::plan::mix), and
+//!    derived from the scenario seed via [`mix`], and
 //! 2. faults are *counted at the point of injection* (the retired
 //!    transport's [`TransportStats`]), independently of the telemetry
 //!    registry the same links report into — so the final audit can

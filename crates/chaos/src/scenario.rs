@@ -402,14 +402,10 @@ pub fn crash_restart_churn(seed: u64) -> Result<ScenarioReport, ChaosError> {
         // with it down, then it comes back before the frame persists.
         let victim = frame % params.total();
         h.apply(ChaosEvent::KillHsm(victim))?;
-        match h.call(ProviderRequest::RunEpoch)? {
-            ProviderResponse::EpochCertified { .. } => {}
-            other => {
-                return Err(ChaosError::Check(format!(
-                    "mid-churn epoch failed: {other:?}"
-                )))
-            }
-        }
+        h.deployment
+            .datacenter
+            .run_epoch()
+            .map_err(|e| ChaosError::Check(format!("mid-churn epoch failed: {e}")))?;
         h.apply(ChaosEvent::RestoreHsm(victim))?;
 
         let digest_before = h.deployment.datacenter.log_digest();

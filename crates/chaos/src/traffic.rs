@@ -1,6 +1,6 @@
 //! The traffic plane: deterministic save/recover storms driven through
 //! a [`Harness`], with the client-side retry wrapper
-//! ([`Retrying`](safetypin_client::retry::Retrying)) in the loop so
+//! ([`Retrying`]) in the loop so
 //! scenarios exercise exactly the resilience path a real client would.
 //!
 //! Everything here is a thin, seeded driver — the corpus generators
@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 
-use safetypin_client::remote::{self, ProviderEndpoint, RemoteError};
+use safetypin_client::remote::{self, RecoverySession, RemoteError};
 use safetypin_client::retry::{RetryPolicy, RetryStats, Retrying};
 use safetypin_client::BackupArtifact;
-use safetypin_proto::{codes, ErrorReply, HsmResponse, ProviderRequest, ProviderResponse};
 use safetypin_seckv::BlockStore;
 
 use crate::injector::{ChaosError, Harness};
@@ -132,13 +131,14 @@ pub struct WaveSession<'a> {
     pub artifact: &'a BackupArtifact,
 }
 
-/// Recovers a whole wave through the amortized batch path, modeled on
-/// the daemon's load generator: one `InsertLog` per user, **one**
-/// `RunEpoch`, one `ProveInclusion` per user, **one**
-/// [`ProviderRequest::RecoverBatch`] frame, then per-user client-side
-/// reconstruction. Per-user failures (a refused log insert, a cluster
-/// that lost too many replies) come back in that user's slot; a failure
-/// of the shared frames fails the wave.
+/// Recovers a whole wave through the one Figure 3 flow
+/// ([`remote::recover_many`]): one `InsertLog` per user, **one**
+/// `RunEpoch`, one `ProveInclusion` per user, **one** `RecoverBatch`
+/// frame, then per-user client-side reconstruction. Per-user failures
+/// (a refused log insert, a cluster that lost too many replies) come
+/// back in that user's slot; a failed shared frame fails every user it
+/// carried. Clients are built fresh from the fleet's *current*
+/// enrollments.
 pub fn recover_wave<S: BlockStore + Send>(
     harness: &mut Harness<S>,
     sessions: &[WaveSession<'_>],
@@ -153,147 +153,27 @@ pub fn recover_wave<S: BlockStore + Send>(
     for session in sessions {
         clients.push(harness.deployment.new_client(&user(session.index))?);
     }
+    let wave: Vec<RecoverySession<'_>> = clients
+        .iter()
+        .zip(sessions)
+        .map(|(client, session)| RecoverySession {
+            client,
+            pin: &session.pin,
+            artifact: session.artifact,
+        })
+        .collect();
     let mut ep = Retrying::new(harness.endpoint(), policy).with_sleeper(|_| {});
-
-    // Phase 1: log every attempt (non-idempotent: one shot per user).
-    let mut attempts: Vec<Option<safetypin_client::RecoveryAttempt>> =
-        Vec::with_capacity(sessions.len());
-    let mut outcomes: Vec<Option<Result<Vec<u8>, RemoteError>>> =
-        (0..sessions.len()).map(|_| None).collect();
-    for ((slot, session), client) in outcomes.iter_mut().zip(sessions).zip(&clients) {
-        let attempt =
-            match client.start_recovery(&session.pin, &session.artifact.ciphertext, false, rng) {
-                Ok(attempt) => attempt,
-                Err(e) => {
-                    *slot = Some(Err(RemoteError::Client(e)));
-                    attempts.push(None);
-                    continue;
-                }
-            };
-        let (id, value) = attempt.log_entry();
-        match ep.call(ProviderRequest::InsertLog { id, value }) {
-            Ok(ProviderResponse::Ack) => attempts.push(Some(attempt)),
-            Ok(ProviderResponse::Error(e)) => {
-                *slot = Some(Err(RemoteError::Refused(e)));
-                attempts.push(None);
-            }
-            Ok(_) => {
-                *slot = Some(Err(RemoteError::Protocol("expected an Ack reply")));
-                attempts.push(None);
-            }
-            Err(e) => {
-                *slot = Some(Err(RemoteError::Transport(e)));
-                attempts.push(None);
-            }
-        }
-    }
-
-    // Phase 2: one epoch certification covering the whole wave.
-    if attempts.iter().any(Option::is_some) {
-        match ep.call(ProviderRequest::RunEpoch) {
-            Ok(ProviderResponse::EpochCertified { .. }) => {}
-            Ok(ProviderResponse::Error(e)) => {
-                report.absorb_retries(ep.stats());
-                return Err(ChaosError::Remote(RemoteError::Refused(e)));
-            }
-            Ok(_) => {
-                return Err(ChaosError::Remote(RemoteError::Protocol(
-                    "expected an EpochCertified reply",
-                )))
-            }
-            Err(e) => return Err(ChaosError::Transport(e)),
-        }
-
-        // Phase 3: inclusion proofs, then one batched recovery frame.
-        let mut batch = Vec::new();
-        let mut batch_slots = Vec::new();
-        for (slot, attempt) in attempts.iter().enumerate() {
-            let Some(attempt) = attempt else { continue };
-            let (id, value) = attempt.log_entry();
-            match ep.call(ProviderRequest::ProveInclusion { id, value }) {
-                Ok(ProviderResponse::Inclusion(Some(proof))) => {
-                    batch.push(attempt.requests(&proof));
-                    batch_slots.push(slot);
-                }
-                Ok(ProviderResponse::Inclusion(None)) => {
-                    outcomes[slot] = Some(Err(RemoteError::Refused(ErrorReply::new(
-                        codes::LOG_REFUSED,
-                        "the logged attempt has no inclusion proof",
-                    ))));
-                }
-                Ok(ProviderResponse::Error(e)) => {
-                    outcomes[slot] = Some(Err(RemoteError::Refused(e)));
-                }
-                Ok(_) => {
-                    outcomes[slot] =
-                        Some(Err(RemoteError::Protocol("expected an Inclusion reply")));
-                }
-                Err(e) => outcomes[slot] = Some(Err(RemoteError::Transport(e))),
-            }
-        }
-        if !batch.is_empty() {
-            let per_user = match ep.call(ProviderRequest::RecoverBatch(batch)) {
-                Ok(ProviderResponse::RecoveredBatch(per_user)) => per_user,
-                Ok(ProviderResponse::Error(e)) => {
-                    return Err(ChaosError::Remote(RemoteError::Refused(e)))
-                }
-                Ok(_) => {
-                    return Err(ChaosError::Remote(RemoteError::Protocol(
-                        "expected a RecoveredBatch reply",
-                    )))
-                }
-                Err(e) => return Err(ChaosError::Transport(e)),
-            };
-            if per_user.len() != batch_slots.len() {
-                return Err(ChaosError::Remote(RemoteError::Protocol(
-                    "batch reply has wrong user count",
-                )));
-            }
-            for (slot, replies) in batch_slots.into_iter().zip(per_user) {
-                let Some(attempt) = &attempts[slot] else {
-                    continue;
-                };
-                let mut responses = Vec::new();
-                let mut refusal = None;
-                for (_, reply) in replies {
-                    match reply {
-                        HsmResponse::RecoveryShare { response, .. } => responses.push(response),
-                        HsmResponse::Error(e)
-                            if e.is_transport_fault() || e.code == codes::UNAVAILABLE =>
-                        {
-                            continue
-                        }
-                        HsmResponse::Error(e) => {
-                            refusal = Some(RemoteError::Refused(e));
-                            break;
-                        }
-                        _ => {
-                            refusal = Some(RemoteError::Protocol("expected a RecoveryShare item"));
-                            break;
-                        }
-                    }
-                }
-                outcomes[slot] = Some(match refusal {
-                    Some(e) => Err(e),
-                    None => attempt.finish(responses).map_err(RemoteError::Client),
-                });
-            }
-        }
-    }
+    let results: WaveOutcomes = remote::recover_many(&mut ep, &wave, rng)
+        .into_iter()
+        .map(|outcome| outcome.map(|recovered| recovered.message))
+        .collect();
     report.absorb_retries(ep.stats());
-    drop(ep);
-
-    let mut results = Vec::with_capacity(sessions.len());
-    for outcome in outcomes {
-        let outcome = outcome.unwrap_or(Err(RemoteError::Protocol(
-            "wave member fell through every phase",
-        )));
-        match &outcome {
+    for outcome in &results {
+        match outcome {
             Ok(_) => report.succeeded += 1,
             Err(RemoteError::Refused(_)) => report.refused += 1,
             Err(_) => report.transport_failures += 1,
         }
-        results.push(outcome);
     }
     Ok((results, report))
 }

@@ -29,9 +29,7 @@ pub mod retry;
 use rand::{CryptoRng, RngCore};
 use safetypin_authlog::trie::InclusionProof;
 use safetypin_bfe::BfeCiphertext;
-use safetypin_lhe::scheme::{
-    encrypt_with_salt, parse_share_plaintext, reconstruct_robust, select, share_context, Salt,
-};
+use safetypin_lhe::scheme::{encrypt_with_salt, reconstruct_robust, select, share_context, Salt};
 use safetypin_lhe::{BfeDirectory, LheCiphertext, LheParams};
 use safetypin_primitives::aead::{self, AeadCiphertext, AeadKey};
 use safetypin_primitives::commit::{self, Commitment, Opening};
@@ -444,12 +442,6 @@ impl RecoveryAttempt {
         reconstruct_robust(&self.params, &self.username, &self.ct, &shares, 200)
             .map_err(|_| ClientError::RecoveryFailed)
     }
-
-    /// Validates a share plaintext (exposed for tests of the §4.1
-    /// username binding from the client's perspective).
-    pub fn parse_share(&self, pt: &[u8]) -> Result<Share, ClientError> {
-        parse_share_plaintext(pt, &self.username).map_err(ClientError::Crypto)
-    }
 }
 
 #[cfg(test)]
@@ -546,12 +538,14 @@ mod tests {
             let inclusion = self.log.prove_includes(&id, &value).unwrap();
             let mut responses = Vec::new();
             for (hsm_id, request) in attempt.requests(&inclusion) {
-                if let Ok(r) = self.hsms[hsm_id as usize].recover_share(
-                    &request,
-                    &mut self.stores[hsm_id as usize],
-                    &mut self.rng,
-                ) {
-                    responses.push(r);
+                if let safetypin_proto::HsmResponse::RecoveryShare { response, .. } =
+                    self.hsms[hsm_id as usize].handle(
+                        safetypin_proto::HsmRequest::RecoverShare(request),
+                        &mut self.stores[hsm_id as usize],
+                        &mut self.rng,
+                    )
+                {
+                    responses.push(response);
                 }
             }
             attempt.finish(responses)

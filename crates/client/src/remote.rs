@@ -12,11 +12,15 @@
 //!    the fleet's LHE parameters) and the enrollment records, and build
 //!    a [`Client`] from them — a bare device needs nothing but the
 //!    server address and a username.
-//! 2. [`save`]: produce a backup locally and upload it under the
-//!    username ([`ProviderRequest::PutBackup`]).
-//! 3. [`recover`]: fetch the stored backup, then run log insertion →
-//!    epoch → inclusion proof → cluster recovery over the channel and
-//!    reconstruct the secret.
+//! 2. [`save_many`]: produce a wave of backups locally and upload them
+//!    in one [`ProviderRequest::SaveBatch`] frame; [`save`] is a wave of
+//!    one.
+//! 3. [`recover_many`]: **the** Figure 3 flow — log every attempt, one
+//!    epoch, one inclusion proof per user, one
+//!    [`ProviderRequest::RecoverBatch`] round, per-user reconstruction;
+//!    [`recover`] is a wave of one. Every caller — the in-process
+//!    `Deployment`, the load generator, the chaos traffic plane, the
+//!    CLI — reaches recovery through it.
 //!
 //! Failures stay typed end to end: a provider refusal arrives as
 //! [`RemoteError::Refused`] carrying the server's [`ErrorReply`]
@@ -28,10 +32,11 @@ use safetypin_lhe::{LheParams, Salt};
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::wire::{Reader, Writer};
 use safetypin_proto::{
-    codes, ErrorReply, HsmResponse, ProtoError, ProviderRequest, ProviderResponse, StatusReport,
+    codes, EnrollmentRecord, ErrorReply, HsmResponse, ProtoError, ProviderRequest,
+    ProviderResponse, RecoveryPhases, SaveRequest, StatusReport,
 };
 
-use crate::{BackupArtifact, Client, ClientError};
+use crate::{BackupArtifact, Client, ClientError, RecoveryAttempt};
 
 pub use crate::retry::{RetryPolicy, RetryStats, Retrying};
 
@@ -62,7 +67,7 @@ where
 }
 
 /// Errors from the remote flows.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum RemoteError {
     /// Local client-side failure (bad enrollments, reconstruction).
     Client(ClientError),
@@ -111,24 +116,45 @@ impl From<ProtoError> for RemoteError {
     }
 }
 
-/// Fetches the provider's status report.
-pub fn fetch_status<E: ProviderEndpoint>(endpoint: &mut E) -> Result<StatusReport, RemoteError> {
-    match endpoint.call(ProviderRequest::Status)? {
-        ProviderResponse::Status(report) => Ok(report),
-        ProviderResponse::Error(e) => Err(RemoteError::Refused(e)),
-        _ => Err(RemoteError::Protocol("expected a Status reply")),
+/// Unwraps one reply: `pick` takes the expected variant out, a typed
+/// refusal becomes [`RemoteError::Refused`], anything else is a
+/// protocol violation described by `wanted`.
+fn expect<T>(
+    reply: Result<ProviderResponse, ProtoError>,
+    wanted: &'static str,
+    pick: impl FnOnce(ProviderResponse) -> Result<T, ProviderResponse>,
+) -> Result<T, RemoteError> {
+    match pick(reply?) {
+        Ok(value) => Ok(value),
+        Err(ProviderResponse::Error(e)) => Err(RemoteError::Refused(e)),
+        Err(_) => Err(RemoteError::Protocol(wanted)),
     }
 }
 
-/// Builds a [`Client`] from nothing but the channel and a username: the
-/// LHE parameters come from the provider's [`StatusReport`], the fleet
-/// public keys from [`ProviderRequest::FetchEnrollments`]. The client
-/// verifies every enrollment's proof of possession itself, exactly as
-/// in [`Client::new`] — the provider is untrusted either way.
-pub fn connect<E: ProviderEndpoint>(
+/// The one outcome of a wave of one.
+pub fn sole<T, E: From<RemoteError>>(mut wave: Vec<Result<T, E>>) -> Result<T, E> {
+    wave.pop()
+        .unwrap_or_else(|| Err(RemoteError::Protocol("the wave lost its member").into()))
+}
+
+/// Fetches the provider's status report.
+pub fn fetch_status<E: ProviderEndpoint>(endpoint: &mut E) -> Result<StatusReport, RemoteError> {
+    expect(
+        endpoint.call(ProviderRequest::Status),
+        "expected a Status reply",
+        |reply| match reply {
+            ProviderResponse::Status(report) => Ok(report),
+            other => Err(other),
+        },
+    )
+}
+
+/// Downloads what every client of one fleet shares: the LHE parameters
+/// (carried by the provider's [`StatusReport`]) and the fleet's
+/// enrollment records ([`ProviderRequest::FetchEnrollments`]).
+pub fn fetch_fleet<E: ProviderEndpoint>(
     endpoint: &mut E,
-    username: &[u8],
-) -> Result<Client, RemoteError> {
+) -> Result<(LheParams, Vec<EnrollmentRecord>), RemoteError> {
     let status = fetch_status(endpoint)?;
     let params = LheParams::new(
         status.fleet_size,
@@ -137,18 +163,104 @@ pub fn connect<E: ProviderEndpoint>(
         status.pin_space,
     )
     .map_err(|e| RemoteError::Client(ClientError::Crypto(e)))?;
-    let enrollments = match endpoint.call(ProviderRequest::FetchEnrollments)? {
-        ProviderResponse::Enrollments(list) => list,
-        ProviderResponse::Error(e) => return Err(RemoteError::Refused(e)),
-        _ => return Err(RemoteError::Protocol("expected an Enrollments reply")),
-    };
+    let enrollments = expect(
+        endpoint.call(ProviderRequest::FetchEnrollments),
+        "expected an Enrollments reply",
+        |reply| match reply {
+            ProviderResponse::Enrollments(list) => Ok(list),
+            other => Err(other),
+        },
+    )?;
+    Ok((params, enrollments))
+}
+
+/// Builds a [`Client`] from nothing but the channel and a username
+/// ([`fetch_fleet`]). The client verifies every enrollment's proof of
+/// possession itself, exactly as in [`Client::new`] — the provider is
+/// untrusted either way.
+pub fn connect<E: ProviderEndpoint>(
+    endpoint: &mut E,
+    username: &[u8],
+) -> Result<Client, RemoteError> {
+    let (params, enrollments) = fetch_fleet(endpoint)?;
     Ok(Client::new(username, params, enrollments)?)
 }
 
+/// One user's save job for [`save_many`].
+pub struct SaveSession<'a> {
+    /// The saving client (must have downloaded the enrollments).
+    pub client: &'a mut Client,
+    /// The PIN protecting the backup.
+    pub pin: &'a [u8],
+    /// The secret being backed up.
+    pub secret: &'a [u8],
+    /// Configuration epoch to record in the ciphertext.
+    pub epoch: u64,
+}
+
+/// The save flow: every session's backup is built locally against the
+/// client's cached enrollments, then the whole wave is uploaded in
+/// **one** [`ProviderRequest::SaveBatch`] frame — one
+/// enrollment-refresh round, one batched log insertion and one
+/// group-commit flush on the provider. Outcomes come back per user in
+/// session order (the artifact, which the caller may also keep
+/// locally); one user's refusal never sinks the wave, a failed frame
+/// fails every user it carried.
+pub fn save_many<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
+    endpoint: &mut E,
+    sessions: &mut [SaveSession<'_>],
+    rng: &mut R,
+) -> Vec<Result<BackupArtifact, RemoteError>> {
+    safetypin_telemetry::span!("save.total_wave");
+    let mut outcomes: Vec<Result<BackupArtifact, RemoteError>> = Vec::with_capacity(sessions.len());
+    let mut saves = Vec::with_capacity(sessions.len());
+    {
+        safetypin_telemetry::span!("save.seal");
+        for session in sessions.iter_mut() {
+            let sealed = session
+                .client
+                .backup(session.pin, session.secret, session.epoch, rng);
+            if let Ok(artifact) = &sealed {
+                saves.push(SaveRequest {
+                    username: session.client.username().to_vec(),
+                    blob: encode_artifact(artifact),
+                });
+            }
+            outcomes.push(sealed.map_err(RemoteError::Client));
+        }
+    }
+    if saves.is_empty() {
+        return outcomes;
+    }
+    let sent = saves.len();
+    let mut verdicts = expect(
+        endpoint.call(ProviderRequest::SaveBatch(saves)),
+        "expected a SavedBatch reply",
+        |reply| match reply {
+            ProviderResponse::SavedBatch(verdicts) if verdicts.len() == sent => Ok(verdicts),
+            other => Err(other),
+        },
+    )
+    .map(|verdicts| verdicts.into_iter());
+    for outcome in outcomes.iter_mut().filter(|o| o.is_ok()) {
+        let refusal = match &mut verdicts {
+            Ok(verdicts) => verdicts
+                .next()
+                .and_then(|v| v.error)
+                .map(RemoteError::Refused),
+            Err(e) => Some(e.clone()),
+        };
+        if let Some(e) = refusal {
+            *outcome = Err(e);
+        }
+    }
+    outcomes
+}
+
 /// Creates a backup of `secret` under `pin` and uploads it to the
-/// provider's blob store, keyed by the client's username. Returns the
-/// artifact (the caller may also keep it locally, but [`recover`] works
-/// from the uploaded copy alone).
+/// provider's blob store, keyed by the client's username: a
+/// [`save_many`] wave of one. Returns the artifact (the caller may also
+/// keep it locally, but [`recover`] works from the uploaded copy alone).
 pub fn save<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
     endpoint: &mut E,
     client: &mut Client,
@@ -156,16 +268,13 @@ pub fn save<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
     secret: &[u8],
     rng: &mut R,
 ) -> Result<BackupArtifact, RemoteError> {
-    let artifact = client.backup(pin, secret, 0, rng)?;
-    let request = ProviderRequest::PutBackup {
-        username: client.username().to_vec(),
-        blob: encode_artifact(&artifact),
+    let session = SaveSession {
+        client,
+        pin,
+        secret,
+        epoch: 0,
     };
-    match endpoint.call(request)? {
-        ProviderResponse::Ack => Ok(artifact),
-        ProviderResponse::Error(e) => Err(RemoteError::Refused(e)),
-        _ => Err(RemoteError::Protocol("expected an Ack reply")),
-    }
+    sole(save_many(endpoint, &mut [session], rng))
 }
 
 /// Fetches the backup blob stored under `username`.
@@ -173,22 +282,227 @@ pub fn fetch_backup<E: ProviderEndpoint>(
     endpoint: &mut E,
     username: &[u8],
 ) -> Result<BackupArtifact, RemoteError> {
-    match endpoint.call(ProviderRequest::FetchBackup {
-        username: username.to_vec(),
-    })? {
-        ProviderResponse::Backup(Some(blob)) => decode_artifact(&blob),
-        ProviderResponse::Backup(None) => Err(RemoteError::NoBackup),
-        ProviderResponse::Error(e) => Err(RemoteError::Refused(e)),
-        _ => Err(RemoteError::Protocol("expected a Backup reply")),
+    let stored = expect(
+        endpoint.call(ProviderRequest::FetchBackup {
+            username: username.to_vec(),
+        }),
+        "expected a Backup reply",
+        |reply| match reply {
+            ProviderResponse::Backup(stored) => Ok(stored),
+            other => Err(other),
+        },
+    )?;
+    decode_artifact(&stored.ok_or(RemoteError::NoBackup)?)
+}
+
+/// One user's recovery job for [`recover_many`].
+pub struct RecoverySession<'a> {
+    /// The recovering client (must have downloaded the enrollments).
+    pub client: &'a Client,
+    /// The PIN the user typed.
+    pub pin: &'a [u8],
+    /// The backup being recovered.
+    pub artifact: &'a BackupArtifact,
+}
+
+/// One user's successful recovery.
+#[derive(Debug)]
+pub struct Recovered {
+    /// The recovered plaintext.
+    pub message: Vec<u8>,
+    /// Summed per-phase HSM costs across the responders (Figure 10).
+    pub phases: RecoveryPhases,
+    /// HSMs that returned shares.
+    pub responders: usize,
+    /// HSMs contacted.
+    pub contacted: usize,
+}
+
+/// The Figure 3 recovery flow, for a whole wave of users:
+///
+/// * per user, the attempt is prepared and logged (one per identifier:
+///   a refused insertion fails that user only);
+/// * **one** epoch certifies every logged attempt;
+/// * per user, the inclusion proof is fetched and the per-HSM requests
+///   built;
+/// * **one** [`ProviderRequest::RecoverBatch`] round contacts every
+///   cluster — the provider coalesces the wave's requests per HSM, and
+///   each HSM audits and punctures per group;
+/// * per user, the secret is reconstructed from the shares that came
+///   back.
+///
+/// Outcomes come back per user, in session order; one user's refusal
+/// (attempt already consumed, wrong PIN) never sinks the wave, while a
+/// failure of a shared frame (the epoch, the batch round) fails every
+/// user still pending. How many users share a wave is unobservable in
+/// the outcomes.
+///
+/// **Refusal policy**, decided here once: a per-HSM reply that is not a
+/// share (a transport fault, a fail-stopped device, a refusal) is
+/// skipped, and if the shares that did arrive reconstruct, the recovery
+/// succeeds — the threshold scheme's fault tolerance. Otherwise the
+/// error is the first refusal that is not an availability failure
+/// (`BAD_INCLUSION_PROOF`, `NOT_IN_CLUSTER`, `DECRYPT_FAILED`, … stay
+/// typed as [`RemoteError::Refused`]), or else the client's own
+/// threshold error.
+pub fn recover_many<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
+    endpoint: &mut E,
+    sessions: &[RecoverySession<'_>],
+    rng: &mut R,
+) -> Vec<Result<Recovered, RemoteError>> {
+    safetypin_telemetry::span!("recover.total_wave");
+    let mut outcomes: Vec<Option<Result<Recovered, RemoteError>>> = Vec::new();
+    outcomes.resize_with(sessions.len(), || None);
+
+    // Steps 2–3 per user: prepare the attempt, log it.
+    let mut logged: Vec<(usize, RecoveryAttempt)> = Vec::with_capacity(sessions.len());
+    for (idx, session) in sessions.iter().enumerate() {
+        let attempt = session
+            .client
+            .start_recovery(session.pin, &session.artifact.ciphertext, false, rng)
+            .map_err(RemoteError::Client)
+            .and_then(|attempt| {
+                let (id, value) = attempt.log_entry();
+                expect(
+                    endpoint.call(ProviderRequest::InsertLog { id, value }),
+                    "expected an Ack reply",
+                    |reply| match reply {
+                        ProviderResponse::Ack => Ok(attempt),
+                        other => Err(other),
+                    },
+                )
+            });
+        match attempt {
+            Ok(attempt) => logged.push((idx, attempt)),
+            Err(e) => outcomes[idx] = Some(Err(e)),
+        }
+    }
+
+    // Step 4, once per wave: a single epoch certifies every logged
+    // attempt.
+    let mut failed = None;
+    if !logged.is_empty() {
+        failed = expect(
+            endpoint.call(ProviderRequest::RunEpoch),
+            "expected an EpochCertified reply",
+            |reply| match reply {
+                ProviderResponse::EpochCertified { .. } => Ok(()),
+                other => Err(other),
+            },
+        )
+        .err();
+    }
+
+    // Step 5 per user: inclusion proof + per-HSM requests.
+    let mut batch = Vec::with_capacity(logged.len());
+    let mut pending: Vec<(usize, RecoveryAttempt)> = Vec::with_capacity(logged.len());
+    for (idx, attempt) in logged {
+        if let Some(e) = &failed {
+            outcomes[idx] = Some(Err(e.clone()));
+            continue;
+        }
+        let (id, value) = attempt.log_entry();
+        let proof = expect(
+            endpoint.call(ProviderRequest::ProveInclusion { id, value }),
+            "expected an Inclusion reply",
+            |reply| match reply {
+                ProviderResponse::Inclusion(proof) => Ok(proof),
+                other => Err(other),
+            },
+        )
+        .and_then(|proof| {
+            proof.ok_or_else(|| {
+                RemoteError::Refused(ErrorReply::new(
+                    codes::LOG_REFUSED,
+                    "the logged attempt has no inclusion proof",
+                ))
+            })
+        });
+        match proof {
+            Ok(proof) => {
+                batch.push(attempt.requests(&proof));
+                pending.push((idx, attempt));
+            }
+            Err(e) => outcomes[idx] = Some(Err(e)),
+        }
+    }
+
+    // Steps 6–7: one recovery round for the whole wave, then per-user
+    // reconstruction.
+    if !pending.is_empty() {
+        let users = pending.len();
+        let served = expect(
+            endpoint.call(ProviderRequest::RecoverBatch(batch)),
+            "expected a RecoveredBatch reply for every user",
+            |reply| match reply {
+                ProviderResponse::RecoveredBatch(per_user) if per_user.len() == users => {
+                    Ok(per_user)
+                }
+                other => Err(other),
+            },
+        );
+        safetypin_telemetry::span!("recover.finish");
+        match served {
+            Ok(per_user) => {
+                for ((idx, attempt), replies) in pending.into_iter().zip(per_user) {
+                    outcomes[idx] = Some(reconstruct(&attempt, replies));
+                }
+            }
+            Err(e) => {
+                for (idx, _) in pending {
+                    outcomes[idx] = Some(Err(e.clone()));
+                }
+            }
+        }
+    }
+    outcomes
+        .into_iter()
+        .map(|o| o.unwrap_or(Err(RemoteError::Protocol("the wave lost a member"))))
+        .collect()
+}
+
+/// One user's share of a recovery round → the secret, under the refusal
+/// policy documented on [`recover_many`].
+fn reconstruct(
+    attempt: &RecoveryAttempt,
+    replies: Vec<(u64, HsmResponse)>,
+) -> Result<Recovered, RemoteError> {
+    let contacted = replies.len();
+    let mut phases = RecoveryPhases::default();
+    let mut responses = Vec::with_capacity(contacted);
+    let mut refusal = None;
+    for (_, reply) in replies {
+        match reply {
+            HsmResponse::RecoveryShare {
+                response,
+                phases: p,
+            } => {
+                phases.add(&p);
+                responses.push(response);
+            }
+            HsmResponse::Error(e) if e.is_transport_fault() || e.code == codes::UNAVAILABLE => {}
+            HsmResponse::Error(e) => {
+                refusal.get_or_insert(RemoteError::Refused(e));
+            }
+            _ => {
+                refusal.get_or_insert(RemoteError::Protocol("expected a RecoveryShare item"));
+            }
+        }
+    }
+    let responders = responses.len();
+    match attempt.finish(responses) {
+        Ok(message) => Ok(Recovered {
+            message,
+            phases,
+            responders,
+            contacted,
+        }),
+        Err(e) => Err(refusal.unwrap_or(RemoteError::Client(e))),
     }
 }
 
-/// Runs the full Figure 3 recovery over the channel: log the attempt,
-/// run an epoch, fetch the inclusion proof, contact the cluster,
-/// reconstruct. Per-HSM refusals with transport-fault or fail-stop
-/// codes are skipped (recovery succeeds as long as the surviving shares
-/// reach the threshold); any other per-HSM refusal is surfaced as
-/// [`RemoteError::Refused`].
+/// Runs the full Figure 3 recovery over the channel — a
+/// [`recover_many`] wave of one — and returns the recovered secret.
 pub fn recover<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
     endpoint: &mut E,
     client: &Client,
@@ -196,56 +510,12 @@ pub fn recover<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
     artifact: &BackupArtifact,
     rng: &mut R,
 ) -> Result<Vec<u8>, RemoteError> {
-    let attempt = client.start_recovery(pin, &artifact.ciphertext, false, rng)?;
-
-    // Step 3: log the attempt (one per identifier).
-    let (id, value) = attempt.log_entry();
-    match endpoint.call(ProviderRequest::InsertLog { id, value })? {
-        ProviderResponse::Ack => {}
-        ProviderResponse::Error(e) => return Err(RemoteError::Refused(e)),
-        _ => return Err(RemoteError::Protocol("expected an Ack reply")),
-    }
-
-    // Step 4: certify the epoch.
-    match endpoint.call(ProviderRequest::RunEpoch)? {
-        ProviderResponse::EpochCertified { .. } => {}
-        ProviderResponse::Error(e) => return Err(RemoteError::Refused(e)),
-        _ => return Err(RemoteError::Protocol("expected an EpochCertified reply")),
-    }
-
-    // Step 5: the inclusion proof.
-    let (id, value) = attempt.log_entry();
-    let inclusion = match endpoint.call(ProviderRequest::ProveInclusion { id, value })? {
-        ProviderResponse::Inclusion(Some(proof)) => proof,
-        ProviderResponse::Inclusion(None) => {
-            return Err(RemoteError::Refused(ErrorReply::new(
-                codes::LOG_REFUSED,
-                "the logged attempt has no inclusion proof",
-            )))
-        }
-        ProviderResponse::Error(e) => return Err(RemoteError::Refused(e)),
-        _ => return Err(RemoteError::Protocol("expected an Inclusion reply")),
+    let session = RecoverySession {
+        client,
+        pin,
+        artifact,
     };
-
-    // Steps 6–7: one recovery round against the cluster.
-    let requests = attempt.requests(&inclusion);
-    let items = match endpoint.call(ProviderRequest::Recover(requests))? {
-        ProviderResponse::Recovered(items) => items,
-        ProviderResponse::Error(e) => return Err(RemoteError::Refused(e)),
-        _ => return Err(RemoteError::Protocol("expected a Recovered reply")),
-    };
-    let mut responses = Vec::new();
-    for (_, resp) in items {
-        match resp {
-            HsmResponse::RecoveryShare { response, .. } => responses.push(response),
-            HsmResponse::Error(e) if e.is_transport_fault() || e.code == codes::UNAVAILABLE => {
-                continue
-            }
-            HsmResponse::Error(e) => return Err(RemoteError::Refused(e)),
-            _ => return Err(RemoteError::Protocol("expected a RecoveryShare item")),
-        }
-    }
-    Ok(attempt.finish(responses)?)
+    sole(recover_many(endpoint, &[session], rng)).map(|recovered| recovered.message)
 }
 
 /// Serializes an artifact for the provider's blob store:

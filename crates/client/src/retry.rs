@@ -14,8 +14,9 @@
 //!   through exactly once, always.
 //! * **The failure must be transient**: a transport-level fault
 //!   ([`ProtoError::is_transient`] — drop, corruption, socket I/O) or a
-//!   typed back-pressure refusal ([`ErrorReply::is_transient`] —
-//!   `RATE_LIMITED`, `OVERLOADED`, `DEGRADED`). A `SHUTTING_DOWN`
+//!   typed back-pressure refusal
+//!   ([`ErrorReply::is_transient`](safetypin_proto::ErrorReply::is_transient)
+//!   — `RATE_LIMITED`, `OVERLOADED`, `DEGRADED`). A `SHUTTING_DOWN`
 //!   refusal, a log refusal, or a protocol violation is final.
 //!
 //! Backoff is exponential from [`RetryPolicy::base_delay`], doubling
@@ -141,11 +142,6 @@ impl<E: ProviderEndpoint> Retrying<E> {
     /// Retry accounting so far.
     pub fn stats(&self) -> RetryStats {
         self.stats
-    }
-
-    /// The wrapped endpoint.
-    pub fn inner_mut(&mut self) -> &mut E {
-        &mut self.inner
     }
 
     /// Unwraps the endpoint.

@@ -1,20 +1,27 @@
 //! End-to-end deployment orchestration.
 //!
 //! [`Deployment`] wires the datacenter, HSM fleet, and clients together
-//! and exposes the two whole-system operations of §3 — `Backup` (on the
-//! client, via [`safetypin_client::Client::backup`]) and `Recover`
-//! (orchestrated here through the Figure 3 steps) — plus the bookkeeping
-//! the evaluation needs: per-phase cost attribution and vulnerability-
-//! window tracking (Figure 4).
+//! and exposes the two whole-system operations of §3 — `Backup` and
+//! `Recover` — plus the bookkeeping the evaluation needs: per-phase cost
+//! attribution and vulnerability-window tracking (Figure 4).
+//!
+//! Neither flow is written here. [`Deployment::recover_many`] and
+//! [`Deployment::save_many`] run the client flows of
+//! [`safetypin_client::remote`] against an in-process endpoint over
+//! [`Deployment::handle`] — the same dispatch `safetypind` serves over
+//! TCP — and a solo request ([`Deployment::recover`],
+//! [`Deployment::save`]) is a wave of one.
 
 use std::path::PathBuf;
 
-use rand::{CryptoRng, RngCore};
-use safetypin_client::{BackupArtifact, Client, ClientError, RecoveryAttempt};
-use safetypin_hsm::{HsmError, RecoveryPhases};
+use rand::rngs::StdRng;
+use rand::{CryptoRng, RngCore, SeedableRng};
+use safetypin_client::remote::{self, RemoteError};
+use safetypin_client::{BackupArtifact, Client, ClientError};
+use safetypin_hsm::RecoveryPhases;
 use safetypin_primitives::CryptoError;
 use safetypin_proto::{
-    ProviderRequest, ProviderResponse, SaveRequest, SnapshotMeta, StatusReport, Traffic,
+    codes, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta, StatusReport, Traffic,
     TrafficReply, Transport, TransportStats,
 };
 use safetypin_provider::{Datacenter, ProviderError};
@@ -96,6 +103,33 @@ impl From<StoreError> for DeploymentError {
 impl From<CryptoError> for DeploymentError {
     fn from(e: CryptoError) -> Self {
         DeploymentError::Params(e)
+    }
+}
+
+/// How a recovery-flow failure reads to in-process callers: the log's
+/// refusals (attempt already consumed, no inclusion proof) are
+/// [`DeploymentError::AttemptRefused`], every other typed refusal keeps
+/// its HSM/provider meaning.
+impl From<RemoteError> for DeploymentError {
+    fn from(e: RemoteError) -> Self {
+        let provider = match e {
+            RemoteError::Client(e) => return DeploymentError::Client(e),
+            RemoteError::Refused(e) if e.code == codes::LOG_REFUSED => {
+                return DeploymentError::AttemptRefused
+            }
+            RemoteError::Refused(e) if e.code == codes::EPOCH_FAILED => {
+                ProviderError::EpochFailed("the wave's epoch was not certified")
+            }
+            RemoteError::Refused(e) => ProviderError::Hsm((&e).into()),
+            RemoteError::Transport(e) => ProviderError::Transport(e),
+            RemoteError::Protocol(what) => {
+                ProviderError::Transport(ProtoError::UnexpectedMessage(what))
+            }
+            RemoteError::NoBackup => ProviderError::Transport(ProtoError::UnexpectedMessage(
+                "no backup stored under this username",
+            )),
+        };
+        DeploymentError::Provider(provider)
     }
 }
 
@@ -368,55 +402,27 @@ impl DeploymentBuilder {
     }
 }
 
-/// One user's save job for [`Deployment::save_many`].
-pub struct SaveSession<'a> {
-    /// The saving username.
-    pub username: &'a [u8],
-    /// The PIN protecting the backup.
-    pub pin: &'a [u8],
-    /// The secret being backed up.
-    pub secret: &'a [u8],
-}
+pub use safetypin_client::remote::{RecoverySession, SaveSession};
 
-/// One user's recovery job for [`Deployment::recover_many`].
-pub struct RecoverySession<'a> {
-    /// The recovering client (must have downloaded the enrollments).
-    pub client: &'a Client,
-    /// The PIN the user typed.
-    pub pin: &'a [u8],
-    /// The backup being recovered.
-    pub artifact: &'a BackupArtifact,
-}
-
-/// Tuning for the multi-user recovery engine. The default (`wave: 0`,
-/// `workers: 0`) runs everyone in one wave across all cores.
+/// Tuning for [`Deployment::recover_many`]. The default (`wave: 0`)
+/// runs everyone in one wave.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoverManyOptions {
-    /// Users per engine wave (`0` = everyone in one wave). Each wave is
-    /// one log epoch plus one grouped transport round; smaller waves
-    /// bound the per-device group size (and therefore the deferred
-    /// trusted-memory obligation per group commit) at the cost of more
-    /// epochs.
+    /// Users per wave (`0` = everyone in one wave). Each wave is one log
+    /// epoch plus one grouped transport round; smaller waves bound the
+    /// per-device group size (and therefore the deferred trusted-memory
+    /// obligation per group commit) at the cost of more epochs.
     pub wave: usize,
-    /// Worker-thread cap for the per-HSM fan-out (`0` = all cores;
-    /// `1` = the serial baseline). Outcomes are byte-identical for any
-    /// value — every device's group runs under its own sequentially
-    /// seeded RNG stream.
-    pub workers: usize,
 }
 
-impl RecoverManyOptions {
-    /// Users per engine wave (`0` = everyone in one wave).
-    pub fn with_wave(mut self, wave: usize) -> Self {
-        self.wave = wave;
-        self
-    }
-
-    /// Worker-thread cap for the per-HSM fan-out (`0` = all cores).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
+/// A fleet-side RNG stream forked off the caller's: the client flow and
+/// the in-process endpoint both need randomness during one call, and
+/// this keeps both a deterministic function of the caller's RNG (the
+/// idiom the per-HSM fan-out uses for its device streams).
+fn fork_rng<R: RngCore + CryptoRng>(rng: &mut R) -> StdRng {
+    let mut seed = [0u8; 32];
+    rng.fill_bytes(&mut seed);
+    StdRng::from_seed(seed)
 }
 
 impl<S: BlockStore + Send> Deployment<S> {
@@ -473,13 +479,9 @@ impl<S: BlockStore + Send> Deployment<S> {
         }
     }
 
-    /// Runs one user's full save flow: builds the client's backup
-    /// artifact (client-side work against the cached enrollment
-    /// records) and hands the encoded blob to the provider's serial
-    /// save path ([`Datacenter::save`]: one enrollment-refresh round,
-    /// one log insertion, one WAL commit). Returns the artifact so the
-    /// caller can later recover from it. This is the baseline
-    /// [`save_many`](Self::save_many) amortizes.
+    /// Saves one user's secret: a [`save_many`](Self::save_many) wave of
+    /// one, for a client built from the fleet's current enrollments.
+    /// Returns the artifact so the caller can later recover from it.
     pub fn save<R: RngCore + CryptoRng>(
         &mut self,
         username: &[u8],
@@ -487,100 +489,50 @@ impl<S: BlockStore + Send> Deployment<S> {
         secret: &[u8],
         rng: &mut R,
     ) -> Result<BackupArtifact, DeploymentError> {
-        safetypin_telemetry::span!("save.total");
-        let mut client = self.new_client(username)?;
-        let epoch = self.datacenter.update_history().len() as u64;
-        let artifact = {
-            safetypin_telemetry::span!("save.seal");
-            client.backup(pin, secret, epoch, rng)?
+        let session = SaveSession {
+            client: &mut self.new_client(username)?,
+            pin,
+            secret,
+            epoch: self.datacenter.update_history().len() as u64,
         };
-        let blob = safetypin_client::remote::encode_artifact(&artifact);
-        {
-            safetypin_telemetry::span!("save.commit");
-            self.datacenter.save(username, &blob)?;
-        }
-        Ok(artifact)
+        remote::sole(self.save_many(&mut [session], rng))
     }
 
-    /// The save-path throughput engine: saves a whole wave of users
-    /// under **one** grouped enrollment-refresh round, **one** batched
-    /// log insertion, and **one** group-commit WAL flush
-    /// ([`Datacenter::save_many`]). Outcomes come back per user in
-    /// session order; one user's refusal never sinks the wave. Log
-    /// state and digests are byte-identical to saving the same users
-    /// sequentially through [`save`](Self::save).
+    /// Saves a whole wave of users through the one save flow
+    /// ([`remote::save_many`]) against this deployment's own
+    /// [`handle`](Self::handle): every artifact is built client-side,
+    /// then the wave lands under **one** enrollment-refresh round,
+    /// **one** batched log insertion and **one** group-commit WAL flush
+    /// (`SaveBatch`). Outcomes come back per user in session order; one
+    /// user's refusal ([`DeploymentError::SaveRefused`]) never sinks the
+    /// wave. Log state and digests are independent of how the saves
+    /// were split into waves.
     pub fn save_many<R: RngCore + CryptoRng>(
         &mut self,
-        sessions: &[SaveSession<'_>],
+        sessions: &mut [SaveSession<'_>],
         rng: &mut R,
     ) -> Vec<Result<BackupArtifact, DeploymentError>> {
-        safetypin_telemetry::span!("save.total_wave");
-        let epoch = self.datacenter.update_history().len() as u64;
-        let mut outcomes: Vec<Option<Result<BackupArtifact, DeploymentError>>> =
-            Vec::with_capacity(sessions.len());
-        outcomes.resize_with(sessions.len(), || None);
-
-        // Client-side: every artifact in the wave builds against the
-        // same cached enrollment snapshot.
-        let seal_span = safetypin_telemetry::start_span("save.seal");
-        let mut staged: Vec<(usize, BackupArtifact)> = Vec::with_capacity(sessions.len());
-        let mut saves: Vec<SaveRequest> = Vec::with_capacity(sessions.len());
-        for (idx, session) in sessions.iter().enumerate() {
-            let mut client = match self.new_client(session.username) {
-                Ok(client) => client,
-                Err(e) => {
-                    outcomes[idx] = Some(Err(e));
-                    continue;
-                }
-            };
-            match client.backup(session.pin, session.secret, epoch, rng) {
-                Ok(artifact) => {
-                    saves.push(SaveRequest {
-                        username: session.username.to_vec(),
-                        blob: safetypin_client::remote::encode_artifact(&artifact),
-                    });
-                    staged.push((idx, artifact));
-                }
-                Err(e) => outcomes[idx] = Some(Err(e.into())),
-            }
-        }
-
-        drop(seal_span);
-
-        // Provider-side: the whole wave in one engine call.
-        safetypin_telemetry::span!("save.commit");
-        match self.datacenter.save_many(&saves) {
-            Ok(results) => {
-                for ((idx, artifact), outcome) in staged.into_iter().zip(results) {
-                    outcomes[idx] = Some(match outcome.error {
-                        None => Ok(artifact),
-                        Some(e) => Err(DeploymentError::SaveRefused(e)),
-                    });
-                }
-            }
-            Err(e) => {
-                let shared: DeploymentError = e.into();
-                for (idx, _) in staged {
-                    outcomes[idx] = Some(Err(DeploymentError::SaveRefused(
-                        safetypin_proto::ErrorReply::new(
-                            safetypin_proto::codes::CORRUPTED,
-                            shared.to_string(),
-                        ),
-                    )));
-                }
-            }
-        }
-        outcomes
+        let mut fleet_rng = fork_rng(rng);
+        let mut endpoint = |request: ProviderRequest| -> Result<ProviderResponse, ProtoError> {
+            Ok(self.handle(request, &mut fleet_rng))
+        };
+        remote::save_many(&mut endpoint, sessions, rng)
             .into_iter()
-            .map(|o| o.expect("every session resolves to an outcome"))
+            .map(|saved| {
+                saved.map_err(|e| match e {
+                    RemoteError::Refused(e) => DeploymentError::SaveRefused(e),
+                    other => other.into(),
+                })
+            })
             .collect()
     }
 
-    /// Runs the full Figure 3 recovery flow: log the attempt, run a log
-    /// epoch, fetch the inclusion proof, contact the cluster, reconstruct.
+    /// Runs the full Figure 3 recovery for one user: a
+    /// [`recover_many`](Self::recover_many) wave of one.
     ///
-    /// Fail-stopped HSMs are skipped (recovery succeeds as long as the
-    /// live shares reach the threshold).
+    /// Unavailable HSMs (fail-stopped, or their reply lost in transit)
+    /// and refused shares are skipped: recovery succeeds as long as the
+    /// surviving shares reach the threshold.
     pub fn recover<R: RngCore + CryptoRng>(
         &mut self,
         client: &Client,
@@ -588,80 +540,22 @@ impl<S: BlockStore + Send> Deployment<S> {
         artifact: &BackupArtifact,
         rng: &mut R,
     ) -> Result<RecoveryOutcome, DeploymentError> {
-        safetypin_telemetry::span!("recover.total");
-        let attempt = client.start_recovery(pin, &artifact.ciphertext, false, rng)?;
-        let wire_before = self.datacenter.transport_stats();
-
-        // Step 3: log the recovery attempt (one per identifier).
-        let (id, value) = attempt.log_entry();
-        {
-            safetypin_telemetry::span!("recover.log_insert");
-            self.datacenter
-                .insert_log(&id, &value)
-                .map_err(|_| DeploymentError::AttemptRefused)?;
-        }
-
-        // Step 4: the provider batches and certifies the epoch.
-        {
-            safetypin_telemetry::span!("recover.epoch");
-            self.datacenter.run_epoch()?;
-        }
-
-        // Step 5: inclusion proof.
-        let inclusion = {
-            safetypin_telemetry::span!("recover.inclusion");
-            self.datacenter
-                .prove_inclusion(&id, &value)
-                .ok_or(DeploymentError::AttemptRefused)?
+        let session = RecoverySession {
+            client,
+            pin,
+            artifact,
         };
-
-        // Steps 6–7: contact the cluster — one batched transport round
-        // carrying every per-HSM request in a single envelope. The
-        // window is now open; it closes HSM-by-HSM as each punctures
-        // before replying. Unavailable devices (fail-stopped, or their
-        // reply lost in transit) are skipped: recovery succeeds as long
-        // as the surviving shares reach the threshold.
-        let mut phases = RecoveryPhases::default();
-        let mut responses = Vec::new();
-        let requests = attempt.requests(&inclusion);
-        let contacted = requests.len();
-        {
-            safetypin_telemetry::span!("recover.cluster_round");
-            for (_, item) in self.datacenter.route_recovery_cluster(requests, rng)? {
-                match item {
-                    Ok((response, p)) => {
-                        phases.add(&p);
-                        responses.push(response);
-                    }
-                    Err(HsmError::Unavailable) => continue,
-                    Err(e) => return Err(ProviderError::Hsm(e).into()),
-                }
-            }
-        }
-        let responders = responses.len();
-        let message = {
-            safetypin_telemetry::span!("recover.finish");
-            attempt.finish(responses)?
-        };
-        Ok(RecoveryOutcome {
-            message,
-            phases,
-            responders,
-            contacted,
-            window: WindowPhase::Revoked,
-            wire: self.datacenter.transport_stats().since(&wire_before),
-        })
+        remote::sole(self.recover_many(&[session], RecoverManyOptions::default(), rng))
     }
 
-    /// The multi-user recovery engine: serves many users' recoveries
-    /// **concurrently**, amortizing everything a one-at-a-time loop pays
-    /// per user across the whole wave:
+    /// Serves many users' recoveries through the one Figure 3 flow
+    /// ([`remote::recover_many`]) against this deployment's own
+    /// [`handle`](Self::handle), amortizing everything a one-at-a-time
+    /// loop pays per user across each wave:
     ///
-    /// * one log epoch certifies every attempt in the wave (vs one epoch
-    ///   per user);
+    /// * one log epoch certifies every attempt in the wave;
     /// * every request bound for the same HSM travels in **one envelope
-    ///   per device per direction**
-    ///   ([`Datacenter::route_recovery_multi`]);
+    ///   per device per direction** ([`Datacenter::route_recovery`]);
     /// * each device serves its coalesced group with cross-user batched
     ///   punctures, one MSM slot audit, and a **single group-commit
     ///   durability barrier** — punctures for the whole group commit
@@ -669,131 +563,37 @@ impl<S: BlockStore + Send> Deployment<S> {
     ///
     /// Outcomes come back per user, in session order; one user's refusal
     /// (attempt already consumed, wrong PIN) never sinks the wave. The
-    /// served shares are **byte-identical** to recovering the same users
-    /// sequentially through [`recover`](Self::recover), for any worker
-    /// count and wave size (pinned by `tests/tests/throughput.rs`); the
-    /// per-user `wire` stats report the wave's traffic amortized evenly
-    /// across its users — the engine's whole point is that this number
-    /// falls as the wave grows.
+    /// served shares are **byte-identical** for any wave size — wave = 1
+    /// ≡ wave = n, pinned by `tests/tests/throughput.rs`; on top of the
+    /// flow's result this adapter adds only the Figure-4 `window` and
+    /// the `wire` stats, which report the wave's traffic amortized
+    /// evenly across its users (the whole point of a wave is that this
+    /// number falls as it grows). The per-user counters are
+    /// floor-divided, so a fault count smaller than the wave can round
+    /// to 0 in every outcome — callers needing exact fault totals should
+    /// diff [`Datacenter::transport_stats`] around the call instead.
     pub fn recover_many<R: RngCore + CryptoRng>(
         &mut self,
         sessions: &[RecoverySession<'_>],
         opts: RecoverManyOptions,
         rng: &mut R,
     ) -> Vec<Result<RecoveryOutcome, DeploymentError>> {
-        // Single-session fast path: the engine's grouped envelopes and
-        // slot bookkeeping only pay for themselves across users, so a
-        // lone session runs the serial recovery code — the engine is
-        // never slower than the baseline it replaces.
-        if let [session] = sessions {
-            return vec![self.recover(session.client, session.pin, session.artifact, rng)];
-        }
-        let mut outcomes: Vec<Option<Result<RecoveryOutcome, DeploymentError>>> =
-            Vec::with_capacity(sessions.len());
-        outcomes.resize_with(sessions.len(), || None);
         let wave_size = if opts.wave == 0 {
             sessions.len().max(1)
         } else {
             opts.wave
         };
-        let workers = if opts.workers == 0 {
-            usize::MAX
-        } else {
-            opts.workers
-        };
-
-        for (wave_index, wave) in sessions.chunks(wave_size).enumerate() {
-            safetypin_telemetry::span!("recover.total_wave");
-            let wave_start = wave_index * wave_size;
+        let mut fleet_rng = fork_rng(rng);
+        let mut outcomes = Vec::with_capacity(sessions.len());
+        for wave in sessions.chunks(wave_size) {
             let wire_before = self.datacenter.transport_stats();
-
-            // Steps 2–3 per user: prepare the attempt, log it. A refused
-            // insertion (attempt already consumed) fails that user only.
-            let log_span = safetypin_telemetry::start_span("recover.log_insert");
-            let mut staged: Vec<(usize, RecoveryAttempt, Vec<u8>, Vec<u8>)> = Vec::new();
-            for (offset, session) in wave.iter().enumerate() {
-                let idx = wave_start + offset;
-                let attempt = match session.client.start_recovery(
-                    session.pin,
-                    &session.artifact.ciphertext,
-                    false,
-                    rng,
-                ) {
-                    Ok(attempt) => attempt,
-                    Err(e) => {
-                        outcomes[idx] = Some(Err(e.into()));
-                        continue;
-                    }
-                };
-                let (id, value) = attempt.log_entry();
-                if self.datacenter.insert_log(&id, &value).is_err() {
-                    outcomes[idx] = Some(Err(DeploymentError::AttemptRefused));
-                    continue;
-                }
-                staged.push((idx, attempt, id, value));
-            }
-            drop(log_span);
-            if staged.is_empty() {
-                continue;
-            }
-
-            // Step 4, once per wave: a single epoch certifies every
-            // logged attempt in the batch.
-            let epoch_outcome = {
-                safetypin_telemetry::span!("recover.epoch");
-                self.datacenter.run_epoch()
+            let mut endpoint = |request: ProviderRequest| -> Result<ProviderResponse, ProtoError> {
+                Ok(self.handle(request, &mut fleet_rng))
             };
-            if let Err(e) = epoch_outcome {
-                for (idx, ..) in staged {
-                    outcomes[idx] = Some(Err(e.clone().into()));
-                }
-                continue;
-            }
-
-            // Step 5 per user: inclusion proof + per-HSM requests.
-            let inclusion_span = safetypin_telemetry::start_span("recover.inclusion");
-            let mut rounds = Vec::with_capacity(staged.len());
-            let mut meta: Vec<(usize, RecoveryAttempt, usize)> = Vec::with_capacity(staged.len());
-            for (idx, attempt, id, value) in staged {
-                match self.datacenter.prove_inclusion(&id, &value) {
-                    Some(inclusion) => {
-                        let requests = attempt.requests(&inclusion);
-                        meta.push((idx, attempt, requests.len()));
-                        rounds.push(requests);
-                    }
-                    None => outcomes[idx] = Some(Err(DeploymentError::AttemptRefused)),
-                }
-            }
-            drop(inclusion_span);
-            if rounds.is_empty() {
-                continue;
-            }
-
-            // Steps 6–7, one grouped round for the whole wave.
-            let round_span = safetypin_telemetry::start_span("recover.cluster_round");
-            let served = match self
-                .datacenter
-                .route_recovery_multi_with_workers(rounds, workers, rng)
-            {
-                Ok(served) => served,
-                Err(e) => {
-                    for (idx, ..) in meta {
-                        outcomes[idx] = Some(Err(e.clone().into()));
-                    }
-                    continue;
-                }
-            };
-            drop(round_span);
-
-            // The wave's wire traffic, amortized evenly per user. The
-            // per-user counters are floor-divided, so a fault count
-            // smaller than the wave (e.g. 3 drops across 32 users) can
-            // round to 0 in every outcome — callers needing exact fault
-            // totals should diff `Datacenter::transport_stats` around
-            // the call instead.
+            let recovered = remote::recover_many(&mut endpoint, wave, rng);
             let delta = self.datacenter.transport_stats().since(&wire_before);
-            let users = meta.len() as u64;
-            let wire_share = TransportStats {
+            let users = wave.len() as u64;
+            let wire = TransportStats {
                 envelopes: delta.envelopes / users,
                 messages: delta.messages / users,
                 request_bytes: delta.request_bytes / users,
@@ -802,47 +602,19 @@ impl<S: BlockStore + Send> Deployment<S> {
                 corrupted: delta.corrupted / users,
                 seconds: delta.seconds / users as f64,
             };
-
-            safetypin_telemetry::span!("recover.finish");
-            for ((idx, attempt, contacted), items) in meta.into_iter().zip(served) {
-                let mut phases = RecoveryPhases::default();
-                let mut responses = Vec::new();
-                let mut hard_error: Option<DeploymentError> = None;
-                for (_, item) in items {
-                    match item {
-                        Ok((response, p)) => {
-                            phases.add(&p);
-                            responses.push(response);
-                        }
-                        Err(HsmError::Unavailable) => continue,
-                        Err(e) => {
-                            hard_error = Some(ProviderError::Hsm(e).into());
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = hard_error {
-                    outcomes[idx] = Some(Err(e));
-                    continue;
-                }
-                let responders = responses.len();
-                outcomes[idx] = Some(match attempt.finish(responses) {
-                    Ok(message) => Ok(RecoveryOutcome {
-                        message,
-                        phases,
-                        responders,
-                        contacted,
-                        window: WindowPhase::Revoked,
-                        wire: wire_share,
-                    }),
-                    Err(e) => Err(e.into()),
-                });
-            }
+            outcomes.extend(recovered.into_iter().map(|outcome| {
+                let recovered = outcome?;
+                Ok(RecoveryOutcome {
+                    message: recovered.message,
+                    phases: recovered.phases,
+                    responders: recovered.responders,
+                    contacted: recovered.contacted,
+                    window: WindowPhase::Revoked,
+                    wire,
+                })
+            }));
         }
         outcomes
-            .into_iter()
-            .map(|o| o.expect("every session resolves to an outcome"))
-            .collect()
     }
 }
 

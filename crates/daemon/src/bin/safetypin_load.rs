@@ -1,14 +1,13 @@
 //! `safetypin-load` — the over-the-wire load generator.
 //!
 //! Drives save/recover storms against a running `safetypind` (see
-//! `safetypin_daemon::load`), prints the measured rates, and folds the
-//! `wire_*` metrics into the repository's `bench_out/BENCH_perf.json`
-//! trajectory (`$BENCH_OUT` overrides the directory).
+//! `safetypin_daemon::load`) and prints the measured rates and latency
+//! percentiles. The repository's recorded numbers come from
+//! `benchmark/` (see `benchmark/README.md`), not from this tool.
 
 use std::process::ExitCode;
 
-use safetypin_daemon::load::{self, LoadOptions};
-use safetypin_daemon::perf;
+use safetypin_daemon::load::{self, percentile_ms, LoadOptions};
 
 const USAGE: &str = "\
 usage: safetypin-load <addr> [options]
@@ -23,9 +22,6 @@ fn parse_args() -> Result<LoadOptions, String> {
     let mut argv = std::env::args().skip(1);
     let addr = argv.next().ok_or_else(|| USAGE.to_string())?;
     let mut opts = LoadOptions::new(addr);
-    if std::env::var("PERF_QUICK").is_ok_and(|v| v == "1") {
-        opts = opts.quick();
-    }
     while let Some(flag) = argv.next() {
         let mut value = |what: &str| argv.next().ok_or_else(|| format!("{flag} needs {what}"));
         match flag.as_str() {
@@ -70,15 +66,15 @@ fn main() -> ExitCode {
     };
     println!(
         "saved {} backups in {:.2}s ({:.1}/s)",
-        report.saves,
+        report.users,
         report.save_secs,
-        report.saves as f64 / report.save_secs.max(1e-9),
+        report.users as f64 / report.save_secs.max(1e-9),
     );
     println!(
         "saved {} backups in one SaveBatch wave in {:.2}s ({:.1}/s over the wire)",
-        report.wave_saves,
+        report.users,
         report.wave_save_secs,
-        report.wave_saves as f64 / report.wave_save_secs.max(1e-9),
+        report.users as f64 / report.wave_save_secs.max(1e-9),
     );
     println!(
         "recovered {} users solo in {:.2}s ({:.2}/s over the wire)",
@@ -92,40 +88,16 @@ fn main() -> ExitCode {
         report.wave_secs,
         report.wave_recoveries as f64 / report.wave_secs.max(1e-9),
     );
-    let metrics = report.metrics();
-    let ms = |key: &str| {
-        metrics
-            .iter()
-            .find(|(name, _)| name == key)
-            .map_or(0.0, |(_, v)| *v)
-    };
-    println!(
-        "save latency p50 {:.1}ms / p95 {:.1}ms / p99 {:.1}ms",
-        ms("wire_save_p50_ms"),
-        ms("wire_save_p95_ms"),
-        ms("wire_save_p99_ms"),
-    );
-    println!(
-        "recover latency p50 {:.1}ms / p95 {:.1}ms / p99 {:.1}ms",
-        ms("wire_recover_p50_ms"),
-        ms("wire_recover_p95_ms"),
-        ms("wire_recover_p99_ms"),
-    );
-    let dir = perf::bench_out_dir();
-    match perf::merge_metrics(
-        &dir,
-        "perf",
-        "hot-path optimizations, baseline vs optimized (measured)",
-        "wire_",
-        &metrics,
-    ) {
-        Ok(path) => {
-            println!("merged wire_* metrics into {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("safetypin-load: writing {}: {e}", dir.display());
-            ExitCode::FAILURE
-        }
+    for (what, samples) in [
+        ("save", &report.save_samples_us),
+        ("recover", &report.recover_samples_us),
+    ] {
+        println!(
+            "{what} latency p50 {:.1}ms / p95 {:.1}ms / p99 {:.1}ms",
+            percentile_ms(samples, 0.50),
+            percentile_ms(samples, 0.95),
+            percentile_ms(samples, 0.99),
+        );
     }
+    ExitCode::SUCCESS
 }

@@ -30,11 +30,9 @@
 //!   request also waits at most [`DaemonConfig::request_timeout`] for
 //!   the mutex before refusing typed instead of queueing forever.
 //!
-//! [`load`] drives save/recover storms against a running daemon and
-//! [`perf`] folds the measured wire throughput into the repository's
-//! `BENCH_perf.json` trajectory. The `safetypind`, `safetypin-cli`,
-//! and `safetypin-load` binaries are thin argument parsers over these
-//! pieces.
+//! [`load`] drives save/recover storms against a running daemon. The
+//! `safetypind`, `safetypin-cli`, and `safetypin-load` binaries are
+//! thin argument parsers over these pieces.
 //!
 //! [`Envelope`]: safetypin_proto::Envelope
 //! [`ProviderResponse::Error`]: safetypin_proto::ProviderResponse::Error
@@ -51,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod load;
-pub mod perf;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;

@@ -1,44 +1,36 @@
 //! The over-the-wire load generator.
 //!
-//! [`run`] drives a running `safetypind` through the full client
-//! protocol — no shortcuts through in-process state — in four phases:
+//! [`run`] drives a running `safetypind` through the client flows of
+//! [`safetypin_client::remote`] — no shortcuts through in-process
+//! state, and no protocol logic of its own — in four phases:
 //!
 //! 1. **save**: every user backs up a distinct secret under a distinct
-//!    PIN and uploads the artifact, fanned out over
-//!    [`LoadOptions::threads`] connections;
+//!    PIN and uploads the artifact ([`remote::save`], a wave of one),
+//!    fanned out over [`LoadOptions::threads`] connections;
 //!    1b. **save storm**: a second population of the same size saves
-//!    in one [`ProviderRequest::SaveBatch`] frame — one grouped
-//!    enrollment refresh and one group-commit flush on the provider
-//!    log for the whole wave — measuring the save-path engine over
-//!    the socket against phase 1's serial rate;
-//! 2. **solo recover**: half the users run the individual Figure 3
-//!    recovery ([`remote::recover`]), again over concurrent
+//!    as one [`remote::save_many`] wave — one enrollment refresh and
+//!    one group-commit flush on the provider log for everyone;
+//! 2. **solo recover**: half the users recover one at a time
+//!    ([`remote::recover`], a wave of one), again over concurrent
 //!    connections. The log-to-recover critical section is serialized
 //!    by a client-side lock — an inclusion proof must be used against
 //!    the epoch that produced it, and the daemon serializes fleet work
 //!    anyway, so the measured rate is the honest end-to-end one;
-//! 3. **batch wave**: the other half recovers in one
-//!    [`ProviderRequest::RecoverBatch`] wave — one epoch, one frame of
-//!    per-user request rounds — measuring the multi-user engine's
-//!    throughput over the socket.
+//! 3. **batch wave**: the other half recovers as one
+//!    [`remote::recover_many`] wave — one epoch, one frame of per-user
+//!    request rounds.
 //!
 //! Every recovered plaintext is checked against the secret that was
-//! saved; a mismatch is an error, not a statistic. The resulting
-//! [`LoadReport`] renders `wire_*` metrics for
-//! [`perf::merge_metrics`](crate::perf::merge_metrics).
+//! saved; a mismatch is an error, not a statistic.
 
 use std::sync::Mutex;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safetypin::lhe::LheParams;
-use safetypin_client::remote::{self, RemoteError};
-use safetypin_client::{Client, ClientError};
+use safetypin_client::remote::{self, RecoverySession, RemoteError, SaveSession};
+use safetypin_client::Client;
 use safetypin_proto::tcp::{Tcp, TcpConfig};
-use safetypin_proto::{
-    codes, ErrorReply, HsmResponse, ProviderRequest, ProviderResponse, SaveRequest,
-};
 
 /// Load-generator knobs.
 #[derive(Debug, Clone)]
@@ -72,14 +64,11 @@ impl LoadOptions {
 /// Measured outcomes of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Users exercised.
+    /// Users exercised: each saved once solo (phase 1), and as many
+    /// again in the one-frame save storm (phase 1b).
     pub users: usize,
-    /// Backups saved (phase 1) and the phase's wall-clock seconds.
-    pub saves: usize,
     /// Wall-clock seconds of the save phase.
     pub save_secs: f64,
-    /// Users saved by the one-frame save storm (phase 1b).
-    pub wave_saves: usize,
     /// Wall-clock seconds of the save storm.
     pub wave_save_secs: f64,
     /// Individual recoveries completed (phase 2).
@@ -94,15 +83,11 @@ pub struct LoadReport {
     pub save_samples_us: Vec<u64>,
     /// Per-recovery wall-clock microseconds (phase 2, one per solo user).
     pub recover_samples_us: Vec<u64>,
-    /// Selected series scraped from the daemon's telemetry registry
-    /// after the storm (`ProviderRequest::Metrics`), already rendered
-    /// as `BENCH_perf.json` metric pairs.
-    pub fleet: Vec<(String, f64)>,
 }
 
 /// The exact order statistic `sorted[max(1, ceil(q·n)) - 1]` of
 /// `samples`, in milliseconds (0 when empty).
-fn percentile_ms(samples: &[u64], q: f64) -> f64 {
+pub fn percentile_ms(samples: &[u64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -110,77 +95,6 @@ fn percentile_ms(samples: &[u64], q: f64) -> f64 {
     sorted.sort_unstable();
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted.get(rank - 1).map_or(0.0, |v| *v as f64 / 1000.0)
-}
-
-impl LoadReport {
-    /// The `wire_*` metrics for the `BENCH_perf.json` trajectory.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
-        fn rate(count: usize, secs: f64) -> f64 {
-            count as f64 / secs.max(1e-9)
-        }
-        let mut metrics = vec![
-            ("wire_users".to_string(), self.users as f64),
-            (
-                "wire_saves_per_sec".to_string(),
-                rate(self.saves, self.save_secs),
-            ),
-            (
-                "wire_batch_saves_per_sec".to_string(),
-                rate(self.wave_saves, self.wave_save_secs),
-            ),
-            (
-                "wire_recoveries_per_sec".to_string(),
-                rate(self.solo_recoveries, self.recover_secs),
-            ),
-            (
-                "wire_batch_recoveries_per_sec".to_string(),
-                rate(self.wave_recoveries, self.wave_secs),
-            ),
-        ];
-        for (key, samples) in [
-            ("save", &self.save_samples_us),
-            ("recover", &self.recover_samples_us),
-        ] {
-            for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                metrics.push((format!("wire_{key}_{suffix}_ms"), percentile_ms(samples, q)));
-            }
-        }
-        metrics.extend(self.fleet.iter().cloned());
-        metrics
-    }
-}
-
-/// Maps a handful of fleet-side registry series onto `wire_fleet_*`
-/// metric pairs so the daemon's own view of the storm (request
-/// latency, WAL pressure) lands in `BENCH_perf.json` next to the
-/// client-observed rates.
-fn fleet_metrics(report: &safetypin_proto::MetricsReport) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for name in ["daemon.requests", "store.wal_appends"] {
-        if let Some(value) = report.counter(name) {
-            out.push((
-                format!("wire_fleet_{}", name.replace('.', "_")),
-                value as f64,
-            ));
-        }
-    }
-    for name in [
-        "daemon.request",
-        "recover.epoch",
-        "recover.cluster_round",
-        "save.commit",
-    ] {
-        if let Some(h) = report.histogram(name) {
-            let flat = name.replace('.', "_");
-            for (suffix, value) in [("p50", h.p50), ("p95", h.p95), ("p99", h.p99)] {
-                out.push((
-                    format!("wire_fleet_{flat}_{suffix}_ms"),
-                    value as f64 / 1000.0,
-                ));
-            }
-        }
-    }
-    out
 }
 
 fn username(i: usize) -> Vec<u8> {
@@ -203,29 +117,13 @@ fn connect(addr: &str) -> Result<Tcp, RemoteError> {
     Ok(Tcp::connect(TcpConfig::new(addr))?)
 }
 
-fn refused(e: ErrorReply) -> RemoteError {
-    RemoteError::Refused(e)
-}
-
-/// Runs the three phases against `opts.addr`. Returns an error on the
+/// Runs the four phases against `opts.addr`. Returns an error on the
 /// first wrong byte, refused request, or socket failure.
 pub fn run(opts: &LoadOptions) -> Result<LoadReport, RemoteError> {
     // One status + enrollment fetch serves every user: the clients
     // share fleet parameters and public keys, only usernames differ.
     let mut tcp = connect(&opts.addr)?;
-    let status = remote::fetch_status(&mut tcp)?;
-    let params = LheParams::new(
-        status.fleet_size,
-        status.cluster as usize,
-        status.threshold as usize,
-        status.pin_space,
-    )
-    .map_err(|e| RemoteError::Client(ClientError::Crypto(e)))?;
-    let enrollments = match tcp.call(ProviderRequest::FetchEnrollments)? {
-        ProviderResponse::Enrollments(list) => list,
-        ProviderResponse::Error(e) => return Err(refused(e)),
-        _ => return Err(RemoteError::Protocol("expected an Enrollments reply")),
-    };
+    let (params, enrollments) = remote::fetch_fleet(&mut tcp)?;
     let mut clients = Vec::with_capacity(opts.users);
     for i in 0..opts.users {
         clients.push(Client::new(&username(i), params, enrollments.clone())?);
@@ -268,40 +166,38 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, RemoteError> {
     let save_secs = save_start.elapsed().as_secs_f64();
 
     // Phase 1b: the save storm. A second population of the same size
-    // builds its artifacts client-side and uploads them as one
-    // SaveBatch frame — the save-path engine's one grouped enrollment
-    // refresh and one group-commit flush, measured over the socket
-    // against phase 1's one-round-trip-per-user rate.
+    // saves as one wave — one enrollment refresh and one group-commit
+    // flush, measured over the socket against phase 1's
+    // one-round-trip-per-user rate.
     let storm_start = Instant::now();
     let mut storm_rng = StdRng::seed_from_u64(0x5AFE_0B01);
-    let mut saves = Vec::with_capacity(opts.users);
+    let mut storm_clients = Vec::with_capacity(opts.users);
     for i in 0..opts.users {
-        let name = storm_username(i);
-        let mut client = Client::new(&name, params, enrollments.clone())?;
-        let artifact = client.backup(&pin(i), &secret(i), 0, &mut storm_rng)?;
-        saves.push(SaveRequest {
-            username: name,
-            blob: remote::encode_artifact(&artifact),
-        });
+        storm_clients.push(Client::new(
+            &storm_username(i),
+            params,
+            enrollments.clone(),
+        )?);
     }
-    let first_blob = saves.first().map(|s| s.blob.clone());
-    let outcomes = match tcp.call(ProviderRequest::SaveBatch(saves))? {
-        ProviderResponse::SavedBatch(outcomes) => outcomes,
-        ProviderResponse::Error(e) => return Err(refused(e)),
-        _ => return Err(RemoteError::Protocol("expected a SavedBatch reply")),
-    };
-    if outcomes.len() != opts.users {
-        return Err(RemoteError::Protocol(
-            "save wave reply has wrong user count",
-        ));
+    let storm_inputs: Vec<(Vec<u8>, Vec<u8>)> =
+        (0..opts.users).map(|i| (pin(i), secret(i))).collect();
+    let mut storm: Vec<SaveSession<'_>> = storm_clients
+        .iter_mut()
+        .zip(&storm_inputs)
+        .map(|(client, (pin, secret))| SaveSession {
+            client,
+            pin,
+            secret,
+            epoch: 0,
+        })
+        .collect();
+    let mut first_blob = None;
+    for saved in remote::save_many(&mut tcp, &mut storm, &mut storm_rng) {
+        let artifact = saved?;
+        first_blob.get_or_insert_with(|| remote::encode_artifact(&artifact));
     }
-    for outcome in outcomes {
-        if let Some(e) = outcome.error {
-            return Err(refused(e));
-        }
-    }
-    // The wave's writes are visible exactly like serial saves: read
-    // one back and compare bytes.
+    // The wave's writes are visible exactly like solo saves: read one
+    // back and compare bytes.
     if let Some(first_blob) = first_blob {
         let readback = remote::fetch_backup(&mut tcp, &storm_username(0))?;
         if remote::encode_artifact(&readback) != first_blob {
@@ -358,89 +254,38 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, RemoteError> {
     })?;
     let recover_secs = recover_start.elapsed().as_secs_f64();
 
-    // Phase 3: the second half recovers as one RecoverBatch wave.
+    // Phase 3: the second half recovers as one wave.
     let wave_start = Instant::now();
     let mut rng = StdRng::seed_from_u64(0x5AFE_2001);
-    let mut attempts = Vec::with_capacity(wave.len());
+    let mut wave_inputs = Vec::with_capacity(wave.len());
     for (k, client) in wave.iter().enumerate() {
-        let i = solo_count + k;
         let artifact = remote::fetch_backup(&mut tcp, client.username())?;
-        let attempt = client.start_recovery(&pin(i), &artifact.ciphertext, false, &mut rng)?;
-        let (id, value) = attempt.log_entry();
-        match tcp.call(ProviderRequest::InsertLog { id, value })? {
-            ProviderResponse::Ack => {}
-            ProviderResponse::Error(e) => return Err(refused(e)),
-            _ => return Err(RemoteError::Protocol("expected an Ack reply")),
-        }
-        attempts.push(attempt);
+        wave_inputs.push((pin(solo_count + k), artifact));
     }
+    let sessions: Vec<RecoverySession<'_>> = wave
+        .iter()
+        .zip(&wave_inputs)
+        .map(|(client, (pin, artifact))| RecoverySession {
+            client,
+            pin,
+            artifact,
+        })
+        .collect();
     let mut wave_recoveries = 0;
-    if !attempts.is_empty() {
-        match tcp.call(ProviderRequest::RunEpoch)? {
-            ProviderResponse::EpochCertified { .. } => {}
-            ProviderResponse::Error(e) => return Err(refused(e)),
-            _ => return Err(RemoteError::Protocol("expected an EpochCertified reply")),
+    for (k, recovered) in remote::recover_many(&mut tcp, &sessions, &mut rng)
+        .into_iter()
+        .enumerate()
+    {
+        if recovered?.message != secret(solo_count + k) {
+            return Err(RemoteError::Protocol("wave recovery returned wrong bytes"));
         }
-        let mut batch = Vec::with_capacity(attempts.len());
-        for attempt in &attempts {
-            let (id, value) = attempt.log_entry();
-            let proof = match tcp.call(ProviderRequest::ProveInclusion { id, value })? {
-                ProviderResponse::Inclusion(Some(proof)) => proof,
-                ProviderResponse::Inclusion(None) => {
-                    return Err(refused(ErrorReply::new(
-                        codes::LOG_REFUSED,
-                        "the logged attempt has no inclusion proof",
-                    )))
-                }
-                ProviderResponse::Error(e) => return Err(refused(e)),
-                _ => return Err(RemoteError::Protocol("expected an Inclusion reply")),
-            };
-            batch.push(attempt.requests(&proof));
-        }
-        let per_user = match tcp.call(ProviderRequest::RecoverBatch(batch))? {
-            ProviderResponse::RecoveredBatch(per_user) => per_user,
-            ProviderResponse::Error(e) => return Err(refused(e)),
-            _ => return Err(RemoteError::Protocol("expected a RecoveredBatch reply")),
-        };
-        if per_user.len() != attempts.len() {
-            return Err(RemoteError::Protocol("batch reply has wrong user count"));
-        }
-        for (k, (attempt, replies)) in attempts.iter().zip(per_user).enumerate() {
-            let mut responses = Vec::new();
-            for (_, reply) in replies {
-                match reply {
-                    HsmResponse::RecoveryShare { response, .. } => responses.push(response),
-                    HsmResponse::Error(e)
-                        if e.is_transport_fault() || e.code == codes::UNAVAILABLE =>
-                    {
-                        continue
-                    }
-                    HsmResponse::Error(e) => return Err(refused(e)),
-                    _ => return Err(RemoteError::Protocol("expected a RecoveryShare item")),
-                }
-            }
-            let plaintext = attempt.finish(responses)?;
-            if plaintext != secret(solo_count + k) {
-                return Err(RemoteError::Protocol("wave recovery returned wrong bytes"));
-            }
-            wave_recoveries += 1;
-        }
+        wave_recoveries += 1;
     }
     let wave_secs = wave_start.elapsed().as_secs_f64();
 
-    // Scrape the daemon's registry so the fleet's own view of the
-    // storm rides along in the report. An older daemon that refuses
-    // the request simply yields no fleet series — not an error.
-    let fleet = match tcp.call(ProviderRequest::Metrics) {
-        Ok(ProviderResponse::Metrics(report)) => fleet_metrics(&report),
-        _ => Vec::new(),
-    };
-
     Ok(LoadReport {
         users: opts.users,
-        saves: opts.users,
         save_secs,
-        wave_saves: opts.users,
         wave_save_secs,
         solo_recoveries: solo_count,
         recover_secs,
@@ -448,6 +293,5 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, RemoteError> {
         wave_secs,
         save_samples_us,
         recover_samples_us,
-        fleet,
     })
 }

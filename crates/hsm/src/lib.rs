@@ -16,6 +16,10 @@
 //! confirm the committed hash matches the presented recovery ciphertext,
 //! decrypt the share, verify the username inside the plaintext, and
 //! puncture before replying.
+//!
+//! There is one serving path: [`Hsm::handle_batch`] serves a coalesced
+//! request group under one slot audit and one durability barrier, and a
+//! solo request ([`Hsm::handle`]) is a group of one.
 
 // Serve-path panic discipline ([workspace.lints] + crates/audit):
 // unwrap/expect stay warnings in library code, allowed in tests.
@@ -60,21 +64,6 @@ pub struct HsmConfig {
     /// Minimum signers an aggregate signature must cover
     /// (`N − ⌊f_live·N⌋`).
     pub min_signers: usize,
-}
-
-impl HsmConfig {
-    /// Test-scale defaults for a fleet of `total` HSMs.
-    // Constant parameters: `BfeParams::new(256, 4)` cannot fail.
-    #[allow(clippy::expect_used)]
-    pub fn test_default(id: u64, total: u64) -> Self {
-        Self {
-            id,
-            bfe_params: BfeParams::new(256, 4).expect("valid"),
-            audits_per_epoch: 8,
-            max_gc: 24,
-            min_signers: (total - total / 64).max(1) as usize,
-        }
-    }
 }
 
 /// Liveness / compromise status, for failure injection.
@@ -127,9 +116,9 @@ struct CheckedRecovery {
 }
 
 /// A recovery that has passed every §4.2 check and decrypted its shares
-/// but **not yet punctured**: the puncture is an obligation the caller
-/// must discharge (immediately on the serial path, coalesced across
-/// users on the batched path) before any response bytes are built.
+/// but **not yet punctured**: the puncture is an obligation its segment
+/// discharges (coalesced across the segment's users) before any
+/// response bytes are built.
 struct PreparedRecovery {
     shares: Vec<Share>,
     phases: RecoveryPhases,
@@ -140,6 +129,14 @@ struct PreparedRecovery {
     /// batched MSM audit against the published public key.
     trace: Vec<(u64, p256::Scalar)>,
     recovery_pk: Option<elgamal::PublicKey>,
+}
+
+/// The reply for a request the group scheduler never answered.
+fn no_reply() -> safetypin_proto::HsmResponse {
+    safetypin_proto::HsmResponse::Error(safetypin_proto::ErrorReply::new(
+        safetypin_proto::codes::INTERNAL,
+        "batch scheduler produced no reply for this request",
+    ))
 }
 
 /// One hardware security module.
@@ -231,6 +228,11 @@ impl Hsm {
     /// function a transport's serve side calls, and the only surface a
     /// remote backend would need to expose.
     ///
+    /// A solo request is a group of one: this is
+    /// [`handle_batch`](Self::handle_batch) over a single-element group,
+    /// so it passes the same checks, the same slot audit and the same
+    /// durability barrier as every member of a coalesced group.
+    ///
     /// Refusals never escape as `Err`: they are encoded as
     /// [`HsmResponse::Error`](safetypin_proto::HsmResponse::Error)
     /// replies so they survive serialization.
@@ -240,25 +242,20 @@ impl Hsm {
         store: &mut S,
         rng: &mut R,
     ) -> safetypin_proto::HsmResponse {
-        let response = self.handle_inner(request, store, rng);
-        // One durability barrier per served request: on a persistent
-        // backend everything this request wrote (punctures, rotation)
-        // commits before the reply leaves the device, so a crash can
-        // never hand out a share whose revocation evaporates.
-        store.flush();
-        response
+        self.handle_batch(vec![request], store, rng)
+            .pop()
+            .unwrap_or_else(no_reply)
     }
 
     /// Serves a whole coalesced request group — typically **many users'**
     /// recoveries bound for this device in one multi-client round — under
     /// a **single group-commit durability barrier**.
     ///
-    /// Where [`handle`](Self::handle) flushes the block store once per
-    /// request, this method serves the entire group and flushes once:
-    /// every puncture the group performed commits together, *before* any
-    /// response is returned, so the durability boundary moves from
-    /// per-request to per-batch without ever letting a share leave the
-    /// device ahead of its revocation.
+    /// The entire group is served and the block store flushed once:
+    /// every puncture (or rotation) the group performed commits
+    /// together, *before* any response is returned, so on a persistent
+    /// backend a crash can never hand out a share whose revocation
+    /// evaporates.
     ///
     /// Cross-request coalescing inside the group:
     ///
@@ -269,18 +266,18 @@ impl Hsm {
     ///   slots (a repeated tag is the common case; full cross-tag
     ///   coverage is the rare one), or any non-recovery request, is a
     ///   barrier: pending punctures land first, so outcomes are
-    ///   identical to serving the group serially. Partial slot overlap
-    ///   needs no barrier — any surviving slot decrypts the same
-    ///   plaintext, so the released bytes cannot differ.
+    ///   identical to serving the group one request at a time. Partial
+    ///   slot overlap needs no barrier — any surviving slot decrypts the
+    ///   same plaintext, so the released bytes cannot differ.
     /// * **Slot-scalar auditing** runs once per group: every share
     ///   decryption's `(slot, scalar)` trace is batch-verified against
     ///   the published BFE public key in a single multi-scalar
     ///   multiplication ([`BfePublicKey::audit_slot_scalars`]) instead of
-    ///   one naive fixed-base check per share.
+    ///   one naive fixed-base check per share. No share — solo or
+    ///   grouped — leaves the device without passing it.
     ///
     /// Responses come back in request order, one per request, with
-    /// refusals encoded as [`HsmResponse::Error`] items exactly like
-    /// [`handle`](Self::handle).
+    /// refusals encoded as [`HsmResponse::Error`] items.
     ///
     /// [`HsmResponse::Error`]: safetypin_proto::HsmResponse::Error
     pub fn handle_batch<S: BlockStore, R: RngCore + CryptoRng>(
@@ -297,10 +294,12 @@ impl Hsm {
         // Union of the pending tags' Bloom slots: O(1) membership makes
         // the barrier check O(k) per request, not O(segment²).
         let mut segment_slots: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut recoveries = false;
 
         for (pos, request) in requests.into_iter().enumerate() {
             match request {
                 HsmRequest::RecoverShare(req) => {
+                    recoveries = true;
                     let tag = types::puncture_tag(&req.username, &req.salt);
                     let slots = self.config.bfe_params.indices_for_tag(&tag);
                     if !segment.is_empty() && slots.iter().all(|s| segment_slots.contains(s)) {
@@ -334,21 +333,17 @@ impl Hsm {
         // THE durability barrier: everything the whole group wrote —
         // every user's punctures, any rotation — commits in one flush
         // (one WAL commit record, one fsync under strict durability)
-        // before a single response leaves the device.
+        // before a single response leaves the device. Timed for recovery
+        // groups only: an epoch round is 2N groups that staged nothing,
+        // whose no-op samples would drown the series (and whose
+        // recording the fleet's worker threads contend on).
         {
-            safetypin_telemetry::span!("hsm.group_commit");
+            let _span = recoveries.then(|| safetypin_telemetry::start_span("hsm.group_commit"));
             store.flush();
         }
         responses
             .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    HsmResponse::Error(safetypin_proto::ErrorReply::new(
-                        safetypin_proto::codes::INTERNAL,
-                        "batch scheduler produced no reply for this request",
-                    ))
-                })
-            })
+            .map(|r| r.unwrap_or_else(no_reply))
             .collect()
     }
 
@@ -365,8 +360,9 @@ impl Hsm {
     /// 4. the deferred-puncture discharge ([`discharge_pending`]): one
     ///    MSM slot audit, one coalesced multi-tag puncture, responses.
     ///
-    /// Outcomes per request match serving the segment serially; only
-    /// the meters (and their attribution across the group) differ.
+    /// Outcomes per request match serving the segment one request at a
+    /// time; only the meters (and their attribution across the group)
+    /// differ.
     ///
     /// [`recover_share_checks`]: Self::recover_share_checks
     /// [`discharge_pending`]: Self::discharge_pending
@@ -407,9 +403,10 @@ impl Hsm {
         let (decrypted, report) = self.bfe_sk.decrypt_many_traced(store, &items);
 
         // Attribute the batch's decrypt cost evenly across the jobs
-        // (remainder on the first), mirroring the serial per-share
-        // phase mapping: group ops → LHE, AEAD bytes and block traffic
-        // → PE.
+        // (remainder on the first): the ElGamal half of a share
+        // decryption is the "location-hiding encryption" phase, the
+        // outsourced-storage traffic (AEAD bytes, block reads) the
+        // "puncturable encryption" phase.
         let jobs = items.len() as u64;
         let aes_total = report.aead_bytes.div_ceil(16);
         let io_total = (report.blocks_read + report.blocks_written) * 96;
@@ -566,12 +563,12 @@ impl Hsm {
         use safetypin_proto::{HsmRequest, HsmResponse};
         match request {
             HsmRequest::GetEnrollment => HsmResponse::Enrollment(self.enrollment()),
-            HsmRequest::RecoverShare(req) => {
-                match self.recover_share_with_phases(&req, store, rng) {
-                    Ok((response, phases)) => HsmResponse::RecoveryShare { response, phases },
-                    Err(e) => HsmResponse::Error((&e).into()),
-                }
-            }
+            // `handle_batch` routes every recovery into a segment, so
+            // none reaches this dispatch.
+            HsmRequest::RecoverShare(_) => HsmResponse::Error(safetypin_proto::ErrorReply::new(
+                safetypin_proto::codes::INTERNAL,
+                "recovery requests are served in segments",
+            )),
             HsmRequest::AuditAndSign {
                 message,
                 active_ids,
@@ -690,44 +687,6 @@ impl Hsm {
     // Recovery (§4.2)
     // ------------------------------------------------------------------
 
-    /// Processes one recovery-share request, enforcing every §4.2 check,
-    /// and punctures the BFE key before replying (Figure 4's revocation).
-    pub fn recover_share<S: BlockStore, R: RngCore + CryptoRng>(
-        &mut self,
-        request: &RecoveryRequest,
-        store: &mut S,
-        rng: &mut R,
-    ) -> Result<RecoveryResponse, HsmError> {
-        self.recover_share_with_phases(request, store, rng)
-            .map(|(response, _)| response)
-    }
-
-    /// Like [`recover_share`](Self::recover_share) but also attributing the
-    /// metered cost to protocol phases (the Figure 10 breakdown: log /
-    /// location-hiding encryption / puncturable encryption / public-key
-    /// encryption).
-    pub fn recover_share_with_phases<S: BlockStore, R: RngCore + CryptoRng>(
-        &mut self,
-        request: &RecoveryRequest,
-        store: &mut S,
-        rng: &mut R,
-    ) -> Result<(RecoveryResponse, RecoveryPhases), HsmError> {
-        let mut prepared = self.recover_share_prepare(request, store)?;
-        let report = self
-            .bfe_sk
-            .puncture(store, &prepared.tag, rng)
-            .map_err(|_| {
-                self.costs.add(&prepared.phases.total());
-                HsmError::DecryptFailed
-            })?;
-        prepared.phases.pe.aes_blocks += report.aead_bytes.div_ceil(16);
-        prepared
-            .phases
-            .pe
-            .add_io((report.blocks_read + report.blocks_written) * 96);
-        Ok(self.finish_recovery_response(prepared, rng))
-    }
-
     /// Steps 1–5 of the §4.2 check list — everything *before* the store
     /// is touched: validate the commitment, inclusion proof, cluster
     /// membership, and ciphertext binding, and extract the share
@@ -797,74 +756,6 @@ impl Hsm {
             username: request.username.clone(),
             share_cts,
             recovery_pk: request.recovery_pk,
-        })
-    }
-
-    /// Steps 1–7 of the §4.2 check list — everything up to (but not
-    /// including) the puncture: [`recover_share_checks`] followed by the
-    /// share decryptions. The puncture is returned as an obligation
-    /// inside [`PreparedRecovery`] so the serial path
-    /// ([`recover_share`]) can discharge it immediately while the
-    /// batched path ([`handle_batch`](Self::handle_batch)) coalesces
-    /// many users' punctures into one shared-prefix pass. Either way no
-    /// response bytes exist until the puncture has been applied.
-    ///
-    /// [`recover_share`]: Self::recover_share
-    /// [`recover_share_checks`]: Self::recover_share_checks
-    fn recover_share_prepare<S: BlockStore>(
-        &mut self,
-        request: &RecoveryRequest,
-        store: &mut S,
-    ) -> Result<PreparedRecovery, HsmError> {
-        let checked = self.recover_share_checks(request)?;
-        let CheckedRecovery {
-            mut phases,
-            tag,
-            context,
-            username,
-            share_cts,
-            recovery_pk,
-        } = checked;
-
-        // 6. Decrypt every requested share; the puncture (ONE per tag —
-        //    the cluster is sampled with replacement, and one puncture
-        //    revokes this HSM's whole tag) is the caller's obligation.
-        let mut shares: Vec<Share> = Vec::with_capacity(share_cts.len());
-        let mut trace: Vec<(u64, p256::Scalar)> = Vec::with_capacity(share_cts.len());
-        for share_ct in &share_cts {
-            let (pt, report, slot_trace) = self
-                .bfe_sk
-                .decrypt_traced(store, &tag, &context, share_ct)
-                .map_err(|e| {
-                    self.costs.add(&phases.total());
-                    let _ = e;
-                    HsmError::DecryptFailed
-                })?;
-            trace.push(slot_trace);
-            // The ElGamal half of the share decryption is the
-            // "location-hiding encryption" phase; the outsourced-storage
-            // traffic is the "puncturable encryption" phase.
-            phases.lhe.elgamal_decs += report.group_ops;
-            phases.pe.aes_blocks += report.aead_bytes.div_ceil(16);
-            phases
-                .pe
-                .add_io((report.blocks_read + report.blocks_written) * 96);
-
-            // 7. The decrypted plaintext must carry the requesting
-            //    username (§4.1 binding).
-            let share = parse_share_plaintext(&pt, &username).map_err(|_| {
-                self.costs.add(&phases.total());
-                HsmError::UsernameMismatch
-            })?;
-            shares.push(share);
-        }
-        Ok(PreparedRecovery {
-            shares,
-            phases,
-            tag,
-            context,
-            trace,
-            recovery_pk,
         })
     }
 

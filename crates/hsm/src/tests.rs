@@ -141,6 +141,27 @@ impl Fixture {
         (cluster, opening, inclusion)
     }
 
+    /// Serves one recovery request through the HSM's message dispatch
+    /// (`Hsm::handle`: a group of one), unwrapping the typed reply.
+    fn recover_share(
+        &mut self,
+        hsm_id: u64,
+        request: &RecoveryRequest,
+        rng: &mut StdRng,
+    ) -> Result<RecoveryResponse, HsmError> {
+        use safetypin_proto::{HsmRequest, HsmResponse};
+        let idx = hsm_id as usize;
+        match self.hsms[idx].handle(
+            HsmRequest::RecoverShare(request.clone()),
+            &mut self.stores[idx],
+            rng,
+        ) {
+            HsmResponse::RecoveryShare { response, .. } => Ok(response),
+            HsmResponse::Error(e) => Err((&e).into()),
+            other => panic!("unexpected reply to RecoverShare: {other:?}"),
+        }
+    }
+
     /// Groups cluster positions by HSM id.
     fn grouped(cluster: &[u64]) -> std::collections::BTreeMap<u64, Vec<u32>> {
         let mut map: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
@@ -167,9 +188,7 @@ fn full_recovery(fx: &mut Fixture, username: &[u8], pin: &[u8], msg: &[u8]) -> V
             auditor_endorsements: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(hsm_id);
-        let response = fx.hsms[hsm_id as usize]
-            .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-            .unwrap();
+        let response = fx.recover_share(hsm_id, &request, &mut rng).unwrap();
         match response {
             RecoveryResponse::Plain(s) => shares.extend(s),
             RecoveryResponse::Encrypted(_) => panic!("expected plain reply"),
@@ -204,9 +223,7 @@ fn recovery_punctures_revoking_reuse() {
             auditor_endorsements: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(*hsm_id);
-        fx.hsms[*hsm_id as usize]
-            .recover_share(&request, &mut fx.stores[*hsm_id as usize], &mut rng)
-            .unwrap();
+        fx.recover_share(*hsm_id, &request, &mut rng).unwrap();
     }
     // A second pass fails everywhere: the keys are punctured.
     for (hsm_id, positions) in &grouped {
@@ -222,9 +239,7 @@ fn recovery_punctures_revoking_reuse() {
         };
         let mut rng = StdRng::seed_from_u64(*hsm_id);
         assert_eq!(
-            fx.hsms[*hsm_id as usize]
-                .recover_share(&request, &mut fx.stores[*hsm_id as usize], &mut rng)
-                .unwrap_err(),
+            fx.recover_share(*hsm_id, &request, &mut rng).unwrap_err(),
             HsmError::DecryptFailed
         );
     }
@@ -254,9 +269,7 @@ fn unlogged_recovery_rejected() {
     };
     let mut rng = StdRng::seed_from_u64(1);
     assert_eq!(
-        fx.hsms[hsm_id as usize]
-            .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-            .unwrap_err(),
+        fx.recover_share(hsm_id, &request, &mut rng).unwrap_err(),
         HsmError::BadInclusionProof
     );
     let _ = dummy_opening;
@@ -282,9 +295,7 @@ fn ciphertext_substitution_rejected() {
     };
     let mut rng = StdRng::seed_from_u64(2);
     assert_eq!(
-        fx.hsms[hsm_id as usize]
-            .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-            .unwrap_err(),
+        fx.recover_share(hsm_id, &request, &mut rng).unwrap_err(),
         HsmError::CiphertextMismatch
     );
 }
@@ -308,9 +319,7 @@ fn wrong_cluster_slot_rejected() {
     };
     let mut rng = StdRng::seed_from_u64(3);
     assert_eq!(
-        fx.hsms[wrong_hsm as usize]
-            .recover_share(&request, &mut fx.stores[wrong_hsm as usize], &mut rng)
-            .unwrap_err(),
+        fx.recover_share(wrong_hsm, &request, &mut rng).unwrap_err(),
         HsmError::NotInCluster
     );
 }
@@ -335,9 +344,7 @@ fn per_recovery_encrypted_reply() {
             auditor_endorsements: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(hsm_id + 100);
-        let response = fx.hsms[hsm_id as usize]
-            .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-            .unwrap();
+        let response = fx.recover_share(hsm_id, &request, &mut rng).unwrap();
         assert!(matches!(response, RecoveryResponse::Encrypted(_)));
         shares.extend(response.open(Some(&recovery_kp.sk), &context).unwrap());
     }
@@ -457,9 +464,7 @@ fn key_rotation_resets_punctures() {
         auditor_endorsements: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(7);
-    fx.hsms[hsm_id as usize]
-        .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-        .unwrap();
+    fx.recover_share(hsm_id, &request, &mut rng).unwrap();
     assert_eq!(fx.hsms[hsm_id as usize].punctures(), 1);
     let old_pk = fx.hsms[hsm_id as usize].bfe_public_key().clone();
     let (new_pk, report) = fx.hsms[hsm_id as usize]
@@ -573,9 +578,7 @@ fn designated_auditors_gate_recovery() {
     };
     let mut rng = StdRng::seed_from_u64(88);
     assert_eq!(
-        fx.hsms[hsm_id as usize]
-            .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-            .unwrap_err(),
+        fx.recover_share(hsm_id, &request, &mut rng).unwrap_err(),
         HsmError::MissingAuditorEndorsement
     );
 
@@ -583,9 +586,7 @@ fn designated_auditors_gate_recovery() {
     let stale = safetypin_authlog::auditor::endorse_digest(&auditor_key, &[0u8; 32]);
     request.auditor_endorsements = vec![stale];
     assert_eq!(
-        fx.hsms[hsm_id as usize]
-            .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-            .unwrap_err(),
+        fx.recover_share(hsm_id, &request, &mut rng).unwrap_err(),
         HsmError::MissingAuditorEndorsement
     );
 
@@ -593,9 +594,7 @@ fn designated_auditors_gate_recovery() {
     let digest = fx.hsms[hsm_id as usize].log_digest();
     let good = safetypin_authlog::auditor::endorse_digest(&auditor_key, &digest);
     request.auditor_endorsements = vec![good];
-    fx.hsms[hsm_id as usize]
-        .recover_share(&request, &mut fx.stores[hsm_id as usize], &mut rng)
-        .unwrap();
+    fx.recover_share(hsm_id, &request, &mut rng).unwrap();
 }
 
 // ---------------------------------------------------------------------

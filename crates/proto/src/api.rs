@@ -344,16 +344,6 @@ impl Decode for HsmResponse {
     }
 }
 
-impl HsmResponse {
-    /// The error reply, if this is one.
-    pub fn as_error(&self) -> Option<&ErrorReply> {
-        match self {
-            HsmResponse::Error(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 /// Client → untrusted-provider operations (Figure 3's numbered steps).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProviderRequest {

@@ -159,15 +159,18 @@ impl MetricsReport {
             histograms: snapshot
                 .histograms
                 .iter()
-                .map(|(name, h)| HistogramSummary {
-                    name: name.clone(),
-                    count: h.count,
-                    sum: h.sum,
-                    min: if h.count == 0 { 0 } else { h.min },
-                    max: h.max,
-                    p50: h.p50(),
-                    p95: h.p95(),
-                    p99: h.p99(),
+                .map(|(name, h)| {
+                    let [count, sum, min, max, p50, p95, p99] = h.summary();
+                    HistogramSummary {
+                        name: name.clone(),
+                        count,
+                        sum,
+                        min,
+                        max,
+                        p50,
+                        p95,
+                        p99,
+                    }
                 })
                 .collect(),
         }
@@ -193,24 +196,39 @@ impl MetricsReport {
     }
 
     /// Renders the report one line per series — the text exposition
-    /// `safetypin-cli metrics` prints (same shape as
-    /// [`Snapshot::render_text`]).
+    /// `safetypin-cli metrics` prints
+    /// ([`safetypin_telemetry::render_text`]).
     pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let _ = writeln!(out, "counter {name} {value}");
+        safetypin_telemetry::render_text(
+            &self.counters,
+            &self.gauges,
+            self.histograms.iter().map(|h| {
+                (
+                    h.name.as_str(),
+                    [h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99],
+                )
+            }),
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_renders_exactly_like_its_snapshot() {
+        let registry = safetypin_telemetry::Registry::new();
+        registry.counter("m.count").add(7);
+        registry.gauge("m.gauge").set(-1);
+        registry.histogram("m.empty");
+        for v in [3, 40, 500] {
+            registry.histogram("m.lat").record(v);
         }
-        for (name, value) in &self.gauges {
-            let _ = writeln!(out, "gauge {name} {value}");
-        }
-        for h in &self.histograms {
-            let _ = writeln!(
-                out,
-                "histogram {} count={} sum={} min={} max={} p50={} p95={} p99={}",
-                h.name, h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99,
-            );
-        }
-        out
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            MetricsReport::from_snapshot(&snapshot).render_text(),
+            snapshot.render_text()
+        );
     }
 }

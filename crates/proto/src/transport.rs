@@ -6,7 +6,11 @@
 //! and its [`TrafficReply`] back. The serving side is supplied by the
 //! caller as a `serve` closure (the datacenter owns the devices; the
 //! daemon owns the deployment), so a transport decides only *how* the
-//! messages travel:
+//! messages travel. The [`Traffic`] classes differ only in framing: the
+//! fleet serves every class through one grouped fan-out, where a solo
+//! request is a group of one and a per-request batch is regrouped by
+//! device (recovery rounds always travel as [`Traffic::Grouped`]).
+//! Backends:
 //!
 //! * [`Direct`] — in-process, zero-copy: the request value is handed to
 //!   `serve` untouched. This is the pre-RPC behavior and the fastest
@@ -208,10 +212,10 @@ pub trait Transport: Send {
 
     /// Carries a grouped round (one coalesced request group per
     /// addressed HSM), returning per-group response lists in group
-    /// order. This is the multi-user recovery engine's transport shape
-    /// (`Deployment::recover_many`): a 128-user storm whose clusters
-    /// overlap pays one framing per *device*, not one per user-device
-    /// pair.
+    /// order. This is the recovery round's transport shape
+    /// (`Datacenter::route_recovery`; a solo recovery is a wave of
+    /// one): a 128-user storm whose clusters overlap pays one framing
+    /// per *device*, not one per user-device pair.
     fn exchange_grouped(
         &mut self,
         groups: Vec<(u64, Vec<HsmRequest>)>,

@@ -1,17 +1,21 @@
-//! Parallel per-HSM fan-out for the datacenter's batched rounds.
+//! Parallel per-HSM fan-out for the datacenter's transport rounds.
 //!
 //! Every HSM in the fleet is an independent device with its own state and
-//! its own outsourced block store, so a batched round (epoch audit /
-//! accept, cluster recovery, enrollment fetch, GC) and fleet provisioning
-//! are embarrassingly parallel across devices. This module fans that work
-//! out with [`std::thread::scope`] — no extra dependencies — while
-//! keeping two guarantees the transport tests pin:
+//! its own outsourced block store, so a round (epoch audit / accept,
+//! recovery, enrollment fetch, GC) and fleet provisioning are
+//! embarrassingly parallel across devices. This module fans that work
+//! out with [`std::thread::scope`] — no extra dependencies — through
+//! **one** serving loop, [`serve_grouped`]: each addressed device serves
+//! its whole request group via [`Hsm::handle_batch`]. A solo request is a
+//! group of one, and a per-request batch is regrouped by device and its
+//! replies scattered back into request order. Two guarantees the
+//! transport tests pin:
 //!
 //! * **Deterministic results.** Each device's work runs under its own
 //!   RNG stream, seeded *sequentially* from the caller's RNG in a fixed
 //!   order (ascending HSM id). The outcome is therefore a pure function
 //!   of the caller's RNG state — independent of thread count and
-//!   scheduling, and byte-identical whether the batch arrived over the
+//!   scheduling, and byte-identical whether the round arrived over the
 //!   `Direct` or the `Serialized` transport.
 //! * **Request order.** Responses are reassembled into request order, and
 //!   several requests addressed to one HSM are served in their original
@@ -32,17 +36,12 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
 }
 
 /// Builds the fleet's serve side for every [`Traffic`] class a
-/// transport can deliver:
+/// transport can deliver, all through [`serve_grouped`]:
 ///
-/// * `Single` — the addressed HSM serves inline under the caller's RNG
-///   (no per-device seed draw: a one-device round has nothing to fan
-///   out, and the direct RNG use keeps single-exchange outcomes
-///   byte-identical to the pre-unification serve path).
-/// * `Batch` — grouped by addressed HSM and fanned out across worker
-///   threads ([`serve_batch`]), responses in request order.
-/// * `Grouped` — one coalesced group per device, served by
-///   [`Hsm::handle_batch`] under a group-commit barrier
-///   ([`serve_grouped`]), up to `workers` threads.
+/// * `Grouped` — one coalesced group per device, as delivered.
+/// * `Single` — a group of one.
+/// * `Batch` — regrouped by addressed HSM (each device's requests keep
+///   their relative order), replies scattered back into request order.
 /// * `Provider` — refused with a typed [`codes::UNSUPPORTED`] reply:
 ///   the fleet endpoint serves HSM traffic only (the datacenter's
 ///   client-facing dispatch is `Datacenter::handle`).
@@ -53,15 +52,42 @@ pub(crate) fn serve_traffic<'a, S: BlockStore + Send, R: RngCore + CryptoRng>(
     hsms: &'a mut [Hsm],
     stores: &'a mut [S],
     rng: &'a mut R,
-    workers: usize,
 ) -> impl FnMut(Traffic) -> TrafficReply + 'a {
     move |traffic| match traffic {
         Traffic::Single(id, request) => {
-            TrafficReply::Single(serve_single(hsms, stores, rng, id, request))
+            let response = serve_grouped(hsms, stores, rng, usize::MAX, vec![(id, vec![request])])
+                .pop()
+                .and_then(|(_, mut responses)| responses.pop())
+                .unwrap_or_else(unserved);
+            TrafficReply::Single(response)
         }
-        Traffic::Batch(batch) => TrafficReply::Batch(serve_batch(hsms, stores, rng, batch)),
+        Traffic::Batch(batch) => {
+            let ids: Vec<u64> = batch.iter().map(|(id, _)| *id).collect();
+            let mut groups: std::collections::BTreeMap<u64, Vec<HsmRequest>> = Default::default();
+            let mut positions: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
+            for (pos, (id, request)) in batch.into_iter().enumerate() {
+                groups.entry(id).or_default().push(request);
+                positions.entry(id).or_default().push(pos);
+            }
+            let mut out: Vec<Option<HsmResponse>> = ids.iter().map(|_| None).collect();
+            let groups = groups.into_iter().collect();
+            for (id, responses) in serve_grouped(hsms, stores, rng, usize::MAX, groups) {
+                let slots = positions.remove(&id).unwrap_or_default();
+                for (pos, response) in slots.into_iter().zip(responses) {
+                    if let Some(slot) = out.get_mut(pos) {
+                        *slot = Some(response);
+                    }
+                }
+            }
+            TrafficReply::Batch(
+                ids.into_iter()
+                    .zip(out)
+                    .map(|(id, response)| (id, response.unwrap_or_else(unserved)))
+                    .collect(),
+            )
+        }
         Traffic::Grouped(groups) => {
-            TrafficReply::Grouped(serve_grouped(hsms, stores, rng, workers, groups))
+            TrafficReply::Grouped(serve_grouped(hsms, stores, rng, usize::MAX, groups))
         }
         Traffic::Provider(_) => {
             TrafficReply::Provider(safetypin_proto::ProviderResponse::Error(ErrorReply::new(
@@ -72,165 +98,19 @@ pub(crate) fn serve_traffic<'a, S: BlockStore + Send, R: RngCore + CryptoRng>(
     }
 }
 
-/// Serves one request on the addressed HSM, inline, under the caller's
-/// RNG. Unknown ids become typed error replies instead of panics.
-fn serve_single<S: BlockStore, R: RngCore + CryptoRng>(
-    hsms: &mut [Hsm],
-    stores: &mut [S],
-    rng: &mut R,
-    id: u64,
-    request: HsmRequest,
-) -> HsmResponse {
-    let idx = id as usize;
-    match (hsms.get_mut(idx), stores.get_mut(idx)) {
-        (Some(hsm), Some(store)) => hsm.handle(request, store, rng),
-        _ => HsmResponse::Error(ErrorReply::new(
-            codes::UNKNOWN_HSM,
-            format!("no HSM with id {id}"),
-        )),
-    }
+/// The reply for a request the fan-out never produced an answer to.
+fn unserved() -> HsmResponse {
+    HsmResponse::Error(ErrorReply::new(
+        codes::INTERNAL,
+        "fan-out produced no reply for this request",
+    ))
 }
 
-struct Job<'b, S> {
-    id: u64,
-    hsm: &'b mut Hsm,
-    store: &'b mut S,
-    seed: [u8; 32],
-    items: Vec<(usize, HsmRequest)>,
-}
-
-fn run_job<S: BlockStore>(job: &mut Job<'_, S>, out: &mut Vec<(usize, u64, HsmResponse)>) {
-    let mut rng = StdRng::from_seed(job.seed);
-    for (pos, req) in job.items.drain(..) {
-        let resp = job.hsm.handle(req, job.store, &mut rng);
-        out.push((pos, job.id, resp));
-    }
-}
-
-fn serve_batch<S: BlockStore + Send, R: RngCore + CryptoRng>(
-    hsms: &mut [Hsm],
-    stores: &mut [S],
-    rng: &mut R,
-    batch: Vec<(u64, HsmRequest)>,
-) -> Vec<(u64, HsmResponse)> {
-    let n = batch.len();
-    let mut results: Vec<Option<(u64, HsmResponse)>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-
-    // Group per addressed HSM, preserving each HSM's request order.
-    // `ids[pos]` remembers every item's addressee so a position a dead
-    // worker never served can still be answered with a typed error.
-    let mut ids: Vec<u64> = Vec::with_capacity(n);
-    let mut groups: std::collections::BTreeMap<u64, Vec<(usize, HsmRequest)>> =
-        std::collections::BTreeMap::new();
-    for (pos, (id, req)) in batch.into_iter().enumerate() {
-        ids.push(id);
-        if (id as usize) < hsms.len() {
-            groups.entry(id).or_default().push((pos, req));
-        } else if let Some(slot) = results.get_mut(pos) {
-            *slot = Some((
-                id,
-                HsmResponse::Error(ErrorReply::new(
-                    codes::UNKNOWN_HSM,
-                    format!("no HSM with id {id}"),
-                )),
-            ));
-        }
-    }
-
-    // Seeds drawn sequentially in ascending id order: the only RNG
-    // consumption the caller observes, identical for any worker count.
-    let mut devices: Vec<Option<(&mut Hsm, &mut S)>> =
-        hsms.iter_mut().zip(stores.iter_mut()).map(Some).collect();
-    let mut jobs: Vec<Job<'_, S>> = Vec::with_capacity(groups.len());
-    for (id, items) in groups {
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        // Ids were bounds-checked above and BTreeMap keys are unique,
-        // so the device is always present; if that invariant ever
-        // breaks, the group gets typed errors instead of a panic.
-        match devices.get_mut(id as usize).and_then(Option::take) {
-            Some((hsm, store)) => jobs.push(Job {
-                id,
-                hsm,
-                store,
-                seed,
-                items,
-            }),
-            None => {
-                for (pos, _req) in items {
-                    if let Some(slot) = results.get_mut(pos) {
-                        *slot = Some((
-                            id,
-                            HsmResponse::Error(ErrorReply::new(
-                                codes::INTERNAL,
-                                format!("HSM {id} unavailable for this batch"),
-                            )),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    let workers = worker_count(jobs.len());
-    let mut served: Vec<(usize, u64, HsmResponse)> = Vec::with_capacity(n);
-    if workers <= 1 || jobs.len() <= 1 {
-        for job in &mut jobs {
-            run_job(job, &mut served);
-        }
-    } else {
-        let chunk = jobs.len().div_ceil(workers);
-        let collected: Vec<Vec<(usize, u64, HsmResponse)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .chunks_mut(chunk)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for job in chunk {
-                            run_job(job, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            // A panicked worker loses its chunk's replies; the
-            // positions it never filled become typed errors below
-            // instead of propagating the panic into the serve path.
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        });
-        for part in collected {
-            served.extend(part);
-        }
-    }
-    for (pos, id, resp) in served {
-        if let Some(slot) = results.get_mut(pos) {
-            *slot = Some((id, resp));
-        }
-    }
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(pos, r)| {
-            r.unwrap_or_else(|| {
-                (
-                    ids.get(pos).copied().unwrap_or(u64::MAX),
-                    HsmResponse::Error(ErrorReply::new(
-                        codes::INTERNAL,
-                        "fan-out worker failed before serving this request",
-                    )),
-                )
-            })
-        })
-        .collect()
-}
-
-// serve_grouped: one coalesced request group per addressed HSM (the
-// multi-user engine's shape), each served by `Hsm::handle_batch` —
-// cross-user coalesced punctures, one MSM slot audit, one group-commit
-// flush — with independent devices fanned out across up to `workers`
-// threads. Seeds are drawn sequentially in ascending HSM id order,
-// exactly like the per-request batch path, so the served outcome is a
+// serve_grouped: one coalesced request group per addressed HSM, each
+// served by `Hsm::handle_batch` — cross-user coalesced punctures, one
+// MSM slot audit, one group-commit flush — with independent devices
+// fanned out across up to `workers` threads. Seeds are drawn
+// sequentially in ascending HSM id order, so the served outcome is a
 // deterministic function of the caller's RNG for any worker count.
 // Unknown ids (and a device addressed twice in one round) come back as
 // per-request typed error replies.
@@ -253,7 +133,7 @@ fn error_group(code: u16, id: u64, len: usize, detail: String) -> (u64, Vec<HsmR
     )
 }
 
-fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
+pub(crate) fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
     hsms: &mut [Hsm],
     stores: &mut [S],
     rng: &mut R,
@@ -266,9 +146,8 @@ fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
 
     let mut devices: Vec<Option<(&mut Hsm, &mut S)>> =
         hsms.iter_mut().zip(stores.iter_mut()).map(Some).collect();
-    // Stage jobs in ascending id order so seeds are drawn exactly like
-    // the batch path: the caller's RNG consumption is independent of the
-    // arrival order of the groups.
+    // Stage jobs in ascending id order: the caller's RNG consumption is
+    // independent of the arrival order of the groups.
     let mut staged: Vec<(usize, u64, Vec<HsmRequest>)> = Vec::with_capacity(n);
     for (pos, (id, requests)) in groups.into_iter().enumerate() {
         staged.push((pos, id, requests));

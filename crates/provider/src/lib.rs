@@ -8,10 +8,10 @@
 //! serves inclusion proofs, routes recovery requests, and keeps copies of
 //! recovery replies for the failure-during-recovery flow (§8).
 //!
-//! Since the message-passing redesign, **all HSM traffic flows through a
-//! pluggable [`Transport`]**: every operation is a
-//! [`HsmRequest`]/[`HsmResponse`] exchange served by
-//! [`Hsm::handle`], and the transport decides whether messages pass
+//! **All HSM traffic flows through a pluggable [`Transport`]**: every
+//! operation is a [`HsmRequest`]/[`HsmResponse`] exchange served by
+//! [`Hsm::handle_batch`] (a solo request is a group of one), and the
+//! transport decides whether messages pass
 //! in-process ([`Direct`]), round-trip through the canonical wire codec
 //! with byte metering ([`safetypin_proto::Serialized`]), or suffer
 //! injected faults ([`safetypin_proto::Faulty`]). The client-facing
@@ -40,7 +40,7 @@ use safetypin_authlog::distributed::{EpochUpdate, UpdateMessage};
 use safetypin_authlog::log::{Log, LogEntry, LogError};
 use safetypin_authlog::trie::InclusionProof;
 use safetypin_hsm::{
-    EnrollmentRecord, Hsm, HsmConfig, HsmError, RecoveryPhases, RecoveryRequest, RecoveryResponse,
+    EnrollmentRecord, Hsm, HsmConfig, HsmError, RecoveryRequest, RecoveryResponse,
 };
 use safetypin_multisig::{aggregate_signatures, Signature};
 use safetypin_primitives::hashes::{hash_parts, Domain};
@@ -202,13 +202,20 @@ fn wal_record(kind: u8, a: &[u8], b: &[u8]) -> Vec<u8> {
 
 /// Derives the content-addressed log entry a save appends: the id and
 /// value are domain-separated hashes of `(username, blob)`, computed
-/// provider-side, so the serial and batched save paths produce
-/// byte-identical log records (and an identical re-save is a detectable
-/// duplicate rather than a fresh entry).
+/// provider-side, so an identical re-save is a detectable duplicate
+/// rather than a fresh entry.
 pub fn save_record(username: &[u8], blob: &[u8]) -> (Vec<u8>, Vec<u8>) {
     let id = hash_parts(Domain::LogEntry, &[b"save-id", username, blob]);
     let value = hash_parts(Domain::LogEntry, &[b"save-commit", username, blob]);
     (id.to_vec(), value.to_vec())
+}
+
+/// The typed refusal for a round that failed as a whole in transit.
+fn transport_refusal(e: &ProviderError) -> ProviderResponse {
+    ProviderResponse::Error(match e {
+        ProviderError::Transport(ProtoError::Dropped) => ErrorReply::dropped(),
+        _ => ErrorReply::new(codes::CORRUPTED, e.to_string()),
+    })
 }
 
 impl Datacenter<MemStore> {
@@ -290,11 +297,6 @@ impl<S: BlockStore + Send> Datacenter<S> {
         self.transport = transport;
     }
 
-    /// The active transport backend's name.
-    pub fn transport_name(&self) -> &'static str {
-        self.transport.name()
-    }
-
     /// Accumulated transport accounting (bytes, messages, faults,
     /// simulated seconds).
     pub fn transport_stats(&self) -> TransportStats {
@@ -334,10 +336,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
             transport,
             ..
         } = self;
-        let replies = transport.exchange_batch(
-            batch,
-            &mut fanout::serve_traffic(hsms, stores, &mut rng, usize::MAX),
-        )?;
+        let replies =
+            transport.exchange_batch(batch, &mut fanout::serve_traffic(hsms, stores, &mut rng))?;
         Ok(replies
             .into_iter()
             .filter_map(|(_, resp)| match resp {
@@ -367,8 +367,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
     }
 
     /// The authenticated log's current Merkle root digest. Two
-    /// datacenters that served the same requests — serially or through
-    /// the batched engines — must agree byte for byte.
+    /// datacenters that served the same requests — in waves of any
+    /// size — must agree byte for byte.
     pub fn log_digest(&self) -> safetypin_primitives::hashes::Hash256 {
         self.log.digest()
     }
@@ -457,40 +457,20 @@ impl<S: BlockStore + Send> Datacenter<S> {
         }
     }
 
-    /// Accepts one user's save: refreshes the fleet's enrollment records
-    /// (one batched transport round, mirroring what each saving client
-    /// observes), appends the save's content-addressed audit record to
-    /// the log, stores the blob, and commits the WAL. An identical
-    /// re-save (same username and blob) is idempotent. This is the
-    /// serial baseline [`save_many`](Self::save_many) amortizes.
-    pub fn save(&mut self, username: &[u8], blob: &[u8]) -> Result<(), ProviderError> {
-        self.fetch_enrollments()?;
-        let (id, value) = save_record(username, blob);
-        match self.log.insert(&id, &value) {
-            Ok(()) => {
-                self.wal_append(WAL_SAVE, username, blob);
-                self.wal_flush();
-            }
-            Err(LogError::DuplicateIdentifier) => {}
-            Err(e) => return Err(e.into()),
-        }
-        self.backups.insert(username.to_vec(), blob.to_vec());
-        Ok(())
-    }
-
-    /// The save-path throughput engine: accepts a whole wave of saves
-    /// under **one** enrollment-refresh round (grouped envelopes per HSM
-    /// per direction via `exchange_grouped`, the save-side analogue of
-    /// the multi-user recovery round), **one** batched log insertion
-    /// ([`Log::insert_many`] — each touched trie node hashed once per
-    /// wave), and **one** group-commit WAL flush. Per-user outcomes come
-    /// back in request order; log state and digests are byte-identical
-    /// to serial [`save`](Self::save) calls in the same order.
+    /// The save path: accepts a whole wave of saves under **one**
+    /// enrollment-refresh round (mirroring what each saving client
+    /// observes), **one** batched log insertion ([`Log::insert_many`] —
+    /// each touched trie node hashed once per wave; every save appends
+    /// its content-addressed audit record, and an identical re-save is
+    /// idempotent), and **one** group-commit WAL flush. A solo save
+    /// (`PutBackup`) is a wave of one. Per-user outcomes come back in
+    /// request order; log state and digests are independent of how the
+    /// saves were split into waves.
     pub fn save_many(&mut self, saves: &[SaveRequest]) -> Result<Vec<SaveOutcome>, ProviderError> {
         if saves.is_empty() {
             return Ok(Vec::new());
         }
-        self.fetch_enrollments_grouped()?;
+        self.fetch_enrollments()?;
         let items: Vec<(Vec<u8>, Vec<u8>)> = saves
             .iter()
             .map(|s| save_record(&s.username, &s.blob))
@@ -522,37 +502,6 @@ impl<S: BlockStore + Send> Datacenter<S> {
             self.wal_flush();
         }
         Ok(outcomes)
-    }
-
-    /// [`fetch_enrollments`](Self::fetch_enrollments) as a grouped round
-    /// (one coalesced envelope per HSM per direction): the save engine's
-    /// amortized per-wave enrollment refresh.
-    pub fn fetch_enrollments_grouped(&mut self) -> Result<Vec<EnrollmentRecord>, ProviderError> {
-        let grouped: Vec<(u64, Vec<HsmRequest>)> = (0..self.hsms.len() as u64)
-            .map(|id| (id, vec![HsmRequest::GetEnrollment]))
-            .collect();
-        let mut rng = rand::thread_rng();
-        let replies = {
-            let Self {
-                hsms,
-                stores,
-                transport,
-                ..
-            } = &mut *self;
-            transport.exchange_grouped(
-                grouped,
-                &mut fanout::serve_traffic(hsms, stores, &mut rng, usize::MAX),
-            )?
-        };
-        let mut out = Vec::with_capacity(replies.len());
-        for (_, responses) in replies {
-            for resp in responses {
-                if let HsmResponse::Enrollment(e) = resp {
-                    out.push(e);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Serves an inclusion proof (Figure 3, step 5). Valid against the
@@ -641,7 +590,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
             } = &mut *self;
             let replies = transport.exchange_batch(
                 audit_batch,
-                &mut fanout::serve_traffic(hsms, stores, &mut rng, usize::MAX),
+                &mut fanout::serve_traffic(hsms, stores, &mut rng),
             )?;
             for (id, resp) in replies {
                 match resp {
@@ -691,7 +640,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
             } = &mut *self;
             let replies = transport.exchange_batch(
                 accept_batch,
-                &mut fanout::serve_traffic(hsms, stores, &mut rng, usize::MAX),
+                &mut fanout::serve_traffic(hsms, stores, &mut rng),
             )?;
             for (_, resp) in replies {
                 match resp {
@@ -778,159 +727,42 @@ impl<S: BlockStore + Send> Datacenter<S> {
         self.resync_hsm(id)
     }
 
-    /// Routes a recovery request to HSM `hsm_id` (Figure 3, steps 6–7),
-    /// keeping a copy of the reply for the §8 failure-during-recovery
-    /// flow.
+    /// The recovery round (Figure 3 steps 6–7, the serving engine's
+    /// transport leg): takes one per-HSM request list per user,
+    /// coalesces every request bound for the same HSM — across users —
+    /// into **one envelope per HSM per direction**, and lets each device
+    /// serve its whole group under a single group-commit durability
+    /// barrier ([`Hsm::handle_batch`]). One user is a wave of one.
+    ///
+    /// Per-user replies come back in request order. A lost or refused
+    /// reply is that item's [`HsmResponse::Error`], so the caller can
+    /// reconstruct from whatever cleared the threshold; only a
+    /// whole-round transport failure is `Err`. Every share that cleared
+    /// is copied for the §8 failure-during-recovery flow.
     pub fn route_recovery<R: RngCore + CryptoRng>(
         &mut self,
-        hsm_id: u64,
-        request: &RecoveryRequest,
-        rng: &mut R,
-    ) -> Result<RecoveryResponse, ProviderError> {
-        self.route_recovery_with_phases(hsm_id, request, rng)
-            .map(|(r, _)| r)
-    }
-
-    /// [`route_recovery`](Self::route_recovery) plus the HSM's per-phase
-    /// cost attribution (Figure 10).
-    pub fn route_recovery_with_phases<R: RngCore + CryptoRng>(
-        &mut self,
-        hsm_id: u64,
-        request: &RecoveryRequest,
-        rng: &mut R,
-    ) -> Result<(RecoveryResponse, RecoveryPhases), ProviderError> {
-        if hsm_id as usize >= self.hsms.len() {
-            return Err(ProviderError::UnknownHsm(hsm_id));
-        }
-        let username = request.username.clone();
-        let reply = {
-            let Self {
-                hsms,
-                stores,
-                transport,
-                ..
-            } = &mut *self;
-            transport.exchange(
-                hsm_id,
-                HsmRequest::RecoverShare(request.clone()),
-                &mut fanout::serve_traffic(hsms, stores, rng, usize::MAX),
-            )?
-        };
-        match reply {
-            HsmResponse::RecoveryShare { response, phases } => {
-                self.reply_copies.push((username, response.clone()));
-                Ok((response, phases))
-            }
-            HsmResponse::Error(e) => Err(ProviderError::Hsm((&e).into())),
-            _ => Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
-                "expected RecoveryShare reply",
-            ))),
-        }
-    }
-
-    /// The batched multi-HSM recovery round (Figure 3 steps 6–7 for the
-    /// whole cluster): packs every per-HSM request into **one** transport
-    /// envelope, fans it out, and returns per-HSM outcomes in request
-    /// order. Lost or refused replies come back as per-item errors so
-    /// the caller can reconstruct from whatever cleared the threshold.
-    #[allow(clippy::type_complexity)]
-    pub fn route_recovery_cluster<R: RngCore + CryptoRng>(
-        &mut self,
-        requests: Vec<(u64, RecoveryRequest)>,
-        rng: &mut R,
-    ) -> Result<Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>, ProviderError>
-    {
-        let usernames: std::collections::BTreeMap<u64, Vec<u8>> = requests
-            .iter()
-            .map(|(id, r)| (*id, r.username.clone()))
-            .collect();
-        let batch: Vec<_> = requests
-            .into_iter()
-            .map(|(id, r)| (id, HsmRequest::RecoverShare(r)))
-            .collect();
-        let replies = {
-            let Self {
-                hsms,
-                stores,
-                transport,
-                ..
-            } = &mut *self;
-            transport.exchange_batch(
-                batch,
-                &mut fanout::serve_traffic(hsms, stores, rng, usize::MAX),
-            )?
-        };
-        let mut out = Vec::with_capacity(replies.len());
-        for (id, resp) in replies {
-            let item = match resp {
-                HsmResponse::RecoveryShare { response, phases } => {
-                    if let Some(username) = usernames.get(&id) {
-                        self.reply_copies.push((username.clone(), response.clone()));
-                    }
-                    Ok((response, phases))
-                }
-                HsmResponse::Error(e) => Err(HsmError::from(&e)),
-                _ => Err(HsmError::Wire(
-                    safetypin_primitives::error::WireError::InvalidTag(0),
-                )),
-            };
-            out.push((id, item));
-        }
-        Ok(out)
-    }
-
-    /// The **multi-user** recovery round (the serving engine's transport
-    /// leg): takes one per-HSM request list per user, coalesces every
-    /// request bound for the same HSM — across users — into **one
-    /// envelope per HSM per direction**, and lets each device serve its
-    /// whole group under a single group-commit durability barrier
-    /// ([`Hsm::handle_batch`]). Per-user outcomes come back in request
-    /// order, exactly shaped like
-    /// [`route_recovery_cluster`](Self::route_recovery_cluster)'s.
-    ///
-    /// Reply copies for the §8 failure-during-recovery flow are stored
-    /// for every share that cleared, per user, like the single-user
-    /// path.
-    #[allow(clippy::type_complexity)]
-    pub fn route_recovery_multi<R: RngCore + CryptoRng>(
-        &mut self,
         users: Vec<Vec<(u64, RecoveryRequest)>>,
         rng: &mut R,
-    ) -> Result<Vec<Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>>, ProviderError>
-    {
-        self.route_recovery_multi_with_workers(users, usize::MAX, rng)
-    }
-
-    /// [`route_recovery_multi`](Self::route_recovery_multi) with an
-    /// explicit worker-thread cap for the per-HSM fan-out (1 = serial;
-    /// outcomes are byte-identical for any cap — each device's group
-    /// runs under its own sequentially-seeded RNG stream).
-    #[allow(clippy::type_complexity)]
-    pub fn route_recovery_multi_with_workers<R: RngCore + CryptoRng>(
-        &mut self,
-        users: Vec<Vec<(u64, RecoveryRequest)>>,
-        workers: usize,
-        rng: &mut R,
-    ) -> Result<Vec<Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>>, ProviderError>
-    {
+    ) -> Result<Vec<Vec<(u64, HsmResponse)>>, ProviderError> {
         // Coalesce across users: one group per addressed HSM, items in
         // (user, position) order, with a slot map to reassemble.
         let mut groups: std::collections::BTreeMap<u64, Vec<HsmRequest>> = Default::default();
         let mut slots: std::collections::BTreeMap<u64, Vec<(usize, usize, Vec<u8>)>> =
             Default::default();
-        let mut out: Vec<Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>> =
-            Vec::with_capacity(users.len());
+        let mut out: Vec<Vec<(u64, HsmResponse)>> = Vec::with_capacity(users.len());
         for (user, round) in users.into_iter().enumerate() {
             let mut user_out = Vec::with_capacity(round.len());
             for (pos, (id, request)) in round.into_iter().enumerate() {
-                let username = request.username.clone();
+                slots
+                    .entry(id)
+                    .or_default()
+                    .push((user, pos, request.username.clone()));
                 groups
                     .entry(id)
                     .or_default()
                     .push(HsmRequest::RecoverShare(request));
-                slots.entry(id).or_default().push((user, pos, username));
                 // Placeholder, overwritten from the served group below.
-                user_out.push((id, Err(HsmError::Unavailable)));
+                user_out.push((id, HsmResponse::Error((&HsmError::Unavailable).into())));
             }
             out.push(user_out);
         }
@@ -943,10 +775,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 transport,
                 ..
             } = &mut *self;
-            transport.exchange_grouped(
-                grouped,
-                &mut fanout::serve_traffic(hsms, stores, rng, workers),
-            )?
+            transport.exchange_grouped(grouped, &mut fanout::serve_traffic(hsms, stores, rng))?
         };
 
         for (id, responses) in replies {
@@ -961,20 +790,40 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 )));
             }
             for ((user, pos, username), resp) in slot_list.into_iter().zip(responses) {
-                let item = match resp {
-                    HsmResponse::RecoveryShare { response, phases } => {
-                        self.reply_copies.push((username, response.clone()));
-                        Ok((response, phases))
-                    }
-                    HsmResponse::Error(e) => Err(HsmError::from(&e)),
-                    _ => Err(HsmError::Wire(
-                        safetypin_primitives::error::WireError::InvalidTag(0),
-                    )),
-                };
-                out[user][pos] = (id, item);
+                if let HsmResponse::RecoveryShare { response, .. } = &resp {
+                    self.reply_copies.push((username, response.clone()));
+                }
+                if let Some(slot) = out.get_mut(user).and_then(|items| items.get_mut(pos)) {
+                    *slot = (id, resp);
+                }
             }
         }
         Ok(out)
+    }
+
+    /// The `Recover`/`RecoverBatch` arms: one
+    /// [`route_recovery`](Self::route_recovery) round under the
+    /// `recover.cluster_round` span. It only fails whole-round on a
+    /// transport-level error (per-HSM refusals come back as items), so
+    /// the refusal carries a transport code.
+    fn recovery_round<R: RngCore + CryptoRng>(
+        &mut self,
+        users: Vec<Vec<(u64, RecoveryRequest)>>,
+        rng: &mut R,
+    ) -> Result<Vec<Vec<(u64, HsmResponse)>>, ProviderResponse> {
+        safetypin_telemetry::span!("recover.cluster_round");
+        self.route_recovery(users, rng)
+            .map_err(|e| transport_refusal(&e))
+    }
+
+    /// The `PutBackup`/`SaveBatch` arms: one
+    /// [`save_many`](Self::save_many) wave under the `save.commit` span.
+    /// It only fails whole-wave on a transport-level error in the
+    /// enrollment-refresh round (per-save refusals come back as
+    /// outcomes).
+    fn save_wave(&mut self, saves: &[SaveRequest]) -> Result<Vec<SaveOutcome>, ProviderResponse> {
+        safetypin_telemetry::span!("save.commit");
+        self.save_many(saves).map_err(|e| transport_refusal(&e))
     }
 
     /// Single dispatch for the client-facing message set: every
@@ -986,10 +835,11 @@ impl<S: BlockStore + Send> Datacenter<S> {
         request: ProviderRequest,
         rng: &mut R,
     ) -> ProviderResponse {
-        // The wire-facing phase spans mirror the in-process ones in
-        // `Deployment::recover`/`save`: a client driving the protocol
-        // request-by-request over a daemon lands in the same Figure-10
-        // histograms as one calling the library directly.
+        // The Figure-10 phase spans are opened here and nowhere else:
+        // every flow — in-process `Deployment` calls included — reaches
+        // the provider through this dispatch, so a client driving the
+        // protocol over a daemon lands in the same histograms as one
+        // calling the library directly.
         match request {
             ProviderRequest::FetchEnrollments => ProviderResponse::Enrollments(self.enrollments()),
             ProviderRequest::InsertLog { id, value } => {
@@ -1017,114 +867,37 @@ impl<S: BlockStore + Send> Datacenter<S> {
                     }
                 }
             }
-            ProviderRequest::Recover(requests) => {
-                safetypin_telemetry::span!("recover.cluster_round");
-                match self.route_recovery_cluster(requests, rng) {
-                    Ok(items) => ProviderResponse::Recovered(
-                        items
-                            .into_iter()
-                            .map(|(id, item)| {
-                                let resp = match item {
-                                    Ok((response, phases)) => {
-                                        HsmResponse::RecoveryShare { response, phases }
-                                    }
-                                    Err(e) => HsmResponse::Error((&e).into()),
-                                };
-                                (id, resp)
-                            })
-                            .collect(),
-                    ),
-                    // route_recovery_cluster only fails whole-round on a
-                    // transport-level error (per-HSM refusals come back
-                    // as items), so report it with a transport code.
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::CORRUPTED, e.to_string()))
-                    }
-                }
-            }
+            ProviderRequest::Recover(requests) => match self.recovery_round(vec![requests], rng) {
+                Ok(mut per_user) => ProviderResponse::Recovered(per_user.pop().unwrap_or_default()),
+                Err(refusal) => refusal,
+            },
             ProviderRequest::FetchReplyCopies { username } => ProviderResponse::ReplyCopies(
                 self.reply_copies_for(&username)
                     .into_iter()
                     .cloned()
                     .collect(),
             ),
-            ProviderRequest::RecoverBatch(users) => {
-                let routed = {
-                    safetypin_telemetry::span!("recover.cluster_round");
-                    self.route_recovery_multi(users, rng)
-                };
-                match routed {
-                    Ok(per_user) => ProviderResponse::RecoveredBatch(
-                        per_user
-                            .into_iter()
-                            .map(|items| {
-                                items
-                                    .into_iter()
-                                    .map(|(id, item)| {
-                                        let resp = match item {
-                                            Ok((response, phases)) => {
-                                                HsmResponse::RecoveryShare { response, phases }
-                                            }
-                                            Err(e) => HsmResponse::Error((&e).into()),
-                                        };
-                                        (id, resp)
-                                    })
-                                    .collect()
-                            })
-                            .collect(),
-                    ),
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::CORRUPTED, e.to_string()))
-                    }
-                }
-            }
+            ProviderRequest::RecoverBatch(users) => match self.recovery_round(users, rng) {
+                Ok(per_user) => ProviderResponse::RecoveredBatch(per_user),
+                Err(refusal) => refusal,
+            },
+            // The full save path, not a bare blob insert: the save's
+            // content-addressed audit record lands in the log (an
+            // identical re-save is idempotent), so a wire-level retry
+            // of PutBackup can never double-record a save.
             ProviderRequest::PutBackup { username, blob } => {
-                // The full save path, not a bare blob insert: the save's
-                // content-addressed audit record lands in the log (an
-                // identical re-save is idempotent), so a wire-level
-                // retry of PutBackup can never double-record a save.
-                let saved = {
-                    safetypin_telemetry::span!("save.commit");
-                    self.save(&username, &blob)
-                };
-                match saved {
-                    Ok(()) => ProviderResponse::Ack,
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(ProviderError::Transport(_)) => ProviderResponse::Error(ErrorReply::new(
-                        codes::CORRUPTED,
-                        "enrollment refresh failed",
-                    )),
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::LOG_REFUSED, e.to_string()))
-                    }
+                match self.save_wave(&[SaveRequest { username, blob }]) {
+                    Ok(mut outcomes) => match outcomes.pop().and_then(|o| o.error) {
+                        None => ProviderResponse::Ack,
+                        Some(e) => ProviderResponse::Error(e),
+                    },
+                    Err(refusal) => refusal,
                 }
             }
-            ProviderRequest::SaveBatch(saves) => {
-                let saved = {
-                    safetypin_telemetry::span!("save.commit");
-                    self.save_many(&saves)
-                };
-                match saved {
-                    Ok(outcomes) => ProviderResponse::SavedBatch(outcomes),
-                    // save_many only fails whole-wave on a transport-level
-                    // error in the enrollment-refresh round (per-save
-                    // refusals come back as outcomes).
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::CORRUPTED, e.to_string()))
-                    }
-                }
-            }
+            ProviderRequest::SaveBatch(saves) => match self.save_wave(&saves) {
+                Ok(outcomes) => ProviderResponse::SavedBatch(outcomes),
+                Err(refusal) => refusal,
+            },
             ProviderRequest::FetchBackup { username } => {
                 ProviderResponse::Backup(self.backups.get(&username).cloned())
             }
@@ -1175,7 +948,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
             Traffic::Provider(request) => TrafficReply::Provider(self.handle(request, rng)),
             other => {
                 let Self { hsms, stores, .. } = self;
-                (fanout::serve_traffic(hsms, stores, rng, usize::MAX))(other)
+                (fanout::serve_traffic(hsms, stores, rng))(other)
             }
         }
     }
@@ -1210,7 +983,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
             transport.exchange(
                 hsm_id,
                 HsmRequest::RotateKeys,
-                &mut fanout::serve_traffic(hsms, stores, rng, usize::MAX),
+                &mut fanout::serve_traffic(hsms, stores, rng),
             )?
         };
         match reply {
@@ -1240,10 +1013,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 transport,
                 ..
             } = &mut *self;
-            let replies = transport.exchange_batch(
-                batch,
-                &mut fanout::serve_traffic(hsms, stores, &mut rng, usize::MAX),
-            )?;
+            let replies = transport
+                .exchange_batch(batch, &mut fanout::serve_traffic(hsms, stores, &mut rng))?;
             for (_, resp) in replies {
                 match resp {
                     HsmResponse::Ack => {}

@@ -14,7 +14,9 @@ use safetypin_primitives::commit;
 use safetypin_primitives::shamir::Share;
 use safetypin_primitives::wire::Encode;
 
-use crate::{Datacenter, ProviderError};
+use safetypin_proto::{HsmRequest, HsmResponse};
+
+use crate::{fanout, Datacenter, ProviderError};
 
 const TOTAL: u64 = 8;
 
@@ -166,26 +168,36 @@ fn end_to_end_recovery_through_datacenter() {
     dc.run_epoch().unwrap();
     let inclusion = dc.prove_inclusion(b"zoe", &commitment.to_bytes()).unwrap();
 
-    // Contact each distinct cluster HSM through the datacenter.
+    // Contact each distinct cluster HSM through the datacenter: one
+    // user's round is a wave of one.
     let mut by_hsm: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
     for (j, &i) in cluster.iter().enumerate() {
         by_hsm.entry(i).or_default().push(j as u32);
     }
+    let round: Vec<(u64, RecoveryRequest)> = by_hsm
+        .into_iter()
+        .map(|(hsm_id, positions)| {
+            let request = RecoveryRequest {
+                username: b"zoe".to_vec(),
+                salt,
+                opening: opening.clone(),
+                inclusion: inclusion.clone(),
+                ciphertext: ct_bytes.clone(),
+                share_indices: positions,
+                recovery_pk: None,
+                auditor_endorsements: Vec::new(),
+            };
+            (hsm_id, request)
+        })
+        .collect();
     let mut shares: Vec<Share> = Vec::new();
-    for (hsm_id, positions) in by_hsm {
-        let request = RecoveryRequest {
-            username: b"zoe".to_vec(),
-            salt,
-            opening: opening.clone(),
-            inclusion: inclusion.clone(),
-            ciphertext: ct_bytes.clone(),
-            share_indices: positions,
-            recovery_pk: None,
-            auditor_endorsements: Vec::new(),
-        };
-        match dc.route_recovery(hsm_id, &request, &mut rng).unwrap() {
-            RecoveryResponse::Plain(s) => shares.extend(s),
-            RecoveryResponse::Encrypted(_) => panic!("expected plain"),
+    for (_, reply) in dc.route_recovery(vec![round], &mut rng).unwrap().remove(0) {
+        match reply {
+            HsmResponse::RecoveryShare {
+                response: RecoveryResponse::Plain(s),
+                ..
+            } => shares.extend(s),
+            other => panic!("expected a plain share, got {other:?}"),
         }
     }
     let msg = reconstruct(&params, b"zoe", &ct, &shares[..params.threshold]).unwrap();
@@ -304,4 +316,34 @@ fn membership_events_flow_through_epochs() {
     assert_eq!(roster.len(), 7);
     assert!(roster.record_hash(3).is_none());
     assert!(roster.recent_churn(4) > 0.0);
+}
+
+/// The per-HSM fan-out is unobservable: serving the same round on one
+/// worker and on every core, from identically seeded fleets and RNGs,
+/// yields byte-identical replies and leaves the caller's RNG in the
+/// same state (seeds are drawn per device, in id order, before any
+/// worker starts).
+#[test]
+fn fanout_outcome_is_independent_of_worker_count() {
+    use rand::RngCore;
+    let serve = |workers: usize| {
+        let (mut dc, mut rng) = datacenter();
+        // Rotation draws fresh keys from the device's RNG stream, so a
+        // worker-dependent seed assignment would show in the replies.
+        let round: Vec<(u64, Vec<HsmRequest>)> = (0..TOTAL)
+            .rev()
+            .map(|id| (id, vec![HsmRequest::RotateKeys, HsmRequest::GetEnrollment]))
+            .collect();
+        let replies = fanout::serve_grouped(&mut dc.hsms, &mut dc.stores, &mut rng, workers, round);
+        let bytes: Vec<Vec<u8>> = replies
+            .iter()
+            .flat_map(|(_, group)| group.iter().map(|reply| reply.to_bytes()))
+            .collect();
+        (bytes, rng.next_u64())
+    };
+    let (one, rng_one) = serve(1);
+    let (all, rng_all) = serve(usize::MAX);
+    assert_eq!(one.len(), 2 * TOTAL as usize);
+    assert_eq!(one, all, "replies must not depend on the worker count");
+    assert_eq!(rng_one, rng_all, "caller RNG consumption must not either");
 }

@@ -159,6 +159,22 @@ impl HistogramSnapshot {
         self.max
     }
 
+    /// `[count, sum, min, max, p50, p95, p99]`: what the text
+    /// exposition prints and the wire summary carries of one series.
+    /// `min` reads `0` for an empty series.
+    pub fn summary(&self) -> [u64; 7] {
+        let min = if self.count == 0 { 0 } else { self.min };
+        [
+            self.count,
+            self.sum,
+            min,
+            self.max,
+            self.p50(),
+            self.p95(),
+            self.p99(),
+        ]
+    }
+
     /// The median estimate ([`quantile`](Self::quantile) at 0.50).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)

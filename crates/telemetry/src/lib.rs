@@ -38,7 +38,7 @@ mod registry;
 mod span;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{Counter, Gauge, Registry, Snapshot};
+pub use registry::{render_text, Counter, Gauge, Registry, Snapshot};
 pub use span::{
     begin_trace, current_trace, span_depth, span_path, start_span, SpanGuard, TraceGuard,
 };

@@ -261,36 +261,45 @@ impl Snapshot {
             .map(|(_, h)| h)
     }
 
-    /// Renders the snapshot as one line per series — the exposition
-    /// format `safetypin-cli metrics` prints:
-    ///
-    /// ```text
-    /// counter daemon.requests 42
-    /// gauge daemon.connections_active 1
-    /// histogram daemon.request count=42 sum=12345 min=10 max=999 p50=123 p95=456 p99=789
-    /// ```
+    /// Renders the snapshot through [`render_text`].
     pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let _ = writeln!(out, "counter {name} {value}");
-        }
-        for (name, value) in &self.gauges {
-            let _ = writeln!(out, "gauge {name} {value}");
-        }
-        for (name, h) in &self.histograms {
-            let min = if h.count == 0 { 0 } else { h.min };
-            let _ = writeln!(
-                out,
-                "histogram {name} count={} sum={} min={min} max={} p50={} p95={} p99={}",
-                h.count,
-                h.sum,
-                h.max,
-                h.p50(),
-                h.p95(),
-                h.p99(),
-            );
-        }
-        out
+        render_text(
+            &self.counters,
+            &self.gauges,
+            self.histograms
+                .iter()
+                .map(|(name, h)| (name.as_str(), h.summary())),
+        )
     }
+}
+
+/// The one text exposition, one line per series — what
+/// `safetypin-cli metrics` prints. A histogram is given as its
+/// [`summary`](crate::HistogramSnapshot::summary):
+///
+/// ```text
+/// counter daemon.requests 42
+/// gauge daemon.connections_active 1
+/// histogram daemon.request count=42 sum=12345 min=10 max=999 p50=123 p95=456 p99=789
+/// ```
+pub fn render_text<'a>(
+    counters: &[(String, u64)],
+    gauges: &[(String, i64)],
+    histograms: impl IntoIterator<Item = (&'a str, [u64; 7])>,
+) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (name, value) in counters {
+        let _ = writeln!(out, "counter {name} {value}");
+    }
+    for (name, value) in gauges {
+        let _ = writeln!(out, "gauge {name} {value}");
+    }
+    for (name, [count, sum, min, max, p50, p95, p99]) in histograms {
+        let _ = writeln!(
+            out,
+            "histogram {name} count={count} sum={sum} min={min} max={max} p50={p50} p95={p95} p99={p99}",
+        );
+    }
+    out
 }

@@ -219,17 +219,20 @@ fn trace_ids_are_unique_and_scoped() {
     assert_ne!(first, second.id());
 }
 
+/// The golden for the one text exposition (`render_text`): line
+/// order, field order, and an empty histogram's `min` reading 0.
 #[test]
 fn text_exposition_lists_every_series() {
     let registry = Registry::new();
     registry.counter("t.render_count").add(3);
     registry.gauge("t.render_gauge").set(-2);
     registry.histogram("t.render_lat").record(100);
-    let text = registry.snapshot().render_text();
-    assert!(text.contains("counter t.render_count 3\n"), "got:\n{text}");
-    assert!(text.contains("gauge t.render_gauge -2\n"), "got:\n{text}");
-    assert!(
-        text.contains("histogram t.render_lat count=1 sum=100 min=100 max=100"),
-        "got:\n{text}"
+    registry.histogram("t.render_empty");
+    assert_eq!(
+        registry.snapshot().render_text(),
+        "counter t.render_count 3\n\
+         gauge t.render_gauge -2\n\
+         histogram t.render_empty count=0 sum=0 min=0 max=0 p50=0 p95=0 p99=0\n\
+         histogram t.render_lat count=1 sum=100 min=100 max=100 p50=100 p95=100 p99=100\n"
     );
 }

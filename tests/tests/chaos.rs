@@ -73,7 +73,7 @@ proptest! {
     /// Any fault seed: a save driven through the retry wrapper over a
     /// lossy endpoint lands in the provider's log **at most** once —
     /// and exactly once whenever the client saw an ack — even though
-    /// the wrapper may legitimately deliver the idempotent `PutBackup`
+    /// the wrapper may legitimately deliver the idempotent save frame
     /// several times.
     #[test]
     fn any_fault_seed_completed_save_observed_exactly_once(seed in any::<u64>()) {
@@ -93,7 +93,10 @@ proptest! {
                 if fault_rng.gen::<f64>() < drop_request {
                     return Err(ProtoError::Dropped);
                 }
-                if matches!(request, ProviderRequest::PutBackup { .. }) {
+                if matches!(
+                    request,
+                    ProviderRequest::PutBackup { .. } | ProviderRequest::SaveBatch(_)
+                ) {
                     put_arrivals.set(put_arrivals.get() + 1);
                 }
                 let response = dc.handle(request, &mut handle_rng);

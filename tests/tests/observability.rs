@@ -178,18 +178,26 @@ fn faulty_injections_land_in_telemetry_exactly() {
 }
 
 /// Acceptance criterion: a load storm with telemetry enabled stays
-/// within 10% of untelemetered throughput. Each mode runs twice
-/// against a fresh daemon and the minima are compared — the minimum
-/// approximates the noise-free floor, and the storm is dominated by
+/// within 10% of untelemetered throughput — the storm is dominated by
 /// P-256 crypto, so the counters' relaxed atomics are far below the
 /// bound.
+///
+/// A storm is ~0.15 s of wall clock and this host's speed drifts by
+/// more than the bound within seconds (storm times spread ±12%, with
+/// a long fast tail), so comparing two minima of two runs each failed
+/// about one run in twenty on an idle machine. The drift is common to
+/// storms run back to back: each round runs one storm per mode,
+/// adjacent in time and in alternating order, against fresh daemons,
+/// and the **median of the per-round ratios** is held to the bound.
+const OVERHEAD_ROUNDS: usize = 11;
+
 #[test]
 fn telemetry_overhead_stays_within_ten_percent() {
     let _guard = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
 
-    let storm = |tag: &str, seed: u64, enabled: bool| -> f64 {
+    let storm = |seed: u64, enabled: bool| -> f64 {
         safetypin_telemetry::global().set_enabled(enabled);
-        let handle = boot(tag, seed);
+        let handle = boot(if enabled { "on" } else { "off" }, seed);
         let opts = LoadOptions::new(handle.addr().to_string()).quick();
         let start = Instant::now();
         load::run(&opts).unwrap();
@@ -198,19 +206,24 @@ fn telemetry_overhead_stays_within_ten_percent() {
         secs
     };
 
-    // Interleave the modes so slow-start noise (page cache, CPU
-    // governor) cannot bias one side.
-    let mut disabled = f64::INFINITY;
-    let mut enabled = f64::INFINITY;
-    for round in 0..2u64 {
-        disabled = disabled.min(storm("off", 0x0FF_000 + round, false));
-        enabled = enabled.min(storm("on", 0x0DD_000 + round, true));
-    }
+    let mut ratios: Vec<f64> = (0..OVERHEAD_ROUNDS as u64)
+        .map(|round| {
+            let enabled_first = round % 2 == 1;
+            let first = storm(0x0FF_000 + round, enabled_first);
+            let second = storm(0x0DD_000 + round, !enabled_first);
+            if enabled_first {
+                first / second
+            } else {
+                second / first
+            }
+        })
+        .collect();
     safetypin_telemetry::global().set_enabled(true);
 
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[OVERHEAD_ROUNDS / 2];
     assert!(
-        enabled <= disabled * 1.10,
-        "telemetry-enabled storm took {enabled:.3}s vs {disabled:.3}s untelemetered \
-         (more than 10% slower)"
+        median <= 1.10,
+        "telemetry-enabled storms took {median:.3}x the untelemetered ones          (median of {ratios:.3?}; more than 10% slower)"
     );
 }

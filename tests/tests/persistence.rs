@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safetypin::primitives::wire::Encode;
-use safetypin::proto;
+use safetypin::proto::{self, HsmResponse};
 use safetypin::{Deployment, SystemParams};
 use safetypin_store::{FileOptions, StoreError};
 
@@ -128,12 +128,16 @@ fn fleet_survives_restart_mid_recovery() {
         .expect("logged attempt survives the restart");
     let requests = attempt.requests(&inclusion);
     let mut responses = Vec::new();
-    for (_, item) in restored
+    for (_, reply) in restored
         .datacenter
-        .route_recovery_cluster(requests, &mut rng)
+        .route_recovery(vec![requests], &mut rng)
         .unwrap()
+        .remove(0)
     {
-        responses.push(item.unwrap().0);
+        match reply {
+            HsmResponse::RecoveryShare { response, .. } => responses.push(response),
+            other => panic!("expected a share, got {other:?}"),
+        }
     }
     let message = attempt.finish(responses).unwrap();
     assert_eq!(message, b"the disk encryption key");
@@ -280,7 +284,7 @@ fn engine_wave_punctures_survive_a_kill_before_response_delivery() {
     let flushes_before = restored.datacenter.fleet_store_stats().flushes;
     let served = restored
         .datacenter
-        .route_recovery_multi(requests, &mut rng)
+        .route_recovery(requests, &mut rng)
         .unwrap();
     let flushes_after = restored.datacenter.fleet_store_stats().flushes;
     assert_eq!(
@@ -290,7 +294,10 @@ fn engine_wave_punctures_survive_a_kill_before_response_delivery() {
     );
     // The shares exist in memory — they are exactly what the crash is
     // about to destroy before delivery.
-    assert!(served.iter().flatten().all(|(_, item)| item.is_ok()));
+    assert!(served
+        .iter()
+        .flatten()
+        .all(|(_, reply)| matches!(reply, HsmResponse::RecoveryShare { .. })));
 
     // CRASH: the process dies after the batch commit, before any
     // response reaches a client. Nothing is persisted.

@@ -3,10 +3,12 @@
 //! The engine (`Deployment::recover_many`) interleaves many users'
 //! recoveries — one epoch per wave, one envelope per HSM per direction,
 //! cross-user coalesced punctures under a single group commit — and the
-//! contract pinned here is that **none of that machinery is observable
-//! in the outcomes**: the served `RecoveryResponse` bytes are identical
-//! to recovering the same users one at a time, for any worker count,
-//! any wave size, and over `Direct` and `Serialized` transports alike.
+//! contract pinned here is that **coalescing is unobservable in the
+//! outcomes**: there is one code path, a solo recovery is a wave of
+//! one, and the served `RecoveryResponse` bytes are identical for
+//! wave = 1 and wave = n, over `Direct` and `Serialized` transports
+//! alike. (Worker-count independence of the per-HSM fan-out is pinned
+//! in `crates/provider/src/tests.rs`.)
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,16 +58,15 @@ fn reply_bytes(d: &Deployment, user: usize) -> Vec<Vec<u8>> {
     bytes
 }
 
-/// Runs both paths on identically-seeded worlds and asserts per-user
-/// byte-identical outcomes.
+/// Runs both wave shapes on identically-seeded worlds and asserts
+/// per-user byte-identical outcomes.
 fn assert_engine_matches_serial(
     make_transport: impl Fn() -> Box<dyn Transport>,
     users: usize,
     wave: usize,
-    workers: usize,
     seed: u64,
 ) {
-    // World A: one-at-a-time serial baseline.
+    // World A: one at a time (every wave is a wave of one).
     let (mut serial, serial_sessions, mut rng_a) = world(make_transport(), users, seed);
     let mut serial_messages = Vec::with_capacity(users);
     for (client, artifact) in &serial_sessions {
@@ -75,7 +76,7 @@ fn assert_engine_matches_serial(
         serial_messages.push(outcome.message);
     }
 
-    // World B: the engine, same seed, chosen wave/worker shape.
+    // World B: same seed, the chosen wave shape.
     let (mut engine, engine_sessions, mut rng_b) = world(make_transport(), users, seed);
     let sessions: Vec<RecoverySession<'_>> = engine_sessions
         .iter()
@@ -85,7 +86,7 @@ fn assert_engine_matches_serial(
             artifact,
         })
         .collect();
-    let outcomes = engine.recover_many(&sessions, RecoverManyOptions { wave, workers }, &mut rng_b);
+    let outcomes = engine.recover_many(&sessions, RecoverManyOptions { wave }, &mut rng_b);
 
     assert_eq!(outcomes.len(), users);
     for (u, outcome) in outcomes.into_iter().enumerate() {
@@ -98,7 +99,7 @@ fn assert_engine_matches_serial(
             reply_bytes(&engine, u),
             reply_bytes(&serial, u),
             "user {u}: served RecoveryResponse bytes diverged \
-             (users={users} wave={wave} workers={workers})"
+             (users={users} wave={wave})"
         );
     }
 
@@ -114,16 +115,15 @@ fn assert_engine_matches_serial(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Determinism sweep: serial ≡ engine for any (user count, wave
-    /// size, worker count) shape, over the Direct transport.
+    /// Determinism sweep: wave = 1 ≡ wave = n for any (user count, wave
+    /// size) shape, over the Direct transport.
     #[test]
     fn engine_is_serial_equivalent_for_any_shape(
         users in 1usize..5,
         wave in 1usize..5,
-        workers in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_engine_matches_serial(|| Box::new(Direct::new()), users, wave, workers, seed);
+        assert_engine_matches_serial(|| Box::new(Direct::new()), users, wave, seed);
     }
 }
 
@@ -132,8 +132,8 @@ proptest! {
 /// meters.
 #[test]
 fn engine_is_serial_equivalent_over_serialized_transport() {
-    assert_engine_matches_serial(|| Box::new(Serialized::cdc()), 3, 2, 2, 0x05E7_1A11);
-    assert_engine_matches_serial(|| Box::new(Serialized::cdc()), 4, 4, 1, 0x05E7_1A12);
+    assert_engine_matches_serial(|| Box::new(Serialized::cdc()), 3, 2, 0x05E7_1A11);
+    assert_engine_matches_serial(|| Box::new(Serialized::cdc()), 4, 4, 0x05E7_1A12);
 }
 
 /// Direct and Serialized agree with *each other* through the engine,

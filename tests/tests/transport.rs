@@ -92,13 +92,17 @@ fn serialized_recovery_bytes_within_ciphertext_proof_envelope() {
     let before = d.datacenter.transport_stats();
     let results = d
         .datacenter
-        .route_recovery_cluster(requests, &mut rng)
-        .unwrap();
+        .route_recovery(vec![requests], &mut rng)
+        .unwrap()
+        .remove(0);
     let wire = d.datacenter.transport_stats().since(&before);
 
     let responses: Vec<_> = results
         .into_iter()
-        .filter_map(|(_, item)| item.ok().map(|(resp, _)| resp))
+        .filter_map(|(_, reply)| match reply {
+            safetypin::proto::HsmResponse::RecoveryShare { response, .. } => Some(response),
+            _ => None,
+        })
         .collect();
     assert!(!responses.is_empty());
     let message = attempt.finish(responses).unwrap();
@@ -130,8 +134,9 @@ fn serialized_recovery_bytes_within_ciphertext_proof_envelope() {
         wire.response_bytes,
         wire.request_bytes
     );
-    // The whole cluster round was packed into one envelope per direction.
-    assert_eq!(wire.envelopes, 2);
+    // The cluster round ships one envelope per contacted HSM per
+    // direction (a solo recovery is a wave of one).
+    assert_eq!(wire.envelopes, 2 * contacted);
     assert_eq!(wire.messages, 2 * contacted);
 }
 
