@@ -214,12 +214,6 @@ impl EpochUpdate {
             end_inclusion: self.tree.prove(idx),
         })
     }
-
-    /// Total serialized size of all audit materials (for bandwidth
-    /// accounting).
-    pub fn total_proof_bytes(&self) -> usize {
-        self.chunk_proofs.iter().map(|p| p.to_bytes().len()).sum()
-    }
 }
 
 /// Audit materials for one chunk.

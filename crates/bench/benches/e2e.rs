@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use safetypin::hsm::HsmError;
 use safetypin::proto::Serialized;
 use safetypin::provider::ProviderError;
-use safetypin::{Deployment, DeploymentError, SystemParams};
+use safetypin::{Deployment, DeploymentBuilder, DeploymentError, SystemParams};
 
 fn bench_e2e(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(42);
@@ -62,9 +62,13 @@ fn bench_e2e(c: &mut Criterion) {
     // round-trips through the versioned envelope codec, so the reported
     // throughput is the measured wire traffic of one full recovery.
     let mut rng3 = StdRng::seed_from_u64(45);
-    let mut serialized =
-        Deployment::provision_with_transport(params, Box::new(Serialized::cdc()), &mut rng3)
-            .unwrap();
+    let provision_serialized = |rng: &mut StdRng| {
+        DeploymentBuilder::new(params)
+            .transport(Box::new(Serialized::cdc()))
+            .provision(rng)
+            .unwrap()
+    };
+    let mut serialized = provision_serialized(&mut rng3);
     let mut serial3 = 0u64;
 
     // Measure one recovery's envelope traffic up front and report it —
@@ -95,12 +99,7 @@ fn bench_e2e(c: &mut Criterion) {
                 Err(DeploymentError::Provider(ProviderError::Hsm(HsmError::DecryptFailed))) => {
                     // Puncture capacity exhausted: rotate the fleet (see
                     // the Direct-transport bench above).
-                    serialized = Deployment::provision_with_transport(
-                        params,
-                        Box::new(Serialized::cdc()),
-                        &mut rng3,
-                    )
-                    .unwrap();
+                    serialized = provision_serialized(&mut rng3);
                     let mut cl = serialized.new_client(username.as_bytes()).unwrap();
                     let artifact = cl.backup(b"123456", &[1u8; 32], 0, &mut rng3).unwrap();
                     serialized

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safetypin::baseline::{BaselineParams, BaselineSystem};
 use safetypin::proto::Serialized;
-use safetypin::{Deployment, SystemParams};
+use safetypin::{DeploymentBuilder, SystemParams};
 use safetypin_analysis::bandwidth::BandwidthModel;
 use safetypin_primitives::wire::Encode;
 use safetypin_sim::transport::{USB_CDC, USB_HID};
@@ -21,9 +21,10 @@ pub fn run() {
     // fronted by the Serialized transport so every byte below is read
     // off actual encoded envelopes.
     let params = SystemParams::scaled(64, 40, 1 << 10).unwrap();
-    let mut deployment =
-        Deployment::provision_with_transport(params, Box::new(Serialized::cdc()), &mut rng)
-            .unwrap();
+    let mut deployment = DeploymentBuilder::new(params)
+        .transport(Box::new(Serialized::cdc()))
+        .provision(&mut rng)
+        .unwrap();
     let mut client = deployment.new_client(b"bw-user").unwrap();
     let artifact = client.backup(b"123456", &[0u8; 32], 0, &mut rng).unwrap();
 

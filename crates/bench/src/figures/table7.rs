@@ -115,13 +115,14 @@ pub fn run() {
     // and priced at the Table 7 round-trip rates.
     {
         use safetypin::proto::Serialized;
-        use safetypin::{Deployment, SystemParams};
+        use safetypin::{DeploymentBuilder, SystemParams};
 
         let params = SystemParams::test_small(16);
         let mut rng2 = StdRng::seed_from_u64(77);
-        let mut deployment =
-            Deployment::provision_with_transport(params, Box::new(Serialized::cdc()), &mut rng2)
-                .unwrap();
+        let mut deployment = DeploymentBuilder::new(params)
+            .transport(Box::new(Serialized::cdc()))
+            .provision(&mut rng2)
+            .unwrap();
         let mut client = deployment.new_client(b"t7-user").unwrap();
         let artifact = client.backup(b"123456", &[0u8; 32], 0, &mut rng2).unwrap();
         let wire = deployment

@@ -29,15 +29,6 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Measures mean wall-clock seconds across `iters` invocations.
-pub fn time_mean(iters: u32, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
-
 /// Ops/sec for a closure run repeatedly for ~`budget_secs`.
 pub fn ops_per_sec(budget_secs: f64, mut f: impl FnMut()) -> f64 {
     // Warmup + calibration run.

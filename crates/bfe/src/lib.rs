@@ -315,11 +315,6 @@ impl BfeCiphertext {
     pub fn raw_len(&self) -> usize {
         self.to_bytes().len()
     }
-
-    /// Number of slot ciphertexts (k, minus hash collisions).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 impl Encode for BfeCiphertext {

@@ -19,8 +19,8 @@
 //!    epoch, one inclusion proof per user, one
 //!    [`ProviderRequest::RecoverBatch`] round, per-user reconstruction;
 //!    [`recover`] is a wave of one. Every caller — the in-process
-//!    `Deployment`, the load generator, the chaos traffic plane, the
-//!    CLI — reaches recovery through it.
+//!    `Deployment`, the benchmark, the chaos traffic plane, the CLI —
+//!    reaches recovery through it.
 //!
 //! Failures stay typed end to end: a provider refusal arrives as
 //! [`RemoteError::Refused`] carrying the server's [`ErrorReply`]
@@ -200,9 +200,9 @@ pub struct SaveSession<'a> {
 
 /// The save flow: every session's backup is built locally against the
 /// client's cached enrollments, then the whole wave is uploaded in
-/// **one** [`ProviderRequest::SaveBatch`] frame — one
-/// enrollment-refresh round, one batched log insertion and one
-/// group-commit flush on the provider. Outcomes come back per user in
+/// **one** [`ProviderRequest::SaveBatch`] frame — one batched log
+/// insertion and one group-commit flush on the provider, and no HSM
+/// message (paper §3–4). Outcomes come back per user in
 /// session order (the artifact, which the caller may also keep
 /// locally); one user's refusal never sinks the wave, a failed frame
 /// fails every user it carried.

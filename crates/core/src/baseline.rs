@@ -142,11 +142,6 @@ impl BaselineSystem {
         Self { params, hsms }
     }
 
-    /// The fleet's public keys.
-    pub fn public_keys(&self) -> Vec<elgamal::PublicKey> {
-        self.hsms.iter().map(|h| h.kp.pk).collect()
-    }
-
     /// The *fixed* cluster for a username — note: PIN-independent, so an
     /// attacker knows exactly which five HSMs to steal.
     pub fn cluster_for(&self, username: &[u8]) -> Vec<u64> {

@@ -209,7 +209,9 @@ pub struct Deployment<S: BlockStore = MemStore> {
 }
 
 impl Deployment<MemStore> {
-    /// Provisions the fleet over the zero-copy `Direct` transport.
+    /// Provisions the fleet over the zero-copy `Direct` transport;
+    /// [`DeploymentBuilder`] covers everything else (another transport,
+    /// a persistent store).
     pub fn provision<R: RngCore + CryptoRng>(
         params: SystemParams,
         rng: &mut R,
@@ -217,55 +219,18 @@ impl Deployment<MemStore> {
         let datacenter = Datacenter::provision(params.total(), |id| params.hsm_config(id), rng)?;
         Ok(Self { params, datacenter })
     }
-
-    /// Provisions the fleet with an explicit message transport (e.g.
-    /// `safetypin_proto::Serialized` for byte-true wire accounting, or a
-    /// `Faulty` wrapper for failure scenarios).
-    pub fn provision_with_transport<R: RngCore + CryptoRng>(
-        params: SystemParams,
-        transport: Box<dyn Transport>,
-        rng: &mut R,
-    ) -> Result<Self, DeploymentError> {
-        let datacenter = Datacenter::provision_with_transport(
-            params.total(),
-            |id| params.hsm_config(id),
-            transport,
-            rng,
-        )?;
-        Ok(Self { params, datacenter })
-    }
-
-    /// [`provision_with_transport`](Self::provision_with_transport) with
-    /// an explicit worker-thread cap for the per-HSM provisioning fan-out
-    /// (1 = serial; the provisioned fleet is byte-identical for any cap).
-    pub fn provision_with_workers<R: RngCore + CryptoRng>(
-        params: SystemParams,
-        transport: Box<dyn Transport>,
-        workers: usize,
-        rng: &mut R,
-    ) -> Result<Self, DeploymentError> {
-        let datacenter = Datacenter::provision_with_workers(
-            params.total(),
-            |id| params.hsm_config(id),
-            transport,
-            workers,
-            rng,
-        )?;
-        Ok(Self { params, datacenter })
-    }
 }
 
-/// Builder for a [`Deployment`]: one place to set every provisioning
-/// knob, replacing the positional-argument constructor ladder
-/// (`provision` / `provision_with_transport` /
-/// `provision_with_workers`).
+/// Builder for a [`Deployment`]: the one place to choose anything
+/// beyond [`Deployment::provision`]'s defaults — the fleet transport, a
+/// persistent store directory, the block-file options.
 ///
 /// ```
 /// use safetypin::{DeploymentBuilder, SystemParams};
 ///
 /// let mut rng = rand::thread_rng();
 /// let deployment = DeploymentBuilder::new(SystemParams::test_small(8))
-///     .workers(2)
+///     .transport(Box::new(safetypin::proto::Serialized::cdc()))
 ///     .provision(&mut rng)
 ///     .unwrap();
 /// assert_eq!(deployment.params.total(), 8);
@@ -283,7 +248,6 @@ impl Deployment<MemStore> {
 pub struct DeploymentBuilder {
     params: SystemParams,
     transport: Option<Box<dyn Transport>>,
-    workers: usize,
     store_dir: Option<PathBuf>,
     file_options: FileOptions,
 }
@@ -294,7 +258,6 @@ impl DeploymentBuilder {
         Self {
             params,
             transport: None,
-            workers: 0,
             store_dir: None,
             file_options: FileOptions::default(),
         }
@@ -318,14 +281,6 @@ impl DeploymentBuilder {
     /// byte-identical regardless of this setting.
     pub fn transport(mut self, transport: Box<dyn Transport>) -> Self {
         self.transport = Some(transport);
-        self
-    }
-
-    /// Worker-thread cap for the per-HSM provisioning fan-out (`0` =
-    /// all cores; `1` = serial). The provisioned fleet is
-    /// byte-identical for any cap.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -353,46 +308,37 @@ impl DeploymentBuilder {
         self,
         rng: &mut R,
     ) -> Result<Deployment<MemStore>, DeploymentError> {
-        let transport = self
-            .transport
-            .unwrap_or_else(|| Box::new(safetypin_proto::Direct::new()));
-        let workers = if self.workers == 0 {
-            usize::MAX
-        } else {
-            self.workers
-        };
-        Deployment::provision_with_workers(self.params, transport, workers, rng)
+        let mut deployment = Deployment::provision(self.params, rng)?;
+        if let Some(transport) = self.transport {
+            deployment.datacenter.set_transport(transport);
+        }
+        Ok(deployment)
     }
 
     /// Opens the persistent deployment at [`store_dir`](Self::store_dir):
     /// restores the snapshot if one exists (verifying its protocol
-    /// version and that its fleet matches `params`), otherwise
-    /// provisions a fresh fleet and persists it first. Either way the
-    /// returned deployment runs live on crash-safe [`FileStore`]s.
+    /// version and that it was provisioned under exactly `params`),
+    /// otherwise provisions a fresh fleet and persists it first. Either
+    /// way the returned deployment runs live on crash-safe
+    /// [`FileStore`]s.
     pub fn open<R: RngCore + CryptoRng>(
         self,
         rng: &mut R,
     ) -> Result<(Deployment<FileStore>, SnapshotMeta), DeploymentError> {
+        use safetypin_primitives::wire::Encode;
         let dir = self
             .store_dir
             .ok_or(DeploymentError::Config("open requires store_dir"))?;
         if !dir.join("params.bin").exists() {
-            let mut fresh = Deployment::provision_with_workers(
-                self.params,
-                Box::new(safetypin_proto::Direct::new()),
-                if self.workers == 0 {
-                    usize::MAX
-                } else {
-                    self.workers
-                },
-                rng,
-            )?;
-            fresh.persist(&dir, self.file_options, rng)?;
+            Deployment::provision(self.params, rng)?.persist(&dir, self.file_options, rng)?;
         }
         let (mut deployment, meta) = Deployment::restore_from(&dir, self.file_options)?;
-        if deployment.params.total() != self.params.total() {
+        // The whole parameter set, not just the fleet size: a store
+        // provisioned under another cluster size, threshold or BFE slot
+        // count must not silently keep serving its old parameters.
+        if deployment.params.to_bytes() != self.params.to_bytes() {
             return Err(DeploymentError::Store(StoreError::Inconsistent(
-                "snapshot fleet size disagrees with the builder's parameters",
+                "snapshot parameters disagree with the builder's",
             )));
         }
         if let Some(transport) = self.transport {
@@ -501,12 +447,12 @@ impl<S: BlockStore + Send> Deployment<S> {
     /// Saves a whole wave of users through the one save flow
     /// ([`remote::save_many`]) against this deployment's own
     /// [`handle`](Self::handle): every artifact is built client-side,
-    /// then the wave lands under **one** enrollment-refresh round,
-    /// **one** batched log insertion and **one** group-commit WAL flush
-    /// (`SaveBatch`). Outcomes come back per user in session order; one
-    /// user's refusal ([`DeploymentError::SaveRefused`]) never sinks the
-    /// wave. Log state and digests are independent of how the saves
-    /// were split into waves.
+    /// then the wave lands under **one** batched log insertion and
+    /// **one** group-commit WAL flush (`SaveBatch`), touching no HSM.
+    /// Outcomes come back per user in session order; one user's refusal
+    /// ([`DeploymentError::SaveRefused`]) never sinks the wave. Log
+    /// state and digests are independent of how the saves were split
+    /// into waves.
     pub fn save_many<R: RngCore + CryptoRng>(
         &mut self,
         sessions: &mut [SaveSession<'_>],
@@ -679,13 +625,15 @@ mod tests {
 
     #[test]
     fn builder_provision_matches_positional_constructor() {
-        // Same seed, same params: the builder must provision the exact
-        // fleet the positional constructor does.
+        // Same seed, same params: the builder — whatever transport it
+        // installs — must provision the exact fleet
+        // `Deployment::provision` does.
         let params = SystemParams::test_small(8);
         let mut rng_a = StdRng::seed_from_u64(77);
         let a = Deployment::provision(params, &mut rng_a).unwrap();
         let mut rng_b = StdRng::seed_from_u64(77);
         let b = crate::DeploymentBuilder::new(params)
+            .transport(Box::new(safetypin_proto::Serialized::cdc()))
             .provision(&mut rng_b)
             .unwrap();
         let enc = |d: &Deployment| {
@@ -697,6 +645,7 @@ mod tests {
                 .collect::<Vec<u8>>()
         };
         assert_eq!(enc(&a), enc(&b));
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     }
 
     #[test]
@@ -729,6 +678,36 @@ mod tests {
         assert_eq!(meta.fleet_size, 8);
         let outcome = d.recover(&client, b"493201", &artifact, &mut rng).unwrap();
         assert_eq!(outcome.message, b"the key");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn builder_open_rejects_a_store_provisioned_under_other_params() {
+        let dir =
+            std::env::temp_dir().join(format!("safetypin-builder-params-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = StdRng::seed_from_u64(43);
+        let open = |params: SystemParams, rng: &mut StdRng| {
+            crate::DeploymentBuilder::new(params)
+                .store_dir(&dir)
+                .file_options(FileOptions::relaxed())
+                .open(rng)
+        };
+        let params = SystemParams::test_small(8);
+        open(params, &mut rng).unwrap();
+
+        // Same fleet size, different cluster: the persisted fleet must
+        // not come back serving its old parameters.
+        let mut other = params;
+        other.lhe = safetypin_lhe::LheParams::new(8, 6, 3, 10_000).unwrap();
+        match open(other, &mut rng) {
+            Err(DeploymentError::Store(StoreError::Inconsistent(_))) => {}
+            Err(e) => panic!("expected StoreError::Inconsistent, got {e}"),
+            Ok(_) => panic!("a store provisioned under another cluster size must not open"),
+        }
+        // The matching parameters still open it.
+        open(params, &mut rng).unwrap();
 
         let _ = std::fs::remove_dir_all(&dir);
     }

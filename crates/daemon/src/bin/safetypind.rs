@@ -22,7 +22,6 @@ options:
                        paper-scale fleet: N HSMs, CLUSTER-HSM clusters,
                        SLOTS-slot puncturable keys
   --relaxed            skip fsync (CI knob; WAL discipline unchanged)
-  --workers W          provisioning worker cap (default: all cores)
   --max-connections M  concurrent-connection ceiling (default 64; 0 = unlimited)
   --rate-limit R       per-connection requests/second (default 0 = unlimited)
   --io-timeout-secs S  per-connection socket timeout (default 30)
@@ -35,7 +34,6 @@ struct Args {
     fleet: u64,
     scaled: Option<(u64, usize, u64)>,
     relaxed: bool,
-    workers: usize,
     max_connections: usize,
     rate_limit: u32,
     io_timeout_secs: u64,
@@ -49,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         fleet: 8,
         scaled: None,
         relaxed: false,
-        workers: 0,
         max_connections: 64,
         rate_limit: 0,
         io_timeout_secs: 30,
@@ -79,11 +76,6 @@ fn parse_args() -> Result<Args, String> {
                 args.scaled = Some((total, cluster, slots));
             }
             "--relaxed" => args.relaxed = true,
-            "--workers" => {
-                args.workers = value("a count")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
             "--max-connections" => {
                 args.max_connections = value("a count")?
                     .parse()
@@ -144,7 +136,6 @@ fn main() -> ExitCode {
         } else {
             Durability::Strict
         })
-        .workers(args.workers)
         .max_connections(args.max_connections)
         .rate_limit(args.rate_limit)
         .io_timeout(Duration::from_secs(args.io_timeout_secs))

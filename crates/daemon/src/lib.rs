@@ -30,9 +30,8 @@
 //!   request also waits at most [`DaemonConfig::request_timeout`] for
 //!   the mutex before refusing typed instead of queueing forever.
 //!
-//! [`load`] drives save/recover storms against a running daemon. The
-//! `safetypind`, `safetypin-cli`, and `safetypin-load` binaries are
-//! thin argument parsers over these pieces.
+//! The `safetypind` and `safetypin-cli` binaries are thin argument
+//! parsers over these pieces.
 //!
 //! [`Envelope`]: safetypin_proto::Envelope
 //! [`ProviderResponse::Error`]: safetypin_proto::ProviderResponse::Error
@@ -47,8 +46,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod load;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -144,8 +141,6 @@ pub struct DaemonConfig {
     pub params: SystemParams,
     /// Block-file tuning for the live [`FileStore`]s.
     pub file_options: FileOptions,
-    /// Worker-thread cap for first-boot provisioning (`0` = all cores).
-    pub workers: usize,
     /// Concurrent connections served before new ones are refused with
     /// [`codes::OVERLOADED`] (`0` = unlimited).
     pub max_connections: usize,
@@ -181,7 +176,6 @@ impl DaemonConfig {
             store_dir: store_dir.into(),
             params,
             file_options: FileOptions::default(),
-            workers: 0,
             max_connections: 64,
             rate_limit: 0,
             io_timeout: Duration::from_secs(30),
@@ -200,12 +194,6 @@ impl DaemonConfig {
     /// Sets the block-file fsync policy.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.file_options.durability = durability;
-        self
-    }
-
-    /// Sets the provisioning worker cap.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -447,7 +435,6 @@ impl Daemon {
         let (deployment, _meta) = DeploymentBuilder::new(config.params)
             .store_dir(&config.store_dir)
             .file_options(config.file_options)
-            .workers(config.workers)
             .open(&mut rng)?;
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;

@@ -65,12 +65,6 @@ impl LheParams {
         }
     }
 
-    /// Like [`paper_default`](Self::paper_default) but with `N` overridden
-    /// (used by scaling experiments).
-    pub fn with_total(total: u64) -> Result<Self, CryptoError> {
-        Self::new(total, 40, 20, 1_000_000)
-    }
-
     /// Threshold as the paper derives it: `t = n/2` for `f_live = 1/64`
     /// (Appendix A, "Our instantiation takes t = n/2").
     pub fn derive_threshold(cluster: usize) -> usize {

@@ -7,25 +7,11 @@
 //! distinct domain-separation prefix so no two roles can ever collide on an
 //! input.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use hmac::{Hmac, Mac};
 use sha2::{Digest, Sha256};
 
 /// A 32-byte SHA-256 output.
 pub type Hash256 = [u8; 32];
-
-/// Process-wide count of [`hash_parts`] invocations, for benchmarks that
-/// compare how many node hashes two code paths spend on the same work
-/// (e.g. per-insert trie re-hashing vs a batched update). Relaxed: the
-/// counter is a measurement aid, not a synchronization point.
-static HASH_OPS: AtomicU64 = AtomicU64::new(0);
-
-/// Drains and returns the [`hash_parts`] invocation count accumulated
-/// since the previous call (process-wide, all threads).
-pub fn take_hash_ops() -> u64 {
-    HASH_OPS.swap(0, Ordering::Relaxed)
-}
 
 /// Domain-separation tags for every hash role in the system.
 ///
@@ -88,7 +74,6 @@ impl Domain {
 /// encoding injective: `hash_parts(d, [a, b])` can never equal
 /// `hash_parts(d, [a ‖ b])`.
 pub fn hash_parts(domain: Domain, parts: &[&[u8]]) -> Hash256 {
-    HASH_OPS.fetch_add(1, Ordering::Relaxed);
     let mut h = Sha256::new();
     let tag = domain.tag();
     h.update((tag.len() as u64).to_be_bytes());

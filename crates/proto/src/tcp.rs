@@ -288,24 +288,6 @@ impl TcpConfig {
             write_timeout: Duration::from_secs(30),
         }
     }
-
-    /// Sets the idle-connection pool size.
-    pub fn with_pool(mut self, pool: usize) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Sets the per-connection read timeout.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-connection write timeout.
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
 }
 
 /// The socket-backed [`Transport`]: frames travel to a remote

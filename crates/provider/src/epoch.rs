@@ -1,0 +1,242 @@
+//! The Figure 5 epoch-update protocol and HSM catch-up: cutting and
+//! certifying an epoch, the retained quorum certificates, and replaying
+//! them to a restored device.
+
+use safetypin_authlog::distributed::EpochUpdate;
+use safetypin_multisig::{aggregate_signatures, Signature};
+use safetypin_proto::{codes, HsmRequest, HsmResponse, ProtoError};
+use safetypin_seckv::BlockStore;
+
+use crate::{Datacenter, EpochOutcome, ProviderError};
+
+/// The quorum certificate retained for one entry of the update history:
+/// who signed and the aggregate over `(d, d', R)`. Kept so a restored
+/// (or replacement, §7.1) HSM can be caught up by *replaying* the
+/// certified chain — the HSM verifies every aggregate itself, so
+/// catch-up extends no trust beyond live participation.
+#[derive(Debug, Clone)]
+pub struct EpochCert {
+    /// Fleet indices whose keys are aggregated.
+    pub signers: Vec<u64>,
+    /// The aggregate signature over the update's signing bytes.
+    pub aggregate: Signature,
+}
+
+impl safetypin_primitives::wire::Encode for EpochCert {
+    fn encode(&self, w: &mut safetypin_primitives::wire::Writer) {
+        w.put_seq(&self.signers);
+        self.aggregate.encode(w);
+    }
+}
+
+impl safetypin_primitives::wire::Decode for EpochCert {
+    fn decode(
+        r: &mut safetypin_primitives::wire::Reader<'_>,
+    ) -> Result<Self, safetypin_primitives::error::WireError> {
+        Ok(Self {
+            signers: r.get_seq()?,
+            aggregate: Signature::decode(r)?,
+        })
+    }
+}
+
+impl<S: BlockStore + Send> Datacenter<S> {
+    /// Runs the Figure 5 epoch-update protocol: cut, commit, audit
+    /// (including B.3 re-audits for failed HSMs), aggregate, distribute.
+    ///
+    /// Both the audit fan-out and the certified-digest distribution are
+    /// batched transport rounds. An HSM whose audit reply is lost to a
+    /// transport fault simply misses this epoch's signer set; the epoch
+    /// still certifies if the quorum holds.
+    pub fn run_epoch(&mut self) -> Result<EpochOutcome, ProviderError> {
+        // Streaming certification: the chunk-boundary digests were
+        // recorded incrementally as entries arrived (`Log` digest
+        // marks), so assembling the update replays no insert steps —
+        // cutting an epoch is O(chunks), not O(pending · path length).
+        let (cut, chunk_digests) = self.log.cut_epoch_certified(self.epoch_chunks);
+        let update = EpochUpdate::from_certified(&cut, chunk_digests)
+            .map_err(|_| ProviderError::EpochFailed("broken chain"))?;
+        let message = update.message();
+
+        let active_ids: Vec<u64> = self
+            .hsms
+            .iter()
+            .filter(|h| h.status() != safetypin_hsm::HsmStatus::Failed)
+            .map(|h| h.id())
+            .collect();
+        let failed_ids: Vec<u64> = self
+            .hsms
+            .iter()
+            .filter(|h| h.status() == safetypin_hsm::HsmStatus::Failed)
+            .map(|h| h.id())
+            .collect();
+        if active_ids.is_empty() {
+            return Err(ProviderError::EpochFailed("no active HSMs"));
+        }
+
+        // Assemble each active HSM's audit packages (deterministic
+        // Appendix B.3 assignment, recomputed provider-side).
+        let mut audit_batch = Vec::with_capacity(active_ids.len());
+        let mut audit_bytes = 0u64;
+        for hsm in self.hsms.iter().filter(|h| active_ids.contains(&h.id())) {
+            let mut chunks: std::collections::BTreeSet<u32> =
+                hsm.audit_assignment(&message).into_iter().collect();
+            chunks.extend(safetypin_authlog::distributed::reaudit_chunks_for(
+                hsm.id(),
+                &active_ids,
+                &failed_ids,
+                &message.root,
+                message.chunk_count,
+                hsm.audits_per_epoch(),
+            ));
+            let mut packages = Vec::with_capacity(chunks.len());
+            for &c in &chunks {
+                packages.push(
+                    update
+                        .audit_package(c)
+                        .map_err(|_| ProviderError::EpochFailed("audit chunk out of range"))?,
+                );
+            }
+            audit_bytes += packages.iter().map(|p| p.proof_bytes() as u64).sum::<u64>();
+            audit_batch.push((
+                hsm.id(),
+                HsmRequest::AuditAndSign {
+                    message,
+                    active_ids: active_ids.clone(),
+                    failed_ids: failed_ids.clone(),
+                    packages,
+                },
+            ));
+        }
+
+        let mut rng = rand::thread_rng();
+        let mut sigs = Vec::new();
+        let mut signers = Vec::new();
+        let replies = self.fleet_round(&mut rng, |transport, serve| {
+            transport.exchange_batch(audit_batch, serve)
+        })?;
+        for (id, resp) in replies {
+            match resp {
+                HsmResponse::Signed(sig) => {
+                    sigs.push(sig);
+                    signers.push(id as usize);
+                }
+                HsmResponse::Error(e) if e.is_transport_fault() => continue,
+                // An HSM holding a stale digest (restored after
+                // missing updates, or a lost Ack last epoch) cannot
+                // sign this delta — but it must not veto the fleet.
+                // Skip it; the quorum check below still gates
+                // certification, and `resync_hsm` heals it.
+                HsmResponse::Error(e) if e.code == codes::STALE_DIGEST => continue,
+                HsmResponse::Error(e) => return Err(ProviderError::Hsm((&e).into())),
+                _ => {
+                    return Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
+                        "expected Signed reply to AuditAndSign",
+                    )))
+                }
+            }
+        }
+
+        let aggregate = aggregate_signatures(&sigs)
+            .ok_or(ProviderError::EpochFailed("no signatures to aggregate"))?;
+
+        let accept_batch: Vec<_> = active_ids
+            .iter()
+            .map(|&id| {
+                (
+                    id,
+                    HsmRequest::AcceptUpdate {
+                        message,
+                        signers: signers.iter().map(|&s| s as u64).collect(),
+                        aggregate,
+                    },
+                )
+            })
+            .collect();
+        let replies = self.fleet_round(&mut rng, |transport, serve| {
+            transport.exchange_batch(accept_batch, serve)
+        })?;
+        for (_, resp) in replies {
+            match resp {
+                HsmResponse::Ack => {}
+                // A lost Ack (or a stale HSM that couldn't sign
+                // this delta) means that HSM missed the certified
+                // digest — it will answer StaleDigest until
+                // [`resync_hsm`](Self::resync_hsm) replays the
+                // chain to it. The epoch itself still stands,
+                // exactly like the audit phase above.
+                HsmResponse::Error(e) if e.is_transport_fault() => continue,
+                HsmResponse::Error(e) if e.code == codes::STALE_DIGEST => continue,
+                HsmResponse::Error(e) => return Err(ProviderError::Hsm((&e).into())),
+                _ => {
+                    return Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
+                        "expected Ack reply to AcceptUpdate",
+                    )))
+                }
+            }
+        }
+        self.update_history.push(message);
+        self.epoch_certs.push(EpochCert {
+            signers: signers.iter().map(|&s| s as u64).collect(),
+            aggregate,
+        });
+        Ok(EpochOutcome {
+            message,
+            signers,
+            aggregate,
+            skipped: failed_ids,
+            audit_bytes,
+        })
+    }
+
+    /// Replays the certified update chain to HSM `id` until it holds
+    /// the current log digest, returning how many updates it accepted.
+    /// A restored HSM ([`restore_hsm`](Self::restore_hsm)) missed every
+    /// epoch cut while it was failed; its held digest is stale and it
+    /// would (correctly) refuse the next incremental update. Catch-up
+    /// is pure replay: for each missed epoch the HSM re-verifies the
+    /// retained quorum aggregate ([`EpochCert`]) before advancing, so a
+    /// malicious provider can no more rewrite history here than it
+    /// could live (§6.2/§7.1 trust model).
+    ///
+    /// Errors if the HSM's digest is not on the certified chain (e.g.
+    /// it predates a garbage collection that archived the chain) — that
+    /// HSM needs re-provisioning, not replay.
+    pub fn resync_hsm(&mut self, id: u64) -> Result<u64, ProviderError> {
+        let held = self.hsm(id)?.log_digest();
+        if self.update_history.last().map(|u| u.new_digest) == Some(held)
+            || self.update_history.is_empty()
+        {
+            return Ok(0);
+        }
+        let Some(start) = self
+            .update_history
+            .iter()
+            .position(|u| u.old_digest == held)
+        else {
+            return Err(ProviderError::EpochFailed(
+                "restored HSM's digest is not on the certified chain",
+            ));
+        };
+        let mut replayed = 0u64;
+        for i in start..self.update_history.len() {
+            let message = self.update_history[i];
+            let cert = self.epoch_certs[i].clone();
+            let signers: Vec<usize> = cert.signers.iter().map(|&s| s as usize).collect();
+            self.hsm_mut(id)?
+                .accept_update(&message, &signers, &cert.aggregate)
+                .map_err(ProviderError::Hsm)?;
+            replayed += 1;
+        }
+        Ok(replayed)
+    }
+
+    /// Restores a failed HSM and immediately resyncs it
+    /// ([`resync_hsm`](Self::resync_hsm)) so it rejoins the fleet
+    /// holding the current certified digest — the provider-side half of
+    /// fail-stop self-healing. Returns the number of replayed updates.
+    pub fn restore_hsm(&mut self, id: u64) -> Result<u64, ProviderError> {
+        self.hsm_mut(id)?.restore();
+        self.resync_hsm(id)
+    }
+}

@@ -2,7 +2,7 @@
 //!
 //! Every HSM in the fleet is an independent device with its own state and
 //! its own outsourced block store, so a round (epoch audit / accept,
-//! recovery, enrollment fetch, GC) and fleet provisioning are
+//! recovery, rotation, GC) and fleet provisioning are
 //! embarrassingly parallel across devices. This module fans that work
 //! out with [`std::thread::scope`] — no extra dependencies — through
 //! **one** serving loop, [`serve_grouped`]: each addressed device serves
@@ -300,18 +300,17 @@ pub(crate) fn provision_fleet<R: RngCore + CryptoRng>(
 }
 
 /// Runs each HSM's fleet-key registration (N proof-of-possession checks
-/// per device — the quadratic half of bringup) across up to `workers`
-/// threads. Registration consumes no randomness, so parallel execution
-/// is trivially deterministic.
+/// per device — the quadratic half of bringup) across the available
+/// cores. Registration consumes no randomness, so parallel execution is
+/// trivially deterministic.
 pub(crate) fn register_fleet_parallel(
     hsms: &mut [Hsm],
     fleet: &[(
         safetypin_multisig::VerifyKey,
         safetypin_multisig::ProofOfPossession,
     )],
-    workers: usize,
 ) -> Result<(), HsmError> {
-    let workers = workers.clamp(1, worker_count(hsms.len()));
+    let workers = worker_count(hsms.len());
     if workers <= 1 || hsms.len() <= 1 {
         for hsm in hsms.iter_mut() {
             hsm.register_fleet(fleet)?;

@@ -14,7 +14,7 @@ use safetypin_primitives::commit;
 use safetypin_primitives::shamir::Share;
 use safetypin_primitives::wire::Encode;
 
-use safetypin_proto::{HsmRequest, HsmResponse};
+use safetypin_proto::{HsmRequest, HsmResponse, SaveRequest};
 
 use crate::{fanout, Datacenter, ProviderError};
 
@@ -346,4 +346,56 @@ fn fanout_outcome_is_independent_of_worker_count() {
     assert_eq!(one.len(), 2 * TOTAL as usize);
     assert_eq!(one, all, "replies must not depend on the worker count");
     assert_eq!(rng_one, rng_all, "caller RNG consumption must not either");
+}
+
+/// Provisioning is likewise a pure function of the caller's RNG: one
+/// worker and every core yield byte-identical fleets and leave the
+/// caller's RNG in the same state.
+#[test]
+fn provisioning_is_independent_of_worker_count() {
+    use rand::RngCore;
+    let provision = |workers: usize| {
+        let mut rng = StdRng::seed_from_u64(777);
+        let configs = (0..TOTAL).map(config).collect();
+        let fleet = fanout::provision_fleet(configs, workers, &mut rng).unwrap();
+        let bytes: Vec<Vec<u8>> = fleet
+            .iter()
+            .map(|(hsm, _)| hsm.enrollment().to_bytes())
+            .collect();
+        (bytes, rng.next_u64())
+    };
+    let (one, rng_one) = provision(1);
+    let (all, rng_all) = provision(usize::MAX);
+    assert_eq!(one.len(), TOTAL as usize);
+    assert_eq!(one, all, "fleet keys must not depend on the worker count");
+    assert_eq!(rng_one, rng_all, "caller RNG consumption must not either");
+}
+
+/// A backup involves the client and the provider only (paper §3–4): a
+/// save wave moves no HSM message, and lands with the whole fleet
+/// fail-stopped.
+#[test]
+fn save_moves_no_hsm_traffic() {
+    let (mut dc, _) = datacenter();
+    let wave = |tag: &str| -> Vec<SaveRequest> {
+        (0..3)
+            .map(|i| SaveRequest {
+                username: format!("{tag}-{i}").into_bytes(),
+                blob: vec![i as u8; 40],
+            })
+            .collect()
+    };
+    let before = dc.transport_stats();
+    let outcomes = dc.save_many(&wave("up"));
+    assert!(outcomes.iter().all(|o| o.error.is_none()));
+    let moved = dc.transport_stats().since(&before);
+    assert_eq!((moved.envelopes, moved.messages), (0, 0));
+
+    for id in 0..TOTAL {
+        dc.hsm_mut(id).unwrap().fail();
+    }
+    let outcomes = dc.save_many(&wave("down"));
+    assert!(outcomes.iter().all(|o| o.error.is_none()));
+    assert_eq!(dc.log_entries().len(), 6);
+    assert_eq!(dc.transport_stats().since(&before).messages, 0);
 }

@@ -126,11 +126,6 @@ impl MemStore {
         self.blocks.len()
     }
 
-    /// Total bytes currently stored.
-    pub fn stored_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.len() as u64).sum()
-    }
-
     /// Snapshots all blocks (used by adversarial replay stores in tests).
     pub fn snapshot(&self) -> HashMap<u64, Vec<u8>> {
         self.blocks.clone()

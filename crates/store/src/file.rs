@@ -111,24 +111,6 @@ impl FileOptions {
         self.durability = durability;
         self
     }
-
-    /// Sets the block-cache byte budget (0 disables caching).
-    pub fn with_cache_bytes(mut self, bytes: u64) -> Self {
-        self.cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the auto-checkpoint WAL threshold (0 disables it).
-    pub fn with_checkpoint_wal_bytes(mut self, bytes: u64) -> Self {
-        self.checkpoint_wal_bytes = bytes;
-        self
-    }
-
-    /// Sets the pinned-address bound (0 pins nothing).
-    pub fn with_pin_addrs_below(mut self, bound: u64) -> Self {
-        self.pin_addrs_below = bound;
-        self
-    }
 }
 
 /// What [`FileStore::open`] found and repaired.

@@ -6,9 +6,8 @@
 //! Figure-10-style per-phase timing. The paper's evaluation (§9)
 //! hand-instruments each recovery phase; this crate turns that into a
 //! production surface — every layer records into the
-//! [`global`] registry, `safetypind` serves a snapshot over the wire
-//! (`ProviderRequest::Metrics`), and `safetypin-load` folds the same
-//! numbers into the bench trajectory.
+//! [`global`] registry, and `safetypind` serves a snapshot over the
+//! wire (`ProviderRequest::Metrics`).
 //!
 //! ## Naming scheme
 //!

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safetypin::proto::{FaultPlan, Faulty, Serialized};
-use safetypin::{Deployment, SystemParams};
+use safetypin::{DeploymentBuilder, SystemParams};
 
 fn main() {
     // Seeded so the flaky link is reproducible run to run.
@@ -27,9 +27,10 @@ fn main() {
     );
     let params = SystemParams::test_small(16);
     println!("provisioning a 16-HSM fleet behind a lossy serialized transport...");
-    let mut deployment =
-        Deployment::provision_with_transport(params, Box::new(transport), &mut rng)
-            .expect("provisioning succeeds");
+    let mut deployment = DeploymentBuilder::new(params)
+        .transport(Box::new(transport))
+        .provision(&mut rng)
+        .expect("provisioning succeeds");
 
     let mut phone = deployment.new_client(b"remote@example.com").unwrap();
     let disk_key = b"32-byte disk-encryption key!!!!!";

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safetypin::{Deployment, SystemParams};
+use safetypin::{Deployment, DeploymentBuilder, SystemParams};
 
 fn deployment(seed: u64) -> (Deployment, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -193,8 +193,10 @@ fn remote_fleet_main_path() {
         0, // same fault seed as the example: loses one of three replies
     );
     let params = SystemParams::test_small(16);
-    let mut deployment =
-        Deployment::provision_with_transport(params, Box::new(transport), &mut rng).unwrap();
+    let mut deployment = DeploymentBuilder::new(params)
+        .transport(Box::new(transport))
+        .provision(&mut rng)
+        .unwrap();
 
     let mut phone = deployment.new_client(b"remote@example.com").unwrap();
     let disk_key = b"32-byte disk-encryption key!!!!!";

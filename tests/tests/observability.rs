@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safetypin::proto::{FaultPlan, Faulty, Serialized, Transport};
-use safetypin::{Deployment, SystemParams};
-use safetypin_daemon::load::{self, LoadOptions};
+use safetypin::{DeploymentBuilder, SystemParams};
+use safetypin_client::remote::{self, RecoverySession};
+use safetypin_client::Client;
 use safetypin_daemon::{Daemon, DaemonConfig, DaemonHandle};
 use safetypin_proto::tcp::{Tcp, TcpConfig};
 use safetypin_proto::{MetricsReport, ProviderRequest, ProviderResponse};
@@ -67,21 +68,18 @@ fn daemon_metrics_cover_every_layer_over_the_wire() {
     // One full save + recover through the public client protocol.
     let mut tcp = Tcp::connect(TcpConfig::new(addr.clone())).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let mut client = safetypin_client::remote::connect(&mut tcp, b"obs-user").unwrap();
-    safetypin_client::remote::save(&mut tcp, &mut client, b"482911", b"observed", &mut rng)
-        .unwrap();
-    let artifact = safetypin_client::remote::fetch_backup(&mut tcp, b"obs-user").unwrap();
-    let plaintext =
-        safetypin_client::remote::recover(&mut tcp, &client, b"482911", &artifact, &mut rng)
-            .unwrap();
+    let mut client = remote::connect(&mut tcp, b"obs-user").unwrap();
+    remote::save(&mut tcp, &mut client, b"482911", b"observed", &mut rng).unwrap();
+    let artifact = remote::fetch_backup(&mut tcp, b"obs-user").unwrap();
+    let plaintext = remote::recover(&mut tcp, &client, b"482911", &artifact, &mut rng).unwrap();
     assert_eq!(plaintext, b"observed");
 
     // One single-frame save wave so the grouped save path fires too.
-    let mut wave_client = safetypin_client::remote::connect(&mut tcp, b"obs-wave-user").unwrap();
+    let mut wave_client = remote::connect(&mut tcp, b"obs-wave-user").unwrap();
     let wave_artifact = wave_client.backup(b"111222", b"wave", 0, &mut rng).unwrap();
     let saves = vec![safetypin_proto::SaveRequest {
         username: b"obs-wave-user".to_vec(),
-        blob: safetypin_client::remote::encode_artifact(&wave_artifact),
+        blob: remote::encode_artifact(&wave_artifact),
     }];
     match tcp.call(ProviderRequest::SaveBatch(saves)).unwrap() {
         ProviderResponse::SavedBatch(outcomes) => assert_eq!(outcomes.len(), 1),
@@ -145,9 +143,10 @@ fn faulty_injections_land_in_telemetry_exactly() {
     let transport: Box<dyn Transport> =
         Box::new(Faulty::new(Box::new(Serialized::cdc()), plan, 0xFA17).with_registry(&registry));
     let mut rng = StdRng::seed_from_u64(0xFA17_5EED);
-    let mut d =
-        Deployment::provision_with_transport(SystemParams::test_small(16), transport, &mut rng)
-            .unwrap();
+    let mut d = DeploymentBuilder::test_small(16)
+        .transport(transport)
+        .provision(&mut rng)
+        .unwrap();
 
     let mut client = d.new_client(b"chaos-user").unwrap();
     let artifact = client
@@ -177,6 +176,42 @@ fn faulty_injections_land_in_telemetry_exactly() {
     assert_eq!(global.counter("faults.injected_drop").unwrap_or(0), 0);
 }
 
+/// One storm: twelve users save one at a time, then six of them recover
+/// in two waves of three, over one real TCP connection (closed on
+/// return, so the daemon drains at once); every plaintext is checked.
+fn save_recover_storm(addr: &str, seed: u64) {
+    let mut tcp = Tcp::connect(TcpConfig::new(addr)).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (params, enrollments) = remote::fetch_fleet(&mut tcp).unwrap();
+    let users: Vec<_> = (0..12)
+        .map(|i| {
+            let name = format!("storm-user-{i}");
+            let pin = format!("{:06}", 1319 * i + 71).into_bytes();
+            let mut client = Client::new(name.as_bytes(), params, enrollments.clone()).unwrap();
+            let artifact =
+                remote::save(&mut tcp, &mut client, &pin, name.as_bytes(), &mut rng).unwrap();
+            (client, pin, artifact)
+        })
+        .collect();
+    let sessions: Vec<_> = users[..6]
+        .iter()
+        .map(|(client, pin, artifact)| RecoverySession {
+            client,
+            pin,
+            artifact,
+        })
+        .collect();
+    let recovered = sessions
+        .chunks(3)
+        .flat_map(|wave| remote::recover_many(&mut tcp, wave, &mut rng));
+    for (i, recovered) in recovered.enumerate() {
+        assert_eq!(
+            recovered.unwrap().message,
+            format!("storm-user-{i}").into_bytes()
+        );
+    }
+}
+
 /// Acceptance criterion: a load storm with telemetry enabled stays
 /// within 10% of untelemetered throughput — the storm is dominated by
 /// P-256 crypto, so the counters' relaxed atomics are far below the
@@ -198,9 +233,8 @@ fn telemetry_overhead_stays_within_ten_percent() {
     let storm = |seed: u64, enabled: bool| -> f64 {
         safetypin_telemetry::global().set_enabled(enabled);
         let handle = boot(if enabled { "on" } else { "off" }, seed);
-        let opts = LoadOptions::new(handle.addr().to_string()).quick();
         let start = Instant::now();
-        load::run(&opts).unwrap();
+        save_recover_storm(&handle.addr().to_string(), seed);
         let secs = start.elapsed().as_secs_f64();
         handle.shutdown().unwrap();
         secs

@@ -408,7 +408,7 @@ fn save_wave_crash_points_replay_to_a_commit_boundary() {
             blob: format!("crash-blob-{i}").into_bytes(),
         })
         .collect();
-    let outcomes = deployment.datacenter.save_many(&saves).unwrap();
+    let outcomes = deployment.datacenter.save_many(&saves);
     assert!(outcomes.iter().all(|o| o.saved()));
     let digest_full = deployment.datacenter.log_digest();
     let entries_full = deployment.datacenter.log_entries().len();

@@ -14,7 +14,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safetypin::proto::{Direct, ProviderRequest, ProviderResponse, Serialized, Transport};
-use safetypin::{Deployment, DeploymentError, RecoverManyOptions, RecoverySession, SystemParams};
+use safetypin::{
+    Deployment, DeploymentBuilder, DeploymentError, RecoverManyOptions, RecoverySession,
+    SystemParams,
+};
 use safetypin_client::{BackupArtifact, Client};
 
 const FLEET: u64 = 8;
@@ -29,7 +32,10 @@ fn world(
 ) -> (Deployment, Vec<(Client, BackupArtifact)>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let params = SystemParams::test_small(FLEET);
-    let d = Deployment::provision_with_transport(params, transport, &mut rng).unwrap();
+    let d = DeploymentBuilder::new(params)
+        .transport(transport)
+        .provision(&mut rng)
+        .unwrap();
     let mut sessions = Vec::with_capacity(users);
     for u in 0..users {
         let name = format!("engine-user-{u}");

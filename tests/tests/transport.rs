@@ -10,14 +10,17 @@ use safetypin::proto::{
     Direct, FaultPlan, Faulty, HsmResponse, Message, ProviderRequest, ProviderResponse,
     RecoveryResponse, Serialized, Transport,
 };
-use safetypin::{Deployment, DeploymentError, SystemParams};
+use safetypin::{Deployment, DeploymentBuilder, DeploymentError, SystemParams};
 
 const SEED: u64 = 0x7A_71;
 
 fn deployment_with(transport: Box<dyn Transport>, total: u64, seed: u64) -> (Deployment, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let params = SystemParams::test_small(total);
-    let d = Deployment::provision_with_transport(params, transport, &mut rng).unwrap();
+    let d = DeploymentBuilder::new(params)
+        .transport(transport)
+        .provision(&mut rng)
+        .unwrap();
     (d, rng)
 }
 
@@ -140,57 +143,6 @@ fn serialized_recovery_bytes_within_ciphertext_proof_envelope() {
     assert_eq!(wire.messages, 2 * contacted);
 }
 
-/// The parallel per-HSM fan-out must be invisible to the protocol: a
-/// fleet provisioned with one worker thread and a fleet provisioned with
-/// all cores — from the same seed — are byte-identical, and a recovery
-/// driven through the (parallel) batched cluster round produces the same
-/// plaintext and responder set on both.
-#[test]
-fn serial_and_parallel_fanout_identical() {
-    use safetypin::primitives::wire::Encode;
-
-    let params = SystemParams::test_small(16);
-    let mut rng_s = StdRng::seed_from_u64(SEED + 7);
-    let mut serial =
-        Deployment::provision_with_workers(params, Box::new(Direct::new()), 1, &mut rng_s).unwrap();
-    let mut rng_p = StdRng::seed_from_u64(SEED + 7);
-    let mut parallel =
-        Deployment::provision_with_workers(params, Box::new(Direct::new()), usize::MAX, &mut rng_p)
-            .unwrap();
-
-    let enroll_s = serial.datacenter.enrollments();
-    let enroll_p = parallel.datacenter.enrollments();
-    assert_eq!(enroll_s.len(), enroll_p.len());
-    for (a, b) in enroll_s.iter().zip(&enroll_p) {
-        assert_eq!(
-            a.to_bytes(),
-            b.to_bytes(),
-            "fleet keys must not depend on worker count"
-        );
-    }
-
-    let mut client_s = serial.new_client(b"par-user").unwrap();
-    let mut client_p = parallel.new_client(b"par-user").unwrap();
-    let art_s = client_s
-        .backup(b"808017", b"fanout probe", 0, &mut rng_s)
-        .unwrap();
-    let art_p = client_p
-        .backup(b"808017", b"fanout probe", 0, &mut rng_p)
-        .unwrap();
-    assert_eq!(art_s.ciphertext, art_p.ciphertext);
-
-    let out_s = serial
-        .recover(&client_s, b"808017", &art_s, &mut rng_s)
-        .unwrap();
-    let out_p = parallel
-        .recover(&client_p, b"808017", &art_p, &mut rng_p)
-        .unwrap();
-    assert_eq!(out_s.message, out_p.message);
-    assert_eq!(out_s.message, b"fanout probe");
-    assert_eq!(out_s.responders, out_p.responders);
-    assert_eq!(out_s.phases.total(), out_p.phases.total());
-}
-
 /// The `remote_fleet` scenario: a `Faulty` wrapper dropping a minority
 /// of recovery responses still recovers at threshold (2-of-4 cluster).
 #[test]
@@ -268,8 +220,8 @@ fn maintenance_operations_flow_over_serialized_transport() {
     assert!(after_rotate.total_bytes() > 0, "rotation moved no bytes");
     assert_eq!(d.datacenter.hsm(3).unwrap().key_epoch(), 1);
 
-    // The transported enrollment fetch observes the rotated key epoch.
-    let enrollments = d.datacenter.fetch_enrollments().unwrap();
+    // The published keys reflect the rotated key epoch.
+    let enrollments = d.datacenter.enrollments();
     assert_eq!(enrollments.len(), 8);
     assert_eq!(enrollments[3].key_epoch, 1);
     assert_eq!(enrollments[0].key_epoch, 0);
