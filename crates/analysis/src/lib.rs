@@ -3,8 +3,6 @@
 //! - [`security`]: the Theorem 10 advantage bound and Lemma 8 covering
 //!   probabilities (Figure 11's "security loss" annotations), plus Monte
 //!   Carlo estimators that check the closed forms.
-//! - [`correctness`]: the Theorem 9 fault-tolerance bound, extended with
-//!   the Bloom-filter-encryption failure budget (§9.2).
 //! - [`cost`]: fleet throughput and dollar-cost models (Figure 12,
 //!   Table 14), including the key-rotation duty cycle from §9.1.
 //! - [`bandwidth`]: client keying-material traffic (§9.2).
@@ -13,6 +11,5 @@
 #![warn(missing_docs)]
 
 pub mod bandwidth;
-pub mod correctness;
 pub mod cost;
 pub mod security;

@@ -20,8 +20,8 @@ use rand::SeedableRng;
 use safetypin::{Deployment, DeploymentError, SystemParams};
 use safetypin_client::remote::RemoteError;
 use safetypin_proto::{
-    Direct, Faulty, ProtoError, ProviderRequest, ProviderResponse, Traffic, TrafficReply,
-    Transport, TransportStats,
+    codes, Direct, ErrorReply, Faulty, ProtoError, ProviderRequest, ProviderResponse, Traffic,
+    TrafficReply, Transport, TransportStats,
 };
 use safetypin_provider::ProviderError;
 use safetypin_seckv::{BlockStore, MemStore, StoreStats};
@@ -300,13 +300,18 @@ impl<S: BlockStore + Send> Harness<S> {
             ..
         } = self;
         match client_link {
-            Some(link) => {
-                link.call_provider(request, &mut |traffic| deployment.serve_round(traffic, rng))
-            }
-            None => match deployment.serve_round(Traffic::Provider(request), rng) {
-                TrafficReply::Provider(resp) => Ok(resp),
-                _ => Err(ProtoError::UnexpectedMessage("expected a provider reply")),
-            },
+            // The client hop carries provider requests only, exactly as
+            // the daemon's socket does.
+            Some(link) => link.call_provider(request, &mut |traffic| {
+                TrafficReply::Provider(match traffic {
+                    Traffic::Provider(request) => deployment.handle(request, rng),
+                    _ => ProviderResponse::Error(ErrorReply::new(
+                        codes::UNSUPPORTED,
+                        "the client hop carries provider requests only",
+                    )),
+                })
+            }),
+            None => Ok(deployment.handle(request, rng)),
         }
     }
 

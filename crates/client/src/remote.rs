@@ -42,7 +42,7 @@ pub use crate::retry::{RetryPolicy, RetryStats, Retrying};
 
 /// A fallible one-request/one-response channel to a provider.
 ///
-/// Implemented by `safetypin_proto::Tcp` (a pooled socket connection to
+/// Implemented by `safetypin_proto::Tcp` (a socket connection to
 /// `safetypind`) and by any `FnMut(ProviderRequest) -> Result<...>`
 /// closure — the latter lets tests drive these flows against an
 /// in-process `Deployment` without a socket.

@@ -21,8 +21,8 @@ use safetypin_client::{BackupArtifact, Client, ClientError};
 use safetypin_hsm::RecoveryPhases;
 use safetypin_primitives::CryptoError;
 use safetypin_proto::{
-    codes, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta, StatusReport, Traffic,
-    TrafficReply, Transport, TransportStats,
+    codes, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta, StatusReport, Transport,
+    TransportStats,
 };
 use safetypin_provider::{Datacenter, ProviderError};
 use safetypin_seckv::{BlockStore, MemStore};
@@ -407,21 +407,6 @@ impl<S: BlockStore + Send> Deployment<S> {
         match request {
             ProviderRequest::Status => ProviderResponse::Status(self.status_report()),
             other => self.datacenter.handle(other, rng),
-        }
-    }
-
-    /// Serves one round of any [`Traffic`] class — provider-level
-    /// requests through [`handle`](Self::handle), HSM-level traffic
-    /// straight into the fleet. This is the entry point `safetypind`
-    /// plugs each decoded frame into.
-    pub fn serve_round<R: RngCore + CryptoRng>(
-        &mut self,
-        traffic: Traffic,
-        rng: &mut R,
-    ) -> TrafficReply {
-        match traffic {
-            Traffic::Provider(request) => TrafficReply::Provider(self.handle(request, rng)),
-            other => self.datacenter.serve_round(other, rng),
         }
     }
 

@@ -3,8 +3,12 @@
 //! [`Daemon::bind`] boots a provider fleet from (or into) a crash-safe
 //! snapshot directory and serves it to many concurrent client
 //! connections over the framed TCP protocol of `safetypin_proto::tcp`:
-//! a versioned hello, then length-prefixed [`Envelope`] frames. One
-//! OS thread per connection feeds a shared, mutex-guarded
+//! a versioned hello, then length-prefixed [`Envelope`] frames. The
+//! socket serves the provider API and nothing else: each
+//! [`ProviderRequest`] frame is answered through
+//! [`Deployment::handle`], and any other frame kind (HSM-level traffic
+//! never leaves the datacenter) gets a typed [`codes::UNSUPPORTED`]
+//! reply. One OS thread per connection feeds a shared, mutex-guarded
 //! [`Deployment`] — the fleet's RNG stream stays sequential, so a
 //! daemon-served deployment is byte-identical to the same requests
 //! served in process.
@@ -35,7 +39,9 @@
 //!
 //! [`Envelope`]: safetypin_proto::Envelope
 //! [`ProviderResponse::Error`]: safetypin_proto::ProviderResponse::Error
+//! [`ProviderRequest`]: safetypin_proto::ProviderRequest
 //! [`ProviderRequest::Shutdown`]: safetypin_proto::ProviderRequest::Shutdown
+//! [`codes::UNSUPPORTED`]: safetypin_proto::codes::UNSUPPORTED
 //! [`codes::OVERLOADED`]: safetypin_proto::codes::OVERLOADED
 //! [`codes::RATE_LIMITED`]: safetypin_proto::codes::RATE_LIMITED
 //! [`codes::SHUTTING_DOWN`]: safetypin_proto::codes::SHUTTING_DOWN
@@ -59,8 +65,7 @@ use rand::SeedableRng;
 use safetypin::{Deployment, DeploymentBuilder, DeploymentError, SystemParams};
 use safetypin_proto::tcp::{accept_handshake, serve_frames, Tcp, TcpConfig};
 use safetypin_proto::{
-    codes, ErrorReply, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta, Traffic,
-    TrafficReply,
+    codes, ErrorReply, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta,
 };
 use safetypin_store::{Durability, FileOptions, FileStore, StoreError};
 
@@ -560,17 +565,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Result<SnapshotMet
     Ok(deployment.persist(&shared.store_dir, shared.file_options, rng)?)
 }
 
-/// Requests carried by one traffic round, for rate accounting.
-fn traffic_units(traffic: &Traffic) -> u64 {
-    match traffic {
-        Traffic::Single(..) | Traffic::Provider(_) => 1,
-        Traffic::Batch(items) => items.len() as u64,
-        Traffic::Grouped(groups) => groups.iter().map(|(_, g)| g.len() as u64).sum(),
-    }
-}
-
-fn refusal(code: u16, detail: &str) -> TrafficReply {
-    TrafficReply::Provider(ProviderResponse::Error(ErrorReply::new(code, detail)))
+fn refusal(code: u16, detail: &str) -> ProviderResponse {
+    ProviderResponse::Error(ErrorReply::new(code, detail))
 }
 
 /// A token bucket: `rate` requests/second with a one-second burst
@@ -590,7 +586,7 @@ impl TokenBucket {
         }
     }
 
-    fn admit(&mut self, units: u64) -> bool {
+    fn admit(&mut self) -> bool {
         if self.rate == 0.0 {
             return true;
         }
@@ -598,8 +594,8 @@ impl TokenBucket {
         self.tokens =
             (self.tokens + now.duration_since(self.last).as_secs_f64() * self.rate).min(self.rate);
         self.last = now;
-        if self.tokens >= units as f64 {
-            self.tokens -= units as f64;
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
             true
         } else {
             false
@@ -618,36 +614,33 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
     };
     shared.meters.connections.add(1);
     let mut bucket = TokenBucket::new(shared.rate_limit);
-    let mut serve = |traffic: Traffic| -> TrafficReply {
+    let serve = |request: ProviderRequest| -> ProviderResponse {
         // Every request gets a fresh trace id: spans recorded anywhere
         // below (deployment phases, store fsyncs) run under it, and
         // policy refusals echo it so a client report can be matched to
         // the daemon's own records.
         let trace = safetypin_telemetry::begin_trace();
         let started = Instant::now();
-        let units = traffic_units(&traffic);
-        shared.meters.requests.add(units);
-        let reply = match traffic {
+        shared.meters.requests.incr();
+        let reply = match request {
             // Control-plane requests bypass admission and rate policy:
             // shutdown must always land, status must stay observable
             // while draining or overloaded, and the metrics surface is
             // served straight from the lock-free registry — a wedged
             // fleet mutex can never hide the numbers that explain it.
-            Traffic::Provider(ProviderRequest::Shutdown) => {
-                shared.served.fetch_add(units, Ordering::SeqCst);
+            ProviderRequest::Shutdown => {
+                shared.served.fetch_add(1, Ordering::SeqCst);
                 shared.draining.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the drain flag.
                 let _ = TcpStream::connect(shared.addr);
-                TrafficReply::Provider(ProviderResponse::Ack)
+                ProviderResponse::Ack
             }
-            Traffic::Provider(ProviderRequest::Metrics) => {
-                shared.served.fetch_add(units, Ordering::SeqCst);
-                TrafficReply::Provider(ProviderResponse::Metrics(
-                    safetypin_proto::MetricsReport::from_global(),
-                ))
+            ProviderRequest::Metrics => {
+                shared.served.fetch_add(1, Ordering::SeqCst);
+                ProviderResponse::Metrics(safetypin_proto::MetricsReport::from_global())
             }
-            Traffic::Provider(ProviderRequest::Status) => {
-                shared.served.fetch_add(units, Ordering::SeqCst);
+            ProviderRequest::Status => {
+                shared.served.fetch_add(1, Ordering::SeqCst);
                 // Status must answer even while the fleet mutex is
                 // wedged: a fresh report when the lock is available,
                 // the cached fleet snapshot (with live connection
@@ -679,7 +672,7 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                         report.served_requests = shared.served.load(Ordering::SeqCst);
                         report.rejected_requests = shared.rejected.load(Ordering::SeqCst);
                         report.draining = shared.draining.load(Ordering::SeqCst);
-                        TrafficReply::Provider(ProviderResponse::Status(report))
+                        ProviderResponse::Status(report)
                     }
                     // Wedged before the first report was ever built.
                     None => refusal(
@@ -692,16 +685,16 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                 }
             }
             _ if shared.draining.load(Ordering::SeqCst) => {
-                shared.rejected.fetch_add(units, Ordering::SeqCst);
-                shared.meters.refused_shutting_down.add(units);
+                shared.rejected.fetch_add(1, Ordering::SeqCst);
+                shared.meters.refused_shutting_down.incr();
                 refusal(
                     codes::SHUTTING_DOWN,
                     &format!("daemon is draining; retry elsewhere (trace {})", trace.id()),
                 )
             }
             _ if !admitted => {
-                shared.rejected.fetch_add(units, Ordering::SeqCst);
-                shared.meters.refused_overloaded.add(units);
+                shared.rejected.fetch_add(1, Ordering::SeqCst);
+                shared.meters.refused_overloaded.incr();
                 refusal(
                     codes::OVERLOADED,
                     &format!(
@@ -710,17 +703,17 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                     ),
                 )
             }
-            _ if !bucket.admit(units) => {
-                shared.rejected.fetch_add(units, Ordering::SeqCst);
-                shared.meters.refused_rate_limited.add(units);
+            _ if !bucket.admit() => {
+                shared.rejected.fetch_add(1, Ordering::SeqCst);
+                shared.meters.refused_rate_limited.incr();
                 refusal(
                     codes::RATE_LIMITED,
                     &format!("per-connection rate limit exceeded (trace {})", trace.id()),
                 )
             }
             _ if shared.degraded.load(Ordering::SeqCst) => {
-                shared.rejected.fetch_add(units, Ordering::SeqCst);
-                shared.meters.refused_degraded.add(units);
+                shared.rejected.fetch_add(1, Ordering::SeqCst);
+                shared.meters.refused_degraded.incr();
                 refusal(
                     codes::DEGRADED,
                     &format!(
@@ -729,19 +722,19 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                     ),
                 )
             }
-            traffic => match shared.try_world(shared.request_timeout) {
+            request => match shared.try_world(shared.request_timeout) {
                 Some(mut world) => {
-                    shared.served.fetch_add(units, Ordering::SeqCst);
+                    shared.served.fetch_add(1, Ordering::SeqCst);
                     let World { deployment, rng } = &mut *world;
-                    deployment.serve_round(traffic, rng)
+                    deployment.handle(request, rng)
                 }
                 // The mutex stayed held for the whole request budget:
                 // refuse typed instead of queueing indefinitely behind
                 // the stall (the watchdog decides whether the daemon
                 // as a whole is degraded).
                 None => {
-                    shared.rejected.fetch_add(units, Ordering::SeqCst);
-                    shared.meters.refused_degraded.add(units);
+                    shared.rejected.fetch_add(1, Ordering::SeqCst);
+                    shared.meters.refused_degraded.incr();
                     refusal(
                         codes::DEGRADED,
                         &format!(
@@ -758,7 +751,7 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
             .record_duration(started.elapsed());
         reply
     };
-    let outcome = serve_frames(&mut stream, &mut serve);
+    let outcome = serve_frames(&mut stream, serve);
     shared.meters.connections.add(-1);
     shared.active.fetch_sub(1, Ordering::SeqCst);
     outcome

@@ -40,12 +40,18 @@
 //! The [`transport`] module defines the [`Transport`] trait — one
 //! required [`round`](Transport::round) method over a request-class
 //! enum ([`Traffic`]), with typed conveniences default-implemented on
-//! top — and four backends: [`Direct`] (in-process, zero-copy),
-//! [`Serialized`] (full codec round-trip, byte-metered and priced
-//! against a USB profile), [`Faulty`] (seeded drop/delay/corrupt
-//! injection), and [`Tcp`] (length-prefixed envelope frames over a real
-//! socket to a `safetypind` server, with a versioned handshake). See
-//! the module docs for how to add a backend.
+//! top — and three backends for the provider↔fleet hop: [`Direct`]
+//! (in-process, zero-copy), [`Serialized`] (full codec round-trip,
+//! byte-metered and priced against a USB profile) and [`Faulty`]
+//! (seeded drop/delay/corrupt injection). See the module docs for how
+//! to add a backend.
+//!
+//! # The socket
+//!
+//! The [`tcp`] module carries the client↔provider hop: length-prefixed
+//! envelope frames over a real socket to a `safetypind` server, with a
+//! versioned handshake. Only the provider API crosses it — [`Tcp`] is
+//! the client ([`Tcp::call`]), [`tcp::serve_frames`] the server loop.
 //!
 //! [`WireError::UnexpectedEof`]: safetypin_primitives::error::WireError::UnexpectedEof
 //! [`WireError::TrailingBytes`]: safetypin_primitives::error::WireError::TrailingBytes

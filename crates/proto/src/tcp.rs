@@ -1,5 +1,8 @@
-//! The real-socket transport: length-prefixed [`Envelope`] frames over
-//! [`std::net::TcpStream`].
+//! The provider API over a real socket: length-prefixed [`Envelope`]
+//! frames on [`std::net::TcpStream`]. Only
+//! [`ProviderRequest`] → [`ProviderResponse`] crosses it — [`Tcp`] is
+//! the client, [`serve_frames`] the server loop; HSM-level traffic
+//! never leaves the datacenter.
 //!
 //! # Wire format
 //!
@@ -27,35 +30,21 @@
 //! A frame header declaring more than [`MAX_FRAME_BYTES`] is rejected
 //! with [`WireError::FrameTooLarge`] before its body is read — a peer
 //! cannot force an unbounded allocation with a 4-byte lie. A payload
-//! that does not decode as an envelope earns a typed
+//! that does not decode as an envelope, or decodes as anything but a
+//! [`Message::ProviderRequest`], earns a typed
 //! [`ProviderResponse::Error`] reply and the connection stays up;
 //! socket failures surface as [`WireError::Io`], never panics.
-//!
-//! # Request mapping
-//!
-//! [`Tcp`] implements [`Transport::round`] by sealing each
-//! [`Traffic`] class into the existing [`Message`] kinds: batches as
-//! [`Message::HsmBatchRequest`], grouped rounds as one
-//! [`Message::HsmGroupRequest`] frame per device per direction (the
-//! grouped contract), provider calls as [`Message::ProviderRequest`],
-//! and a single exchange as a one-item batch (the HSM address must
-//! cross the socket, and a batch is the only addressed single-envelope
-//! shape). A service-level refusal ([`ProviderResponse::Error`], e.g.
-//! rate limiting) to HSM traffic is converted into per-item
-//! [`HsmResponse::Error`] replies so a cluster round degrades instead
-//! of aborting.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::wire::{Decode, Encode};
 
-use crate::api::{codes, ErrorReply, HsmResponse, ProviderRequest, ProviderResponse};
+use crate::api::{codes, ErrorReply, ProviderRequest, ProviderResponse};
 use crate::envelope::{Envelope, Message, PROTO_VERSION};
 use crate::error::ProtoError;
-use crate::transport::{ServeTrafficFn, Traffic, TrafficReply, Transport, TransportStats};
 
 /// The 4-byte connection-hello magic.
 pub const HANDSHAKE_MAGIC: [u8; 4] = *b"SFPN";
@@ -188,33 +177,14 @@ fn error_message(code: u16, detail: impl Into<String>) -> Message {
     Message::ProviderResponse(ProviderResponse::Error(ErrorReply::new(code, detail)))
 }
 
-/// Serves one decoded request envelope through the caller's handler,
-/// producing the reply envelope's message. Non-request message kinds
-/// and reply-class mismatches become typed error replies.
-fn serve_envelope(msg: Message, serve: &mut ServeTrafficFn<'_>) -> Message {
+/// Serves one decoded envelope: a provider request goes through the
+/// caller's handler; every other message kind is refused typed.
+fn serve_envelope(
+    msg: Message,
+    serve: &mut impl FnMut(ProviderRequest) -> ProviderResponse,
+) -> Message {
     match msg {
-        Message::HsmBatchRequest(batch) => match serve(Traffic::Batch(batch)) {
-            TrafficReply::Batch(items) => Message::HsmBatchResponse(items),
-            TrafficReply::Provider(resp) => Message::ProviderResponse(resp),
-            _ => error_message(codes::UNSUPPORTED, "batch round served in the wrong class"),
-        },
-        Message::HsmGroupRequest { id, requests } => {
-            match serve(Traffic::Grouped(vec![(id, requests)])) {
-                TrafficReply::Grouped(mut groups) if groups.len() == 1 => {
-                    let (id, responses) = groups.remove(0);
-                    Message::HsmGroupResponse { id, responses }
-                }
-                TrafficReply::Provider(resp) => Message::ProviderResponse(resp),
-                _ => error_message(codes::UNSUPPORTED, "group round served in the wrong class"),
-            }
-        }
-        Message::ProviderRequest(request) => match serve(Traffic::Provider(request)) {
-            TrafficReply::Provider(resp) => Message::ProviderResponse(resp),
-            _ => error_message(
-                codes::UNSUPPORTED,
-                "provider call served in the wrong class",
-            ),
-        },
+        Message::ProviderRequest(request) => Message::ProviderResponse(serve(request)),
         _ => error_message(
             codes::UNSUPPORTED,
             "frame is not a request this service can serve",
@@ -222,7 +192,8 @@ fn serve_envelope(msg: Message, serve: &mut ServeTrafficFn<'_>) -> Message {
     }
 }
 
-/// Serves framed rounds from one connection until the peer closes.
+/// Serves framed provider requests from one connection until the peer
+/// closes.
 ///
 /// Every malformed-but-framed input earns a typed
 /// [`ProviderResponse::Error`] reply and the connection stays up. Only
@@ -232,10 +203,10 @@ fn serve_envelope(msg: Message, serve: &mut ServeTrafficFn<'_>) -> Message {
 /// socket failure (`Err`). The caller runs [`accept_handshake`] first.
 pub fn serve_frames<S: Read + Write>(
     stream: &mut S,
-    serve: &mut ServeTrafficFn<'_>,
+    mut serve: impl FnMut(ProviderRequest) -> ProviderResponse,
 ) -> Result<(), ProtoError> {
-    // Server-side view of the same `tcp.*` series the client transport
-    // feeds: resolved once per connection, counted once per frame.
+    // Server-side view of the same `tcp.*` series the client feeds:
+    // resolved once per connection, counted once per frame.
     let registry = safetypin_telemetry::global();
     let frames_in = registry.counter("tcp.frames_in");
     let bytes_in = registry.counter("tcp.bytes_in");
@@ -255,7 +226,7 @@ pub fn serve_frames<S: Read + Write>(
         frames_in.incr();
         bytes_in.add(payload.len() as u64 + 4);
         let reply = match Envelope::from_bytes(&payload) {
-            Ok(envelope) => serve_envelope(envelope.msg, serve),
+            Ok(envelope) => serve_envelope(envelope.msg, &mut serve),
             Err(e) => error_message(codes::WIRE, format!("undecodable frame: {e}")),
         };
         let reply_bytes = Envelope::seal(reply).to_bytes();
@@ -265,13 +236,11 @@ pub fn serve_frames<S: Read + Write>(
     }
 }
 
-/// Connection settings for the [`Tcp`] transport.
+/// Connection settings for the [`Tcp`] client.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// The server address (`host:port`).
     pub addr: String,
-    /// Maximum idle connections kept for reuse.
-    pub pool: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
     /// Per-connection write timeout.
@@ -279,29 +248,27 @@ pub struct TcpConfig {
 }
 
 impl TcpConfig {
-    /// Defaults: a 2-connection pool and 30-second timeouts.
+    /// Defaults: 30-second timeouts.
     pub fn new(addr: impl Into<String>) -> Self {
         Self {
             addr: addr.into(),
-            pool: 2,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
         }
     }
 }
 
-/// The socket-backed [`Transport`]: frames travel to a remote
-/// `safetypind` server, which owns the fleet and does the serving (the
-/// `serve` argument to [`round`](Transport::round) is never invoked).
+/// The provider-API client: one [`call`](Tcp::call) is one
+/// [`ProviderRequest`] frame to a remote `safetypind` and its
+/// [`ProviderResponse`] frame back.
 ///
-/// Connections are dialed lazily, handshake-verified, and pooled for
-/// reuse; a connection that sees any error is discarded rather than
-/// returned to the pool. Stats meter real frame bytes (including the
-/// 4-byte headers) and wall-clock seconds.
+/// One handshake-verified connection is kept between calls; a
+/// connection that sees any error is discarded and the next call
+/// re-dials. The `tcp.*` registry counters meter real frame bytes
+/// (including the 4-byte headers).
 pub struct Tcp {
     config: TcpConfig,
-    idle: Vec<TcpStream>,
-    stats: TransportStats,
+    conn: Option<TcpStream>,
     // Cached global-registry handles (one lookup at construction, not
     // one per frame): socket frames/bytes by direction, from this
     // process's point of view.
@@ -312,177 +279,57 @@ pub struct Tcp {
 }
 
 impl Tcp {
-    /// A transport that will dial `config.addr` on first use.
-    pub fn new(config: TcpConfig) -> Self {
+    /// Dials (and handshakes) the connection eagerly, so configuration
+    /// and version mismatches surface at construction.
+    pub fn connect(config: TcpConfig) -> Result<Self, ProtoError> {
+        let conn = Some(Self::dial(&config)?);
         let telemetry = safetypin_telemetry::global();
-        Self {
+        Ok(Self {
             config,
-            idle: Vec::new(),
-            stats: TransportStats::default(),
+            conn,
             frames_out: telemetry.counter("tcp.frames_out"),
             frames_in: telemetry.counter("tcp.frames_in"),
             bytes_out: telemetry.counter("tcp.bytes_out"),
             bytes_in: telemetry.counter("tcp.bytes_in"),
-        }
+        })
     }
 
-    /// Dials (and handshakes) one connection eagerly, so configuration
-    /// and version mismatches surface at construction.
-    pub fn connect(config: TcpConfig) -> Result<Self, ProtoError> {
-        let mut tcp = Self::new(config);
-        let stream = tcp.dial()?;
-        tcp.checkin(stream);
-        Ok(tcp)
-    }
-
-    /// The configured server address.
-    pub fn addr(&self) -> &str {
-        &self.config.addr
-    }
-
-    fn dial(&self) -> Result<TcpStream, ProtoError> {
-        let mut stream = TcpStream::connect(&self.config.addr).map_err(io_err)?;
+    fn dial(config: &TcpConfig) -> Result<TcpStream, ProtoError> {
+        let mut stream = TcpStream::connect(&config.addr).map_err(io_err)?;
         stream
-            .set_read_timeout(Some(self.config.read_timeout))
+            .set_read_timeout(Some(config.read_timeout))
             .map_err(io_err)?;
         stream
-            .set_write_timeout(Some(self.config.write_timeout))
+            .set_write_timeout(Some(config.write_timeout))
             .map_err(io_err)?;
         let _ = stream.set_nodelay(true);
         client_handshake(&mut stream)?;
         Ok(stream)
     }
 
-    fn checkout(&mut self) -> Result<TcpStream, ProtoError> {
-        match self.idle.pop() {
-            Some(stream) => Ok(stream),
-            None => self.dial(),
-        }
-    }
-
-    fn checkin(&mut self, stream: TcpStream) {
-        if self.idle.len() < self.config.pool {
-            self.idle.push(stream);
-        }
-    }
-
-    /// Ships one sealed envelope and reads the reply envelope. The
-    /// connection returns to the pool only after a clean round trip.
-    fn roundtrip(&mut self, msg: Message) -> Result<Message, ProtoError> {
-        let start = Instant::now();
-        let mut stream = self.checkout()?;
-        let request = Envelope::seal(msg).to_bytes();
-        self.stats.envelopes += 1;
-        self.stats.request_bytes += request.len() as u64 + 4;
+    /// Issues one provider (service-API) call over the socket: ships the
+    /// sealed request frame and reads the reply frame (the remote
+    /// daemon does the serving). The connection is kept only after a
+    /// clean round trip.
+    pub fn call(&mut self, request: ProviderRequest) -> Result<ProviderResponse, ProtoError> {
+        let mut stream = match self.conn.take() {
+            Some(stream) => stream,
+            None => Self::dial(&self.config)?,
+        };
+        let request = Envelope::seal(Message::ProviderRequest(request)).to_bytes();
         self.frames_out.incr();
         self.bytes_out.add(request.len() as u64 + 4);
-        let outcome = write_frame(&mut stream, &request).and_then(|()| {
-            match read_frame(&mut stream, MAX_FRAME_BYTES)? {
-                Some(reply) => Ok(reply),
-                None => Err(ProtoError::Wire(WireError::Io(
-                    io::ErrorKind::UnexpectedEof,
-                ))),
-            }
-        });
-        self.stats.seconds += start.elapsed().as_secs_f64();
-        let reply = outcome?;
-        self.stats.envelopes += 1;
-        self.stats.response_bytes += reply.len() as u64 + 4;
+        write_frame(&mut stream, &request)?;
+        let reply = read_frame(&mut stream, MAX_FRAME_BYTES)?.ok_or(ProtoError::Wire(
+            WireError::Io(io::ErrorKind::UnexpectedEof),
+        ))?;
         self.frames_in.incr();
         self.bytes_in.add(reply.len() as u64 + 4);
-        let msg = Envelope::from_bytes(&reply)?.msg;
-        self.checkin(stream);
-        Ok(msg)
-    }
-
-    /// Issues one provider (service-API) call over the socket. This is
-    /// the client CLI's entry point; it needs no serve closure because
-    /// the remote daemon does the serving.
-    pub fn call(&mut self, request: ProviderRequest) -> Result<ProviderResponse, ProtoError> {
-        self.stats.messages += 2;
-        match self.roundtrip(Message::ProviderRequest(request))? {
+        let reply = Envelope::from_bytes(&reply)?.msg;
+        self.conn = Some(stream);
+        match reply {
             Message::ProviderResponse(resp) => Ok(resp),
             _ => Err(ProtoError::UnexpectedMessage("expected provider response")),
         }
-    }
-}
-
-impl Transport for Tcp {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn round(
-        &mut self,
-        traffic: Traffic,
-        _serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<TrafficReply, ProtoError> {
-        match traffic {
-            Traffic::Single(id, request) => {
-                // A single exchange rides as a one-item batch: the HSM
-                // address must cross the socket, and the batch message
-                // is the addressed single-envelope shape.
-                self.stats.messages += 2;
-                match self.roundtrip(Message::HsmBatchRequest(vec![(id, request)]))? {
-                    Message::HsmBatchResponse(mut items) if items.len() == 1 => {
-                        Ok(TrafficReply::Single(items.remove(0).1))
-                    }
-                    Message::ProviderResponse(ProviderResponse::Error(e)) => {
-                        Ok(TrafficReply::Single(HsmResponse::Error(e)))
-                    }
-                    _ => Err(ProtoError::UnexpectedMessage(
-                        "expected a one-item HSM batch response",
-                    )),
-                }
-            }
-            Traffic::Batch(batch) => {
-                self.stats.messages += 2 * batch.len() as u64;
-                let ids: Vec<u64> = batch.iter().map(|(id, _)| *id).collect();
-                match self.roundtrip(Message::HsmBatchRequest(batch))? {
-                    Message::HsmBatchResponse(items) => Ok(TrafficReply::Batch(items)),
-                    Message::ProviderResponse(ProviderResponse::Error(e)) => {
-                        Ok(TrafficReply::Batch(
-                            ids.into_iter()
-                                .map(|id| (id, HsmResponse::Error(e.clone())))
-                                .collect(),
-                        ))
-                    }
-                    _ => Err(ProtoError::UnexpectedMessage("expected HSM batch response")),
-                }
-            }
-            Traffic::Grouped(groups) => {
-                // The grouped contract: one frame per device per
-                // direction, each group served under its own barrier.
-                let mut out = Vec::with_capacity(groups.len());
-                for (id, requests) in groups {
-                    self.stats.messages += requests.len() as u64;
-                    let group_len = requests.len();
-                    match self.roundtrip(Message::HsmGroupRequest { id, requests })? {
-                        Message::HsmGroupResponse { id, responses } => {
-                            self.stats.messages += responses.len() as u64;
-                            out.push((id, responses));
-                        }
-                        Message::ProviderResponse(ProviderResponse::Error(e)) => {
-                            out.push((id, vec![HsmResponse::Error(e); group_len]));
-                        }
-                        _ => {
-                            return Err(ProtoError::UnexpectedMessage(
-                                "expected HSM group response",
-                            ))
-                        }
-                    }
-                }
-                Ok(TrafficReply::Grouped(out))
-            }
-            Traffic::Provider(request) => self.call(request).map(TrafficReply::Provider),
-        }
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.stats
-    }
-
-    fn take_stats(&mut self) -> TransportStats {
-        std::mem::take(&mut self.stats)
     }
 }

@@ -1,15 +1,15 @@
-//! Pluggable transports carrying [`Envelope`]s between protocol peers —
-//! the datacenter front-end and its HSM fleet, or a remote client and
-//! the provider service.
+//! Pluggable transports carrying [`Envelope`]s between the datacenter
+//! front-end and its HSM fleet (the client↔provider socket is
+//! [`crate::tcp`], which carries the provider API only).
 //!
 //! A [`Transport`] moves one *round* of [`Traffic`] to the serving peer
 //! and its [`TrafficReply`] back. The serving side is supplied by the
-//! caller as a `serve` closure (the datacenter owns the devices; the
-//! daemon owns the deployment), so a transport decides only *how* the
-//! messages travel. The [`Traffic`] classes differ only in framing: the
-//! fleet serves every class through one grouped fan-out, where a solo
-//! request is a group of one and a per-request batch is regrouped by
-//! device (recovery rounds always travel as [`Traffic::Grouped`]).
+//! caller as a `serve` closure (the datacenter owns the devices), so a
+//! transport decides only *how* the messages travel. The [`Traffic`]
+//! classes differ only in framing: the fleet serves every class through
+//! one grouped fan-out, where a solo request is a group of one and a
+//! per-request batch is regrouped by device (recovery rounds always
+//! travel as [`Traffic::Grouped`]).
 //! Backends:
 //!
 //! * [`Direct`] — in-process, zero-copy: the request value is handed to
@@ -22,9 +22,6 @@
 //! * [`Faulty`] — wraps another transport and injects configurable
 //!   drop / delay / corrupt faults (seeded, deterministic) for
 //!   failure-scenario tests.
-//! * [`Tcp`](crate::tcp::Tcp) — the real thing: length-prefixed frames
-//!   over [`std::net::TcpStream`] to a `safetypind` server, with the
-//!   same versioned envelope handshake.
 //!
 //! # Adding a transport backend
 //!

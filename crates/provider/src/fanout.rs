@@ -35,8 +35,10 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
         .clamp(1, jobs.max(1))
 }
 
-/// Builds the fleet's serve side for every [`Traffic`] class a
-/// transport can deliver, all through [`serve_grouped`]:
+/// Builds the fleet's serve side for every [`Traffic`] class the
+/// datacenter's own transport can deliver (`Datacenter::fleet_round` is
+/// the only caller — no client reaches it), all through
+/// [`serve_grouped`]:
 ///
 /// * `Grouped` — one coalesced group per device, as delivered.
 /// * `Single` — a group of one.

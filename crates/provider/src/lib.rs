@@ -16,12 +16,11 @@
 //! canonical wire codec with byte metering
 //! ([`safetypin_proto::Serialized`]), or suffer
 //! injected faults ([`safetypin_proto::Faulty`]). The client-facing
-//! operations are likewise exposed as one
-//! [`ProviderRequest`]/[`ProviderResponse`] dispatch via
-//! [`Datacenter::handle`], and the whole serve side — every
-//! [`Traffic`] class a transport or a network front-end can deliver —
-//! as [`Datacenter::serve_round`] (this is what `safetypind` plugs its
-//! connections into).
+//! operations are exposed as one
+//! [`ProviderRequest`]/[`ProviderResponse`] dispatch,
+//! [`Datacenter::handle`] — the only entry point a client (in process
+//! or through `safetypind`'s socket) can reach; HSM-level traffic
+//! originates inside the datacenter only.
 //!
 //! The provider is **untrusted** in SafetyPin's threat model: every check
 //! that matters runs on the HSMs or the client. This crate's tests play
@@ -50,8 +49,7 @@ use safetypin_multisig::Signature;
 use safetypin_primitives::hashes::{hash_parts, Domain};
 use safetypin_proto::{
     codes, ErrorReply, HsmRequest, HsmResponse, ProtoError, ProviderRequest, ProviderResponse,
-    SaveOutcome, SaveRequest, ServeTrafficFn, StatusReport, Traffic, TrafficReply, Transport,
-    TransportStats,
+    SaveOutcome, SaveRequest, ServeTrafficFn, StatusReport, Transport, TransportStats,
 };
 use safetypin_seckv::{BlockStore, MemStore};
 
@@ -490,25 +488,6 @@ impl<S: BlockStore + Send> Datacenter<S> {
             backups: self.backups.len() as u64,
             reply_copies: self.reply_copies.len() as u64,
             ..StatusReport::default()
-        }
-    }
-
-    /// Serves one round of any [`Traffic`] class against this
-    /// datacenter: provider-level requests go through [`Self::handle`],
-    /// HSM-level traffic (single/batch/grouped) is dispatched straight
-    /// into the fleet. This is the single entry point a network
-    /// front-end (`safetypind`) plugs each decoded frame into.
-    pub fn serve_round<R: RngCore + CryptoRng>(
-        &mut self,
-        traffic: Traffic,
-        rng: &mut R,
-    ) -> TrafficReply {
-        match traffic {
-            Traffic::Provider(request) => TrafficReply::Provider(self.handle(request, rng)),
-            other => {
-                let Self { hsms, stores, .. } = self;
-                (fanout::serve_traffic(hsms, stores, rng))(other)
-            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! Simulation substrate: device cost models, transport model, simulated
-//! time, and queueing analysis.
+//! Simulation substrate: device cost models, transport model, and
+//! queueing analysis.
 //!
 //! The paper's evaluation runs on a physical cluster of 100 SoloKeys; this
 //! workspace executes the same protocols with real cryptography on the
@@ -18,20 +18,17 @@
 //!   desktop CPU) with per-operation rates.
 //! - [`transport`]: USB HID vs. CDC cost model (Table 7 round-trip rates).
 //! - [`cost`]: the operation accumulator and cost-to-time conversion.
-//! - [`clock`]: a simulated clock for discrete-event runs.
 //! - [`queue`]: M/M/1 tail-latency analysis plus a discrete-event
 //!   cross-check, used by Figure 13.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod cost;
 pub mod device;
 pub mod queue;
 pub mod transport;
 
-pub use clock::SimClock;
 pub use cost::{CostModel, OpCosts};
 pub use device::DeviceProfile;
 pub use transport::TransportProfile;

@@ -18,8 +18,8 @@ use safetypin_client::remote;
 use safetypin_daemon::{Daemon, DaemonConfig, DaemonHandle};
 use safetypin_proto::tcp::{client_handshake, read_frame, write_frame, HANDSHAKE_MAGIC};
 use safetypin_proto::{
-    codes, Envelope, HsmResponse, Message, ProtoError, ProviderRequest, ProviderResponse, Tcp,
-    TcpConfig, MAX_FRAME_BYTES, PROTO_VERSION,
+    codes, Envelope, HsmRequest, HsmResponse, Message, ProtoError, ProviderRequest,
+    ProviderResponse, Tcp, TcpConfig, MAX_FRAME_BYTES, PROTO_VERSION,
 };
 use safetypin_store::{Durability, FileStore};
 
@@ -391,7 +391,7 @@ fn oversized_frame_gets_a_typed_error_and_daemon_survives() {
         "an oversized declaration makes the stream unrecoverable"
     );
 
-    // The daemon is unharmed: the pooled connection still serves.
+    // The daemon is unharmed: the open connection still serves.
     assert!(matches!(
         tcp.call(ProviderRequest::Status).unwrap(),
         ProviderResponse::Status(_)
@@ -451,6 +451,70 @@ fn truncated_and_garbage_frames_leave_the_daemon_serving() {
     ));
     drop(tcp);
     handle.shutdown().unwrap();
+}
+
+/// The socket serves the provider API only: well-formed HSM-level
+/// frames (which would rotate a device's keys or spend its GC budget if
+/// they reached the fleet) are refused typed, the connection stays up,
+/// and no HSM is touched — every key epoch is what it was at boot and a
+/// backup saved beforehand still recovers.
+#[test]
+fn raw_hsm_frames_are_refused_typed_and_reach_no_hsm() {
+    let (handle, mut tcp) = boot("hsm-frames", SEED + 7);
+    let mut rng = StdRng::seed_from_u64(53);
+    let boot_epochs: Vec<u64> = match tcp.call(ProviderRequest::FetchEnrollments).unwrap() {
+        ProviderResponse::Enrollments(records) => records.iter().map(|r| r.key_epoch).collect(),
+        other => panic!("unexpected FetchEnrollments reply: {other:?}"),
+    };
+    let mut client = remote::connect(&mut tcp, b"carol").unwrap();
+    remote::save(
+        &mut tcp,
+        &mut client,
+        b"161803",
+        b"outlives the raw frames",
+        &mut rng,
+    )
+    .unwrap();
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    client_handshake(&mut stream).unwrap();
+    let mut exchange = |msg: Message| {
+        write_frame(&mut stream, &Envelope::seal(msg).to_bytes()).unwrap();
+        let reply = read_frame(&mut stream, MAX_FRAME_BYTES).unwrap().unwrap();
+        Envelope::from_bytes(&reply).unwrap().msg
+    };
+    for msg in [
+        Message::HsmBatchRequest(vec![(0, HsmRequest::RotateKeys)]),
+        Message::HsmGroupRequest {
+            id: 0,
+            requests: vec![HsmRequest::GarbageCollect],
+        },
+    ] {
+        match exchange(msg) {
+            Message::ProviderResponse(ProviderResponse::Error(e)) => {
+                assert_eq!(e.code, codes::UNSUPPORTED)
+            }
+            other => panic!("an HSM-level frame was served: {other:?}"),
+        }
+    }
+    assert!(matches!(
+        exchange(Message::ProviderRequest(ProviderRequest::Status)),
+        Message::ProviderResponse(ProviderResponse::Status(_))
+    ));
+    drop(stream);
+
+    let artifact = remote::fetch_backup(&mut tcp, b"carol").unwrap();
+    let plaintext = remote::recover(&mut tcp, &client, b"161803", &artifact, &mut rng).unwrap();
+    assert_eq!(plaintext, b"outlives the raw frames");
+    drop(tcp);
+    let meta = handle.shutdown().unwrap();
+    assert_eq!(
+        meta.key_epochs, boot_epochs,
+        "no key rotation can come in through the socket"
+    );
 }
 
 /// Admission control and rate limiting surface as typed refusals on

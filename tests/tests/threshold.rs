@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safetypin::proto::{codes, HsmRequest, HsmResponse, Tcp, TcpConfig, Traffic, TrafficReply};
+use safetypin::proto::{codes, HsmResponse, Tcp, TcpConfig};
 use safetypin::seckv::BlockStore;
 use safetypin::{
     Deployment, DeploymentBuilder, DeploymentError, RecoverManyOptions, RecoverySession,
@@ -53,12 +53,13 @@ fn lose_one_share<S: BlockStore + Send>(
         attempt.cluster().len() - positions >= d.params.lhe.threshold,
         "the seed must leave a threshold of shares on the other HSMs"
     );
-    let reply = d
+    let replies = d
         .datacenter
-        .serve_round(Traffic::Single(hsm, HsmRequest::RecoverShare(request)), rng);
+        .route_recovery(vec![vec![(hsm, request)]], rng)
+        .unwrap();
     assert!(matches!(
-        reply,
-        TrafficReply::Single(HsmResponse::RecoveryShare { .. })
+        replies.as_slice(),
+        [user] if matches!(user.as_slice(), [(_, HsmResponse::RecoveryShare { .. })])
     ));
     d.datacenter.garbage_collect().unwrap();
     hsm
