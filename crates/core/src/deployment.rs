@@ -565,7 +565,11 @@ impl<S: SnapshotBlocks + Send> Deployment<S> {
     ) -> Result<SnapshotMeta, StoreError> {
         use safetypin_primitives::wire::Encode;
         std::fs::create_dir_all(dir)?;
-        safetypin_store::write_atomic(&dir.join("params.bin"), &self.params.to_bytes())?;
+        safetypin_store::write_atomic(
+            &dir.join("params.bin"),
+            &self.params.to_bytes(),
+            opts.durability,
+        )?;
         self.datacenter.persist(dir, opts, rng)
     }
 }

@@ -198,6 +198,7 @@ impl Hsm {
         &self,
         dir: &std::path::Path,
         device_key: &DeviceKey,
+        durability: safetypin_store::Durability,
         rng: &mut R,
     ) -> Result<(), StoreError> {
         std::fs::create_dir_all(dir)?;
@@ -206,7 +207,11 @@ impl Hsm {
             &self.export_state().to_bytes(),
             rng,
         );
-        safetypin_store::write_atomic(&dir.join(Self::state_file_name(self.config.id)), &sealed)
+        safetypin_store::write_atomic(
+            &dir.join(Self::state_file_name(self.config.id)),
+            &sealed,
+            durability,
+        )
     }
 
     /// Reads, unseals, and rebuilds HSM `id` from `dir`. Any tampering

@@ -84,6 +84,6 @@ pub use messages::{
 pub use metrics::{HistogramSummary, MetricsReport, MAX_METRICS_SERIES};
 pub use tcp::{Tcp, TcpConfig, MAX_FRAME_BYTES};
 pub use transport::{
-    ClassSet, DelaySchedule, Direct, FaultDirection, FaultPlan, FaultScope, Faulty, MessageClass,
-    Serialized, ServeTrafficFn, Traffic, TrafficReply, Transport, TransportStats,
+    Direct, FaultPlan, FaultScope, Faulty, Serialized, ServeTrafficFn, Traffic, TrafficReply,
+    Transport, TransportStats,
 };

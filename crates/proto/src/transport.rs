@@ -497,131 +497,6 @@ pub enum FaultScope {
     RecoveryOnly,
 }
 
-/// Which leg of a round a targeted fault schedule applies to.
-///
-/// "Request" is the datacenter→HSM (or client→provider) leg; "Response"
-/// is the reply coming back. The legacy uniform behavior is [`Both`](
-/// FaultDirection::Both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDirection {
-    /// Fault either leg (the legacy uniform behavior).
-    Both,
-    /// Fault only outbound requests.
-    Request,
-    /// Fault only replies on their way back.
-    Response,
-}
-
-impl FaultDirection {
-    fn covers(self, leg: Leg) -> bool {
-        match self {
-            FaultDirection::Both => true,
-            FaultDirection::Request => matches!(leg, Leg::Request),
-            FaultDirection::Response => matches!(leg, Leg::Response),
-        }
-    }
-}
-
-/// The leg a message is travelling when a fate is drawn for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Leg {
-    Request,
-    Response,
-}
-
-/// Protocol message classes, for targeted fault scheduling.
-///
-/// Every message a transport carries falls in exactly one class;
-/// [`ClassSet`] selects which classes a schedule targets. HSM traffic
-/// classifies by request kind ([`MessageClass::of_hsm`]); provider
-/// (service-API) traffic classifies by [`MessageClass::of_provider`],
-/// with the recovery wave and epoch messages pulled out so a scenario
-/// can stall exactly the paper's §8 recovery path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum MessageClass {
-    /// Enrollment fetches (`GetEnrollment`).
-    Enrollment = 0,
-    /// Recovery-share traffic (`RecoverShare`, provider `Recover` /
-    /// `RecoverBatch`).
-    Recovery = 1,
-    /// Epoch certification (`AuditAndSign`, `AcceptUpdate`, provider
-    /// `RunEpoch`).
-    Epoch = 2,
-    /// Key management and GC (`GarbageCollect`, `RotateKeys`).
-    Maintenance = 3,
-    /// Every other provider (service-API) message: log inserts,
-    /// inclusion proofs, backup storage, status, control plane.
-    Provider = 4,
-}
-
-impl MessageClass {
-    /// Classifies one HSM request.
-    pub fn of_hsm(request: &HsmRequest) -> Self {
-        match request {
-            HsmRequest::GetEnrollment => MessageClass::Enrollment,
-            HsmRequest::RecoverShare(_) => MessageClass::Recovery,
-            HsmRequest::AuditAndSign { .. } | HsmRequest::AcceptUpdate { .. } => {
-                MessageClass::Epoch
-            }
-            HsmRequest::GarbageCollect | HsmRequest::RotateKeys => MessageClass::Maintenance,
-        }
-    }
-
-    /// Classifies one provider (service-API) request.
-    pub fn of_provider(request: &ProviderRequest) -> Self {
-        match request {
-            ProviderRequest::Recover(_) | ProviderRequest::RecoverBatch(_) => {
-                MessageClass::Recovery
-            }
-            ProviderRequest::RunEpoch => MessageClass::Epoch,
-            _ => MessageClass::Provider,
-        }
-    }
-}
-
-/// A set of [`MessageClass`] values (a small copyable bitset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassSet(u8);
-
-impl ClassSet {
-    /// The empty set.
-    pub const EMPTY: Self = Self(0);
-    /// Every message class.
-    pub const ALL: Self = Self(0b1_1111);
-
-    /// The singleton set `{class}`.
-    pub const fn just(class: MessageClass) -> Self {
-        Self(1 << class as u8)
-    }
-
-    /// This set plus `class`.
-    pub const fn with(self, class: MessageClass) -> Self {
-        Self(self.0 | (1 << class as u8))
-    }
-
-    /// Whether `class` is in the set.
-    pub const fn contains(self, class: MessageClass) -> bool {
-        self.0 & (1 << class as u8) != 0
-    }
-}
-
-/// A targeted delay schedule: which legs and message classes the
-/// [`FaultPlan`]'s delay probability applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DelaySchedule {
-    /// Which leg(s) may be delayed.
-    pub direction: FaultDirection,
-    /// Which message classes may be delayed.
-    pub classes: ClassSet,
-}
-
-impl DelaySchedule {
-    fn covers(&self, leg: Leg, class: MessageClass) -> bool {
-        self.direction.covers(leg) && self.classes.contains(class)
-    }
-}
-
 /// Fault-injection configuration for [`Faulty`].
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
@@ -636,13 +511,6 @@ pub struct FaultPlan {
     pub delay_seconds: f64,
     /// Which messages the faults apply to.
     pub scope: FaultScope,
-    /// Targeted delay scheduling. `None` (the default, and every
-    /// pre-existing constructor) keeps the legacy uniform behavior:
-    /// delays follow [`scope`](Self::scope) on both legs. `Some`
-    /// restricts *delays* (drops and corruptions still follow `scope`)
-    /// to the schedule's direction and message classes — e.g. only
-    /// HSM→datacenter recovery replies.
-    pub delay_schedule: Option<DelaySchedule>,
 }
 
 impl Default for FaultPlan {
@@ -653,7 +521,6 @@ impl Default for FaultPlan {
             delay_prob: 0.0,
             delay_seconds: 0.0,
             scope: FaultScope::All,
-            delay_schedule: None,
         }
     }
 }
@@ -683,22 +550,6 @@ impl FaultPlan {
     /// Restricts the faults to recovery-share traffic.
     pub fn recovery_only(mut self) -> Self {
         self.scope = FaultScope::RecoveryOnly;
-        self
-    }
-
-    /// Restricts *delays* to one leg and a set of message classes
-    /// (drops and corruptions keep following [`FaultPlan::scope`]). A
-    /// delayed-recovery-replies plan, for example:
-    ///
-    /// ```
-    /// use safetypin_proto::{ClassSet, FaultDirection, FaultPlan, MessageClass};
-    /// let plan = FaultPlan::default().with_delay(1.0, 0.25).delay_only(
-    ///     FaultDirection::Response,
-    ///     ClassSet::just(MessageClass::Recovery),
-    /// );
-    /// ```
-    pub fn delay_only(mut self, direction: FaultDirection, classes: ClassSet) -> Self {
-        self.delay_schedule = Some(DelaySchedule { direction, classes });
         self
     }
 }
@@ -779,21 +630,14 @@ impl Faulty {
         }
     }
 
-    /// Draws one message's fate. The RNG consumption is identical
-    /// whether or not a [`DelaySchedule`] is set — a schedule only
-    /// converts out-of-schedule delays into clean deliveries — so
-    /// adding targeting to a seeded plan never perturbs which later
-    /// messages get dropped or corrupted.
-    fn fate(&mut self, leg: Leg, class: MessageClass) -> Fate {
+    /// Draws one message's fate.
+    fn fate(&mut self) -> Fate {
         if self.rng.gen_bool(self.plan.drop_prob) {
             Fate::Drop
         } else if self.rng.gen_bool(self.plan.corrupt_prob) {
             Fate::Corrupt
         } else if self.rng.gen_bool(self.plan.delay_prob) {
-            match self.plan.delay_schedule {
-                Some(schedule) if !schedule.covers(leg, class) => Fate::Deliver,
-                _ => Fate::Delay,
-            }
+            Fate::Delay
         } else {
             Fate::Deliver
         }
@@ -819,12 +663,8 @@ impl Faulty {
     }
 
     /// Applies the response-side fate decided for one in-scope message.
-    fn apply_response_fate(
-        &mut self,
-        response: HsmResponse,
-        class: MessageClass,
-    ) -> Result<HsmResponse, ProtoError> {
-        match self.fate(Leg::Response, class) {
+    fn apply_response_fate(&mut self, response: HsmResponse) -> Result<HsmResponse, ProtoError> {
+        match self.fate() {
             Fate::Deliver => Ok(response),
             Fate::Drop => {
                 self.faults.dropped += 1;
@@ -847,8 +687,8 @@ impl Faulty {
     /// Draws a request-leg fate for a whole-round message (single and
     /// provider rounds): a dropped request aborts the round before the
     /// peer sees it.
-    fn apply_request_fate(&mut self, class: MessageClass) -> Result<(), ProtoError> {
-        match self.fate(Leg::Request, class) {
+    fn apply_request_fate(&mut self) -> Result<(), ProtoError> {
+        match self.fate() {
             Fate::Drop => {
                 self.faults.dropped += 1;
                 self.injected_drop.incr();
@@ -872,14 +712,12 @@ impl Faulty {
         if !self.in_scope(&request) {
             return self.inner.round(Traffic::Single(hsm_id, request), serve);
         }
-        let class = MessageClass::of_hsm(&request);
-        self.apply_request_fate(class)?;
+        self.apply_request_fate()?;
         let response = match self.inner.round(Traffic::Single(hsm_id, request), serve)? {
             TrafficReply::Single(resp) => resp,
             _ => return Err(ProtoError::UnexpectedMessage("expected a single HSM reply")),
         };
-        self.apply_response_fate(response, class)
-            .map(TrafficReply::Single)
+        self.apply_response_fate(response).map(TrafficReply::Single)
     }
 
     fn round_batch(
@@ -891,21 +729,18 @@ impl Faulty {
         // the HSM (which may puncture its key before replying — the §8
         // failure-during-recovery scenario), but the reply is lost or
         // mangled on the way back and surfaces as an error item.
-        let in_scope: Vec<Option<MessageClass>> = batch
-            .iter()
-            .map(|(_, req)| self.in_scope(req).then(|| MessageClass::of_hsm(req)))
-            .collect();
+        let in_scope: Vec<bool> = batch.iter().map(|(_, req)| self.in_scope(req)).collect();
         let served = match self.inner.round(Traffic::Batch(batch), serve)? {
             TrafficReply::Batch(items) => items,
             _ => return Err(ProtoError::UnexpectedMessage("expected an HSM batch reply")),
         };
         let mut out = Vec::with_capacity(served.len());
         for ((id, resp), scoped) in served.into_iter().zip(in_scope) {
-            let Some(class) = scoped else {
+            if !scoped {
                 out.push((id, resp));
                 continue;
-            };
-            let resp = match self.apply_response_fate(resp, class) {
+            }
+            let resp = match self.apply_response_fate(resp) {
                 Ok(resp) => resp,
                 Err(ProtoError::Dropped) => HsmResponse::Error(ErrorReply::dropped()),
                 Err(_) => HsmResponse::Error(ErrorReply::corrupted()),
@@ -924,13 +759,9 @@ impl Faulty {
         // (the HSM may puncture before its reply is lost — §8), faults
         // land per item on the response leg so one mangled reply never
         // sinks a whole device group, let alone the round.
-        let scopes: Vec<Vec<Option<MessageClass>>> = groups
+        let scopes: Vec<Vec<bool>> = groups
             .iter()
-            .map(|(_, reqs)| {
-                reqs.iter()
-                    .map(|r| self.in_scope(r).then(|| MessageClass::of_hsm(r)))
-                    .collect()
-            })
+            .map(|(_, reqs)| reqs.iter().map(|r| self.in_scope(r)).collect())
             .collect();
         let served = match self.inner.round(Traffic::Grouped(groups), serve)? {
             TrafficReply::Grouped(groups) => groups,
@@ -940,11 +771,11 @@ impl Faulty {
         for ((id, responses), scoped) in served.into_iter().zip(scopes) {
             let mut group_out = Vec::with_capacity(responses.len());
             for (resp, in_scope) in responses.into_iter().zip(scoped) {
-                let Some(class) = in_scope else {
+                if !in_scope {
                     group_out.push(resp);
                     continue;
-                };
-                let resp = match self.apply_response_fate(resp, class) {
+                }
+                let resp = match self.apply_response_fate(resp) {
                     Ok(resp) => resp,
                     Err(ProtoError::Dropped) => HsmResponse::Error(ErrorReply::dropped()),
                     Err(_) => HsmResponse::Error(ErrorReply::corrupted()),
@@ -964,13 +795,12 @@ impl Faulty {
         if !self.provider_in_scope(&request) {
             return self.inner.round(Traffic::Provider(request), serve);
         }
-        let class = MessageClass::of_provider(&request);
-        self.apply_request_fate(class)?;
+        self.apply_request_fate()?;
         let response = match self.inner.round(Traffic::Provider(request), serve)? {
             TrafficReply::Provider(resp) => resp,
             _ => return Err(ProtoError::UnexpectedMessage("expected a provider reply")),
         };
-        match self.fate(Leg::Response, class) {
+        match self.fate() {
             Fate::Deliver => Ok(TrafficReply::Provider(response)),
             Fate::Drop => {
                 self.faults.dropped += 1;

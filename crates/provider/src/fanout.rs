@@ -28,11 +28,49 @@ use safetypin_proto::{codes, ErrorReply, HsmRequest, HsmResponse, Traffic, Traff
 use safetypin_seckv::{BlockStore, MemStore};
 
 /// Worker-thread cap for `jobs` independent work items.
-pub(crate) fn worker_count(jobs: usize) -> usize {
+fn worker_count(jobs: usize) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .clamp(1, jobs.max(1))
+}
+
+/// The one fan-out loop: runs `run` over every job on up to `workers`
+/// threads — contiguous chunks, one thread each — and returns the
+/// results in job order. A worker that dies loses its chunk: those jobs
+/// come back `None`, for the caller to turn into its own typed error.
+fn fan_out<J: Send, T: Send>(
+    jobs: &mut [J],
+    workers: usize,
+    run: impl Fn(&mut J) -> T + Sync,
+) -> Vec<Option<T>> {
+    let workers = workers.clamp(1, worker_count(jobs.len()));
+    if workers <= 1 {
+        return jobs.iter_mut().map(|job| Some(run(job))).collect();
+    }
+    let total = jobs.len();
+    let chunk = total.div_ceil(workers);
+    let run = &run;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = jobs
+            .chunks_mut(chunk)
+            .map(|chunk| {
+                let len = chunk.len();
+                (
+                    len,
+                    s.spawn(move || chunk.iter_mut().map(run).collect::<Vec<T>>()),
+                )
+            })
+            .collect();
+        let mut out = Vec::with_capacity(total);
+        for (len, handle) in handles {
+            match handle.join() {
+                Ok(results) => out.extend(results.into_iter().map(Some)),
+                Err(_) => out.extend((0..len).map(|_| None)),
+            }
+        }
+        out
+    })
 }
 
 /// Builds the fleet's serve side for every [`Traffic`] class the
@@ -190,37 +228,15 @@ pub(crate) fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
         }
     }
 
-    fn run_group_job<S: BlockStore>(job: &mut GroupJob<'_, S>) -> (usize, u64, Vec<HsmResponse>) {
+    // A panicked worker loses its chunk's groups; the positions it
+    // never filled become typed errors below.
+    let served = fan_out(&mut jobs, workers, |job| {
         let mut rng = StdRng::from_seed(job.seed);
         let requests = std::mem::take(&mut job.requests);
         let responses = job.hsm.handle_batch(requests, job.store, &mut rng);
         (job.pos, job.id, responses)
-    }
-
-    let workers = workers.clamp(1, worker_count(jobs.len()));
-    let mut served: Vec<(usize, u64, Vec<HsmResponse>)> = Vec::with_capacity(jobs.len());
-    if workers <= 1 || jobs.len() <= 1 {
-        for job in &mut jobs {
-            served.push(run_group_job(job));
-        }
-    } else {
-        let chunk = jobs.len().div_ceil(workers);
-        let collected: Vec<Vec<(usize, u64, Vec<HsmResponse>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .chunks_mut(chunk)
-                .map(|chunk| {
-                    s.spawn(move || chunk.iter_mut().map(run_group_job).collect::<Vec<_>>())
-                })
-                .collect();
-            // A panicked worker loses its chunk's groups; the
-            // positions it never filled become typed errors below.
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        });
-        for part in collected {
-            served.extend(part);
-        }
-    }
-    for (pos, id, responses) in served {
+    });
+    for (pos, id, responses) in served.into_iter().flatten() {
         if let Some(slot) = results.get_mut(pos) {
             *slot = Some((id, responses));
         }
@@ -260,45 +276,17 @@ pub(crate) fn provision_fleet<R: RngCore + CryptoRng>(
             (config, seed)
         })
         .collect();
-    let workers = workers.clamp(1, worker_count(jobs.len()));
-
-    fn provision_one(config: HsmConfig, seed: [u8; 32]) -> Result<(Hsm, MemStore), HsmError> {
+    // A dead worker provisions nothing; surface it as a fail-stop
+    // instead of propagating the panic.
+    fan_out(&mut jobs, workers, |&mut (config, seed)| {
         let mut rng = StdRng::from_seed(seed);
         let mut store = MemStore::new();
         let hsm = Hsm::provision(config, &mut store, &mut rng)?;
         Ok((hsm, store))
-    }
-
-    let provisioned: Vec<Result<(Hsm, MemStore), HsmError>> = if workers <= 1 || jobs.len() <= 1 {
-        jobs.drain(..)
-            .map(|(config, seed)| provision_one(config, seed))
-            .collect()
-    } else {
-        let chunk = jobs.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&(config, seed)| provision_one(config, seed))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(results) => results,
-                    // A dead worker provisions nothing; surface it as
-                    // a fail-stop instead of propagating the panic.
-                    Err(_) => vec![Err(HsmError::Unavailable)],
-                })
-                .collect()
-        })
-    };
-    provisioned.into_iter().collect()
+    })
+    .into_iter()
+    .map(|provisioned| provisioned.unwrap_or(Err(HsmError::Unavailable)))
+    .collect()
 }
 
 /// Runs each HSM's fleet-key registration (N proof-of-possession checks
@@ -312,31 +300,8 @@ pub(crate) fn register_fleet_parallel(
         safetypin_multisig::ProofOfPossession,
     )],
 ) -> Result<(), HsmError> {
-    let workers = worker_count(hsms.len());
-    if workers <= 1 || hsms.len() <= 1 {
-        for hsm in hsms.iter_mut() {
-            hsm.register_fleet(fleet)?;
-        }
-        return Ok(());
-    }
-    let chunk = hsms.len().div_ceil(workers);
-    let outcomes: Vec<Result<(), HsmError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = hsms
-            .chunks_mut(chunk)
-            .map(|chunk| {
-                s.spawn(move || {
-                    for hsm in chunk {
-                        hsm.register_fleet(fleet)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // A dead worker registered nothing; fail-stop, not panic.
-            .map(|h| h.join().unwrap_or(Err(HsmError::Unavailable)))
-            .collect()
-    });
-    outcomes.into_iter().collect()
+    // A dead worker registered nothing; fail-stop, not panic.
+    fan_out(hsms, usize::MAX, |hsm| hsm.register_fleet(fleet))
+        .into_iter()
+        .try_for_each(|outcome| outcome.unwrap_or(Err(HsmError::Unavailable)))
 }

@@ -207,12 +207,12 @@ impl<S: SnapshotBlocks + Send> Datacenter<S> {
             }
             Err(e) => return Err(e),
         };
-        keyring.save(&keyring_path)?;
+        keyring.save(&keyring_path, opts.durability)?;
         for (hsm, store) in self.hsms.iter().zip(self.stores.iter_mut()) {
             let key = keyring
                 .device(hsm.id())
                 .ok_or(StoreError::Inconsistent("keyring does not cover the fleet"))?;
-            hsm.persist(dir, key, rng)?;
+            hsm.persist(dir, key, opts.durability, rng)?;
             store.checkpoint_into(&blocks_dir(dir, hsm.id()), opts)?;
         }
 
@@ -229,7 +229,11 @@ impl<S: SnapshotBlocks + Send> Datacenter<S> {
                 .collect(),
             epoch_chunks: self.epoch_chunks as u64,
         };
-        safetypin_store::write_atomic(&dir.join(snapshot_files::PROVIDER), &state.to_bytes())?;
+        safetypin_store::write_atomic(
+            &dir.join(snapshot_files::PROVIDER),
+            &state.to_bytes(),
+            opts.durability,
+        )?;
 
         let meta = safetypin_proto::SnapshotMeta {
             proto_version: safetypin_proto::PROTO_VERSION,
@@ -240,7 +244,11 @@ impl<S: SnapshotBlocks + Send> Datacenter<S> {
         };
         let envelope =
             safetypin_proto::Envelope::seal(safetypin_proto::Message::SnapshotMeta(meta.clone()));
-        safetypin_store::write_atomic(&dir.join(snapshot_files::META), &envelope.to_bytes())?;
+        safetypin_store::write_atomic(
+            &dir.join(snapshot_files::META),
+            &envelope.to_bytes(),
+            opts.durability,
+        )?;
 
         // The snapshot now captures every WAL-staged mutation; reset the
         // WAL so replay-on-restore stays proportional to the saves since

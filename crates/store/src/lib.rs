@@ -7,13 +7,13 @@
 //!
 //! 1. **[`FileStore`]** — a [`BlockStore`](safetypin_seckv::BlockStore)
 //!    backend over an append-only
-//!    segment file plus a write-ahead log with atomic checkpointing,
-//!    per-record CRC/length framing for torn-write detection, and a
-//!    byte-budgeted LRU block cache whose hit/miss counters fold into
-//!    [`StoreStats`](safetypin_seckv::StoreStats). Recovered state after
-//!    a crash is always the state at some commit boundary, never a torn
-//!    hybrid (pinned by a crash-point property test over every WAL
-//!    truncation offset).
+//!    segment file plus a write-ahead log with atomic checkpointing and
+//!    per-record CRC/length framing for torn-write detection. It keeps
+//!    an index, not a cache: a read is one lookup plus one file read,
+//!    and the kernel's page cache is the only block cache. Recovered
+//!    state after a crash is always the state at some commit boundary,
+//!    never a torn hybrid (pinned by a crash-point property test over
+//!    every WAL truncation offset).
 //! 2. **Sealed snapshots** — [`DeviceKey`]/[`Keyring`] seal each HSM's
 //!    trusted state (secure-array root key, identity/signing secrets,
 //!    log bookkeeping) under a per-device AEAD key before it reaches the
@@ -23,10 +23,11 @@
 //!    `safetypin-provider`, `safetypin`) build their `persist`/`restore`
 //!    entry points on these primitives.
 //!
-//! Durability is tunable: [`Durability::Strict`] fsyncs at every commit
-//! and checkpoint; [`Durability::Relaxed`] keeps the identical WAL
-//! discipline but elides the syncs, which is what CI uses to run the
-//! crash-recovery suite quickly.
+//! Durability is the one option: [`Durability::Strict`] fsyncs at every
+//! commit, checkpoint and [`write_atomic`]; [`Durability::Relaxed`]
+//! keeps the identical WAL discipline but elides the syncs, which is
+//! what CI uses to run the crash-recovery suite quickly. Every sync the
+//! crate issues lands in the `store.fsync` histogram.
 //!
 //! For failure injection, [`CrashingStore`] extends the adversarial
 //! store family of `safetypin-seckv` with a host that dies after a byte
@@ -38,7 +39,6 @@
 pub mod crash;
 pub mod error;
 pub mod file;
-pub mod lru;
 pub mod seal;
 pub mod snapshot;
 pub mod wal;
@@ -52,22 +52,16 @@ pub use snapshot::SnapshotBlocks;
 use std::io::Write;
 use std::path::Path;
 
-/// Writes `bytes` to `path` atomically: a sibling tmp file is written,
-/// synced, and renamed into place, then the parent directory is synced
-/// so the rename itself survives power loss. Readers observe either the
-/// old or the new contents — never a torn file.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        std::fs::File::open(parent)?.sync_all()?;
-    }
-    Ok(())
+/// Writes `bytes` to `path` atomically: a sibling tmp file is written
+/// and renamed into place, so readers observe either the old or the new
+/// contents — never a torn file. Under [`Durability::Strict`] the file is
+/// synced before the rename and the parent directory after it, so the
+/// rename itself survives power loss.
+pub fn write_atomic(path: &Path, bytes: &[u8], durability: Durability) -> Result<(), StoreError> {
+    let tmp_path = path.with_extension("tmp");
+    let mut tmp = std::fs::File::create(&tmp_path)?;
+    tmp.write_all(bytes)?;
+    Ok(file::publish(&tmp, &tmp_path, path, durability)?)
 }
 
 /// Reads a snapshot component, mapping absence to a typed error.

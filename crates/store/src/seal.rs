@@ -141,8 +141,12 @@ impl Keyring {
     }
 
     /// Writes the ring to `path` (atomically: tmp + rename).
-    pub fn save(&self, path: &std::path::Path) -> Result<(), StoreError> {
-        crate::write_atomic(path, &self.to_bytes())
+    pub fn save(
+        &self,
+        path: &std::path::Path,
+        durability: crate::Durability,
+    ) -> Result<(), StoreError> {
+        crate::write_atomic(path, &self.to_bytes(), durability)
     }
 
     /// Loads a ring from `path`. Absence is the typed

@@ -35,20 +35,13 @@ fn rebuild_into(
         std::fs::remove_dir_all(dir)?;
     }
     std::fs::create_dir_all(dir)?;
-    // Write the segment directly — one framed `Put` per block in
-    // ascending address order plus a closing `Commit`, exactly what a
-    // checkpoint produces — instead of detouring every block through
-    // the WAL and rewriting it during a checkpoint (2x the bytes at
-    // 64 MB-per-HSM scale). `write_atomic` gives the same
-    // tmp + fsync + rename + dir-sync publication as a live checkpoint.
+    // Write the segment directly — exactly what a checkpoint produces —
+    // instead of detouring every block through the WAL and rewriting it
+    // during a checkpoint (2x the bytes at 64 MB-per-HSM scale).
     let mut sorted: Vec<(u64, Vec<u8>)> = blocks.into_iter().collect();
     sorted.sort_unstable_by_key(|(addr, _)| *addr);
-    let mut bytes = Vec::new();
-    for (addr, block) in sorted {
-        bytes.extend_from_slice(&crate::wal::Record::Put { addr, block }.to_frame());
-    }
-    bytes.extend_from_slice(&crate::wal::Record::Commit { seq: 1 }.to_frame());
-    crate::write_atomic(&dir.join(crate::file::SEGMENT_FILE), &bytes)?;
+    let blocks = sorted.into_iter().map(Ok);
+    crate::file::write_segment(dir, blocks, 1, opts.durability, |_, _| {})?;
     // Validate what we wrote replays cleanly (and create the WAL file).
     FileStore::open(dir, opts)?;
     Ok(())
@@ -64,9 +57,12 @@ impl SnapshotBlocks for FileStore {
     fn checkpoint_into(&mut self, dir: &Path, opts: FileOptions) -> Result<(), StoreError> {
         if self.dir() == dir {
             // The live store already is the snapshot: fold the WAL into
-            // the segment so reopening is a pure segment load.
+            // the segment so reopening is a pure segment load. With an
+            // empty WAL the segment already is that state.
             self.commit()?;
-            self.checkpoint()?;
+            if self.wal_len() > 0 {
+                self.checkpoint()?;
+            }
             return Ok(());
         }
         rebuild_into(self.snapshot(), dir, opts)

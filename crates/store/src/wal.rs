@@ -30,6 +30,10 @@ pub const MAX_RECORD_LEN: u32 = (64 << 20) + 64;
 /// Bytes of framing per record (length + CRC).
 pub const FRAME_LEN: usize = 8;
 
+/// Where a `Put` record's block bytes start, relative to the start of
+/// its frame: past the framing, the tag and the address.
+pub const PUT_BLOCK_OFFSET: u64 = FRAME_LEN as u64 + 9;
+
 /// One logical WAL operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
@@ -179,7 +183,7 @@ fn scan_one(input: &[u8], offset: u64) -> Scan {
     };
     Scan::Ok {
         record,
-        block_offset: offset + FRAME_LEN as u64 + 9,
+        block_offset: offset + PUT_BLOCK_OFFSET,
         next: offset + total as u64,
     }
 }

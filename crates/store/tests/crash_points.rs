@@ -37,13 +37,10 @@ type Blocks = HashMap<u64, Vec<u8>>;
 /// the WAL byte length at each commit boundary.
 fn run_script(ops: &[Op], tag: &str) -> (PathBuf, Vec<Blocks>, Vec<u64>) {
     let dir = tmpdir(tag);
-    // No auto-checkpoint: the segment must stay fixed so that the WAL
-    // prefix is the only variable across crash points.
-    let opts = FileOptions {
-        checkpoint_wal_bytes: 0,
-        ..FileOptions::relaxed()
-    };
-    let mut store = FileStore::open(&dir, opts).unwrap();
+    // The workload stays far below the auto-checkpoint threshold: the
+    // segment stays fixed, so the WAL prefix is the only variable
+    // across crash points.
+    let mut store = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
     let mut snapshots = vec![HashMap::new()];
     let mut commit_lens = vec![0u64];
     for &(kind, addr, len) in ops {
@@ -119,11 +116,7 @@ proptest! {
 #[test]
 fn crash_points_after_checkpoint_recover_over_segment() {
     let dir = tmpdir("post-ckpt");
-    let opts = FileOptions {
-        checkpoint_wal_bytes: 0,
-        ..FileOptions::relaxed()
-    };
-    let mut store = FileStore::open(&dir, opts).unwrap();
+    let mut store = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
     for i in 0..12u64 {
         store.put(i, &[i as u8; 24]);
     }

@@ -227,6 +227,55 @@ fn punctures_after_restore_survive_a_second_restart() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A fleet that punctured nothing since its last checkpoint has nothing
+/// to fold: the second of two back-to-back persists rewrites no block
+/// segment (same inode, same bytes), and the snapshot still restores.
+#[test]
+fn repersist_without_punctures_leaves_segments_untouched() {
+    use std::os::unix::fs::MetadataExt;
+
+    let (mut d, client, artifact, mut rng) = provision_and_backup(SEED ^ 6);
+    let dir = tmpdir("repersist");
+    let mut seal_rng = StdRng::seed_from_u64(0x5EA7);
+    d.persist(&dir, FileOptions::relaxed(), &mut seal_rng)
+        .unwrap();
+    drop(d);
+    let (mut restored, _) = Deployment::restore_from(&dir, FileOptions::relaxed()).unwrap();
+    let outcome = restored
+        .recover(&client, b"493201", &artifact, &mut rng)
+        .unwrap();
+    assert_eq!(outcome.message, b"the disk encryption key");
+
+    let segments = || -> Vec<(u64, Vec<u8>)> {
+        (0..8)
+            .map(|id| {
+                let path = dir.join(format!("blocks/hsm-{id}/segment.bin"));
+                let inode = std::fs::metadata(&path).unwrap().ino();
+                (inode, std::fs::read(&path).unwrap())
+            })
+            .collect()
+    };
+    // The first persist folds the recovery's punctures into the segments.
+    restored
+        .persist(&dir, FileOptions::relaxed(), &mut seal_rng)
+        .unwrap();
+    let folded = segments();
+    restored
+        .persist(&dir, FileOptions::relaxed(), &mut seal_rng)
+        .unwrap();
+    assert_eq!(segments(), folded, "an empty WAL leaves the segment alone");
+    drop(restored);
+
+    let (mut again, _) = Deployment::restore_from(&dir, FileOptions::relaxed()).unwrap();
+    assert!(
+        again
+            .recover(&client, b"493201", &artifact, &mut rng)
+            .is_err(),
+        "the punctures survive both persists"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The engine's durability boundary: a multi-user wave's punctures are
 /// group-committed **before** any share leaves a device. Kill the
 /// process between the batch commit and the responses being delivered,

@@ -348,70 +348,3 @@ fn provider_messages_roundtrip_through_envelopes() {
         other => panic!("unexpected message: {other:?}"),
     }
 }
-
-/// A delay schedule restricted to a message class that never appears in
-/// the workload charges no simulated seconds, while the same plan aimed
-/// at recovery replies does: targeting actually targets.
-#[test]
-fn delay_schedule_charges_only_targeted_classes() {
-    use safetypin::proto::{ClassSet, FaultDirection, Faulty, MessageClass};
-
-    let run = |classes: ClassSet| {
-        let plan = FaultPlan::default()
-            .with_delay(1.0, 0.25)
-            .delay_only(FaultDirection::Response, classes);
-        let transport = Faulty::new(Box::new(Direct::new()), plan, SEED + 7);
-        let (mut d, mut rng) = deployment_with(Box::new(transport), 4, SEED + 7);
-        let mut client = d.new_client(b"delay-user").unwrap();
-        let artifact = client
-            .backup(b"90210", b"delayed key", 0, &mut rng)
-            .unwrap();
-        d.save(b"delay-user", b"90210", b"delayed key", &mut rng)
-            .unwrap();
-        let out = d.recover(&client, b"90210", &artifact, &mut rng).unwrap();
-        assert_eq!(out.message, b"delayed key");
-        d.datacenter.transport_stats().seconds
-    };
-
-    // No maintenance traffic flows during save/recover, so a schedule
-    // aimed there delays nothing; aimed at recovery replies, every
-    // share response pays the toll.
-    assert_eq!(run(ClassSet::just(MessageClass::Maintenance)), 0.0);
-    assert!(run(ClassSet::just(MessageClass::Recovery)) > 0.0);
-}
-
-/// The documented seeded-replay guarantee: attaching a delay schedule
-/// to a lossy plan must not perturb which messages get dropped — the
-/// fate generator consumes the RNG identically either way.
-#[test]
-fn delay_targeting_never_perturbs_drop_outcomes() {
-    use safetypin::proto::{ClassSet, FaultDirection, Faulty, MessageClass};
-
-    let run = |targeted: bool| {
-        let mut plan = FaultPlan::drop(0.2);
-        if targeted {
-            plan = plan.with_delay(0.5, 0.01).delay_only(
-                FaultDirection::Response,
-                ClassSet::just(MessageClass::Recovery),
-            );
-        }
-        let transport = Faulty::new(Box::new(Direct::new()), plan, SEED + 8);
-        let (mut d, mut rng) = deployment_with(Box::new(transport), 4, SEED + 8);
-        let mut client = d.new_client(b"replay-user").unwrap();
-        let artifact = client.backup(b"55555", b"replayed", 0, &mut rng).unwrap();
-        let saved = d
-            .save(b"replay-user", b"55555", b"replayed", &mut rng)
-            .is_ok();
-        let recovered = d
-            .recover(&client, b"55555", &artifact, &mut rng)
-            .map(|out| out.message)
-            .ok();
-        (saved, recovered, d.datacenter.transport_stats().dropped)
-    };
-
-    let (saved_plain, recovered_plain, dropped_plain) = run(false);
-    let (saved_targeted, recovered_targeted, dropped_targeted) = run(true);
-    assert_eq!(saved_plain, saved_targeted);
-    assert_eq!(recovered_plain, recovered_targeted);
-    assert_eq!(dropped_plain, dropped_targeted);
-}
