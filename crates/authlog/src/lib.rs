@@ -44,6 +44,6 @@ pub mod membership;
 pub mod trie;
 
 pub use distributed::{AuditError, ChunkAudit, EpochUpdate, UpdateMessage};
-pub use log::{Log, LogEntry, LogError, LogSnapshot};
+pub use log::{Log, LogEntry, LogError};
 pub use membership::{MembershipEvent, Roster};
 pub use trie::{ExtensionProof, InclusionProof, MerkleTrie, TrieError};

@@ -7,9 +7,7 @@
 //! current log and starts a fresh one; HSMs bound how many times they will
 //! follow a GC (see the HSM crate).
 
-use safetypin_primitives::error::WireError;
 use safetypin_primitives::hashes::Hash256;
-use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 
 use crate::trie::{ExtensionProof, InclusionProof, InsertStep, MerkleTrie, TrieError};
 
@@ -23,22 +21,6 @@ pub struct LogEntry {
     pub value: Vec<u8>,
 }
 
-impl Encode for LogEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.id);
-        w.put_bytes(&self.value);
-    }
-}
-
-impl Decode for LogEntry {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            id: r.get_bytes()?.to_vec(),
-            value: r.get_bytes()?.to_vec(),
-        })
-    }
-}
-
 /// Errors from log operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogError {
@@ -46,9 +28,6 @@ pub enum LogError {
     DuplicateIdentifier,
     /// Internal dictionary failure.
     Trie(TrieError),
-    /// A snapshot's fields contradict each other (e.g. more pending
-    /// insertions than entries).
-    InvalidSnapshot(&'static str),
 }
 
 impl core::fmt::Display for LogError {
@@ -56,7 +35,6 @@ impl core::fmt::Display for LogError {
         match self {
             LogError::DuplicateIdentifier => write!(f, "identifier already defined in log"),
             LogError::Trie(e) => write!(f, "dictionary error: {e}"),
-            LogError::InvalidSnapshot(why) => write!(f, "invalid log snapshot: {why}"),
         }
     }
 }
@@ -165,7 +143,7 @@ impl Log {
     /// one at a time (the digest is a function of the entry *set*).
     ///
     /// Entries and pending steps are recorded in the batch's application
-    /// (path) order, so a snapshot replay reproduces the identical log.
+    /// (path) order.
     pub fn insert_many(&mut self, items: &[(Vec<u8>, Vec<u8>)]) -> Vec<Result<(), LogError>> {
         let batch = self.trie.insert_batch(items);
         let mut results: Vec<Option<Result<InsertStep, TrieError>>> =
@@ -215,21 +193,34 @@ impl Log {
     }
 
     /// [`cut_epoch`](Self::cut_epoch), also returning the post-chunk
-    /// boundary digests `d_1 … d_K` (`d_K = d'`) read off the digest marks
-    /// recorded at insert time — the provider can certify the epoch
+    /// boundary digests `d_1 … d_K` (`d_K = d'`): [`plan_epoch`] followed
+    /// at once by [`mark_certified`].
+    ///
+    /// [`plan_epoch`]: Self::plan_epoch
+    /// [`mark_certified`]: Self::mark_certified
+    pub fn cut_epoch_certified(&mut self, chunks: usize) -> (EpochCut, Vec<Hash256>) {
+        let planned = self.plan_epoch(chunks);
+        self.mark_certified();
+        planned
+    }
+
+    /// Computes the epoch cut **without mutating the log**: the pending
+    /// insertions split into `chunks` extension proofs, plus the
+    /// post-chunk boundary digests read off the digest marks recorded at
+    /// insert time — the provider can certify the epoch
     /// ([`crate::distributed::EpochUpdate::from_certified`]) without
-    /// replaying a single pending step.
+    /// replaying a single pending step. A certification that fails
+    /// leaves the log exactly as it was, so the next attempt plans the
+    /// same pending insertions again; one that succeeds is committed
+    /// with [`mark_certified`](Self::mark_certified).
     ///
     /// Chunk boundaries are the ideal near-equal split snapped forward to
     /// the nearest mark: identical to the equal split when every step has
     /// a mark (serial inserts), wave-aligned after batched inserts.
-    pub fn cut_epoch_certified(&mut self, chunks: usize) -> (EpochCut, Vec<Hash256>) {
-        let old = self
-            .last_epoch_digest
-            .unwrap_or_else(MerkleTrie::empty_digest);
+    pub fn plan_epoch(&self, chunks: usize) -> (EpochCut, Vec<Hash256>) {
+        let old = self.certified_digest();
         let new = self.digest();
-        let steps = std::mem::take(&mut self.pending);
-        let marks = std::mem::take(&mut self.marks);
+        let (steps, marks) = (&self.pending, &self.marks);
         let chunks = chunks.max(1);
         let per = steps.len().div_ceil(chunks).max(1);
         let digest_at = |pos: usize| -> Hash256 {
@@ -269,7 +260,6 @@ impl Log {
             digests.push(digest_at(end));
             start = end;
         }
-        self.last_epoch_digest = Some(new);
         (
             EpochCut {
                 old_digest: old,
@@ -278,6 +268,22 @@ impl Log {
             },
             digests,
         )
+    }
+
+    /// Commits a cut: every pending insertion is now certified, and the
+    /// next epoch chains from the current digest.
+    pub fn mark_certified(&mut self) {
+        self.pending.clear();
+        self.marks.clear();
+        self.last_epoch_digest = Some(self.digest());
+    }
+
+    /// The digest as of the last certified cut (the empty digest before
+    /// the first, and again after a garbage collection) — what every
+    /// in-sync HSM holds.
+    pub fn certified_digest(&self) -> Hash256 {
+        self.last_epoch_digest
+            .unwrap_or_else(MerkleTrie::empty_digest)
     }
 
     /// Garbage collection (§6.2): archives the current entries and resets
@@ -296,74 +302,6 @@ impl Log {
     /// All entries (for external auditors replaying the log, §6.3).
     pub fn entries(&self) -> &[LogEntry] {
         &self.entries
-    }
-
-    /// Captures the log's persistent state: the entry list plus the two
-    /// scalars the trie cannot rederive from it (how many trailing
-    /// insertions are not yet covered by an epoch cut, and the
-    /// garbage-collection generation).
-    pub fn snapshot(&self) -> LogSnapshot {
-        LogSnapshot {
-            entries: self.entries.clone(),
-            pending: self.pending.len() as u64,
-            generation: self.generation,
-        }
-    }
-
-    /// Rebuilds a log from a snapshot by replaying every entry into a
-    /// fresh authenticated dictionary — insert steps are a deterministic
-    /// function of the insertion order, so the rebuilt trie, digest,
-    /// pending steps, and epoch-cut baseline are byte-identical to the
-    /// snapshotted log's.
-    pub fn from_snapshot(snapshot: LogSnapshot) -> Result<Self, LogError> {
-        if snapshot.pending > snapshot.entries.len() as u64 {
-            return Err(LogError::InvalidSnapshot(
-                "pending count exceeds entry count",
-            ));
-        }
-        let pending = snapshot.pending as usize;
-        let cut_at = snapshot.entries.len() - pending;
-        let mut log = Log::new();
-        log.generation = snapshot.generation;
-        for (i, entry) in snapshot.entries.iter().enumerate() {
-            log.insert(&entry.id, &entry.value)?;
-            if i + 1 == cut_at {
-                log.last_epoch_digest = Some(log.digest());
-                log.pending.clear();
-                log.marks.clear();
-            }
-        }
-        Ok(log)
-    }
-}
-
-/// Serializable persistent state of a [`Log`] (see [`Log::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogSnapshot {
-    /// All entries, in insertion order.
-    pub entries: Vec<LogEntry>,
-    /// How many trailing entries are pending (inserted after the last
-    /// epoch cut).
-    pub pending: u64,
-    /// Completed garbage collections.
-    pub generation: u64,
-}
-
-impl Encode for LogSnapshot {
-    fn encode(&self, w: &mut Writer) {
-        w.put_seq(&self.entries);
-        w.put_u64(self.pending);
-        w.put_u64(self.generation);
-    }
-}
-
-impl Decode for LogSnapshot {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            entries: r.get_seq()?,
-            pending: r.get_u64()?,
-            generation: r.get_u64()?,
-        })
     }
 }
 
@@ -460,46 +398,6 @@ mod tests {
         assert_ne!(c2.old_digest, c2.new_digest);
     }
 
-    #[test]
-    fn snapshot_roundtrip_mid_epoch() {
-        use safetypin_primitives::wire::{Decode, Encode};
-        let mut log = Log::new();
-        for i in 0..9 {
-            log.insert(format!("u{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        let _ = log.cut_epoch(2);
-        // Three more insertions pending mid-epoch.
-        for i in 9..12 {
-            log.insert(format!("u{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-        }
-        let snap = log.snapshot();
-        let decoded = LogSnapshot::from_bytes(&snap.to_bytes()).expect("snapshot wire roundtrip");
-        assert_eq!(decoded, snap);
-        let mut restored = Log::from_snapshot(decoded).unwrap();
-
-        assert_eq!(restored.digest(), log.digest());
-        assert_eq!(restored.pending_count(), 3);
-        assert_eq!(restored.generation(), log.generation());
-        assert_eq!(restored.entries(), log.entries());
-        // The next epoch cut must chain from the same baseline digest
-        // and cover exactly the pending insertions.
-        let a = log.cut_epoch(2);
-        let b = restored.cut_epoch(2);
-        assert_eq!(a.old_digest, b.old_digest);
-        assert_eq!(a.new_digest, b.new_digest);
-        assert_eq!(a.chunk_proofs.len(), b.chunk_proofs.len());
-        // Inclusion proofs keep verifying against the restored digest.
-        let proof = restored.prove_includes(b"u10", b"v10").unwrap();
-        assert!(MerkleTrie::does_include(
-            &restored.digest(),
-            b"u10",
-            b"v10",
-            &proof
-        ));
-    }
-
     fn wave(from: usize, n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         (from..from + n)
             .map(|i| (format!("w{i}").into_bytes(), format!("v{i}").into_bytes()))
@@ -539,29 +437,6 @@ mod tests {
         assert_eq!(out[2].as_ref().unwrap_err(), &LogError::DuplicateIdentifier);
         assert_eq!(log.len(), 2);
         assert_eq!(log.get(b"new"), Some(b"y".as_slice()));
-    }
-
-    #[test]
-    fn insert_many_snapshot_roundtrip() {
-        let mut log = Log::new();
-        log.insert_many(&wave(0, 9)).iter().for_each(|r| {
-            r.as_ref().unwrap();
-        });
-        let _ = log.cut_epoch(3);
-        log.insert_many(&wave(9, 7)).iter().for_each(|r| {
-            r.as_ref().unwrap();
-        });
-        log.insert(b"tail", b"t").unwrap();
-        let restored = Log::from_snapshot(log.snapshot()).unwrap();
-        assert_eq!(restored.digest(), log.digest());
-        assert_eq!(restored.pending_count(), log.pending_count());
-        assert_eq!(restored.entries(), log.entries());
-        // The restored log cuts to the same chain endpoints.
-        let mut restored = restored;
-        let a = log.cut_epoch(4);
-        let b = restored.cut_epoch(4);
-        assert_eq!(a.old_digest, b.old_digest);
-        assert_eq!(a.new_digest, b.new_digest);
     }
 
     #[test]
@@ -616,27 +491,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_with_impossible_pending_rejected() {
+    fn plan_epoch_leaves_the_log_uncut() {
+        // A plan is a pure read: planning twice yields the same cut, the
+        // pending insertions stay pending, and only `mark_certified`
+        // advances the baseline the next epoch chains from.
         let mut log = Log::new();
         log.insert(b"a", b"1").unwrap();
-        let mut snap = log.snapshot();
-        snap.pending = 2; // claims more pending than entries exist
-        assert!(matches!(
-            Log::from_snapshot(snap),
-            Err(LogError::InvalidSnapshot(_))
-        ));
-    }
+        log.insert_many(&wave(0, 5)).iter().for_each(|r| {
+            r.as_ref().unwrap();
+        });
+        let (first, first_digests) = log.plan_epoch(3);
+        let (again, again_digests) = log.plan_epoch(3);
+        assert_eq!(first.chunk_proofs, again.chunk_proofs);
+        assert_eq!(first_digests, again_digests);
+        assert_eq!(log.pending_count(), 6);
+        assert_eq!(log.certified_digest(), MerkleTrie::empty_digest());
 
-    #[test]
-    fn snapshot_roundtrip_after_gc() {
-        let mut log = Log::new();
-        log.insert(b"a", b"1").unwrap();
-        log.garbage_collect();
-        log.insert(b"b", b"2").unwrap();
-        let restored = Log::from_snapshot(log.snapshot()).unwrap();
-        assert_eq!(restored.generation(), 1);
-        assert_eq!(restored.len(), 1);
-        assert_eq!(restored.digest(), log.digest());
+        log.mark_certified();
+        assert_eq!(log.pending_count(), 0);
+        assert_eq!(log.certified_digest(), first.new_digest);
+        let (next, _) = log.plan_epoch(3);
+        assert_eq!(next.old_digest, first.new_digest);
+        assert!(next.chunk_proofs.iter().all(|p| p.steps.is_empty()));
     }
 
     #[test]

@@ -141,6 +141,16 @@ impl BlockStore for SharedStore {
     }
 }
 
+impl safetypin_store::SnapshotBlocks for SharedStore {
+    fn checkpoint_into(
+        &mut self,
+        dir: &std::path::Path,
+        opts: safetypin_store::FileOptions,
+    ) -> Result<(), safetypin_store::StoreError> {
+        self.lock().checkpoint_into(dir, opts)
+    }
+}
+
 /// The scenario harness: one deployment, one step clock, one plan.
 ///
 /// Traffic goes through [`call`](Self::call) (or the closure from

@@ -34,8 +34,8 @@
 //!   retry/backoff wrapper;
 //! * the **resilience plane** (exercised, not defined, here): the
 //!   [`Retrying`](safetypin_client::retry::Retrying) endpoint's
-//!   idempotency-aware retries and the daemon's watchdog/`DEGRADED`
-//!   self-healing.
+//!   idempotency-aware retries and the daemon's bounded lock wait
+//!   (typed `DEGRADED` refusals instead of queueing behind a stall).
 //!
 //! ## Determinism
 //!

@@ -10,7 +10,7 @@
 //! | `crash-restart-churn` | persist/reopen frames + torn WAL commit | log digest stable, exactly the pre-crash prefix survives |
 //! | `corrupted-wire-storm` | drop+corrupt on the client hop, retries on | acked saves observed exactly once, ledger == telemetry |
 //! | `exhaustion-rotation-under-load` | puncture budget spent, rotation mid-load | rotation resets the budget, post-rotation traffic byte-identical |
-//! | `drain-during-storm` | live daemon wedged past its watchdog, drained, restarted | DEGRADED trips + heals, every acked save durable exactly once |
+//! | `drain-during-storm` | live daemon wedged past its request budget, drained, restarted | typed DEGRADED refusals during the wedge, service resumes after it, every acked save durable exactly once |
 
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ use safetypin_client::remote::{self, RemoteError};
 use safetypin_client::retry::{RetryPolicy, Retrying};
 use safetypin_client::BackupArtifact;
 use safetypin_daemon::{Daemon, DaemonConfig, DaemonError};
-use safetypin_proto::{FaultPlan, ProviderRequest, ProviderResponse, Tcp, TcpConfig};
+use safetypin_proto::{codes, FaultPlan, ProviderRequest, ProviderResponse, Tcp, TcpConfig};
 use safetypin_provider::save_record;
 use safetypin_store::{CrashingStore, Durability, FileOptions};
 
@@ -367,8 +367,10 @@ pub fn guessing_storm_burns_exactly_n(seed: u64) -> Result<ScenarioReport, Chaos
 
 /// Part one: a persistent fleet is persisted and reopened between
 /// frames of save/kill/epoch churn — the log digest must survive every
-/// restart and every artifact must stay recoverable at the end. Part
-/// two: the provider-log WAL suffers a torn write on its Nth commit
+/// restart — then serves recoveries and is killed *without* a persist:
+/// the served users must stay refused, the puncture counters must not
+/// move, and every bystander must still recover byte-identical. Part
+/// two: the provider's journal suffers a torn write on its Nth commit
 /// ([`CrashingStore::on_nth_commit`]); replaying the WAL into a fresh
 /// fleet must yield **exactly** the pre-crash prefix, and the revived
 /// fleet must accept fresh saves.
@@ -430,8 +432,56 @@ pub fn crash_restart_churn(seed: u64) -> Result<ScenarioReport, ChaosError> {
         );
         h = Harness::from_deployment(reopened, ChaosPlan::new(), mix(seed, 310 + frame));
     }
+    // The kill frame: the live fleet serves recoveries for the first
+    // three users, then dies **without persisting** — whatever its
+    // commits left on disk is all the next boot gets.
+    const SERVED: usize = 3;
     let mut recovered = 0u64;
-    for i in 0..artifacts.len() {
+    for i in 0..SERVED {
+        let artifact = required(&artifacts, i)?;
+        let (outcome, _) = recover_solo(&mut h, i, &pin(i), artifact, policy, &mut rng)?;
+        if matches!(outcome, Ok(plaintext) if plaintext == secret(i)) {
+            recovered += 1;
+        }
+    }
+    let punctures = |d: &Deployment<safetypin_store::FileStore>| -> Vec<u64> {
+        (0..params.total())
+            .map(|id| d.datacenter.hsm(id).map_or(0, |hsm| hsm.punctures()))
+            .collect()
+    };
+    let punctures_before = punctures(&h.deployment);
+    let digest_before = h.deployment.datacenter.log_digest();
+    h.note_restart();
+    restarts += 1;
+    let (ledger, injections) = h.settle();
+    report.ledger.absorb(ledger);
+    report.injections.restarts += injections.restarts;
+    drop(h);
+    let (reopened, _meta) = Deployment::restore_from(&dir, FileOptions::default())
+        .map_err(safetypin::DeploymentError::from)?;
+    report.check(
+        "log digest and puncture counters survived the kill",
+        reopened.datacenter.log_digest() == digest_before
+            && punctures(&reopened) == punctures_before,
+        format!("punctures per HSM {punctures_before:?}"),
+    );
+    let mut h = Harness::from_deployment(reopened, ChaosPlan::new(), mix(seed, 315));
+    let mut refused = 0u64;
+    for i in 0..SERVED {
+        let artifact = required(&artifacts, i)?;
+        let (outcome, _) = recover_solo(&mut h, i, &pin(i), artifact, policy, &mut rng)?;
+        if matches!(outcome, Err(RemoteError::Refused(_))) {
+            refused += 1;
+        }
+    }
+    report.check_eq(
+        "served users stay refused after the kill",
+        refused,
+        SERVED as u64,
+    );
+    // The bystanders — saved on the same devices, never recovered —
+    // are all still there.
+    for i in SERVED..artifacts.len() {
         let artifact = required(&artifacts, i)?;
         let (outcome, _) = recover_solo(&mut h, i, &pin(i), artifact, policy, &mut rng)?;
         if matches!(outcome, Ok(plaintext) if plaintext == secret(i)) {
@@ -439,11 +489,11 @@ pub fn crash_restart_churn(seed: u64) -> Result<ScenarioReport, ChaosError> {
         }
     }
     report.check_eq(
-        "every artifact recovered byte-identical after 3 restarts",
+        "every artifact recovered byte-identical after 3 restarts and a kill",
         recovered,
         artifacts.len() as u64,
     );
-    report.check_eq("restarts recorded", restarts, 3);
+    report.check_eq("restarts recorded", restarts, 4);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Part two: a torn write on the 4th WAL commit.
@@ -718,12 +768,12 @@ pub fn exhaustion_rotation_under_load(seed: u64) -> Result<ScenarioReport, Chaos
 
 /// The only wall-clock scenario: a real `safetypind` serves a
 /// multi-threaded save storm over TCP while its fleet mutex is wedged
-/// past the watchdog budget (typed `DEGRADED`, self-heal), then the
-/// daemon drains and restarts from its snapshot. Thread interleaving is
+/// past the request budget (typed `DEGRADED` refusals), then the
+/// daemon drains and restarts from its store. Thread interleaving is
 /// not deterministic, so the invariants are the ones that must hold
-/// under *any* interleaving: the watchdog trips and heals, and every
-/// save the storm saw acked is durable — exactly once, byte-identical —
-/// across the restart.
+/// under *any* interleaving: requests were refused typed during the
+/// wedge, service resumed after it, and every save the storm saw acked
+/// is durable — exactly once, byte-identical — across the restart.
 pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
@@ -735,8 +785,7 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
         .durability(Durability::Relaxed)
         .seed(mix(seed, 601))
         .io_timeout(Duration::from_secs(5))
-        .request_timeout(Duration::from_millis(250))
-        .watchdog_budget(Duration::from_millis(120));
+        .request_timeout(Duration::from_millis(250));
     let handle = Daemon::bind(config).map_err(daemon_err)?;
     let addr = handle.addr().to_string();
 
@@ -747,8 +796,9 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
             other => Err(ChaosError::Check(format!("metrics scrape got {other:?}"))),
         }
     };
-    let trips_before = scrape(&mut control, "daemon.watchdog.trips")?;
-    let heals_before = scrape(&mut control, "daemon.watchdog.heals")?;
+    let refused_before = scrape(&mut control, "daemon.refused.degraded")?;
+    // Warm the status cache: it is what answers while the fleet is held.
+    control.call(ProviderRequest::Status)?;
 
     // Three client threads storm saves through the retry layer; every
     // artifact the daemon acks is recorded with its encoded bytes.
@@ -774,7 +824,7 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
             };
             let mut ep = Retrying::new(tcp, policy);
             let mut k = 0usize;
-            while !stop.load(Ordering::Relaxed) && k < 40 {
+            while !stop.load(Ordering::Relaxed) && k < 400 {
                 let i = 1000 * (t + 1) + k;
                 let connected = remote::connect(&mut ep, &user(i));
                 if let Ok(mut client) = connected {
@@ -793,9 +843,24 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
         }));
     }
 
-    // Mid-storm: wedge the fleet mutex well past the watchdog budget.
+    // Mid-storm: wedge the fleet mutex well past the request budget.
     std::thread::sleep(Duration::from_millis(100));
-    let wedge = handle.inject_wedge(Duration::from_millis(600));
+    let wedge = handle.inject_wedge(Duration::from_millis(800));
+    std::thread::sleep(Duration::from_millis(50));
+    // The wedged fleet refuses typed after the request budget — never a
+    // hung or dropped connection — and still explains itself.
+    let probe = control.call(ProviderRequest::FetchBackup { username: user(0) })?;
+    report.check(
+        "a fleet request during the wedge is refused DEGRADED",
+        matches!(&probe, ProviderResponse::Error(e) if e.code == codes::DEGRADED),
+        format!("{probe:?}"),
+    );
+    let status = control.call(ProviderRequest::Status)?;
+    report.check(
+        "status still answers during the wedge",
+        matches!(status, ProviderResponse::Status(_)),
+        "served from the status cache",
+    );
     let _ = wedge.join();
     std::thread::sleep(Duration::from_millis(300));
     stop.store(true, Ordering::Relaxed);
@@ -803,34 +868,39 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
         let _ = worker.join();
     }
 
-    let mut healed = false;
-    for _ in 0..300 {
-        if !handle.is_degraded() {
-            healed = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
+    let refused_after = scrape(&mut control, "daemon.refused.degraded")?;
+    report.check(
+        "requests were refused typed during the wedge",
+        refused_after > refused_before,
+        format!("daemon.refused.degraded {refused_before} -> {refused_after}"),
+    );
+    // The wedge is gone: a fresh save goes straight through, and joins
+    // the acked set the restart is audited against.
+    const AFTER_WEDGE: usize = 9000;
+    let mut rng = StdRng::seed_from_u64(mix(seed, 630));
+    let resumed = remote::connect(&mut control, &user(AFTER_WEDGE)).and_then(|mut client| {
+        remote::save(
+            &mut control,
+            &mut client,
+            &pin(AFTER_WEDGE),
+            &secret(AFTER_WEDGE),
+            &mut rng,
+        )
+    });
+    report.check(
+        "service resumed after the wedge",
+        resumed.is_ok(),
+        "a save on the control connection",
+    );
+    if let Ok(artifact) = &resumed {
+        acked
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((AFTER_WEDGE, remote::encode_artifact(artifact)));
     }
-    report.check(
-        "the daemon healed after the wedge",
-        healed,
-        "is_degraded stayed set",
-    );
-    let trips_after = scrape(&mut control, "daemon.watchdog.trips")?;
-    let heals_after = scrape(&mut control, "daemon.watchdog.heals")?;
-    report.check(
-        "the watchdog tripped during the wedge",
-        trips_after > trips_before,
-        format!("trips {trips_before} -> {trips_after}"),
-    );
-    report.check(
-        "the watchdog recorded its heal",
-        heals_after > heals_before,
-        format!("heals {heals_before} -> {heals_after}"),
-    );
     drop(control);
 
-    // Drain, then restart from the snapshot the drain persisted.
+    // Drain, then restart from the store.
     handle.shutdown().map_err(daemon_err)?;
     report.injections.restarts += 1;
     let handle = Daemon::bind(

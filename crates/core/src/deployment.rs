@@ -199,7 +199,7 @@ impl RecoveryOutcome {
 ///
 /// Generic over the outsourced-block backend `S` (see
 /// [`Datacenter`]): freshly provisioned fleets default to in-memory
-/// [`MemStore`]s; [`Deployment::restore_from`] brings a persisted fleet
+/// [`MemStore`]s; [`Deployment::restore_from`] brings an on-disk fleet
 /// back live on crash-safe [`FileStore`]s.
 pub struct Deployment<S: BlockStore = MemStore> {
     /// Deployment parameters.
@@ -241,8 +241,8 @@ impl Deployment<MemStore> {
 /// * [`provision`](Self::provision) — a fresh in-memory fleet
 ///   ([`Deployment<MemStore>`]);
 /// * [`open`](Self::open) — a persistent fleet at
-///   [`store_dir`](Self::store_dir): restores the snapshot if one
-///   exists, otherwise provisions and persists a fresh one, either way
+///   [`store_dir`](Self::store_dir): restores the fleet if one exists
+///   there, otherwise provisions and persists a fresh one, either way
 ///   running live on crash-safe [`FileStore`]s. This is what
 ///   `safetypind` boots from.
 pub struct DeploymentBuilder {
@@ -284,7 +284,7 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Snapshot directory for [`open`](Self::open).
+    /// Store directory for [`open`](Self::open).
     pub fn store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store_dir = Some(dir.into());
         self
@@ -316,7 +316,7 @@ impl DeploymentBuilder {
     }
 
     /// Opens the persistent deployment at [`store_dir`](Self::store_dir):
-    /// restores the snapshot if one exists (verifying its protocol
+    /// restores the fleet if one exists there (verifying its protocol
     /// version and that it was provisioned under exactly `params`),
     /// otherwise provisions a fresh fleet and persists it first. Either
     /// way the returned deployment runs live on crash-safe
@@ -338,7 +338,7 @@ impl DeploymentBuilder {
         // count must not silently keep serving its old parameters.
         if deployment.params.to_bytes() != self.params.to_bytes() {
             return Err(DeploymentError::Store(StoreError::Inconsistent(
-                "snapshot parameters disagree with the builder's",
+                "stored parameters disagree with the builder's",
             )));
         }
         if let Some(transport) = self.transport {
@@ -550,13 +550,15 @@ impl<S: BlockStore + Send> Deployment<S> {
 }
 
 impl<S: SnapshotBlocks + Send> Deployment<S> {
-    /// Persists the whole deployment into `dir`: the system parameters,
-    /// the provider's plaintext state, each HSM's sealed trusted state
-    /// plus checkpointed block files, the device keyring, and a
-    /// versioned snapshot-metadata envelope (see
-    /// [`Datacenter::persist`]). `rng` feeds sealing only — protocol
-    /// state is untouched, so persisting mid-recovery or mid-epoch is
-    /// always safe.
+    /// Checkpoints the whole deployment into `dir`: every block store
+    /// (each HSM's array and sealed state, the provider's journal), the
+    /// device keyring, a versioned metadata envelope (see
+    /// [`Datacenter::persist`]) and — last, because its presence is what
+    /// [`DeploymentBuilder::open`] takes for "a fleet lives here" — the
+    /// system parameters. A fleet already running on `dir` was
+    /// restorable before the call and merely reopens faster after it.
+    /// `rng` feeds sealing only — protocol state is untouched, so
+    /// persisting mid-recovery or mid-epoch is always safe.
     pub fn persist<R: RngCore + CryptoRng>(
         &mut self,
         dir: &std::path::Path,
@@ -564,19 +566,20 @@ impl<S: SnapshotBlocks + Send> Deployment<S> {
         rng: &mut R,
     ) -> Result<SnapshotMeta, StoreError> {
         use safetypin_primitives::wire::Encode;
-        std::fs::create_dir_all(dir)?;
+        let meta = self.datacenter.persist(dir, opts, rng)?;
         safetypin_store::write_atomic(
             &dir.join("params.bin"),
             &self.params.to_bytes(),
             opts.durability,
         )?;
-        self.datacenter.persist(dir, opts, rng)
+        Ok(meta)
     }
 }
 
 impl Deployment<FileStore> {
-    /// Restores a persisted deployment from `dir`, running live on the
-    /// snapshot's crash-safe block files. The snapshot's protocol
+    /// Restores the deployment stored in `dir`, running live on its
+    /// crash-safe block files — whether or not it was
+    /// [`persist`](Self::persist)ed since its last commit. The protocol
     /// version is checked before any sealed state is opened
     /// ([`StoreError::VersionMismatch`] on a mismatch), and the restored
     /// fleet completes in-flight work — a recovery whose attempt was
@@ -592,7 +595,7 @@ impl Deployment<FileStore> {
         let (datacenter, meta) = Datacenter::restore_from(dir, opts)?;
         if meta.fleet_size != params.total() {
             return Err(StoreError::Inconsistent(
-                "snapshot fleet size disagrees with persisted parameters",
+                "stored fleet size disagrees with persisted parameters",
             ));
         }
         Ok((Self { params, datacenter }, meta))

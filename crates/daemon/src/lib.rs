@@ -24,15 +24,16 @@
 //!   with [`codes::RATE_LIMITED`];
 //! * draining — after a [`ProviderRequest::Shutdown`], new work gets
 //!   [`codes::SHUTTING_DOWN`] (status queries still answer, reporting
-//!   `draining: true`), in-flight connections finish, and the fleet is
-//!   persisted before the accept thread exits;
-//! * self-healing — a watchdog thread watches how long the fleet mutex
-//!   has been held; past [`DaemonConfig::watchdog_budget`] the daemon
-//!   goes *degraded* (fleet work refused with [`codes::DEGRADED`],
-//!   status served from cache, metrics and shutdown lock-free), and
-//!   when the stall clears it persists the fleet and resumes. Each
-//!   request also waits at most [`DaemonConfig::request_timeout`] for
-//!   the mutex before refusing typed instead of queueing forever.
+//!   `draining: true`), in-flight connections finish, and the fleet's
+//!   stores are checkpointed before the accept thread exits (a
+//!   convenience: the store directory is restorable after every commit,
+//!   so a `kill -9` loses nothing an ack covered);
+//! * bounded waits — a request waits at most
+//!   [`DaemonConfig::request_timeout`] for the fleet mutex, then is
+//!   refused with [`codes::DEGRADED`] instead of queueing forever
+//!   behind a wedged fleet operation; status is then served from
+//!   cache, and metrics and shutdown never touch the mutex, so a
+//!   stalled fleet still explains itself.
 //!
 //! The `safetypind` and `safetypin-cli` binaries are thin argument
 //! parsers over these pieces.
@@ -79,7 +80,7 @@ pub enum DaemonError {
     Io(std::io::Error),
     /// Provisioning or restoring the fleet failed.
     Deployment(DeploymentError),
-    /// Persisting the fleet on shutdown failed.
+    /// Checkpointing the fleet on shutdown failed.
     Store(StoreError),
     /// A wire-level failure while talking to a daemon.
     Proto(ProtoError),
@@ -140,9 +141,9 @@ impl From<ProtoError> for DaemonError {
 pub struct DaemonConfig {
     /// The listen address (`host:port`; port `0` picks one).
     pub listen: String,
-    /// Snapshot directory (created and populated on first boot).
+    /// Store directory (created and populated on first boot).
     pub store_dir: PathBuf,
-    /// Fleet parameters; must match an existing snapshot's fleet.
+    /// Fleet parameters; must match the fleet already stored there.
     pub params: SystemParams,
     /// Block-file tuning for the live [`FileStore`]s.
     pub file_options: FileOptions,
@@ -160,12 +161,6 @@ pub struct DaemonConfig {
     /// refused with [`codes::DEGRADED`] instead of queueing behind a
     /// stall.
     pub request_timeout: Duration,
-    /// How long the fleet mutex may be *held* before the watchdog trips
-    /// the daemon into degraded mode (fleet work refused with
-    /// [`codes::DEGRADED`], control plane still answering); once the
-    /// stall clears, the watchdog persists the fleet and resumes
-    /// service.
-    pub watchdog_budget: Duration,
     /// Seed for first-boot provisioning (restores ignore it). Two
     /// daemons booted fresh from the same seed and parameters serve
     /// byte-identical fleets.
@@ -185,7 +180,6 @@ impl DaemonConfig {
             rate_limit: 0,
             io_timeout: Duration::from_secs(30),
             request_timeout: Duration::from_secs(30),
-            watchdog_budget: Duration::from_secs(10),
             seed: 0,
         }
     }
@@ -226,12 +220,6 @@ impl DaemonConfig {
         self
     }
 
-    /// Sets the watchdog's mutex-hold budget.
-    pub fn watchdog_budget(mut self, budget: Duration) -> Self {
-        self.watchdog_budget = budget;
-        self
-    }
-
     /// Sets the first-boot provisioning seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -261,8 +249,6 @@ struct DaemonMeters {
     refused_overloaded: Arc<safetypin_telemetry::Counter>,
     refused_shutting_down: Arc<safetypin_telemetry::Counter>,
     refused_degraded: Arc<safetypin_telemetry::Counter>,
-    watchdog_trips: Arc<safetypin_telemetry::Counter>,
-    watchdog_heals: Arc<safetypin_telemetry::Counter>,
     connections: Arc<safetypin_telemetry::Gauge>,
 }
 
@@ -277,8 +263,6 @@ impl DaemonMeters {
             refused_overloaded: registry.counter("daemon.refused.overloaded"),
             refused_shutting_down: registry.counter("daemon.refused.shutting_down"),
             refused_degraded: registry.counter("daemon.refused.degraded"),
-            watchdog_trips: registry.counter("daemon.watchdog.trips"),
-            watchdog_heals: registry.counter("daemon.watchdog.heals"),
             connections: registry.gauge("daemon.connections"),
         }
     }
@@ -288,18 +272,6 @@ struct Shared {
     world: Mutex<World>,
     addr: SocketAddr,
     draining: AtomicBool,
-    /// Tripped by the watchdog when the fleet mutex has been held past
-    /// [`DaemonConfig::watchdog_budget`]; fleet work is refused with
-    /// [`codes::DEGRADED`] until the watchdog heals (persists) the
-    /// fleet.
-    degraded: AtomicBool,
-    /// Set once the accept loop is done; stops the watchdog thread.
-    stopped: AtomicBool,
-    /// Milliseconds since `epoch`, plus one, at which the current fleet
-    /// mutex holder acquired it (`0` = the mutex is free) — what the
-    /// watchdog reads to measure hold time without touching the mutex.
-    held_since: AtomicU64,
-    epoch: Instant,
     active: AtomicU64,
     served: AtomicU64,
     rejected: AtomicU64,
@@ -307,7 +279,6 @@ struct Shared {
     rate_limit: u32,
     io_timeout: Duration,
     request_timeout: Duration,
-    watchdog_budget: Duration,
     store_dir: PathBuf,
     file_options: FileOptions,
     /// The last fleet status successfully read; served (with live
@@ -317,65 +288,23 @@ struct Shared {
     meters: DaemonMeters,
 }
 
-/// A fleet-mutex guard that publishes its hold window to the watchdog:
-/// acquisition stamps [`Shared::held_since`], drop clears it.
-struct WorldGuard<'a> {
-    guard: MutexGuard<'a, World>,
-    shared: &'a Shared,
-}
-
-impl std::ops::Deref for WorldGuard<'_> {
-    type Target = World;
-    fn deref(&self) -> &World {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for WorldGuard<'_> {
-    fn deref_mut(&mut self) -> &mut World {
-        &mut self.guard
-    }
-}
-
-impl Drop for WorldGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.held_since.store(0, Ordering::SeqCst);
-    }
-}
-
 impl Shared {
-    fn hold<'a>(&'a self, guard: MutexGuard<'a, World>, waited: Instant) -> WorldGuard<'a> {
-        self.meters.lock_wait.record_duration(waited.elapsed());
-        self.held_since.store(
-            self.epoch.elapsed().as_millis() as u64 + 1,
-            Ordering::SeqCst,
-        );
-        WorldGuard {
-            guard,
-            shared: self,
-        }
-    }
-
-    fn world(&self) -> WorldGuard<'_> {
+    fn world(&self) -> MutexGuard<'_, World> {
         // A panic while holding the lock poisons it; the fleet state
         // itself is guarded by its own WAL discipline, so serving
         // beats refusing everything forever.
-        let start = Instant::now();
-        let guard = self.world.lock().unwrap_or_else(|e| e.into_inner());
-        self.hold(guard, start)
+        self.world.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Bounded acquisition: spins on `try_lock` for at most `patience`,
     /// returning `None` (caller refuses typed, never wedges) if the
-    /// mutex stays held — the per-request half of the watchdog story.
-    fn try_world(&self, patience: Duration) -> Option<WorldGuard<'_>> {
+    /// mutex stays held. The wait lands in `daemon.lock_wait`.
+    fn try_world(&self, patience: Duration) -> Option<MutexGuard<'_, World>> {
         let start = Instant::now();
-        loop {
+        let guard = loop {
             match self.world.try_lock() {
-                Ok(guard) => return Some(self.hold(guard, start)),
-                Err(std::sync::TryLockError::Poisoned(e)) => {
-                    return Some(self.hold(e.into_inner(), start))
-                }
+                Ok(guard) => break guard,
+                Err(std::sync::TryLockError::Poisoned(e)) => break e.into_inner(),
                 Err(std::sync::TryLockError::WouldBlock) => {
                     if start.elapsed() >= patience {
                         return None;
@@ -383,46 +312,9 @@ impl Shared {
                     std::thread::sleep(Duration::from_micros(200));
                 }
             }
-        }
-    }
-}
-
-/// The watchdog: a sibling thread that measures how long the fleet
-/// mutex has been held (via [`Shared::held_since`], never by locking).
-/// Past [`DaemonConfig::watchdog_budget`] it trips [`Shared::degraded`]
-/// — fleet work refuses typed instead of queueing — and once the stall
-/// clears it persists the fleet (the stalled operation may have been a
-/// symptom; a durable snapshot bounds the blast radius of a recurrence)
-/// and resumes service.
-fn watchdog_loop(shared: Arc<Shared>) {
-    let budget = shared.watchdog_budget;
-    let tick = (budget / 10)
-        .max(Duration::from_millis(1))
-        .min(Duration::from_millis(50));
-    while !shared.stopped.load(Ordering::SeqCst) {
-        let since = shared.held_since.load(Ordering::SeqCst);
-        if since != 0 {
-            let held = Duration::from_millis(
-                (shared.epoch.elapsed().as_millis() as u64).saturating_sub(since - 1),
-            );
-            if held > budget && !shared.degraded.swap(true, Ordering::SeqCst) {
-                shared.meters.watchdog_trips.incr();
-            }
-        } else if shared.degraded.load(Ordering::SeqCst) {
-            // The stall cleared: self-heal. Persist while still
-            // refusing, then reopen for fleet work.
-            if let Some(mut world) = shared.try_world(Duration::from_millis(50)) {
-                let World { deployment, rng } = &mut *world;
-                if deployment
-                    .persist(&shared.store_dir, shared.file_options, rng)
-                    .is_ok()
-                {
-                    shared.meters.watchdog_heals.incr();
-                    shared.degraded.store(false, Ordering::SeqCst);
-                }
-            }
-        }
-        std::thread::sleep(tick);
+        };
+        self.meters.lock_wait.record_duration(start.elapsed());
+        Some(guard)
     }
 }
 
@@ -447,10 +339,6 @@ impl Daemon {
             world: Mutex::new(World { deployment, rng }),
             addr,
             draining: AtomicBool::new(false),
-            degraded: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            held_since: AtomicU64::new(0),
-            epoch: Instant::now(),
             active: AtomicU64::new(0),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -458,14 +346,11 @@ impl Daemon {
             rate_limit: config.rate_limit,
             io_timeout: config.io_timeout,
             request_timeout: config.request_timeout,
-            watchdog_budget: config.watchdog_budget,
             store_dir: config.store_dir,
             file_options: config.file_options,
             status_cache: Mutex::new(None),
             meters: DaemonMeters::from_global(),
         });
-        let watchdog_shared = Arc::clone(&shared);
-        std::thread::spawn(move || watchdog_loop(watchdog_shared));
         let accept_shared = Arc::clone(&shared);
         let join = std::thread::spawn(move || accept_loop(listener, accept_shared));
         Ok(DaemonHandle { shared, join })
@@ -487,10 +372,9 @@ impl DaemonHandle {
     /// Chaos hook: grabs the fleet mutex and holds it for `hold`,
     /// simulating a wedged fleet operation. Returns the holder thread's
     /// handle immediately; join it to wait out the stall. With `hold`
-    /// past [`DaemonConfig::watchdog_budget`], the daemon trips into
-    /// degraded mode (fleet work refused with [`codes::DEGRADED`],
-    /// status/metrics/shutdown still answering), then persists and
-    /// resumes once the holder releases.
+    /// past [`DaemonConfig::request_timeout`], fleet work is refused
+    /// with [`codes::DEGRADED`] (status/metrics/shutdown still
+    /// answering) until the holder releases.
     pub fn inject_wedge(&self, hold: Duration) -> JoinHandle<()> {
         let shared = Arc::clone(&self.shared);
         std::thread::spawn(move || {
@@ -500,14 +384,9 @@ impl DaemonHandle {
         })
     }
 
-    /// Whether the watchdog currently has the daemon in degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.shared.degraded.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown over the wire — exactly what a
     /// `safetypin-cli <addr> shutdown` does — then waits for the drain
-    /// and persist to finish.
+    /// and checkpoint to finish.
     pub fn shutdown(self) -> Result<SnapshotMeta, DaemonError> {
         let mut tcp = Tcp::connect(TcpConfig::new(self.shared.addr.to_string()))?;
         match tcp.call(ProviderRequest::Shutdown)? {
@@ -526,9 +405,9 @@ impl DaemonHandle {
         self.wait()
     }
 
-    /// Waits for the daemon to drain and persist (triggered by a
+    /// Waits for the daemon to drain and checkpoint (triggered by a
     /// [`ProviderRequest::Shutdown`] from any client), returning the
-    /// final snapshot's metadata.
+    /// final state's metadata.
     pub fn wait(self) -> Result<SnapshotMeta, DaemonError> {
         match self.join.join() {
             Ok(outcome) => outcome,
@@ -559,7 +438,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Result<SnapshotMet
     for conn in conns {
         let _ = conn.join();
     }
-    shared.stopped.store(true, Ordering::SeqCst);
     let mut world = shared.world();
     let World { deployment, rng } = &mut *world;
     Ok(deployment.persist(&shared.store_dir, shared.file_options, rng)?)
@@ -645,12 +523,7 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                 // wedged: a fresh report when the lock is available,
                 // the cached fleet snapshot (with live connection
                 // counters) when it is not.
-                let patience = if shared.degraded.load(Ordering::SeqCst) {
-                    Duration::from_millis(10)
-                } else {
-                    shared.request_timeout
-                };
-                let fleet = match shared.try_world(patience) {
+                let fleet = match shared.try_world(shared.request_timeout) {
                     Some(world) => {
                         let report = world.deployment.status_report();
                         let mut cache = shared
@@ -711,17 +584,6 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                     &format!("per-connection rate limit exceeded (trace {})", trace.id()),
                 )
             }
-            _ if shared.degraded.load(Ordering::SeqCst) => {
-                shared.rejected.fetch_add(1, Ordering::SeqCst);
-                shared.meters.refused_degraded.incr();
-                refusal(
-                    codes::DEGRADED,
-                    &format!(
-                        "fleet stalled past the watchdog budget; healing (trace {})",
-                        trace.id()
-                    ),
-                )
-            }
             request => match shared.try_world(shared.request_timeout) {
                 Some(mut world) => {
                     shared.served.fetch_add(1, Ordering::SeqCst);
@@ -730,8 +592,7 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                 }
                 // The mutex stayed held for the whole request budget:
                 // refuse typed instead of queueing indefinitely behind
-                // the stall (the watchdog decides whether the daemon
-                // as a whole is degraded).
+                // the stall.
                 None => {
                     shared.rejected.fetch_add(1, Ordering::SeqCst);
                     shared.meters.refused_degraded.incr();

@@ -32,7 +32,6 @@ pub mod state;
 pub mod types;
 
 pub use error::HsmError;
-pub use state::HsmState;
 pub use types::{EnrollmentRecord, RecoveryPhases, RecoveryRequest, RecoveryResponse};
 
 use rand::{CryptoRng, RngCore};
@@ -48,6 +47,7 @@ use safetypin_primitives::shamir::Share;
 use safetypin_primitives::wire::Encode;
 use safetypin_seckv::BlockStore;
 use safetypin_sim::OpCosts;
+use safetypin_store::DeviceKey;
 
 /// Per-HSM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -153,11 +153,18 @@ pub struct Hsm {
     key_epoch: u64,
     status: HsmStatus,
     costs: OpCosts,
+    /// Seals this device's state blocks (models the on-chip storage key).
+    device_key: DeviceKey,
+    /// Which parts of the trusted state the next [`commit`](Self::commit)
+    /// must write (see [`state`]).
+    static_dirty: bool,
+    dynamic_dirty: bool,
 }
 
 impl Hsm {
-    /// Provisions a new HSM, generating all keys. The BFE secret array is
-    /// written into `store` (the provider's storage).
+    /// Provisions a new HSM, generating all keys. The BFE secret array
+    /// and the device's own state blocks ([`state`]) are written into
+    /// `store` (the provider's storage) and committed.
     pub fn provision<S: BlockStore, R: RngCore + CryptoRng>(
         config: HsmConfig,
         store: &mut S,
@@ -169,8 +176,7 @@ impl Hsm {
             safetypin_bfe::keygen(config.bfe_params, store, rng).map_err(HsmError::Crypto)?;
         let mut costs = OpCosts::new();
         costs.group_mults += report.group_ops + 2; // BFE slots + identity + BLS keygen
-        store.flush();
-        Ok(Self {
+        let mut hsm = Self {
             config,
             identity,
             sig_key,
@@ -183,7 +189,12 @@ impl Hsm {
             key_epoch: 0,
             status: HsmStatus::Active,
             costs,
-        })
+            device_key: DeviceKey::random(rng),
+            static_dirty: true,
+            dynamic_dirty: true,
+        };
+        hsm.commit(store, rng);
+        Ok(hsm)
     }
 
     /// This HSM's datacenter index.
@@ -204,6 +215,11 @@ impl Hsm {
     /// Chunks this HSM audits per epoch (`C`).
     pub fn audits_per_epoch(&self) -> u32 {
         self.config.audits_per_epoch
+    }
+
+    /// Signers an aggregate must cover before this HSM accepts it.
+    pub fn min_signers(&self) -> usize {
+        self.config.min_signers
     }
 
     /// The log digest this HSM currently trusts.
@@ -331,15 +347,17 @@ impl Hsm {
         self.serve_recovery_segment(&mut segment, &mut responses, store, rng);
 
         // THE durability barrier: everything the whole group wrote —
-        // every user's punctures, any rotation — commits in one flush
-        // (one WAL commit record, one fsync under strict durability)
-        // before a single response leaves the device. Timed for recovery
+        // every user's punctures, any rotation, and the device state
+        // they changed (the re-keyed root key, the new digest) —
+        // commits in one flush (one WAL commit record, one fsync under
+        // strict durability) before a single response leaves the
+        // device. Timed for recovery
         // groups only: an epoch round is 2N groups that staged nothing,
         // whose no-op samples would drown the series (and whose
         // recording the fleet's worker threads contend on).
         {
             let _span = recoveries.then(|| safetypin_telemetry::start_span("hsm.group_commit"));
-            store.flush();
+            self.commit(store, rng);
         }
         responses
             .into_iter()
@@ -524,6 +542,7 @@ impl Hsm {
         // union of every tag's slots is deleted in a single
         // shared-prefix `delete_batch` pass.
         let tags: Vec<&[u8]> = pending.iter().map(|(_, p)| p.tag.as_slice()).collect();
+        self.dynamic_dirty = true;
         let puncture_span = safetypin_telemetry::start_span("hsm.coalesced_puncture");
         let report = match self.bfe_sk.puncture_many(store, &tags, rng) {
             Ok(report) => report,
@@ -645,6 +664,7 @@ impl Hsm {
             verified.push(*vk);
         }
         self.fleet_keys = verified;
+        self.static_dirty = true;
         Ok(())
     }
 
@@ -654,6 +674,7 @@ impl Hsm {
     /// the log then additionally requires compromising the auditors.
     pub fn set_designated_auditors(&mut self, keys: Vec<multisig::VerifyKey>) {
         self.designated_auditors = keys;
+        self.static_dirty = true;
     }
 
     fn check_auditor_endorsements(
@@ -895,6 +916,7 @@ impl Hsm {
             return Err(HsmError::BadAggregate);
         }
         self.log_digest = message.new_digest;
+        self.dynamic_dirty = true;
         Ok(())
     }
 
@@ -909,6 +931,7 @@ impl Hsm {
         }
         self.gc_count += 1;
         self.log_digest = MerkleTrie::empty_digest();
+        self.dynamic_dirty = true;
         Ok(())
     }
 
@@ -935,6 +958,7 @@ impl Hsm {
         self.bfe_pk = pk.clone();
         self.bfe_sk = sk;
         self.key_epoch += 1;
+        (self.static_dirty, self.dynamic_dirty) = (true, true);
         self.costs.group_mults += report.group_ops;
         self.costs.add_io(report.outsourced_bytes);
         Ok((pk, report))
@@ -957,12 +981,14 @@ impl Hsm {
     /// Fail-stops the HSM (benign failure).
     pub fn fail(&mut self) {
         self.status = HsmStatus::Failed;
+        self.dynamic_dirty = true;
     }
 
     /// Restores a failed HSM (e.g., after replacement).
     pub fn restore(&mut self) {
         if self.status == HsmStatus::Failed {
             self.status = HsmStatus::Active;
+            self.dynamic_dirty = true;
         }
     }
 
@@ -970,6 +996,7 @@ impl Hsm {
     /// responding (a stealthy attacker).
     pub fn compromise(&mut self) -> ExfiltratedState {
         self.status = HsmStatus::Compromised;
+        self.dynamic_dirty = true;
         ExfiltratedState {
             identity_sk: self.identity.sk.clone(),
             sig_sk: self.sig_key.clone(),

@@ -1,34 +1,64 @@
-//! HSM state persistence: export, sealed save, restore.
+//! HSM trusted state, kept in the device's own block store.
 //!
-//! An HSM's trusted state is tiny by design (§7.2: one root key plus
-//! bookkeeping — everything bulky is outsourced). [`HsmState`] captures
-//! exactly that: the identity and BLS signing secrets, the BFE
-//! secret-key handle (secure-array root key + puncture counters), the
-//! trusted log digest, the registered fleet keys, and the protocol
-//! counters. [`Hsm::persist`] seals it under a per-device
-//! [`DeviceKey`] before it touches host storage — the host file models
-//! the HSM's internal NVRAM, and an operator holding the provider's
-//! disks but not the device keys learns nothing from it.
+//! An HSM's trusted state is tiny by design (§7.2, App. C: one root key
+//! that is re-keyed on every puncture, plus bookkeeping — everything
+//! bulky is outsourced). It lives in the same [`BlockStore`] as the
+//! outsourced secret array, at three reserved addresses at the top of
+//! the address space (the array occupies `[1, 2^(h+1))` and address 0 is
+//! never used), and [`Hsm::commit`] writes whichever part changed
+//! immediately before the group-commit flush. Punctured blocks and the
+//! root key that opens them — or a rotation's new array and its new
+//! public key — are therefore **one store transaction**: a device is
+//! reopenable ([`Hsm::open`]) after every commit, never only after
+//! someone remembered to snapshot it.
 //!
-//! The outsourced block store (the Bloom-filter secret array) is *not*
-//! part of this state: it already lives at the untrusted provider and
-//! is persisted separately (plaintext-on-host, it is ciphertext
-//! already) by the provider layer.
+//! * [`DYNAMIC_ADDR`] — the part every puncture, epoch, collection and
+//!   rotation changes: the BFE secret-key handle (secure-array root key
+//!   and puncture counters), the trusted log digest, the GC and key
+//!   epochs, the liveness status. Sealed under the device's
+//!   [`DeviceKey`]; 201 bytes on the wire at any fleet or slot count
+//!   (169 of plaintext + nonce, length and tag). The cost meters are
+//!   not state and are not kept.
+//! * [`SECRETS_ADDR`] — what changes only at provisioning and rotation:
+//!   the configuration, the identity and BLS signing secrets, and a
+//!   digest of the public block. Sealed; 168 bytes.
+//! * [`PUBLIC_ADDR`] — the registered fleet keys, the designated
+//!   auditors and the BFE public key (33 bytes per slot: 541 KB at 2^14
+//!   slots). All public, so stored **unsealed**; the digest inside the
+//!   sealed secrets block is what keeps the untrusted host from swapping
+//!   in rogue fleet keys.
+//!
+//! The sealed blocks model the HSM's internal NVRAM: an operator holding
+//! the provider's disks but not the device keys learns nothing from
+//! them. (As with any host-file model of on-chip flash, rolling the
+//! whole store back to an earlier commit is outside what sealing can
+//! detect.)
 
 use rand::{CryptoRng, RngCore};
 use safetypin_bfe::{BfeKeyState, BfePublicKey, BfeSecretKey};
 use safetypin_multisig as multisig;
 use safetypin_primitives::elgamal;
 use safetypin_primitives::error::WireError;
-use safetypin_primitives::hashes::Hash256;
+use safetypin_primitives::hashes::{hash_parts, Domain, Hash256};
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
+use safetypin_primitives::zeroize::wipe_bytes;
+use safetypin_seckv::BlockStore;
 use safetypin_sim::OpCosts;
 use safetypin_store::{seal_domain, DeviceKey, StoreError};
 
 use crate::{Hsm, HsmConfig, HsmStatus};
 
-/// Sealing domain for HSM state blobs.
-const COMPONENT: &str = "safetypin.hsm-state.v1";
+/// Block address of the sealed dynamic state (see the module docs).
+pub const DYNAMIC_ADDR: u64 = u64::MAX;
+/// Block address of the sealed static secrets.
+pub const SECRETS_ADDR: u64 = u64::MAX - 1;
+/// Block address of the unsealed public keys.
+pub const PUBLIC_ADDR: u64 = u64::MAX - 2;
+
+/// Sealing domains, one per sealed block, so neither can be replayed
+/// into the other's address (or another device's).
+const DYNAMIC_DOMAIN: &str = "safetypin.hsm-dynamic.v1";
+const SECRETS_DOMAIN: &str = "safetypin.hsm-secrets.v1";
 
 impl Encode for HsmConfig {
     fn encode(&self, w: &mut Writer) {
@@ -69,165 +99,173 @@ fn status_from_tag(tag: u8) -> Result<HsmStatus, WireError> {
     }
 }
 
-/// The complete trusted state of one HSM, as carried across a restart.
-///
-/// Contains raw secret scalars; treat a populated `HsmState` like key
-/// material and only ever write it through [`Hsm::persist`] (which
-/// seals it).
-pub struct HsmState {
-    pub(crate) config: HsmConfig,
-    pub(crate) identity_sk: elgamal::SecretKey,
-    pub(crate) sig_sk: multisig::SigningKey,
-    pub(crate) bfe_pk: BfePublicKey,
-    pub(crate) bfe_sk: BfeKeyState,
-    pub(crate) log_digest: Hash256,
-    pub(crate) fleet_keys: Vec<multisig::VerifyKey>,
-    pub(crate) designated_auditors: Vec<multisig::VerifyKey>,
-    pub(crate) gc_count: u64,
-    pub(crate) key_epoch: u64,
-    pub(crate) status: HsmStatus,
-    pub(crate) costs: OpCosts,
+fn public_digest(public: &[u8]) -> Hash256 {
+    hash_parts(Domain::StorageKdf, &[b"hsm-public-block", public])
 }
 
-impl core::fmt::Debug for HsmState {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("HsmState")
-            .field("id", &self.config.id)
-            .field("key_epoch", &self.key_epoch)
-            .field("gc_count", &self.gc_count)
-            .field("secrets", &"<redacted>")
-            .finish_non_exhaustive()
-    }
+/// Seals `plain` into `store` at `addr`, wiping the plaintext buffer.
+fn put_sealed<S: BlockStore, R: RngCore + CryptoRng>(
+    store: &mut S,
+    addr: u64,
+    key: &DeviceKey,
+    domain: &[u8],
+    mut plain: Vec<u8>,
+    rng: &mut R,
+) {
+    store.put(addr, &key.seal(domain, &plain, rng));
+    wipe_bytes(&mut plain);
 }
 
-impl Encode for HsmState {
-    fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        w.put_fixed(&self.identity_sk.to_bytes());
-        w.put_fixed(&self.sig_sk.to_bytes_raw());
-        self.bfe_pk.encode(w);
-        self.bfe_sk.encode(w);
-        w.put_fixed(&self.log_digest);
-        w.put_seq(&self.fleet_keys);
-        w.put_seq(&self.designated_auditors);
-        w.put_u64(self.gc_count);
-        w.put_u64(self.key_epoch);
-        w.put_u8(status_tag(self.status));
-        self.costs.encode(w);
-    }
+fn get_block<S: BlockStore>(store: &mut S, addr: u64) -> Result<Vec<u8>, StoreError> {
+    store
+        .get(addr)
+        .ok_or(StoreError::MissingComponent("hsm state block"))
 }
 
-impl Decode for HsmState {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let config = HsmConfig::decode(r)?;
-        let identity_bytes = r.get_array::<32>()?;
-        let identity_sk = elgamal::SecretKey::from_bytes(&identity_bytes)
-            .map_err(|_| WireError::InvalidTag(0))?;
-        let sig_bytes = r.get_array::<32>()?;
-        let sig_sk = multisig::SigningKey::from_bytes_raw(&sig_bytes)
-            .map_err(|_| WireError::InvalidTag(0))?;
-        Ok(Self {
-            config,
-            identity_sk,
-            sig_sk,
-            bfe_pk: BfePublicKey::decode(r)?,
-            bfe_sk: BfeKeyState::decode(r)?,
-            log_digest: r.get_array::<32>()?,
-            fleet_keys: r.get_seq()?,
-            designated_auditors: r.get_seq()?,
-            gc_count: r.get_u64()?,
-            key_epoch: r.get_u64()?,
-            status: status_from_tag(r.get_u8()?)?,
-            costs: OpCosts::decode(r)?,
-        })
-    }
+/// Opens the sealed block at `addr` and parses it, wiping the plaintext
+/// buffer whatever the outcome.
+fn get_sealed<S: BlockStore, T>(
+    store: &mut S,
+    addr: u64,
+    key: &DeviceKey,
+    domain: &[u8],
+    parse: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<T, StoreError> {
+    let mut plain = key.open(domain, &get_block(store, addr)?)?;
+    let parsed = parse(&mut Reader::new(&plain));
+    wipe_bytes(&mut plain);
+    Ok(parsed?)
 }
 
 impl Hsm {
-    /// Exports the HSM's full trusted state (see [`HsmState`]).
-    pub fn export_state(&self) -> HsmState {
-        HsmState {
-            config: self.config,
-            identity_sk: self.identity.sk.clone(),
-            sig_sk: self.sig_key.clone(),
-            bfe_pk: self.bfe_pk.clone(),
-            bfe_sk: self.bfe_sk.export_state(),
-            log_digest: self.log_digest,
-            fleet_keys: self.fleet_keys.clone(),
-            designated_auditors: self.designated_auditors.clone(),
-            gc_count: self.gc_count,
-            key_epoch: self.key_epoch,
-            status: self.status,
-            costs: self.costs,
+    /// The group-commit durability barrier: writes whichever part of
+    /// the trusted state changed since the last commit (see the module
+    /// docs), then flushes the store — so everything the device staged,
+    /// its own state included, commits as one transaction. `rng` feeds
+    /// the sealing nonces only.
+    pub fn commit<S: BlockStore, R: RngCore + CryptoRng>(&mut self, store: &mut S, rng: &mut R) {
+        let id = self.config.id;
+        if std::mem::take(&mut self.static_dirty) {
+            let keys = self.fleet_keys.len() + self.designated_auditors.len();
+            let bfe = self.config.bfe_params.public_key_bytes() as usize;
+            let mut public = Writer::with_capacity(bfe + multisig::PK_LEN * keys + 8);
+            public.put_seq(&self.fleet_keys);
+            public.put_seq(&self.designated_auditors);
+            self.bfe_pk.encode(&mut public);
+            let public = public.into_bytes();
+
+            let mut secrets = Writer::new();
+            self.config.encode(&mut secrets);
+            secrets.put_fixed(&self.identity.sk.to_bytes());
+            secrets.put_fixed(&self.sig_key.to_bytes_raw());
+            secrets.put_fixed(&public_digest(&public));
+            put_sealed(
+                store,
+                SECRETS_ADDR,
+                &self.device_key,
+                &seal_domain(SECRETS_DOMAIN, id),
+                secrets.into_bytes(),
+                rng,
+            );
+            store.put(PUBLIC_ADDR, &public);
         }
+        if std::mem::take(&mut self.dynamic_dirty) {
+            let mut dynamic = Writer::new();
+            self.bfe_sk.export_state().encode(&mut dynamic);
+            dynamic.put_fixed(&self.log_digest);
+            dynamic.put_u64(self.gc_count);
+            dynamic.put_u64(self.key_epoch);
+            dynamic.put_u8(status_tag(self.status));
+            put_sealed(
+                store,
+                DYNAMIC_ADDR,
+                &self.device_key,
+                &seal_domain(DYNAMIC_DOMAIN, id),
+                dynamic.into_bytes(),
+                rng,
+            );
+        }
+        store.flush();
     }
 
-    /// Rebuilds an HSM from exported state. The caller must present the
-    /// block store holding its outsourced secret array; a mismatch
-    /// surfaces as AEAD failures on the first share decryption.
-    pub fn from_state(state: HsmState) -> Self {
-        let identity_pk = state.identity_sk.public_key();
-        Self {
-            config: state.config,
+    /// Reopens device `id` from the state blocks its last
+    /// [`commit`](Self::commit) left in `store`, which must also hold
+    /// its outsourced secret array. A missing block is
+    /// [`StoreError::MissingComponent`]; tampering with a sealed block
+    /// or the public keys — or the wrong device key — is
+    /// [`StoreError::SealBroken`]. The cost meters start from zero.
+    pub fn open<S: BlockStore>(
+        id: u64,
+        store: &mut S,
+        device_key: DeviceKey,
+    ) -> Result<Self, StoreError> {
+        let (config, identity_sk, sig_key, expected_public) = get_sealed(
+            store,
+            SECRETS_ADDR,
+            &device_key,
+            &seal_domain(SECRETS_DOMAIN, id),
+            |r| {
+                let config = HsmConfig::decode(r)?;
+                let identity_sk = elgamal::SecretKey::from_bytes(&r.get_array::<32>()?)
+                    .map_err(|_| WireError::InvalidTag(0))?;
+                let sig_key = multisig::SigningKey::from_bytes_raw(&r.get_array::<32>()?)
+                    .map_err(|_| WireError::InvalidTag(0))?;
+                Ok((config, identity_sk, sig_key, r.get_array::<32>()?))
+            },
+        )?;
+
+        let public = get_block(store, PUBLIC_ADDR)?;
+        if public_digest(&public) != expected_public {
+            return Err(StoreError::SealBroken);
+        }
+        let mut r = Reader::new(&public);
+        let fleet_keys = r.get_seq()?;
+        let designated_auditors = r.get_seq()?;
+        let bfe_pk = BfePublicKey::decode(&mut r)?;
+
+        let (bfe_sk, log_digest, gc_count, key_epoch, status) = get_sealed(
+            store,
+            DYNAMIC_ADDR,
+            &device_key,
+            &seal_domain(DYNAMIC_DOMAIN, id),
+            |r| {
+                Ok((
+                    BfeSecretKey::from_state(BfeKeyState::decode(r)?),
+                    r.get_array::<32>()?,
+                    r.get_u64()?,
+                    r.get_u64()?,
+                    status_from_tag(r.get_u8()?)?,
+                ))
+            },
+        )?;
+
+        let identity_pk = identity_sk.public_key();
+        Ok(Self {
+            config,
             identity: elgamal::KeyPair {
-                sk: state.identity_sk,
+                sk: identity_sk,
                 pk: identity_pk,
             },
-            sig_key: state.sig_sk,
-            bfe_pk: state.bfe_pk,
-            bfe_sk: BfeSecretKey::from_state(state.bfe_sk),
-            log_digest: state.log_digest,
-            fleet_keys: state.fleet_keys,
-            designated_auditors: state.designated_auditors,
-            gc_count: state.gc_count,
-            key_epoch: state.key_epoch,
-            status: state.status,
-            costs: state.costs,
-        }
+            sig_key,
+            bfe_pk,
+            bfe_sk,
+            log_digest,
+            fleet_keys,
+            designated_auditors,
+            gc_count,
+            key_epoch,
+            status,
+            costs: OpCosts::new(),
+            device_key,
+            static_dirty: false,
+            dynamic_dirty: false,
+        })
     }
 
-    /// The snapshot filename for device `id`.
-    pub fn state_file_name(id: u64) -> String {
-        format!("hsm-{id}.sealed")
-    }
-
-    /// Seals the HSM's state under `device_key` and writes it
-    /// (atomically) into `dir`. Models the device flushing its internal
-    /// NVRAM: the resulting file is useless without the device key.
-    pub fn persist<R: RngCore + CryptoRng>(
-        &self,
-        dir: &std::path::Path,
-        device_key: &DeviceKey,
-        durability: safetypin_store::Durability,
-        rng: &mut R,
-    ) -> Result<(), StoreError> {
-        std::fs::create_dir_all(dir)?;
-        let sealed = device_key.seal(
-            &seal_domain(COMPONENT, self.config.id),
-            &self.export_state().to_bytes(),
-            rng,
-        );
-        safetypin_store::write_atomic(
-            &dir.join(Self::state_file_name(self.config.id)),
-            &sealed,
-            durability,
-        )
-    }
-
-    /// Reads, unseals, and rebuilds HSM `id` from `dir`. Any tampering
-    /// with the sealed file — or the wrong device key — is a typed
-    /// [`StoreError::SealBroken`]. (Named `restore_from` because
-    /// [`Hsm::restore`](crate::Hsm::restore) already means "bring a
-    /// fail-stopped device back".)
-    pub fn restore_from(
-        dir: &std::path::Path,
-        id: u64,
-        device_key: &DeviceKey,
-    ) -> Result<Self, StoreError> {
-        let sealed =
-            safetypin_store::read_component(&dir.join(Self::state_file_name(id)), "hsm state")?;
-        let plain = device_key.open(&seal_domain(COMPONENT, id), &sealed)?;
-        let state = HsmState::from_bytes(&plain)?;
-        Ok(Self::from_state(state))
+    /// This device's sealing key — what the fleet's
+    /// [`Keyring`](safetypin_store::Keyring) file collects (standing in
+    /// for on-chip flash).
+    pub fn device_key(&self) -> &DeviceKey {
+        &self.device_key
     }
 }

@@ -922,3 +922,168 @@ fn handle_batch_cross_tag_slot_coverage_matches_serial() {
     assert!(matches!(serial[0], HsmResponse::RecoveryShare { .. }));
     assert!(matches!(serial[1], HsmResponse::Error(_)));
 }
+
+// ----------------------------------------------------------------------
+// Trusted state in the block store (state.rs)
+// ----------------------------------------------------------------------
+
+/// One served recovery for `username` against its first cluster HSM;
+/// returns that HSM's id and the request (for replaying it).
+fn one_served_recovery(fx: &mut Fixture, username: &[u8]) -> (u64, RecoveryRequest) {
+    let (_, ct_bytes, salt) = fx.backup(username, b"424242", b"m");
+    let (cluster, opening, inclusion) = fx.log_recovery(username, b"424242", &ct_bytes, &salt);
+    let (hsm_id, positions) = Fixture::grouped(&cluster).into_iter().next().unwrap();
+    let request = RecoveryRequest {
+        username: username.to_vec(),
+        salt,
+        opening,
+        inclusion,
+        ciphertext: ct_bytes,
+        share_indices: positions,
+        recovery_pk: None,
+        auditor_endorsements: Vec::new(),
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    fx.recover_share(hsm_id, &request, &mut rng).unwrap();
+    (hsm_id, request)
+}
+
+#[test]
+fn device_reopens_from_its_own_store_after_every_commit() {
+    use safetypin_proto::{HsmRequest, HsmResponse};
+    let mut fx = fixture();
+    let (hsm_id, request) = one_served_recovery(&mut fx, b"ruth");
+    let idx = hsm_id as usize;
+    let mut rng = StdRng::seed_from_u64(5);
+    // A rotation and a collection ride the same barrier.
+    let replies = fx.hsms[idx].handle_batch(
+        vec![HsmRequest::RotateKeys, HsmRequest::GarbageCollect],
+        &mut fx.stores[idx],
+        &mut rng,
+    );
+    assert!(matches!(replies[0], HsmResponse::Rotated(_)));
+    assert!(matches!(replies[1], HsmResponse::Ack));
+
+    // "Kill" the device: only its store and its key survive.
+    let live = &fx.hsms[idx];
+    let key = live.device_key().clone();
+    let mut reopened = Hsm::open(hsm_id, &mut fx.stores[idx], key).unwrap();
+    assert_eq!(
+        reopened.enrollment().to_bytes(),
+        live.enrollment().to_bytes()
+    );
+    assert_eq!(reopened.log_digest(), live.log_digest());
+    assert_eq!(reopened.punctures(), live.punctures());
+    assert_eq!(reopened.key_epoch(), 1);
+    assert_eq!(reopened.gc_count(), 1);
+    assert_eq!(reopened.status(), HsmStatus::Active);
+    assert_eq!(reopened.min_signers(), TOTAL as usize);
+    // The reopened device holds the fleet keys it registered: it still
+    // refuses a second collection past nothing and serves traffic.
+    let reply = reopened.handle(
+        HsmRequest::RecoverShare(request),
+        &mut fx.stores[idx],
+        &mut rng,
+    );
+    assert!(
+        matches!(reply, HsmResponse::Error(_)),
+        "the pre-rotation ciphertext is dead on the reopened device too"
+    );
+}
+
+#[test]
+fn a_group_commit_writes_one_small_sealed_block() {
+    use safetypin_seckv::BlockStore as _;
+    let mut fx = fixture();
+    let (hsm_id, _) = one_served_recovery(&mut fx, b"sam");
+    let idx = hsm_id as usize;
+    let public_before = fx.stores[idx].get(crate::state::PUBLIC_ADDR).unwrap();
+    let secrets_before = fx.stores[idx].get(crate::state::SECRETS_ADDR).unwrap();
+
+    // An epoch moves the digest: the next group commit writes exactly
+    // one block, whatever the group itself asked for.
+    fx.log.insert(b"someone", b"else").unwrap();
+    fx.run_epoch();
+    let writes_before = fx.stores[idx].io_stats().writes;
+    fx.hsms[idx].handle(
+        safetypin_proto::HsmRequest::GetEnrollment,
+        &mut fx.stores[idx],
+        &mut StdRng::seed_from_u64(9),
+    );
+    assert_eq!(fx.stores[idx].io_stats().writes - writes_before, 1);
+    let dynamic = fx.stores[idx].get(crate::state::DYNAMIC_ADDR).unwrap();
+    assert!(dynamic.len() <= 512, "dynamic block is {} B", dynamic.len());
+    // The static part — the 33 B/slot public key above all — is
+    // untouched by punctures and epochs alike.
+    assert_eq!(
+        fx.stores[idx].get(crate::state::PUBLIC_ADDR).unwrap(),
+        public_before
+    );
+    assert_eq!(
+        fx.stores[idx].get(crate::state::SECRETS_ADDR).unwrap(),
+        secrets_before
+    );
+    // A group that changes nothing writes nothing.
+    let writes_before = fx.stores[idx].io_stats().writes;
+    fx.hsms[idx].handle(
+        safetypin_proto::HsmRequest::GetEnrollment,
+        &mut fx.stores[idx],
+        &mut StdRng::seed_from_u64(9),
+    );
+    assert_eq!(fx.stores[idx].io_stats().writes, writes_before);
+}
+
+#[test]
+fn tampered_or_foreign_state_blocks_are_rejected() {
+    use safetypin_seckv::BlockStore as _;
+    use safetypin_store::StoreError;
+    let fx = fixture();
+    let key = fx.hsms[0].device_key().clone();
+    let reopen = |store: &mut MemStore, id: u64, key: &safetypin_store::DeviceKey| {
+        Hsm::open(id, store, key.clone()).map(|_| ())
+    };
+    let blocks = fx.stores[0].snapshot();
+    let pristine = || {
+        let mut store = MemStore::new();
+        for (addr, block) in &blocks {
+            store.put(*addr, block);
+        }
+        store
+    };
+    reopen(&mut pristine(), 0, &key).unwrap();
+
+    for addr in [
+        crate::state::DYNAMIC_ADDR,
+        crate::state::SECRETS_ADDR,
+        crate::state::PUBLIC_ADDR,
+    ] {
+        // A flipped byte anywhere — the unsealed public keys included —
+        // breaks the seal.
+        let mut store = pristine();
+        let mut block = store.get(addr).unwrap();
+        let mid = block.len() / 2;
+        block[mid] ^= 1;
+        store.put(addr, &block);
+        assert!(matches!(
+            reopen(&mut store, 0, &key),
+            Err(StoreError::SealBroken)
+        ));
+        // A missing block is typed too.
+        let mut store = pristine();
+        store.remove(addr);
+        assert!(matches!(
+            reopen(&mut store, 0, &key),
+            Err(StoreError::MissingComponent(_))
+        ));
+    }
+    // Another device's key, or this store presented as another device.
+    let other = fx.hsms[1].device_key().clone();
+    assert!(matches!(
+        reopen(&mut pristine(), 0, &other),
+        Err(StoreError::SealBroken)
+    ));
+    assert!(matches!(
+        reopen(&mut pristine(), 1, &key),
+        Err(StoreError::SealBroken)
+    ));
+}

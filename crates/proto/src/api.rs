@@ -86,10 +86,10 @@ pub mod codes {
     /// The service hit an internal fault (e.g. a fan-out worker died)
     /// and could not produce a real reply for this request.
     pub const INTERNAL: u16 = 38;
-    /// The service is temporarily degraded — its fleet has been held
-    /// beyond the watchdog budget (a wedged operation, a stalled
-    /// store) — and refuses fleet work instead of queueing behind the
-    /// stall. Control-plane requests (status, metrics, shutdown) keep
+    /// The service is temporarily degraded — its fleet stayed held for
+    /// the whole request budget (a wedged operation, a stalled store) —
+    /// and refuses fleet work instead of queueing behind the stall.
+    /// Control-plane requests (status, metrics, shutdown) keep
     /// answering; retry fleet work after backing off.
     pub const DEGRADED: u16 = 39;
 }
@@ -130,7 +130,7 @@ impl ErrorReply {
     }
 
     /// True for refusals that describe a *transient* service condition —
-    /// rate limiting, admission-control overload, a watchdog-degraded
+    /// rate limiting, admission-control overload, a stalled (degraded)
     /// fleet — where the same request may well succeed after a backoff.
     /// Protocol-level refusals (bad proof, consumed attempt, version
     /// mismatch) are permanent and return `false`.

@@ -48,12 +48,19 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// batched transport rounds. An HSM whose audit reply is lost to a
     /// transport fault simply misses this epoch's signer set; the epoch
     /// still certifies if the quorum holds.
+    ///
+    /// Neither side advances first: the cut is only *planned* until the
+    /// aggregate covers the quorum the devices enforce, so a failed
+    /// certification leaves log and journal untouched and the next call
+    /// retries the same pending entries. The certified epoch is then
+    /// journaled **before** the first `AcceptUpdate` leaves, so a device
+    /// never holds a digest the provider cannot replay to the others.
     pub fn run_epoch(&mut self) -> Result<EpochOutcome, ProviderError> {
         // Streaming certification: the chunk-boundary digests were
         // recorded incrementally as entries arrived (`Log` digest
         // marks), so assembling the update replays no insert steps —
         // cutting an epoch is O(chunks), not O(pending · path length).
-        let (cut, chunk_digests) = self.log.cut_epoch_certified(self.epoch_chunks);
+        let (cut, chunk_digests) = self.log.plan_epoch(self.hsms.len());
         let update = EpochUpdate::from_certified(&cut, chunk_digests)
             .map_err(|_| ProviderError::EpochFailed("broken chain"))?;
         let message = update.message();
@@ -139,20 +146,36 @@ impl<S: BlockStore + Send> Datacenter<S> {
 
         let aggregate = aggregate_signatures(&sigs)
             .ok_or(ProviderError::EpochFailed("no signatures to aggregate"))?;
+        let need = self.hsms.iter().map(|h| h.min_signers()).max().unwrap_or(0);
+        if signers.len() < need {
+            return Err(ProviderError::Hsm(
+                safetypin_hsm::HsmError::QuorumTooSmall {
+                    got: signers.len(),
+                    need,
+                },
+            ));
+        }
 
-        let accept_batch: Vec<_> = active_ids
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    HsmRequest::AcceptUpdate {
-                        message,
-                        signers: signers.iter().map(|&s| s as u64).collect(),
-                        aggregate,
-                    },
-                )
-            })
-            .collect();
+        // Certified: commit the cut and journal it before any device
+        // advances.
+        let cert = EpochCert {
+            signers: signers.iter().map(|&s| s as u64).collect(),
+            aggregate,
+        };
+        self.journal_append(crate::persist::EPOCH, |w| {
+            use safetypin_primitives::wire::Encode;
+            message.encode(w);
+            cert.encode(w);
+        });
+        self.journal_commit();
+        let accept = HsmRequest::AcceptUpdate {
+            message,
+            signers: cert.signers.clone(),
+            aggregate,
+        };
+        self.apply_epoch(message, cert);
+
+        let accept_batch: Vec<_> = active_ids.iter().map(|&id| (id, accept.clone())).collect();
         let replies = self.fleet_round(&mut rng, |transport, serve| {
             transport.exchange_batch(accept_batch, serve)
         })?;
@@ -163,8 +186,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 // this delta) means that HSM missed the certified
                 // digest — it will answer StaleDigest until
                 // [`resync_hsm`](Self::resync_hsm) replays the
-                // chain to it. The epoch itself still stands,
-                // exactly like the audit phase above.
+                // chain to it. The epoch itself stands: it is in
+                // the journal already.
                 HsmResponse::Error(e) if e.is_transport_fault() => continue,
                 HsmResponse::Error(e) if e.code == codes::STALE_DIGEST => continue,
                 HsmResponse::Error(e) => return Err(ProviderError::Hsm((&e).into())),
@@ -175,11 +198,6 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 }
             }
         }
-        self.update_history.push(message);
-        self.epoch_certs.push(EpochCert {
-            signers: signers.iter().map(|&s| s as u64).collect(),
-            aggregate,
-        });
         Ok(EpochOutcome {
             message,
             signers,
@@ -190,7 +208,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
     }
 
     /// Replays the certified update chain to HSM `id` until it holds
-    /// the current log digest, returning how many updates it accepted.
+    /// the provider's certified digest, returning how many updates it
+    /// accepted (committed to the device's store before returning).
     /// A restored HSM ([`restore_hsm`](Self::restore_hsm)) missed every
     /// epoch cut while it was failed; its held digest is stale and it
     /// would (correctly) refuse the next incremental update. Catch-up
@@ -199,19 +218,18 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// malicious provider can no more rewrite history here than it
     /// could live (§6.2/§7.1 trust model).
     ///
-    /// Errors if the HSM's digest is not on the certified chain (e.g.
-    /// it predates a garbage collection that archived the chain) — that
+    /// Errors if the HSM's digest is not on the current log
+    /// generation's chain (e.g. it missed a garbage collection) — that
     /// HSM needs re-provisioning, not replay.
     pub fn resync_hsm(&mut self, id: u64) -> Result<u64, ProviderError> {
         let held = self.hsm(id)?.log_digest();
-        if self.update_history.last().map(|u| u.new_digest) == Some(held)
-            || self.update_history.is_empty()
-        {
+        if held == self.log.certified_digest() {
             return Ok(0);
         }
         let Some(start) = self
             .update_history
             .iter()
+            .skip(self.chain_start)
             .position(|u| u.old_digest == held)
         else {
             return Err(ProviderError::EpochFailed(
@@ -219,7 +237,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
             ));
         };
         let mut replayed = 0u64;
-        for i in start..self.update_history.len() {
+        for i in self.chain_start + start..self.update_history.len() {
             let message = self.update_history[i];
             let cert = self.epoch_certs[i].clone();
             let signers: Vec<usize> = cert.signers.iter().map(|&s| s as usize).collect();
@@ -228,6 +246,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 .map_err(ProviderError::Hsm)?;
             replayed += 1;
         }
+        let device = id as usize;
+        self.hsms[device].commit(&mut self.stores[device], &mut rand::thread_rng());
         Ok(replayed)
     }
 

@@ -291,17 +291,23 @@ pub(crate) fn provision_fleet<R: RngCore + CryptoRng>(
 
 /// Runs each HSM's fleet-key registration (N proof-of-possession checks
 /// per device — the quadratic half of bringup) across the available
-/// cores. Registration consumes no randomness, so parallel execution is
-/// trivially deterministic.
-pub(crate) fn register_fleet_parallel(
-    hsms: &mut [Hsm],
-    fleet: &[(
+/// cores, committing the registered keys to the device's store.
+/// Registration consumes none of the caller's randomness (sealing
+/// nonces come from the thread RNG, as in every provider-driven round),
+/// so parallel execution is trivially deterministic.
+pub(crate) fn register_fleet_parallel<S: BlockStore + Send>(
+    fleet: &mut [(Hsm, S)],
+    keys: &[(
         safetypin_multisig::VerifyKey,
         safetypin_multisig::ProofOfPossession,
     )],
 ) -> Result<(), HsmError> {
     // A dead worker registered nothing; fail-stop, not panic.
-    fan_out(hsms, usize::MAX, |hsm| hsm.register_fleet(fleet))
-        .into_iter()
-        .try_for_each(|outcome| outcome.unwrap_or(Err(HsmError::Unavailable)))
+    fan_out(fleet, usize::MAX, |(hsm, store)| {
+        hsm.register_fleet(keys)?;
+        hsm.commit(store, &mut rand::thread_rng());
+        Ok(())
+    })
+    .into_iter()
+    .try_for_each(|outcome| outcome.unwrap_or(Err(HsmError::Unavailable)))
 }

@@ -24,37 +24,41 @@ impl Datacenter<MemStore> {
         rng: &mut R,
     ) -> Result<Self, ProviderError> {
         let configs: Vec<HsmConfig> = (0..total).map(config_for).collect();
-        let (mut hsms, stores): (Vec<Hsm>, Vec<MemStore>) =
-            fanout::provision_fleet(configs, usize::MAX, rng)?
-                .into_iter()
-                .unzip();
-        let fleet: Vec<_> = hsms
+        let mut fleet = fanout::provision_fleet(configs, usize::MAX, rng)?;
+        let keys: Vec<_> = fleet
             .iter()
-            .map(|h| {
+            .map(|(h, _)| {
                 let e = h.enrollment();
                 (e.sig_vk, e.sig_pop)
             })
             .collect();
-        fanout::register_fleet_parallel(&mut hsms, &fleet)?;
-        let epoch_chunks = hsms.len();
-        Ok(Self {
+        fanout::register_fleet_parallel(&mut fleet, &keys)?;
+        let (hsms, stores) = fleet.into_iter().unzip();
+        Ok(Self::assemble(hsms, stores))
+    }
+}
+
+impl<S: BlockStore + Send> Datacenter<S> {
+    /// A datacenter over `hsms` and their `stores` with empty provider
+    /// state, an empty in-memory journal and the zero-copy [`Direct`]
+    /// transport.
+    pub(crate) fn assemble(hsms: Vec<Hsm>, stores: Vec<S>) -> Self {
+        Self {
             hsms,
             stores,
             log: Log::new(),
             archived_logs: Vec::new(),
             update_history: Vec::new(),
             epoch_certs: Vec::new(),
+            chain_start: 0,
             reply_copies: Vec::new(),
             backups: Default::default(),
-            epoch_chunks,
             transport: Box::new(Direct::new()),
-            log_wal: None,
-            wal_seq: 0,
-        })
+            journal: Box::new(MemStore::new()),
+            journal_len: 0,
+        }
     }
-}
 
-impl<S: BlockStore + Send> Datacenter<S> {
     /// Number of HSMs in the fleet.
     pub fn fleet_size(&self) -> usize {
         self.hsms.len()
@@ -105,9 +109,12 @@ impl<S: BlockStore + Send> Datacenter<S> {
         }
     }
 
-    /// Garbage-collects the log: archives entries, resets the log, and
-    /// asks every live HSM (one batched round) to follow — each enforces
-    /// its own GC budget.
+    /// Garbage-collects the log: asks every live HSM (one batched round)
+    /// to follow — each enforces its own GC budget — then archives the
+    /// entries, resets the log and journals the collection. A kill in
+    /// between leaves the devices on the empty digest, one collection
+    /// into their budget, and the log uncollected; restoring replays
+    /// the chain back to them.
     pub fn garbage_collect(&mut self) -> Result<(), ProviderError> {
         let batch: Vec<_> = self
             .hsms
@@ -132,8 +139,9 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 }
             }
         }
-        let archived = self.log.garbage_collect();
-        self.archived_logs.push(archived);
+        self.journal_append(crate::persist::GC, |_| {});
+        self.journal_commit();
+        self.apply_gc();
         Ok(())
     }
 

@@ -52,8 +52,7 @@ use safetypin_proto::{
     SaveOutcome, SaveRequest, ServeTrafficFn, StatusReport, Transport, TransportStats,
 };
 use safetypin_seckv::{BlockStore, MemStore};
-
-use persist::{WAL_INSERT, WAL_SAVE};
+use safetypin_store::SnapshotBlocks;
 
 /// Errors from datacenter orchestration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,6 +68,8 @@ pub enum ProviderError {
     Hsm(HsmError),
     /// The transport failed to carry a message.
     Transport(ProtoError),
+    /// The journal cannot be replayed (or adopted).
+    Journal(&'static str),
 }
 
 impl core::fmt::Display for ProviderError {
@@ -79,6 +80,7 @@ impl core::fmt::Display for ProviderError {
             ProviderError::UnknownHsm(id) => write!(f, "unknown HSM {id}"),
             ProviderError::Hsm(e) => write!(f, "HSM error: {e}"),
             ProviderError::Transport(e) => write!(f, "transport error: {e}"),
+            ProviderError::Journal(why) => write!(f, "provider journal: {why}"),
         }
     }
 }
@@ -133,9 +135,10 @@ pub struct EpochOutcome {
 ///
 /// Generic over the outsourced-block backend `S`: a freshly provisioned
 /// fleet runs on in-memory [`MemStore`]s (the default), while a fleet
-/// restored from a snapshot runs live on crash-safe
+/// restored from a store directory runs live on crash-safe
 /// [`FileStore`](safetypin_store::FileStore)s — same orchestration code
-/// either way.
+/// either way, durable state included: each device keeps its own in its
+/// store, the provider keeps its own in the journal (see `persist.rs`).
 pub struct Datacenter<S: BlockStore = MemStore> {
     hsms: Vec<Hsm>,
     stores: Vec<S>,
@@ -145,16 +148,17 @@ pub struct Datacenter<S: BlockStore = MemStore> {
     /// Quorum certificates parallel to `update_history` (same indices);
     /// the replayable chain [`resync_hsm`](Self::resync_hsm) walks.
     epoch_certs: Vec<EpochCert>,
+    /// Where in `update_history` the current log generation's chain
+    /// starts (everything before it certified since-collected logs).
+    chain_start: usize,
     reply_copies: Vec<(Vec<u8>, RecoveryResponse)>,
     backups: std::collections::BTreeMap<Vec<u8>, Vec<u8>>,
-    epoch_chunks: usize,
     transport: Box<dyn Transport>,
-    /// Write-ahead log for provider-log mutations (saves + insertions)
-    /// between snapshots; `None` runs without inter-snapshot durability
-    /// (the freshly provisioned in-memory configuration).
-    log_wal: Option<Box<dyn BlockStore + Send>>,
-    /// Next free WAL block address.
-    wal_seq: u64,
+    /// Every mutation of the fields above, one record per block — the
+    /// provider's whole durable state.
+    journal: Box<dyn SnapshotBlocks + Send>,
+    /// Next free journal address.
+    journal_len: u64,
 }
 
 /// Derives the content-addressed log entry a save appends: the id and
@@ -219,6 +223,13 @@ impl<S: BlockStore + Send> Datacenter<S> {
         self.log.digest()
     }
 
+    /// The digest as of the last certified epoch (the empty digest
+    /// before the first, and again after a garbage collection): what
+    /// every in-sync HSM holds.
+    pub fn certified_digest(&self) -> safetypin_primitives::hashes::Hash256 {
+        self.log.certified_digest()
+    }
+
     /// Archived (garbage-collected) logs, oldest first.
     pub fn archived_logs(&self) -> &[Vec<LogEntry>] {
         &self.archived_logs
@@ -229,13 +240,15 @@ impl<S: BlockStore + Send> Datacenter<S> {
         &self.update_history
     }
 
-    /// Accepts a client's log-insertion request (Figure 3, step 3).
-    /// Durable when a WAL is attached: the entry is committed to the
-    /// provider-log WAL before the call returns.
+    /// Accepts a client's log-insertion request (Figure 3, step 3): the
+    /// entry is committed to the journal before the call returns.
     pub fn insert_log(&mut self, id: &[u8], value: &[u8]) -> Result<(), ProviderError> {
         self.log.insert(id, value)?;
-        self.wal_append(WAL_INSERT, id, value);
-        self.wal_flush();
+        self.journal_append(persist::INSERT, |w| {
+            w.put_bytes(id);
+            w.put_bytes(value);
+        });
+        self.journal_commit();
         Ok(())
     }
 
@@ -243,7 +256,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// batched log insertion ([`Log::insert_many`] — each touched trie
     /// node hashed once per wave; every save appends its
     /// content-addressed audit record, and an identical re-save is
-    /// idempotent) and **one** group-commit WAL flush. A backup involves
+    /// idempotent) and **one** group-commit journal flush. A backup involves
     /// the client and the provider only (paper §3–4): the client
     /// encrypted to the published keys ([`enrollments`](Self::enrollments)),
     /// so a save moves no HSM message and succeeds with the whole fleet
@@ -261,7 +274,10 @@ impl<S: BlockStore + Send> Datacenter<S> {
         for (save, result) in saves.iter().zip(results) {
             let error = match result {
                 Ok(()) => {
-                    self.wal_append(WAL_SAVE, &save.username, &save.blob);
+                    self.journal_append(persist::SAVE, |w| {
+                        w.put_bytes(&save.username);
+                        w.put_bytes(&save.blob);
+                    });
                     staged = true;
                     None
                 }
@@ -279,7 +295,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
             });
         }
         if staged {
-            self.wal_flush();
+            self.journal_commit();
         }
         outcomes
     }
@@ -301,7 +317,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// reply is that item's [`HsmResponse::Error`], so the caller can
     /// reconstruct from whatever cleared the threshold; only a
     /// whole-round transport failure is `Err`. Every share that cleared
-    /// is copied for the §8 failure-during-recovery flow.
+    /// is copied for the §8 failure-during-recovery flow, and the copies
+    /// are journaled before any share is returned.
     pub fn route_recovery<R: RngCore + CryptoRng>(
         &mut self,
         users: Vec<Vec<(u64, RecoveryRequest)>>,
@@ -335,6 +352,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
             transport.exchange_grouped(grouped, serve)
         })?;
 
+        let mut copies = Vec::new();
         for (id, responses) in replies {
             let Some(slot_list) = slots.remove(&id) else {
                 return Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
@@ -348,12 +366,17 @@ impl<S: BlockStore + Send> Datacenter<S> {
             }
             for ((user, pos, username), resp) in slot_list.into_iter().zip(responses) {
                 if let HsmResponse::RecoveryShare { response, .. } = &resp {
-                    self.reply_copies.push((username, response.clone()));
+                    copies.push((username, response.clone()));
                 }
                 if let Some(slot) = out.get_mut(user).and_then(|items| items.get_mut(pos)) {
                     *slot = (id, resp);
                 }
             }
+        }
+        if !copies.is_empty() {
+            self.journal_append(persist::REPLIES, |w| w.put_seq(&copies));
+            self.journal_commit();
+            self.reply_copies.extend(copies);
         }
         Ok(out)
     }
@@ -509,8 +532,11 @@ impl<S: BlockStore + Send> Datacenter<S> {
         seq: u64,
         event: &safetypin_authlog::MembershipEvent,
     ) -> Result<(), ProviderError> {
-        safetypin_authlog::membership::record_event(&mut self.log, seq, event)?;
-        Ok(())
+        use safetypin_primitives::wire::Encode;
+        self.insert_log(
+            &safetypin_authlog::membership::membership_log_id(seq),
+            &event.to_bytes(),
+        )
     }
 
     /// Reconstructs the fleet roster from the log's membership events

@@ -399,3 +399,167 @@ fn save_moves_no_hsm_traffic() {
     assert_eq!(dc.log_entries().len(), 6);
     assert_eq!(dc.transport_stats().since(&before).messages, 0);
 }
+
+// ----------------------------------------------------------------------
+// Journal replay: the journal is the provider's whole durable state
+// ----------------------------------------------------------------------
+
+/// A second datacenter over an identically seeded fleet that adopts a
+/// copy of `dc`'s journal — what a restart does, minus the files.
+fn replayed(dc: &mut Datacenter) -> Datacenter {
+    use safetypin_seckv::{BlockStore, MemStore};
+    let mut copy = MemStore::new();
+    for addr in 0..dc.journal_len {
+        copy.put(addr, &dc.journal.get(addr).unwrap());
+    }
+    let (mut twin, _) = datacenter();
+    twin.attach_log_wal(Box::new(copy)).unwrap();
+    twin
+}
+
+/// Provider state a replay must reproduce, plus what the *next* epoch
+/// would cut from it.
+fn assert_same_provider_state(a: &mut Datacenter, b: &mut Datacenter) {
+    assert_eq!(a.log_digest(), b.log_digest());
+    assert_eq!(a.log_entries(), b.log_entries());
+    assert_eq!(a.log.pending_count(), b.log.pending_count());
+    assert_eq!(a.log.generation(), b.log.generation());
+    assert_eq!(a.archived_logs(), b.archived_logs());
+    assert_eq!(a.update_history(), b.update_history());
+    assert_eq!(a.chain_start, b.chain_start);
+    assert_eq!(a.backups, b.backups);
+    assert_eq!(a.reply_copies, b.reply_copies);
+    let (cut_a, _) = a.log.plan_epoch(TOTAL as usize);
+    let (cut_b, _) = b.log.plan_epoch(TOTAL as usize);
+    assert_eq!(cut_a.old_digest, cut_b.old_digest);
+    assert_eq!(cut_a.new_digest, cut_b.new_digest);
+}
+
+#[test]
+fn journal_replay_mid_epoch() {
+    let (mut dc, _) = datacenter();
+    for i in 0..9 {
+        dc.insert_log(format!("u{i}").as_bytes(), format!("v{i}").as_bytes())
+            .unwrap();
+    }
+    dc.run_epoch().unwrap();
+    // Three more insertions pending mid-epoch.
+    for i in 9..12 {
+        dc.insert_log(format!("u{i}").as_bytes(), format!("v{i}").as_bytes())
+            .unwrap();
+    }
+    let mut twin = replayed(&mut dc);
+    assert_eq!(twin.log.pending_count(), 3);
+    assert_eq!(twin.update_history().len(), 1);
+    assert_same_provider_state(&mut dc, &mut twin);
+    // Inclusion proofs keep verifying against the replayed digest, and
+    // a consumed identifier stays consumed.
+    let proof = twin.prove_inclusion(b"u10", b"v10").unwrap();
+    assert!(MerkleTrie::does_include(
+        &twin.log_digest(),
+        b"u10",
+        b"v10",
+        &proof
+    ));
+    assert!(twin.insert_log(b"u3", b"again").is_err());
+    // The twin's devices catch up on the certified chain and then
+    // certify the pending entries with the whole fleet.
+    for id in 0..TOTAL {
+        assert_eq!(twin.resync_hsm(id).unwrap(), 1);
+    }
+    assert_eq!(twin.run_epoch().unwrap().signers.len(), TOTAL as usize);
+}
+
+#[test]
+fn journal_replay_after_save_waves() {
+    let (mut dc, _) = datacenter();
+    let wave = |from: usize, n: usize| -> Vec<SaveRequest> {
+        (from..from + n)
+            .map(|i| SaveRequest {
+                username: format!("w{i}").into_bytes(),
+                blob: format!("blob-{i}").into_bytes(),
+            })
+            .collect()
+    };
+    assert!(dc.save_many(&wave(0, 9)).iter().all(|o| o.error.is_none()));
+    dc.run_epoch().unwrap();
+    assert!(dc.save_many(&wave(9, 7)).iter().all(|o| o.error.is_none()));
+    // A re-save under a new blob supersedes the stored backup.
+    let newer = SaveRequest {
+        username: b"w2".to_vec(),
+        blob: b"blob-2-v2".to_vec(),
+    };
+    assert!(dc.save_many(&[newer]).iter().all(|o| o.error.is_none()));
+    dc.insert_log(b"tail", b"t").unwrap();
+
+    let twin = replayed(&mut dc);
+    // A wave's entries replay one by one, so entry *order* inside a wave
+    // may differ; the set — hence every digest — may not.
+    let sorted = |dc: &Datacenter| {
+        let mut ids: Vec<_> = dc.log_entries().iter().map(|e| e.id.clone()).collect();
+        ids.sort();
+        ids
+    };
+    assert_eq!(sorted(&dc), sorted(&twin));
+    assert_eq!(dc.log_digest(), twin.log_digest());
+    assert_eq!(dc.log.pending_count(), twin.log.pending_count());
+    assert_eq!(dc.backups, twin.backups);
+    assert_eq!(twin.backups.get(b"w2".as_slice()).unwrap(), b"blob-2-v2");
+    let (cut_a, _) = dc.log.plan_epoch(4);
+    let (cut_b, _) = twin.log.plan_epoch(4);
+    assert_eq!(cut_a.old_digest, cut_b.old_digest);
+    assert_eq!(cut_a.new_digest, cut_b.new_digest);
+}
+
+#[test]
+fn journal_with_impossible_epoch_rejected() {
+    use safetypin_seckv::{BlockStore, MemStore};
+    let (mut dc, _) = datacenter();
+    dc.insert_log(b"a", b"1").unwrap();
+    dc.run_epoch().unwrap();
+    // Records 0 (the insert) and 1 (the epoch) swapped: the epoch now
+    // claims to certify entries the log does not hold yet.
+    let mut swapped = MemStore::new();
+    swapped.put(0, &dc.journal.get(1).unwrap());
+    swapped.put(1, &dc.journal.get(0).unwrap());
+    let (mut twin, _) = datacenter();
+    assert!(matches!(
+        twin.attach_log_wal(Box::new(swapped)),
+        Err(ProviderError::Journal(_))
+    ));
+    // So is a record of an unknown kind, or one with trailing bytes.
+    for junk in [vec![9u8], vec![crate::persist::GC, 0]] {
+        let mut store = MemStore::new();
+        store.put(0, &junk);
+        let (mut twin, _) = datacenter();
+        assert!(matches!(
+            twin.attach_log_wal(Box::new(store)),
+            Err(ProviderError::Journal(_))
+        ));
+    }
+    // And a datacenter that already journaled state adopts nothing.
+    assert!(matches!(
+        dc.attach_log_wal(Box::new(MemStore::new())),
+        Err(ProviderError::Journal(_))
+    ));
+}
+
+#[test]
+fn journal_replay_after_gc() {
+    let (mut dc, _) = datacenter();
+    dc.insert_log(b"a", b"1").unwrap();
+    dc.run_epoch().unwrap();
+    dc.garbage_collect().unwrap();
+    dc.insert_log(b"b", b"2").unwrap();
+    dc.run_epoch().unwrap();
+    let mut twin = replayed(&mut dc);
+    assert_eq!(twin.log.generation(), 1);
+    assert_eq!(twin.log_entries().len(), 1);
+    assert_eq!(twin.archived_logs().len(), 1);
+    assert_eq!(twin.chain_start, 1);
+    assert_same_provider_state(&mut dc, &mut twin);
+    // A device still on the empty digest replays the current
+    // generation's chain only — not the collected log's.
+    assert_eq!(twin.resync_hsm(0).unwrap(), 1);
+    assert_eq!(twin.hsm(0).unwrap().log_digest(), twin.log_digest());
+}

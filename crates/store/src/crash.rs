@@ -104,6 +104,17 @@ impl<S: BlockStore> CrashingStore<S> {
     }
 }
 
+/// What reached "disk" before the crash is what a checkpoint captures.
+impl<S: crate::SnapshotBlocks> crate::SnapshotBlocks for CrashingStore<S> {
+    fn checkpoint_into(
+        &mut self,
+        dir: &std::path::Path,
+        opts: crate::FileOptions,
+    ) -> Result<(), crate::StoreError> {
+        self.inner.checkpoint_into(dir, opts)
+    }
+}
+
 impl<S: BlockStore> BlockStore for CrashingStore<S> {
     fn put(&mut self, addr: u64, block: &[u8]) {
         if self.crashed {

@@ -18,7 +18,7 @@ pub enum StoreError {
         reason: &'static str,
     },
     /// A sealed blob failed AEAD authentication: wrong device key,
-    /// wrong domain, or a tampered snapshot.
+    /// wrong domain, or tampered state.
     SealBroken,
     /// Persisted plaintext state (provider log, snapshot metadata)
     /// failed to decode.
@@ -32,9 +32,9 @@ pub enum StoreError {
     },
     /// A required snapshot component is missing from the directory.
     MissingComponent(&'static str),
-    /// The snapshot's components are mutually inconsistent (e.g. the
-    /// provider log fails to replay, or the keyring does not cover the
-    /// fleet).
+    /// The directory's components are mutually inconsistent (e.g. the
+    /// provider journal fails to replay, or the keyring does not cover
+    /// the fleet).
     Inconsistent(&'static str),
 }
 

@@ -132,6 +132,9 @@ struct StoreMeters {
 impl StoreMeters {
     fn from_global() -> Self {
         let registry = safetypin_telemetry::global();
+        // Registered here so a store that never syncs (Relaxed) still
+        // exports the series — at zero, which is the claim to check.
+        registry.histogram("store.fsync");
         Self {
             wal_appends: registry.counter("store.wal_appends"),
             wal_bytes: registry.counter("store.wal_bytes"),

@@ -1,4 +1,4 @@
-//! Crash-safe persistent storage for HSM state and the provider log.
+//! Crash-safe persistent storage for HSM state and the provider journal.
 //!
 //! SafetyPin's HSMs keep only a small root secret on-chip and outsource
 //! the bulky puncturable-encryption tree to untrusted host storage
@@ -13,15 +13,21 @@
 //!    and the kernel's page cache is the only block cache. Recovered
 //!    state after a crash is always the state at some commit boundary,
 //!    never a torn hybrid (pinned by a crash-point property test over
-//!    every WAL truncation offset).
-//! 2. **Sealed snapshots** — [`DeviceKey`]/[`Keyring`] seal each HSM's
-//!    trusted state (secure-array root key, identity/signing secrets,
-//!    log bookkeeping) under a per-device AEAD key before it reaches the
-//!    host filesystem, while provider-side state (audit log, enrollment
-//!    table, the block files themselves) stays plaintext-on-host, just
-//!    like a live datacenter. The role crates (`safetypin-hsm`,
-//!    `safetypin-provider`, `safetypin`) build their `persist`/`restore`
-//!    entry points on these primitives.
+//!    every WAL truncation offset). It is the **one durable mechanism**:
+//!    each HSM's store holds its outsourced array *and* its own trusted
+//!    state, the provider's store holds its journal, and whatever one
+//!    `flush` covers commits together — so a directory of stores is
+//!    restorable after every commit, and "persisting" a fleet
+//!    ([`SnapshotBlocks`]) is merely checkpointing each of them.
+//! 2. **Sealing** — [`DeviceKey`] seals each HSM's trusted state
+//!    (secure-array root key, identity/signing secrets, log
+//!    bookkeeping) under a per-device AEAD key before the device puts
+//!    it into its store, while everything else there (the array's
+//!    ciphertext blocks, public keys, the provider's journal) stays
+//!    plaintext-on-host, just like a live datacenter. The [`Keyring`]
+//!    file collects the device keys (standing in for on-chip flash);
+//!    with `params.bin` and `snapshot.meta` it is one of the three
+//!    small static files [`write_atomic`] publishes beside the stores.
 //!
 //! Durability is the one option: [`Durability::Strict`] fsyncs at every
 //! commit, checkpoint and [`write_atomic`]; [`Durability::Relaxed`]
@@ -64,7 +70,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8], durability: Durability) -> Result
     Ok(file::publish(&tmp, &tmp_path, path, durability)?)
 }
 
-/// Reads a snapshot component, mapping absence to a typed error.
+/// Reads one of the static files, mapping absence to a typed error.
 pub fn read_component(path: &Path, what: &'static str) -> Result<Vec<u8>, StoreError> {
     match std::fs::read(path) {
         Ok(bytes) => Ok(bytes),

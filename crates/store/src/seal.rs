@@ -1,20 +1,20 @@
-//! Sealed-state layer: AEAD device keys for HSM snapshots.
+//! Sealed-state layer: per-device AEAD keys for HSM state blocks.
 //!
 //! The paper's division of state (§6, Table 7) is the contract here:
 //! each HSM keeps only a small root secret *on-chip* and pushes
-//! everything bulky to untrusted host storage. When a simulated fleet is
-//! persisted, the same line is drawn on disk — an HSM's trusted state
-//! (its identity and signing secrets, the secure-array root key, log
-//! digest and counters) is serialized with the canonical wire codec and
-//! **sealed** under a per-device AEAD key before it touches the host
-//! filesystem, while the outsourced block files and the provider's log
-//! stay plaintext-on-host exactly as they are in a live datacenter
-//! (they are ciphertext / public data already).
+//! everything bulky to untrusted host storage. A simulated fleet draws
+//! the same line on disk — an HSM's trusted state (its identity and
+//! signing secrets, the secure-array root key, log digest and counters)
+//! is serialized with the canonical wire codec and **sealed** under a
+//! per-device AEAD key before it is put into the device's block store,
+//! while the outsourced blocks, the public keys and the provider's
+//! journal stay plaintext-on-host exactly as they are in a live
+//! datacenter (they are ciphertext / public data already).
 //!
 //! The [`Keyring`] file stands in for the fleet's on-chip flash: a real
 //! deployment never writes these keys to the provider's disks. Keeping
 //! them in a separate artifact makes the trust boundary explicit and
-//! testable — deleting the keyring must render every sealed snapshot
+//! testable — deleting the keyring must render every sealed block
 //! unreadable.
 
 use rand::{CryptoRng, RngCore};
@@ -63,9 +63,9 @@ impl DeviceKey {
         *self.key.as_bytes()
     }
 
-    /// Seals `plaintext` under this key, bound to `domain` (the snapshot
+    /// Seals `plaintext` under this key, bound to `domain` (the
     /// component name + device id) via associated data, so a sealed blob
-    /// cannot be replayed into a different slot of the snapshot.
+    /// cannot be replayed into a different component or device.
     pub fn seal<R: RngCore + CryptoRng>(
         &self,
         domain: &[u8],
@@ -95,7 +95,7 @@ pub fn seal_domain(component: &str, device_id: u64) -> Vec<u8> {
 /// The fleet's device keys, one per HSM in id order.
 ///
 /// Serialized to its own file, standing in for on-chip flash — see the
-/// module docs for why it must live apart from the snapshot proper.
+/// module docs for why it must live apart from the block stores.
 #[derive(Clone, Default)]
 pub struct Keyring {
     keys: Vec<DeviceKey>,
@@ -118,21 +118,9 @@ impl Drop for Keyring {
 }
 
 impl Keyring {
-    /// Samples `n` fresh device keys.
-    pub fn generate<R: RngCore + CryptoRng>(n: usize, rng: &mut R) -> Self {
-        Self {
-            keys: (0..n).map(|_| DeviceKey::random(rng)).collect(),
-        }
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when the ring holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+    /// Collects the fleet's device keys, in id order.
+    pub fn new(keys: Vec<DeviceKey>) -> Self {
+        Self { keys }
     }
 
     /// The key for device `id`, if provisioned.
@@ -211,9 +199,8 @@ mod tests {
     fn keyring_roundtrip() {
         use safetypin_primitives::wire::{Decode, Encode};
         let mut rng = StdRng::seed_from_u64(8);
-        let ring = Keyring::generate(5, &mut rng);
+        let ring = Keyring::new((0..5).map(|_| DeviceKey::random(&mut rng)).collect());
         let back = Keyring::from_bytes(&ring.to_bytes()).unwrap();
-        assert_eq!(back.len(), 5);
         for i in 0..5u64 {
             assert_eq!(
                 back.device(i).unwrap().to_bytes(),

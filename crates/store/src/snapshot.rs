@@ -1,15 +1,17 @@
-//! How a live backend's blocks reach a snapshot directory.
+//! How a live backend's blocks reach a store directory.
 //!
-//! The datacenter persists each HSM's outsourced block store alongside
-//! the sealed device state. The blocks are AEAD ciphertext already —
-//! they live *at the provider* in the threat model — so they go to disk
-//! plaintext-on-host, as a checkpointed [`FileStore`] (segment only,
-//! empty WAL): the most compact, fastest-to-reopen representation.
+//! Every store a datacenter runs on — each HSM's block store (the
+//! outsourced array plus the device's own state blocks) and the
+//! provider's journal — is persisted the same way: as a checkpointed
+//! [`FileStore`] (segment only, empty WAL), the most compact,
+//! fastest-to-reopen representation. Nothing in them needs sealing by
+//! the host: the array is AEAD ciphertext, the device state is sealed
+//! by the device, the rest is public.
 //!
 //! [`SnapshotBlocks`] abstracts over the live backend: an in-memory
 //! fleet ([`MemStore`]) streams its blocks into a fresh `FileStore`,
-//! while a disk-backed fleet whose store already *is* the snapshot
-//! directory just commits and checkpoints in place.
+//! while a disk-backed fleet whose store already *is* the directory
+//! just commits and checkpoints in place.
 
 use std::path::Path;
 
@@ -19,7 +21,7 @@ use crate::error::StoreError;
 use crate::file::{FileOptions, FileStore};
 
 /// Backends whose blocks can be captured into (and served from) a
-/// snapshot directory.
+/// store directory.
 pub trait SnapshotBlocks: BlockStore {
     /// Writes every live block into a checkpointed [`FileStore`] rooted
     /// at `dir`, replacing whatever that directory held.

@@ -1,12 +1,14 @@
-//! Durable fleet: provision → back up → persist to disk → kill the
-//! process state → restore → recover.
+//! Durable fleet: provision → back up → persist to disk → power cut →
+//! restore → recover → power cut again, with no persist in between →
+//! restore.
 //!
 //! Demonstrates the `safetypin-store` persistence subsystem: the
-//! datacenter's state survives on disk — each HSM's trusted state
-//! sealed under its device key, the outsourced block trees as
-//! crash-safe WAL+segment files, the provider's log in plaintext — and
-//! a restored fleet completes a PIN recovery exactly as the original
-//! would have, then keeps running *live* on the crash-safe files.
+//! datacenter's state lives in crash-safe WAL+segment stores — each
+//! HSM's outsourced block tree with the device's own state sealed
+//! beside it, the provider's journal in plaintext — and every commit
+//! leaves the directory restorable. A restored fleet completes a PIN
+//! recovery exactly as the original would have, keeps running *live*
+//! on the files, and loses nothing when it dies unannounced.
 //!
 //! Run with: `cargo run --release --example durable_fleet`
 
@@ -32,15 +34,15 @@ fn main() {
         artifact.ciphertext.len()
     );
 
-    // The datacenter saves its state: sealed HSM snapshots + device
-    // keyring + checkpointed block files + provider log + versioned
-    // metadata.
+    // The datacenter moves onto disk: checkpointed block stores (each
+    // HSM's with its sealed state inside) + provider journal + device
+    // keyring + versioned metadata.
     println!("persisting the deployment to {}...", dir.display());
     let meta = deployment
         .persist(&dir, FileOptions::default(), &mut rng)
         .expect("persist succeeds");
     println!(
-        "snapshot written: {} HSMs, protocol v{}, {} certified epochs",
+        "fleet on disk: {} HSMs, protocol v{}, {} certified epochs",
         meta.fleet_size, meta.proto_version, meta.epoch_count
     );
 
@@ -49,7 +51,7 @@ fn main() {
     println!("process state dropped (simulated power cut)");
 
     // Restart: restore the fleet from disk. The protocol version is
-    // re-handshaked from the snapshot metadata before any sealed state
+    // re-handshaked from the stored metadata before any sealed state
     // is opened, and the restored fleet runs live on the crash-safe
     // file stores.
     let (mut restored, meta) =
@@ -80,6 +82,38 @@ fn main() {
         .recover(&phone, b"493201", &artifact, &mut rng)
         .is_err());
     println!("second recovery attempt refused (log + punctured keys) — as designed");
+
+    // A second user saves on the live fleet, and then the power goes
+    // again — this time with no persist since the restore.
+    let bob_key = b"bob's 32-byte disk key!!!!!!!!!!";
+    let bob_artifact = restored
+        .save(b"bob@example.com", b"271828", bob_key, &mut rng)
+        .expect("save against the restored fleet succeeds");
+    let bob = restored.new_client(b"bob@example.com").unwrap();
+    drop(restored);
+    println!("second power cut, nothing persisted since the restore");
+
+    // Every commit left the directory restorable: the punctures and
+    // the keys that survive them, the logged attempt, bob's backup.
+    let (mut again, meta) =
+        Deployment::restore_from(&dir, FileOptions::default()).expect("second restore succeeds");
+    let punctures_again: u64 = (0..meta.fleet_size)
+        .map(|i| again.datacenter.hsm(i).unwrap().punctures())
+        .sum();
+    assert_eq!(punctures_again, punctures);
+    assert!(again
+        .recover(&phone, b"493201", &artifact, &mut rng)
+        .is_err());
+    let outcome = again
+        .recover(&bob, b"271828", &bob_artifact, &mut rng)
+        .expect("the bystander recovers after the unannounced cut");
+    assert_eq!(outcome.message, bob_key);
+    assert_eq!(outcome.responders, outcome.contacted);
+    println!(
+        "restored again: {punctures_again} punctures and {} epochs intact, alice still refused, \
+         bob recovered via {} of {} HSMs",
+        meta.epoch_count, outcome.responders, outcome.contacted
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
     println!("done.");

@@ -164,3 +164,58 @@ fn recovery_outcome_costs_price_on_all_devices() {
         prev = secs;
     }
 }
+
+/// A certification that fails must leave the log uncut: the attempt
+/// logged before a mass fail-stop is certified by the next epoch once
+/// the devices are back, and its recovery completes. (Cutting before
+/// any HSM had signed used to strand the entry — and every later epoch
+/// — behind a digest no device held.)
+#[test]
+fn failed_certification_leaves_the_log_uncut() {
+    use safetypin::proto::HsmResponse;
+
+    let (mut d, mut rng) = deployment(8, 77);
+    let mut client = d.new_client(b"stranded").unwrap();
+    let artifact = client.backup(b"602214", b"avogadro", 0, &mut rng).unwrap();
+    let attempt = client
+        .start_recovery(b"602214", &artifact.ciphertext, false, &mut rng)
+        .unwrap();
+    let (id, value) = attempt.log_entry();
+    d.datacenter.insert_log(&id, &value).unwrap();
+
+    // Six of eight devices are down for one epoch: no quorum.
+    for hsm in 0..6 {
+        d.datacenter.hsm_mut(hsm).unwrap().fail();
+    }
+    assert!(d.datacenter.run_epoch().is_err());
+    assert!(d.datacenter.update_history().is_empty());
+    assert_ne!(
+        d.datacenter.certified_digest(),
+        d.datacenter.log_digest(),
+        "the entry is still pending"
+    );
+
+    // All six come back; nothing was certified, so nothing to replay.
+    for hsm in 0..6 {
+        assert_eq!(d.datacenter.restore_hsm(hsm).unwrap(), 0);
+    }
+    let outcome = d.datacenter.run_epoch().unwrap();
+    assert_eq!(outcome.signers.len(), 8);
+    assert_eq!(d.datacenter.certified_digest(), d.datacenter.log_digest());
+
+    // The stranded attempt completes against the certified digest.
+    let inclusion = d.datacenter.prove_inclusion(&id, &value).unwrap();
+    let mut responses = Vec::new();
+    for (_, reply) in d
+        .datacenter
+        .route_recovery(vec![attempt.requests(&inclusion)], &mut rng)
+        .unwrap()
+        .remove(0)
+    {
+        match reply {
+            HsmResponse::RecoveryShare { response, .. } => responses.push(response),
+            other => panic!("expected a share, got {other:?}"),
+        }
+    }
+    assert_eq!(attempt.finish(responses).unwrap(), b"avogadro");
+}

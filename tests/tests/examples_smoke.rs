@@ -214,7 +214,8 @@ fn remote_fleet_main_path() {
 }
 
 /// `examples/durable_fleet.rs`: provision → backup → persist → drop →
-/// restore → recover, with punctures committed to crash-safe storage.
+/// restore → recover, with punctures committed to crash-safe storage —
+/// then a second drop with no persist in between, and a second restore.
 #[test]
 fn durable_fleet_main_path() {
     use safetypin_store::FileOptions;
@@ -247,5 +248,27 @@ fn durable_fleet_main_path() {
     assert!(restored
         .recover(&phone, b"493201", &artifact, &mut rng)
         .is_err());
+
+    // The second power cut: nothing persisted since the restore.
+    let bob_key = b"bob's 32-byte disk key!!!!!!!!!!";
+    let bob_artifact = restored
+        .save(b"bob@example.com", b"271828", bob_key, &mut rng)
+        .unwrap();
+    let bob = restored.new_client(b"bob@example.com").unwrap();
+    drop(restored);
+    let (mut again, meta) =
+        safetypin::Deployment::restore_from(&dir, FileOptions::relaxed()).unwrap();
+    let punctures_again: u64 = (0..meta.fleet_size)
+        .map(|i| again.datacenter.hsm(i).unwrap().punctures())
+        .sum();
+    assert_eq!(punctures_again, punctures);
+    assert!(again
+        .recover(&phone, b"493201", &artifact, &mut rng)
+        .is_err());
+    let outcome = again
+        .recover(&bob, b"271828", &bob_artifact, &mut rng)
+        .unwrap();
+    assert_eq!(outcome.message, bob_key);
+    assert_eq!(outcome.responders, outcome.contacted);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,5 @@
 //! `store.fsync` counts every durability syscall the store issues — the
-//! block files' and the sealed snapshot files' alike — and a
+//! block files' and the static files' alike — and a
 //! [`Durability::Relaxed`] persist issues none. The histogram lives in
 //! the process-wide registry, so this test has a binary to itself.
 
@@ -29,9 +29,9 @@ fn persist_syncs_follow_durability_and_are_all_metered() {
         .persist(&dir.join("strict"), FileOptions::default(), &mut rng)
         .unwrap();
     // Every published file costs two samples, its own sync and its
-    // directory's: params, keyring, provider state, metadata, and per
-    // HSM one sealed state file and one block segment.
-    let published_files = 4 + 8 + 8;
+    // directory's: params, keyring, metadata, the journal's segment and
+    // one block segment per HSM.
+    let published_files = 3 + 1 + 8;
     assert!(
         fsyncs() >= 2 * published_files,
         "a Strict persist syncs every file it publishes, saw {} samples",

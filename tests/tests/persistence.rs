@@ -291,7 +291,8 @@ fn engine_wave_punctures_survive_a_kill_before_response_delivery() {
     let params = SystemParams::test_small(8);
     let mut d = Deployment::provision(params, &mut rng).unwrap();
     let mut clients = Vec::new();
-    for u in 0..2 {
+    // Two users ride the wave; a third only shares the devices.
+    for u in 0..3 {
         let name = format!("wave-user-{u}");
         let mut client = d.new_client(name.as_bytes()).unwrap();
         let artifact = client
@@ -308,6 +309,7 @@ fn engine_wave_punctures_survive_a_kill_before_response_delivery() {
     // Restored fleet runs LIVE on crash-safe FileStores. Stage a
     // two-user engine wave by hand up to the grouped HSM round.
     let (mut restored, _) = Deployment::restore_from(&dir, FileOptions::relaxed()).unwrap();
+    let (bystander, bystander_artifact) = clients.pop().unwrap();
     let mut rounds = Vec::new();
     for (client, artifact) in &clients {
         let attempt = client
@@ -353,10 +355,11 @@ fn engine_wave_punctures_survive_a_kill_before_response_delivery() {
     drop(served);
     drop(restored);
 
-    // Restart from disk. The devices' sealed trusted state predates the
-    // wave, but the punctures' re-keyed blocks were WAL-committed by
-    // the group commit: no combination of on-disk state can produce
-    // those shares again. The users' recoveries must fail.
+    // Restart from disk. The punctures' re-keyed blocks and the root
+    // key that opens them were WAL-committed together by the group
+    // commit: no combination of on-disk state can produce those shares
+    // again, and every device still reads its array. The users'
+    // recoveries must fail.
     let (mut after_crash, _) = Deployment::restore_from(&dir, FileOptions::relaxed()).unwrap();
     let sessions: Vec<RecoverySession<'_>> = clients
         .iter()
@@ -373,34 +376,69 @@ fn engine_wave_punctures_survive_a_kill_before_response_delivery() {
             "user {u}: a share served before the crash must be unrecoverable after it"
         );
     }
+    // The devices are not bricked: a user who was not part of the wave
+    // recovers from the same fleet, every contacted device answering.
+    let outcome = after_crash
+        .recover(&bystander, b"161803", &bystander_artifact, &mut rng)
+        .expect("an uninvolved user recovers after the kill");
+    assert_eq!(outcome.message, b"wave payload");
+    assert_eq!(outcome.responders, outcome.contacted);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Sealed-state integrity: tampering with a sealed HSM file, removing
-/// the keyring, or presenting a wrong-version snapshot all fail typed.
+/// Sealed-state integrity: tampering with a device's sealed state block,
+/// corrupting a segment, removing the keyring, or presenting a
+/// wrong-version directory all fail typed.
 #[test]
 fn snapshot_tampering_and_version_mismatch_rejected() {
+    use safetypin::seckv::BlockStore;
+    use safetypin_store::FileStore;
+
     let (mut d, _client, _artifact, _rng) = provision_and_backup(SEED ^ 4);
     let dir = tmpdir("tamper");
     let mut seal_rng = StdRng::seed_from_u64(0x5EA5);
     d.persist(&dir, FileOptions::relaxed(), &mut seal_rng)
         .unwrap();
     drop(d);
+    let restore = || Deployment::restore_from(&dir, FileOptions::relaxed()).map(|_| ());
 
-    // 1. Bit-flip inside a sealed HSM state file → SealBroken.
-    let sealed_path = dir.join("hsm-0.sealed");
-    let mut sealed = std::fs::read(&sealed_path).unwrap();
-    let mid = sealed.len() / 2;
-    sealed[mid] ^= 0x01;
-    std::fs::write(&sealed_path, &sealed).unwrap();
-    assert!(matches!(
-        Deployment::restore_from(&dir, FileOptions::relaxed()),
-        Err(StoreError::SealBroken)
-    ));
-    sealed[mid] ^= 0x01;
-    std::fs::write(&sealed_path, &sealed).unwrap();
+    // 1. A device's sealed state block overwritten through its own
+    //    store (a well-formed, committed write — only the seal can
+    //    catch it) → SealBroken.
+    let hsm_dir = dir.join("blocks").join("hsm-0");
+    let state_addr = safetypin::hsm::state::DYNAMIC_ADDR;
+    let rewrite_state = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut store = FileStore::open(&hsm_dir, FileOptions::relaxed()).unwrap();
+        let mut block = store
+            .get(state_addr)
+            .expect("the device keeps its state here");
+        edit(&mut block);
+        store.put(state_addr, &block);
+        store.flush();
+    };
+    rewrite_state(&|block| {
+        let mid = block.len() / 2;
+        block[mid] ^= 0x01;
+    });
+    assert!(matches!(restore(), Err(StoreError::SealBroken)));
+    rewrite_state(&|block| {
+        let mid = block.len() / 2;
+        block[mid] ^= 0x01;
+    });
+    restore().expect("the repaired block restores");
 
-    // 2. Wrong protocol version in the metadata envelope → typed
+    // 2. A flipped byte in a checkpointed segment → CorruptSegment
+    //    before any block is served.
+    let segment_path = dir.join("blocks").join("hsm-1").join("segment.bin");
+    let mut segment = std::fs::read(&segment_path).unwrap();
+    let mid = segment.len() / 2;
+    segment[mid] ^= 0xFF;
+    std::fs::write(&segment_path, &segment).unwrap();
+    assert!(matches!(restore(), Err(StoreError::CorruptSegment { .. })));
+    segment[mid] ^= 0xFF;
+    std::fs::write(&segment_path, &segment).unwrap();
+
+    // 3. Wrong protocol version in the metadata envelope → typed
     //    VersionMismatch before any sealed state is opened.
     let meta_path = dir.join("snapshot.meta");
     let meta_bytes = std::fs::read(&meta_path).unwrap();
@@ -408,21 +446,21 @@ fn snapshot_tampering_and_version_mismatch_rejected() {
     wrong[0] = 0xFF;
     wrong[1] = 0xFE;
     std::fs::write(&meta_path, &wrong).unwrap();
-    match Deployment::restore_from(&dir, FileOptions::relaxed()) {
+    match restore() {
         Err(StoreError::VersionMismatch { found, expected }) => {
             assert_eq!(found, 0xFFFE);
             assert_eq!(expected, proto::PROTO_VERSION);
         }
         Err(other) => panic!("expected VersionMismatch, got {other:?}"),
-        Ok(_) => panic!("wrong-version snapshot restored"),
+        Ok(_) => panic!("wrong-version directory restored"),
     }
     std::fs::write(&meta_path, &meta_bytes).unwrap();
 
-    // 3. Missing keyring (the "on-chip flash" is gone) → every sealed
-    //    snapshot is unreadable.
+    // 4. Missing keyring (the "on-chip flash" is gone) → every sealed
+    //    block is unreadable.
     std::fs::remove_file(dir.join("devices.keys")).unwrap();
     assert!(matches!(
-        Deployment::restore_from(&dir, FileOptions::relaxed()),
+        restore(),
         Err(StoreError::MissingComponent("keyring"))
     ));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -490,4 +528,335 @@ fn save_wave_crash_points_replay_to_a_commit_boundary() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// The whole-fleet kill sweep: a store directory is restorable after
+// every group commit, not only after a `persist`.
+// ---------------------------------------------------------------------
+
+mod kill_sweep {
+    use super::*;
+    use safetypin::{RecoverManyOptions, RecoverySession, SaveSession};
+    use safetypin_client::{BackupArtifact, Client};
+    use safetypin_store::FileStore;
+
+    const PIN: &[u8] = b"271828";
+
+    struct User {
+        name: Vec<u8>,
+        client: Client,
+        artifact: BackupArtifact,
+    }
+
+    fn secret(name: &[u8]) -> Vec<u8> {
+        [b"secret of ", name].concat()
+    }
+
+    /// Everything a kill must leave exactly as it was.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        punctures: Vec<u64>,
+        key_epochs: Vec<u64>,
+        gc_counts: Vec<u64>,
+        enrollments: Vec<Vec<u8>>,
+        log_digest: [u8; 32],
+        certified_digest: [u8; 32],
+        log_entries: usize,
+        epochs: usize,
+        archived_logs: usize,
+        backups: u64,
+        reply_copies: Vec<Vec<Vec<u8>>>,
+    }
+
+    struct Sweep {
+        dir: PathBuf,
+        fleet: Deployment<FileStore>,
+        /// Saved and never recovered: must stay recoverable.
+        bystanders: Vec<User>,
+        /// Recovered once: must stay refused.
+        recovered: Vec<User>,
+        rng: StdRng,
+    }
+
+    impl Sweep {
+        /// A `FileStore` fleet restored from disk with 14 saved users,
+        /// two of whom have already recovered (so every case audits
+        /// refusals and reply copies, whatever its own step does).
+        fn new(tag: &str) -> Self {
+            let mut rng = StdRng::seed_from_u64(SEED ^ 0x5EE9);
+            let mut params = SystemParams::test_small(8);
+            // Tolerate two fail-stops, and keep Bloom false positives
+            // out of the `responders == contacted` audit.
+            params.f_live_inv = 4;
+            params.bfe = safetypin::bfe::BfeParams::new(1024, 3).unwrap();
+            let mut d = Deployment::provision(params, &mut rng).unwrap();
+            let mut users = Vec::new();
+            for u in 0..14 {
+                let name = format!("sweep-user-{u}").into_bytes();
+                let artifact = d.save(&name, PIN, &secret(&name), &mut rng).unwrap();
+                let client = d.new_client(&name).unwrap();
+                users.push(User {
+                    name,
+                    client,
+                    artifact,
+                });
+            }
+            let dir = tmpdir(tag);
+            d.persist(&dir, FileOptions::relaxed(), &mut rng).unwrap();
+            drop(d);
+            let (fleet, _) = Deployment::restore_from(&dir, FileOptions::relaxed()).unwrap();
+            let bystanders = users.split_off(2);
+            let mut sweep = Self {
+                dir,
+                fleet,
+                bystanders,
+                recovered: Vec::new(),
+                rng,
+            };
+            sweep.recover_wave(users);
+            sweep
+        }
+
+        /// One `recover_many` wave; the users join the recovered set.
+        fn recover_wave(&mut self, users: Vec<User>) {
+            let sessions: Vec<RecoverySession<'_>> = users
+                .iter()
+                .map(|u| RecoverySession {
+                    client: &u.client,
+                    pin: PIN,
+                    artifact: &u.artifact,
+                })
+                .collect();
+            let outcomes =
+                self.fleet
+                    .recover_many(&sessions, RecoverManyOptions::default(), &mut self.rng);
+            for (user, outcome) in users.iter().zip(outcomes) {
+                assert_eq!(outcome.unwrap().message, secret(&user.name));
+            }
+            self.recovered.extend(users);
+        }
+
+        fn observe(&self) -> Observed {
+            let dc = &self.fleet.datacenter;
+            let hsms: Vec<_> = (0..8).map(|id| dc.hsm(id).unwrap()).collect();
+            Observed {
+                punctures: hsms.iter().map(|h| h.punctures()).collect(),
+                key_epochs: hsms.iter().map(|h| h.key_epoch()).collect(),
+                gc_counts: hsms.iter().map(|h| h.gc_count()).collect(),
+                enrollments: dc.enrollments().iter().map(|e| e.to_bytes()).collect(),
+                log_digest: dc.log_digest(),
+                certified_digest: dc.certified_digest(),
+                log_entries: dc.log_entries().len(),
+                epochs: dc.update_history().len(),
+                archived_logs: dc.archived_logs().len(),
+                backups: dc.status_report().backups,
+                reply_copies: self
+                    .recovered
+                    .iter()
+                    .map(|u| {
+                        let copies = dc.reply_copies_for(&u.name);
+                        assert!(!copies.is_empty(), "reply copies are still served");
+                        copies.into_iter().map(|r| r.to_bytes()).collect()
+                    })
+                    .collect(),
+            }
+        }
+
+        /// The kill: the fleet is dropped **without `persist`** and
+        /// restored from whatever its commits left on disk.
+        fn kill_and_restore(&mut self) {
+            let (restored, meta) =
+                Deployment::restore_from(&self.dir, FileOptions::relaxed()).unwrap();
+            // Assigning drops the old fleet only now — but it has no
+            // unflushed state to lose, which is the point.
+            self.fleet = restored;
+            let dc = &self.fleet.datacenter;
+            assert_eq!(meta.epoch_count as usize, dc.update_history().len());
+            for id in 0..8 {
+                assert_eq!(
+                    dc.hsm(id).unwrap().log_digest(),
+                    dc.certified_digest(),
+                    "HSM {id} holds the provider's last certified digest"
+                );
+            }
+        }
+
+        /// Kills twice, then audits: nothing observable moved, the
+        /// recovered users stay refused — by the log while it remembers
+        /// them, by the punctures once `log_forgot` them — and every
+        /// bystander recovers byte-identical from a full cluster
+        /// (`full_clusters`: a rotation legitimately costs earlier
+        /// backups the rotated device's share).
+        fn audit(mut self, log_forgot: bool, full_clusters: bool) {
+            let before = self.observe();
+            self.kill_and_restore();
+            assert_eq!(self.observe(), before, "the kill changed durable state");
+            self.kill_and_restore();
+            assert_eq!(
+                self.observe(),
+                before,
+                "a second kill changed durable state"
+            );
+
+            for user in &self.recovered {
+                let again = self
+                    .fleet
+                    .recover(&user.client, PIN, &user.artifact, &mut self.rng);
+                use safetypin::hsm::HsmError::DecryptFailed;
+                use safetypin::provider::ProviderError::Hsm;
+                use safetypin::DeploymentError::{AttemptRefused, Provider};
+                match again {
+                    Err(AttemptRefused) if !log_forgot => {}
+                    Err(Provider(Hsm(DecryptFailed))) if log_forgot => {}
+                    other => panic!(
+                        "{}: expected a refusal, got {other:?}",
+                        String::from_utf8_lossy(&user.name)
+                    ),
+                }
+            }
+            for user in &self.bystanders {
+                let outcome = self
+                    .fleet
+                    .recover(&user.client, PIN, &user.artifact, &mut self.rng)
+                    .expect("a bystander recovers after the kill");
+                assert_eq!(outcome.message, secret(&user.name));
+                if full_clusters {
+                    assert_eq!(outcome.responders, outcome.contacted);
+                }
+            }
+            std::fs::remove_dir_all(&self.dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn after_a_save_wave() {
+        let mut sweep = Sweep::new("sweep-save");
+        let names: Vec<Vec<u8>> = (0..4)
+            .map(|u| format!("late-user-{u}").into_bytes())
+            .collect();
+        let secrets: Vec<Vec<u8>> = names.iter().map(|n| secret(n)).collect();
+        let mut clients: Vec<Client> = names
+            .iter()
+            .map(|n| sweep.fleet.new_client(n).unwrap())
+            .collect();
+        let mut sessions: Vec<SaveSession<'_>> = clients
+            .iter_mut()
+            .zip(&secrets)
+            .map(|(client, secret)| SaveSession {
+                client,
+                pin: PIN,
+                secret,
+                epoch: 0,
+            })
+            .collect();
+        let artifacts: Vec<BackupArtifact> = sweep
+            .fleet
+            .save_many(&mut sessions, &mut sweep.rng)
+            .into_iter()
+            .map(|saved| saved.unwrap())
+            .collect();
+        for ((name, client), artifact) in names.into_iter().zip(clients).zip(artifacts) {
+            sweep.bystanders.push(User {
+                name,
+                client,
+                artifact,
+            });
+        }
+        sweep.audit(false, true);
+    }
+
+    #[test]
+    fn after_an_insert_log() {
+        let mut sweep = Sweep::new("sweep-insert");
+        sweep
+            .fleet
+            .datacenter
+            .insert_log(b"raw-attempt", b"commitment")
+            .unwrap();
+        sweep.kill_and_restore();
+        // The uncertified entry is pending again, and still consumed.
+        assert!(sweep
+            .fleet
+            .datacenter
+            .insert_log(b"raw-attempt", b"another")
+            .is_err());
+        assert_ne!(
+            sweep.fleet.datacenter.log_digest(),
+            sweep.fleet.datacenter.certified_digest()
+        );
+        sweep.audit(false, true);
+    }
+
+    #[test]
+    fn after_run_epoch() {
+        let mut sweep = Sweep::new("sweep-epoch");
+        let dc = &mut sweep.fleet.datacenter;
+        dc.insert_log(b"raw-attempt", b"commitment").unwrap();
+        // One device sits the epoch out and is brought back *without*
+        // a resync: it is a certificate behind when the fleet dies.
+        dc.hsm_mut(5).unwrap().fail();
+        assert_eq!(dc.run_epoch().unwrap().signers.len(), 7);
+        dc.hsm_mut(5).unwrap().restore();
+        assert_ne!(dc.hsm(5).unwrap().log_digest(), dc.certified_digest());
+        // kill_and_restore asserts every device — 5 included — comes
+        // back on the certified digest.
+        sweep.kill_and_restore();
+        assert_eq!(sweep.fleet.datacenter.run_epoch().unwrap().signers.len(), 8);
+        sweep.audit(false, true);
+    }
+
+    #[test]
+    fn after_a_recovery_wave() {
+        let mut sweep = Sweep::new("sweep-recover");
+        let wave: Vec<User> = sweep.bystanders.drain(..3).collect();
+        sweep.recover_wave(wave);
+        assert_eq!(sweep.recovered.len(), 5);
+        sweep.audit(false, true);
+    }
+
+    #[test]
+    fn after_rotate_hsm() {
+        let mut sweep = Sweep::new("sweep-rotate");
+        sweep
+            .fleet
+            .datacenter
+            .rotate_hsm(3, &mut sweep.rng)
+            .unwrap();
+        sweep.kill_and_restore();
+        assert_eq!(sweep.fleet.datacenter.hsm(3).unwrap().key_epoch(), 1);
+        // The restored fleet publishes the rotated key and opens what is
+        // encrypted to it: a user saved now recovers from a full cluster.
+        let name = b"post-rotation-user".to_vec();
+        let artifact = sweep
+            .fleet
+            .save(&name, PIN, &secret(&name), &mut sweep.rng)
+            .unwrap();
+        let client = sweep.fleet.new_client(&name).unwrap();
+        let outcome = sweep
+            .fleet
+            .recover(&client, PIN, &artifact, &mut sweep.rng)
+            .unwrap();
+        assert_eq!(outcome.message, secret(&name));
+        assert_eq!(outcome.responders, outcome.contacted);
+        sweep.recovered.push(User {
+            name,
+            client,
+            artifact,
+        });
+        sweep.audit(false, false);
+    }
+
+    #[test]
+    fn after_garbage_collect() {
+        let mut sweep = Sweep::new("sweep-gc");
+        sweep.fleet.datacenter.garbage_collect().unwrap();
+        sweep.kill_and_restore();
+        let dc = &sweep.fleet.datacenter;
+        assert_eq!(dc.log_entries().len(), 0);
+        assert_eq!(dc.archived_logs().len(), 1);
+        assert_eq!(dc.hsm(0).unwrap().gc_count(), 1);
+        // The log forgot the recovered users; the punctures did not.
+        sweep.audit(true, true);
+    }
 }
