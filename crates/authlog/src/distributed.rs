@@ -7,17 +7,45 @@
 //! 1. The provider splits the epoch's `I` insertions into `K` chunks,
 //!    applies them chunk by chunk, and commits to the chain of intermediate
 //!    digests `d → d₁ → … → d_K = d'` with a Merkle root `R`.
-//! 2. Each HSM audits `C = λ` chunks — chosen *deterministically* from
-//!    `(R, hsm id)` per Appendix B.3, so surviving HSMs can recompute and
-//!    re-audit a failed HSM's assignment — verifying each audited chunk's
-//!    extension proof and the Merkle inclusion of its boundary digests.
-//! 3. Satisfied HSMs sign the tuple `(d, d', R)`; the provider aggregates
-//!    the BLS signatures; HSMs accept `d'` once the aggregate verifies
-//!    under the fleet key.
+//! 2. Each HSM audits a share of the chunks — chosen *deterministically*
+//!    from `(R, hsm id)` per Appendix B.3, so surviving HSMs can recompute
+//!    and re-audit a failed HSM's assignment — verifying each audited
+//!    chunk's extension proof and the Merkle inclusion of its boundary
+//!    digests.
+//! 3. Satisfied HSMs sign the tuple `(d, d', R, K)`; the provider
+//!    aggregates the BLS signatures; HSMs accept `d'` once the aggregate
+//!    verifies under the fleet key.
 //!
-//! With `(1 − 2·f_secret)·N` honest auditors each covering `C` random
-//! chunks, the probability that some chunk escapes honest audit is
-//! `exp(−(1 − 2·f_secret)·C)` ≤ 2⁻¹²⁸ for `C = λ = 128` (§6.2, Security).
+//! # How much each HSM audits
+//!
+//! The paper fixes `K = N` (one chunk per HSM, sized for `I ≫ N`) and has
+//! every HSM audit `C = λ` of them. With `(1 − 2·f_secret)·N` honest
+//! auditors each drawing `C` of `N` chunks, a chunk escapes one auditor
+//! with probability `(1 − 1/N)^C ≤ e^(−C/N)` and every honest auditor with
+//! probability `≤ exp(−(1 − 2·f_secret)·C)` ≤ 2⁻¹²⁸ for `C = λ = 128`
+//! (§6.2, Security).
+//!
+//! Here `K` is whatever the untrusted provider signs — the honest one cuts
+//! `K = clamp(marks, 1, N)` chunks ([`Log::plan_epoch`]), one per insertion
+//! until the fleet size caps it — so the audit budget is a *rate*, not a
+//! count. One rule, [`audit_draws`], owned by this module and enforced by
+//! the HSM from its own configuration (`C`) and its own registered fleet
+//! (`N`):
+//!
+//! * **`K ≥ 1`.** An update that commits to no chunk certifies nothing and
+//!   is refused ([`AuditError::NoChunks`]); an empty epoch is one empty
+//!   chunk.
+//! * **`a/K ≥ C/N`.** An HSM draws `a = ⌈C·K/N⌉` chunks, so a chunk
+//!   escapes one auditor with probability `(1 − 1/K)^a ≤ e^(−a/K) ≤
+//!   e^(−C/N)` — the paper's `K = N` bound — for *any* `K`. At `K = N`,
+//!   `a = C` and the draws are the paper's; inflating `K` buys the
+//!   provider no dilution, only proportionally more packages to ship.
+//! * **Audit-all below it.** When `a ≥ K` (few chunks, or `C ≥ N`, or an
+//!   unregistered device with `N = 0`) the HSM audits every chunk, and
+//!   nothing escapes at all: a one-insertion epoch is one chunk replayed
+//!   once by every HSM.
+//!
+//! [`Log::plan_epoch`]: crate::log::Log::plan_epoch
 
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::hashes::{Domain, Hash256, HashStream};
@@ -30,6 +58,9 @@ use crate::trie::{ExtensionProof, MerkleTrie};
 /// Errors from epoch-update auditing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditError {
+    /// The update commits to zero chunks: there is nothing to audit, so
+    /// there is nothing to sign.
+    NoChunks,
     /// The chunk chain did not replay from the old digest to the new one.
     BrokenChain,
     /// A chunk index was out of range.
@@ -45,6 +76,7 @@ pub enum AuditError {
 impl core::fmt::Display for AuditError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            AuditError::NoChunks => write!(f, "update commits to no chunks"),
             AuditError::BrokenChain => write!(f, "chunk chain does not reach new digest"),
             AuditError::ChunkOutOfRange(c) => write!(f, "chunk {c} out of range"),
             AuditError::BadInclusion(c) => write!(f, "bad Merkle inclusion for chunk {c}"),
@@ -314,20 +346,43 @@ pub fn verify_chunk(message: &UpdateMessage, audit: &ChunkAudit) -> Result<(), A
     Ok(())
 }
 
+/// The one audit-sizing rule (module docs): how many chunks an HSM
+/// configured for `audits` (`C`) draws per epoch draws from an epoch of
+/// `chunk_count` (`K`) chunks in a fleet of `fleet` (`N`) devices —
+/// `a = ⌈C·K/N⌉`, so that `a/K ≥ C/N` for any `K`. A result `≥ K` (always
+/// the case for `N = 0`) means "audit every chunk".
+pub fn audit_draws(chunk_count: u32, audits: u32, fleet: usize) -> u32 {
+    if fleet == 0 {
+        return chunk_count;
+    }
+    let draws = (u64::from(audits) * u64::from(chunk_count)).div_ceil(fleet as u64);
+    draws.min(u64::from(chunk_count)) as u32
+}
+
 /// The deterministic audit assignment from Appendix B.3: which chunks HSM
-/// `hsm_id` audits for the epoch committed to by `root`.
+/// `hsm_id` — configured for `audits` draws per epoch, in a fleet of
+/// `fleet` devices — audits for the epoch committed to by `root`:
+/// [`audit_draws`] draws from the `(hsm id, R)` hash stream (duplicates
+/// collapse), or every chunk when the budget covers them all.
 ///
 /// Determinism means any party can recompute any HSM's assignment — if an
 /// HSM fails mid-protocol, the survivors re-audit its chunks instead of
 /// stalling the epoch.
-pub fn audit_chunks_for(hsm_id: u64, root: &Hash256, chunk_count: u32, audits: u32) -> Vec<u32> {
-    if chunk_count == 0 {
-        return Vec::new();
+pub fn audit_chunks_for(
+    hsm_id: u64,
+    root: &Hash256,
+    chunk_count: u32,
+    audits: u32,
+    fleet: usize,
+) -> Vec<u32> {
+    let draws = audit_draws(chunk_count, audits, fleet);
+    if draws >= chunk_count {
+        return (0..chunk_count).collect();
     }
     let mut stream = HashStream::new(Domain::AuditSelect, &[&hsm_id.to_be_bytes(), root]);
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
-    for _ in 0..audits {
+    for _ in 0..draws {
         let c = stream.next_below(chunk_count as u64) as u32;
         if seen.insert(c) {
             out.push(c);
@@ -339,7 +394,8 @@ pub fn audit_chunks_for(hsm_id: u64, root: &Hash256, chunk_count: u32, audits: u
 /// The chunks HSM `own_id` must *re-audit* on behalf of failed HSMs
 /// (Appendix B.3's recursive checking, one round).
 ///
-/// For every chunk a failed HSM would have audited, a substitute auditor
+/// For every chunk a failed HSM would have audited
+/// ([`audit_chunks_for`], same `audits` and `fleet`), a substitute auditor
 /// is chosen deterministically from the active set by hashing
 /// `(root, failed id, chunk)`. Because the assignment is a deterministic
 /// function of public values, every party — provider and HSMs alike —
@@ -352,13 +408,14 @@ pub fn reaudit_chunks_for(
     root: &Hash256,
     chunk_count: u32,
     audits: u32,
+    fleet: usize,
 ) -> Vec<u32> {
     if active_ids.is_empty() {
         return Vec::new();
     }
     let mut out = std::collections::BTreeSet::new();
     for &failed in failed_ids {
-        for chunk in audit_chunks_for(failed, root, chunk_count, audits) {
+        for chunk in audit_chunks_for(failed, root, chunk_count, audits, fleet) {
             let mut stream = HashStream::new(
                 Domain::AuditSelect,
                 &[
@@ -413,9 +470,9 @@ mod tests {
         let update = EpochUpdate::build(&cut).unwrap();
         let msg = update.message();
         assert_eq!(msg.old_digest, msg.new_digest);
-        for chunk in 0..4 {
-            verify_chunk(&msg, &update.audit_package(chunk).unwrap()).unwrap();
-        }
+        // An empty epoch is one empty chunk, whatever cap was asked for.
+        assert_eq!(msg.chunk_count, 1);
+        verify_chunk(&msg, &update.audit_package(0).unwrap()).unwrap();
     }
 
     #[test]
@@ -536,7 +593,9 @@ mod tests {
         let replayed = EpochUpdate::build(&cut).unwrap();
         assert_eq!(streamed.message(), replayed.message());
         assert_eq!(streamed.chunk_digests, replayed.chunk_digests);
-        for chunk in 0..4 {
+        // Two marks (the solo insert, the wave) under a cap of 4.
+        assert_eq!(streamed.message().chunk_count, 2);
+        for chunk in 0..2 {
             let a = streamed.audit_package(chunk).unwrap();
             let b = replayed.audit_package(chunk).unwrap();
             assert_eq!(a, b);
@@ -567,27 +626,71 @@ mod tests {
     #[test]
     fn audit_assignment_deterministic() {
         let root = [7u8; 32];
-        let a = audit_chunks_for(42, &root, 100, 16);
-        let b = audit_chunks_for(42, &root, 100, 16);
+        let a = audit_chunks_for(42, &root, 100, 16, 100);
+        let b = audit_chunks_for(42, &root, 100, 16, 100);
         assert_eq!(a, b);
-        let c = audit_chunks_for(43, &root, 100, 16);
+        let c = audit_chunks_for(43, &root, 100, 16, 100);
         assert_ne!(a, c);
         assert!(a.iter().all(|&x| x < 100));
     }
 
     #[test]
     fn audit_assignment_covers_all_chunks_collectively() {
-        // With enough HSMs each auditing λ chunks, every chunk is audited
-        // (the probabilistic guarantee from §6.2).
+        // With enough HSMs each auditing its share of the chunks, every
+        // chunk is audited (the probabilistic guarantee from §6.2).
         let root = [9u8; 32];
         let chunk_count = 64u32;
         let mut covered = vec![false; chunk_count as usize];
         for hsm in 0..32u64 {
-            for c in audit_chunks_for(hsm, &root, chunk_count, 16) {
+            for c in audit_chunks_for(hsm, &root, chunk_count, 16, 32) {
                 covered[c as usize] = true;
             }
         }
         assert!(covered.iter().all(|&c| c), "all chunks audited");
+    }
+
+    #[test]
+    fn audit_draws_keep_the_rate_for_any_chunk_count() {
+        // K = N: the paper's layout, exactly C draws.
+        assert_eq!(audit_draws(32, 16, 32), 16);
+        assert_eq!(audit_draws(10_000, 128, 10_000), 128);
+        // The benchmark's fleet (N = 32, C = 16): a solo epoch is one
+        // chunk audited by everyone, a 16-insertion wave is 8 draws of 16.
+        assert_eq!(audit_draws(1, 16, 32), 1);
+        assert_eq!(audit_draws(16, 16, 32), 8);
+        // Inflating K inflates the draws with it (N = 8, C = 4).
+        assert_eq!(audit_draws(4096, 4, 8), 2048);
+        assert_eq!(audit_draws(u32::MAX, 4, 8), u32::MAX.div_ceil(2));
+        // C ≥ N, or a device with no registered fleet: audit everything.
+        assert_eq!(audit_draws(8, 8, 8), 8);
+        assert_eq!(audit_draws(8, u32::MAX, 3), 8);
+        assert_eq!(audit_draws(77, 4, 0), 77);
+        // Zero chunks, zero draws (the HSM refuses such an update anyway).
+        assert_eq!(audit_draws(0, 4, 8), 0);
+        for (k, c, n) in [(5u32, 3u32, 7usize), (1000, 16, 32), (33, 16, 32)] {
+            let a = audit_draws(k, c, n);
+            assert!(a == k || u64::from(a) * n as u64 >= u64::from(c) * u64::from(k));
+        }
+    }
+
+    #[test]
+    fn audit_all_when_the_budget_covers_every_chunk() {
+        let root = [3u8; 32];
+        // One chunk: every HSM audits it, and nobody re-audits more.
+        assert_eq!(audit_chunks_for(5, &root, 1, 16, 32), vec![0]);
+        // a = ⌈4·3/8⌉ = 2 < 3: sampled. a = ⌈4·3/4⌉ = 3: all.
+        assert!(audit_chunks_for(5, &root, 3, 4, 8).len() <= 2);
+        assert_eq!(audit_chunks_for(5, &root, 3, 4, 4), vec![0, 1, 2]);
+        assert_eq!(audit_chunks_for(5, &root, 3, 4, 0), vec![0, 1, 2]);
+        // A failed HSM's audit-all assignment is re-audited in full by
+        // the survivors, each chunk by exactly one of them.
+        let active = [0u64, 1, 2];
+        let mut reaudited: Vec<u32> = active
+            .iter()
+            .flat_map(|&id| reaudit_chunks_for(id, &active, &[3], &root, 3, 4, 4))
+            .collect();
+        reaudited.sort_unstable();
+        assert_eq!(reaudited, vec![0, 1, 2]);
     }
 
     #[test]

@@ -181,15 +181,16 @@ impl Log {
         self.trie.prove_includes(id, value)
     }
 
-    /// Cuts an epoch: drains the pending insertions into `chunks` extension
-    /// proofs of near-equal size and returns
+    /// Cuts an epoch: drains the pending insertions into at most
+    /// `max_chunks` extension proofs of near-equal size (see
+    /// [`plan_epoch`](Self::plan_epoch) for the cap) and returns
     /// `(old digest, chunk proofs, new digest)`.
     ///
     /// This is the provider's half of Figure 5: the audit protocol in
     /// [`crate::distributed`] commits to the per-chunk intermediate digests
     /// and hands audited chunks to HSMs.
-    pub fn cut_epoch(&mut self, chunks: usize) -> EpochCut {
-        self.cut_epoch_certified(chunks).0
+    pub fn cut_epoch(&mut self, max_chunks: usize) -> EpochCut {
+        self.cut_epoch_certified(max_chunks).0
     }
 
     /// [`cut_epoch`](Self::cut_epoch), also returning the post-chunk
@@ -198,30 +199,38 @@ impl Log {
     ///
     /// [`plan_epoch`]: Self::plan_epoch
     /// [`mark_certified`]: Self::mark_certified
-    pub fn cut_epoch_certified(&mut self, chunks: usize) -> (EpochCut, Vec<Hash256>) {
-        let planned = self.plan_epoch(chunks);
+    pub fn cut_epoch_certified(&mut self, max_chunks: usize) -> (EpochCut, Vec<Hash256>) {
+        let planned = self.plan_epoch(max_chunks);
         self.mark_certified();
         planned
     }
 
     /// Computes the epoch cut **without mutating the log**: the pending
-    /// insertions split into `chunks` extension proofs, plus the
-    /// post-chunk boundary digests read off the digest marks recorded at
-    /// insert time — the provider can certify the epoch
+    /// insertions split into chunks, plus the post-chunk boundary digests
+    /// read off the digest marks recorded at insert time — the provider
+    /// can certify the epoch
     /// ([`crate::distributed::EpochUpdate::from_certified`]) without
     /// replaying a single pending step. A certification that fails
     /// leaves the log exactly as it was, so the next attempt plans the
     /// same pending insertions again; one that succeeds is committed
     /// with [`mark_certified`](Self::mark_certified).
     ///
+    /// `max_chunks` is a **cap**, not a count: the epoch is cut into
+    /// `K = clamp(marks, 1, max_chunks)` chunks, where `marks` is the
+    /// number of insert-time boundaries there are to cut at (one per
+    /// serial insert, one per wave) — an epoch never has more chunks
+    /// than it has places to cut, and an empty epoch is one empty chunk.
+    /// What each HSM then audits is sized from `K` by
+    /// [`crate::distributed::audit_draws`].
+    ///
     /// Chunk boundaries are the ideal near-equal split snapped forward to
     /// the nearest mark: identical to the equal split when every step has
     /// a mark (serial inserts), wave-aligned after batched inserts.
-    pub fn plan_epoch(&self, chunks: usize) -> (EpochCut, Vec<Hash256>) {
+    pub fn plan_epoch(&self, max_chunks: usize) -> (EpochCut, Vec<Hash256>) {
         let old = self.certified_digest();
         let new = self.digest();
         let (steps, marks) = (&self.pending, &self.marks);
-        let chunks = chunks.max(1);
+        let chunks = marks.len().clamp(1, max_chunks.max(1));
         let per = steps.len().div_ceil(chunks).max(1);
         let digest_at = |pos: usize| -> Hash256 {
             if pos == 0 {
@@ -477,9 +486,10 @@ mod tests {
         log.insert_many(&wave(13, 6)).iter().for_each(|r| {
             r.as_ref().unwrap();
         });
+        // Four marks (solo, wave, solo, wave), so a cap of 5 cuts 4 chunks.
         let (cut, digests) = log.cut_epoch_certified(5);
-        assert_eq!(cut.chunk_proofs.len(), 5);
-        assert_eq!(digests.len(), 5);
+        assert_eq!(cut.chunk_proofs.len(), 4);
+        assert_eq!(digests.len(), 4);
         let total: usize = cut.chunk_proofs.iter().map(|p| p.steps.len()).sum();
         assert_eq!(total, 21);
         let mut d = cut.old_digest;
@@ -488,6 +498,31 @@ mod tests {
             assert_eq!(&d, boundary);
         }
         assert_eq!(d, cut.new_digest);
+    }
+
+    #[test]
+    fn chunk_count_is_capped_by_marks_and_by_the_argument() {
+        // K = clamp(marks, 1, max_chunks): one chunk per insert-time
+        // boundary until the cap binds, and an empty epoch is one chunk.
+        let mut log = Log::new();
+        assert_eq!(log.plan_epoch(8).0.chunk_proofs.len(), 1);
+        assert_eq!(log.plan_epoch(0).0.chunk_proofs.len(), 1);
+        log.insert(b"solo", b"v").unwrap();
+        let (one, digests) = log.plan_epoch(8);
+        assert_eq!(one.chunk_proofs.len(), 1);
+        assert_eq!(one.chunk_proofs[0].steps.len(), 1);
+        assert_eq!(digests, vec![log.digest()]);
+        log.insert_many(&wave(0, 9)).iter().for_each(|r| {
+            r.as_ref().unwrap();
+        });
+        // Ten pending steps but only two places to cut.
+        assert_eq!(log.plan_epoch(8).0.chunk_proofs.len(), 2);
+        for i in 0..10 {
+            log.insert(format!("s{i}").as_bytes(), b"v").unwrap();
+        }
+        // Twelve marks: now the cap binds.
+        assert_eq!(log.plan_epoch(8).0.chunk_proofs.len(), 8);
+        assert_eq!(log.plan_epoch(32).0.chunk_proofs.len(), 12);
     }
 
     #[test]

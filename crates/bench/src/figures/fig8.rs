@@ -5,6 +5,13 @@
 //! mean smaller chunks, so per-HSM audit time *falls* as N grows — the
 //! scalability property of §6.2.
 //!
+//! This is the paper's layout, K = N, on purpose: the 10K insertions give
+//! the log at least as many cut points as the largest fleet here, so
+//! `cut_epoch`'s cap is what binds and the audit rule
+//! (`authlog::distributed::audit_draws`) draws exactly C. Only the N = 100
+//! row differs from fixed-C sampling: there C ≥ N, so the HSM audits all
+//! 100 chunks rather than the ~72 distinct ones 128 draws would hit.
+//!
 //! Scaling note: the paper's log holds ~100M entries (trie depth ≈ 27);
 //! we pre-seed 2^17 (depth ≈ 17) and report both raw and depth-corrected
 //! times. Audit cost is proof-bytes-dominated and proof size is linear in
@@ -62,7 +69,13 @@ pub fn run() {
 
         // Audit as one representative HSM; wall-clock the real
         // verification and meter the modelled SoloKey costs.
-        let assignment = audit_chunks_for(1, &message.root, message.chunk_count, AUDITS_PER_HSM);
+        let assignment = audit_chunks_for(
+            1,
+            &message.root,
+            message.chunk_count,
+            AUDITS_PER_HSM,
+            n as usize,
+        );
         let mut costs = OpCosts::new();
         let (_, host_secs) = time_once(|| {
             for &chunk in &assignment {

@@ -509,7 +509,7 @@ mod tests {
             let mut sigs = Vec::new();
             for hsm in self.hsms.iter_mut() {
                 let packages: Vec<_> = hsm
-                    .audit_assignment(&msg)
+                    .audit_assignment(&msg, &[], &[])
                     .iter()
                     .map(|&c| update.audit_package(c).unwrap())
                     .collect();

@@ -18,7 +18,9 @@ pub struct SystemParams {
     pub f_live_inv: u64,
     /// Bloom-filter-encryption parameters per HSM.
     pub bfe: BfeParams,
-    /// Chunks each HSM audits per log epoch (`C = λ`).
+    /// Chunks each HSM audits per log epoch at one chunk per HSM
+    /// (`C = λ`); an epoch of fewer or more chunks is audited at the same
+    /// rate `C/N` (`authlog::distributed::audit_draws`).
     pub audits_per_epoch: u32,
     /// Garbage collections each HSM will follow before refusing.
     pub max_gc: u64,

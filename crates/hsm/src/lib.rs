@@ -35,7 +35,9 @@ pub use error::HsmError;
 pub use types::{EnrollmentRecord, RecoveryPhases, RecoveryRequest, RecoveryResponse};
 
 use rand::{CryptoRng, RngCore};
-use safetypin_authlog::distributed::{audit_chunks_for, verify_chunk, ChunkAudit, UpdateMessage};
+use safetypin_authlog::distributed::{
+    audit_chunks_for, reaudit_chunks_for, verify_chunk, AuditError, ChunkAudit, UpdateMessage,
+};
 use safetypin_authlog::trie::MerkleTrie;
 use safetypin_bfe::{BfeParams, BfePublicKey, BfeSecretKey, KeygenReport};
 use safetypin_lhe::scheme::{parse_share_plaintext, share_context};
@@ -56,7 +58,9 @@ pub struct HsmConfig {
     pub id: u64,
     /// Bloom-filter-encryption parameters.
     pub bfe_params: BfeParams,
-    /// Chunks audited per epoch (`C = λ`, §6.2).
+    /// Chunk draws per epoch at the paper's layout of one chunk per HSM
+    /// (`C = λ`, §6.2); scaled to the signed chunk count by
+    /// [`audit_draws`](safetypin_authlog::distributed::audit_draws).
     pub audits_per_epoch: u32,
     /// Maximum garbage collections before the HSM refuses (§6.2 bounds the
     /// provider's ability to reset PIN-attempt state).
@@ -210,11 +214,6 @@ impl Hsm {
     /// Current BFE key-rotation epoch.
     pub fn key_epoch(&self) -> u64 {
         self.key_epoch
-    }
-
-    /// Chunks this HSM audits per epoch (`C`).
-    pub fn audits_per_epoch(&self) -> u32 {
-        self.config.audits_per_epoch
     }
 
     /// Signers an aggregate must cover before this HSM accepts it.
@@ -815,15 +814,35 @@ impl Hsm {
     // Log maintenance (§6.2, Figure 5)
     // ------------------------------------------------------------------
 
-    /// The chunk indices this HSM must audit for an epoch committed by
-    /// `message` (deterministic Appendix B.3 assignment).
-    pub fn audit_assignment(&self, message: &UpdateMessage) -> Vec<u32> {
-        audit_chunks_for(
+    /// Every chunk this HSM must audit for the epoch committed by
+    /// `message`: its own deterministic Appendix B.3 assignment plus the
+    /// chunks the substitution rule hands it on behalf of `failed_ids`.
+    /// Sized from this device's own `C` and its own registered fleet —
+    /// never from a number the provider supplies. The provider assembles
+    /// this HSM's packages through the same call, so the two sides cannot
+    /// disagree.
+    pub fn audit_assignment(
+        &self,
+        message: &UpdateMessage,
+        active_ids: &[u64],
+        failed_ids: &[u64],
+    ) -> std::collections::BTreeSet<u32> {
+        let (audits, fleet) = (self.config.audits_per_epoch, self.fleet_keys.len());
+        let (root, chunks) = (&message.root, message.chunk_count);
+        let mut assigned: std::collections::BTreeSet<u32> =
+            audit_chunks_for(self.config.id, root, chunks, audits, fleet)
+                .into_iter()
+                .collect();
+        assigned.extend(reaudit_chunks_for(
             self.config.id,
-            &message.root,
-            message.chunk_count,
-            self.config.audits_per_epoch,
-        )
+            active_ids,
+            failed_ids,
+            root,
+            chunks,
+            audits,
+            fleet,
+        ));
+        assigned
     }
 
     /// Audits the provided chunk packages and, if every assigned chunk
@@ -850,20 +869,17 @@ impl Hsm {
         failed_ids: &[u64],
         packages: &[ChunkAudit],
     ) -> Result<multisig::Signature, HsmError> {
+        // Zero chunks means an empty audit set: nothing below would be
+        // checked, and the signature would certify whatever `new_digest`
+        // the provider wrote.
+        if message.chunk_count == 0 {
+            return Err(HsmError::Audit(AuditError::NoChunks));
+        }
         self.ensure_active()?;
         if message.old_digest != self.log_digest {
             return Err(HsmError::StaleDigest);
         }
-        let mut expected: std::collections::BTreeSet<u32> =
-            self.audit_assignment(message).into_iter().collect();
-        expected.extend(safetypin_authlog::distributed::reaudit_chunks_for(
-            self.config.id,
-            active_ids,
-            failed_ids,
-            &message.root,
-            message.chunk_count,
-            self.config.audits_per_epoch,
-        ));
+        let expected = self.audit_assignment(message, active_ids, failed_ids);
         let provided: std::collections::BTreeSet<u32> = packages.iter().map(|p| p.chunk).collect();
         if expected != provided || packages.len() != provided.len() {
             return Err(HsmError::WrongAuditSet);

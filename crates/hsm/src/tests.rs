@@ -3,8 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safetypin_authlog::distributed::EpochUpdate;
-use safetypin_authlog::log::Log;
+use safetypin_authlog::distributed::{audit_draws, AuditError, EpochUpdate, UpdateMessage};
+use safetypin_authlog::log::{EpochCut, Log};
+use safetypin_authlog::trie::ExtensionProof;
 use safetypin_bfe::{BfeCiphertext, BfeParams, BfePublicKey};
 use safetypin_lhe::scheme::{encrypt_with_salt, reconstruct, select, Salt};
 use safetypin_lhe::{BfeDirectory, LheCiphertext, LheParams};
@@ -80,7 +81,7 @@ impl Fixture {
         let msg = update.message();
         let mut sigs = Vec::new();
         for hsm in self.hsms.iter_mut() {
-            let assignment = hsm.audit_assignment(&msg);
+            let assignment = hsm.audit_assignment(&msg, &[], &[]);
             let packages: Vec<_> = assignment
                 .iter()
                 .map(|&c| update.audit_package(c).unwrap())
@@ -355,32 +356,38 @@ fn per_recovery_encrypted_reply() {
 #[test]
 fn epoch_update_rejects_stale_and_bad_sets() {
     let mut fx = fixture();
-    fx.log.insert(b"x", b"1").unwrap();
+    // One insertion per HSM: eight chunks, four draws each, so the
+    // assignments differ between devices.
+    for i in 0..TOTAL {
+        fx.log.insert(format!("x{i}").as_bytes(), b"1").unwrap();
+    }
     let cut = fx.log.cut_epoch(fx.hsms.len());
     let update = EpochUpdate::build(&cut).unwrap();
     let msg = update.message();
 
-    // Wrong audit set: HSM 0 given HSM 1's packages.
-    let other_assignment = fx.hsms[1].audit_assignment(&msg);
+    // Wrong audit set: HSM 0 given another HSM's packages.
+    let own_assignment = fx.hsms[0].audit_assignment(&msg, &[], &[]);
+    let other_assignment = fx.hsms[1..]
+        .iter()
+        .map(|h| h.audit_assignment(&msg, &[], &[]))
+        .find(|a| *a != own_assignment)
+        .expect("some HSM draws a different set");
     let other_packages: Vec<_> = other_assignment
         .iter()
         .map(|&c| update.audit_package(c).unwrap())
         .collect();
-    let own_assignment = fx.hsms[0].audit_assignment(&msg);
-    if other_assignment != own_assignment {
-        assert_eq!(
-            fx.hsms[0]
-                .audit_and_sign(&msg, &other_packages)
-                .unwrap_err(),
-            HsmError::WrongAuditSet
-        );
-    }
+    assert_eq!(
+        fx.hsms[0]
+            .audit_and_sign(&msg, &other_packages)
+            .unwrap_err(),
+        HsmError::WrongAuditSet
+    );
 
     // Stale digest: bump the message's old digest.
     let mut stale = msg;
     stale.old_digest[0] ^= 1;
     let packages: Vec<_> = fx.hsms[0]
-        .audit_assignment(&stale)
+        .audit_assignment(&stale, &[], &[])
         .iter()
         .map(|&c| update.audit_package(c).unwrap())
         .collect();
@@ -400,7 +407,7 @@ fn aggregate_quorum_enforced() {
     let mut sigs = Vec::new();
     for hsm in fx.hsms.iter_mut() {
         let packages: Vec<_> = hsm
-            .audit_assignment(&msg)
+            .audit_assignment(&msg, &[], &[])
             .iter()
             .map(|&c| update.audit_package(c).unwrap())
             .collect();
@@ -433,6 +440,103 @@ fn aggregate_quorum_enforced() {
     // Honest full aggregate accepted.
     fx.hsms[0].accept_update(&msg, &all_signers, &full).unwrap();
     assert_eq!(fx.hsms[0].log_digest(), msg.new_digest);
+}
+
+#[test]
+fn zero_chunk_epoch_is_refused() {
+    // An update that commits to no chunk has an empty audit set: nothing
+    // would be verified, so a signature over it would let the provider
+    // install any digest it likes. Every HSM refuses before anything else.
+    let mut fx = fixture();
+    fx.log.insert(b"real", b"1").unwrap();
+    fx.run_epoch();
+    let held = fx.hsms[0].log_digest();
+    let forged = UpdateMessage {
+        old_digest: held,
+        new_digest: [0xAA; 32],
+        root: [0x55; 32],
+        chunk_count: 0,
+    };
+    for (hsm, store) in fx.hsms.iter_mut().zip(fx.stores.iter_mut()) {
+        assert_eq!(
+            hsm.audit_and_sign(&forged, &[]).unwrap_err(),
+            HsmError::Audit(AuditError::NoChunks)
+        );
+        // As the provider sends it: a typed refusal, no signature.
+        let request = safetypin_proto::HsmRequest::AuditAndSign {
+            message: forged,
+            active_ids: (0..TOTAL).collect(),
+            failed_ids: Vec::new(),
+            packages: Vec::new(),
+        };
+        match hsm.handle(request, store, &mut fx.rng) {
+            safetypin_proto::HsmResponse::Error(e) => {
+                assert_eq!(e.code, safetypin_proto::codes::AUDIT_FAILED)
+            }
+            other => panic!("zero-chunk update answered with {other:?}"),
+        }
+    }
+    // No signature exists to aggregate, and nobody moved.
+    assert!(fx.hsms.iter().all(|h| h.log_digest() == held));
+    assert_ne!(held, [0xAA; 32]);
+}
+
+#[test]
+fn inflated_chunk_count_cannot_dilute_audits() {
+    // One real insertion hidden in a 4096-chunk epoch (4095 empty
+    // chunks). The honest log never cuts this, so it is built by hand.
+    // With a fixed C = 4 draws of 4096, the one chunk that matters would
+    // almost surely be audited by nobody; the rate rule makes every HSM
+    // draw ⌈C·K/N⌉ = 2048.
+    const K: u32 = 4096;
+    let mut fx = fixture();
+    fx.log.insert(b"victim", b"attempt").unwrap();
+    let honest = fx.log.cut_epoch(fx.hsms.len());
+    assert_eq!(honest.chunk_proofs.len(), 1);
+    let mut chunk_proofs = honest.chunk_proofs.clone();
+    chunk_proofs.resize(K as usize, ExtensionProof::default());
+    let inflated = EpochCut {
+        chunk_proofs,
+        ..honest
+    };
+    let update = EpochUpdate::build(&inflated).unwrap();
+    let msg = update.message();
+    assert_eq!(msg.chunk_count, K);
+
+    let draws = audit_draws(K, 4, TOTAL as usize);
+    assert_eq!(draws, 2048);
+    let mut auditors_of_the_real_chunk = 0;
+    for hsm in fx.hsms.iter_mut() {
+        let expected = hsm.audit_assignment(&msg, &[], &[]);
+        // Distinct chunks out of 2048 draws with replacement from 4096:
+        // about 1612; far more than C either way.
+        assert!(expected.len() > 1024 && expected.len() <= draws as usize);
+        auditors_of_the_real_chunk += usize::from(expected.contains(&0));
+
+        // A provider shipping only C packages — the first four of the
+        // expected set — is refused.
+        let short: Vec<_> = expected
+            .iter()
+            .take(4)
+            .map(|&c| update.audit_package(c).unwrap())
+            .collect();
+        assert_eq!(
+            hsm.audit_and_sign(&msg, &short).unwrap_err(),
+            HsmError::WrongAuditSet
+        );
+    }
+    assert!(
+        auditors_of_the_real_chunk >= 1,
+        "the only non-empty chunk escaped every auditor"
+    );
+
+    // Shipping the full expected set is what it takes to get signatures.
+    let expected = fx.hsms[0].audit_assignment(&msg, &[], &[]);
+    let full: Vec<_> = expected
+        .iter()
+        .map(|&c| update.audit_package(c).unwrap())
+        .collect();
+    fx.hsms[0].audit_and_sign(&msg, &full).unwrap();
 }
 
 #[test]

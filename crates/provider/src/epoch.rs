@@ -81,30 +81,25 @@ impl<S: BlockStore + Send> Datacenter<S> {
             return Err(ProviderError::EpochFailed("no active HSMs"));
         }
 
-        // Assemble each active HSM's audit packages (deterministic
-        // Appendix B.3 assignment, recomputed provider-side).
+        // Assemble each active HSM's audit packages — the set the device
+        // itself will expect (`Hsm::audit_assignment`: B.3 assignment plus
+        // re-audits, sized from the signed chunk count). A chunk's size is
+        // taken once, however many devices audit it.
         let mut audit_batch = Vec::with_capacity(active_ids.len());
-        let mut audit_bytes = 0u64;
+        let mut chunk_bytes = vec![None; message.chunk_count as usize];
+        let (mut audit_packages, mut audit_bytes) = (0u64, 0u64);
         for hsm in self.hsms.iter().filter(|h| active_ids.contains(&h.id())) {
-            let mut chunks: std::collections::BTreeSet<u32> =
-                hsm.audit_assignment(&message).into_iter().collect();
-            chunks.extend(safetypin_authlog::distributed::reaudit_chunks_for(
-                hsm.id(),
-                &active_ids,
-                &failed_ids,
-                &message.root,
-                message.chunk_count,
-                hsm.audits_per_epoch(),
-            ));
+            let chunks = hsm.audit_assignment(&message, &active_ids, &failed_ids);
             let mut packages = Vec::with_capacity(chunks.len());
             for &c in &chunks {
-                packages.push(
-                    update
-                        .audit_package(c)
-                        .map_err(|_| ProviderError::EpochFailed("audit chunk out of range"))?,
-                );
+                let package = update
+                    .audit_package(c)
+                    .map_err(|_| ProviderError::EpochFailed("audit chunk out of range"))?;
+                audit_bytes +=
+                    *chunk_bytes[c as usize].get_or_insert_with(|| package.proof_bytes() as u64);
+                packages.push(package);
             }
-            audit_bytes += packages.iter().map(|p| p.proof_bytes() as u64).sum::<u64>();
+            audit_packages += packages.len() as u64;
             audit_batch.push((
                 hsm.id(),
                 HsmRequest::AuditAndSign {
@@ -198,6 +193,15 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 }
             }
         }
+        // What certifying this epoch cost the fleet, for the operator.
+        let telemetry = safetypin_telemetry::global();
+        telemetry
+            .counter("epoch.chunks")
+            .add(u64::from(message.chunk_count));
+        telemetry
+            .counter("epoch.audit_packages")
+            .add(audit_packages);
+        telemetry.counter("epoch.audit_bytes").add(audit_bytes);
         Ok(EpochOutcome {
             message,
             signers,

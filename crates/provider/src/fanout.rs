@@ -27,12 +27,17 @@ use safetypin_hsm::{Hsm, HsmConfig, HsmError};
 use safetypin_proto::{codes, ErrorReply, HsmRequest, HsmResponse, Traffic, TrafficReply};
 use safetypin_seckv::{BlockStore, MemStore};
 
-/// Worker-thread cap for `jobs` independent work items.
+/// Worker-thread cap for `jobs` independent work items. The host's
+/// parallelism is resolved once: `available_parallelism` re-reads the
+/// cgroup quota files on every call, and this runs on every fleet round.
 fn worker_count(jobs: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, jobs.max(1))
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    cores.clamp(1, jobs.max(1))
 }
 
 /// The one fan-out loop: runs `run` over every job on up to `workers`

@@ -110,6 +110,15 @@ fn daemon_metrics_cover_every_layer_over_the_wire() {
         );
     }
 
+    // Provider layer: what certifying the recovery's epoch cost the
+    // fleet — chunks cut, audit packages shipped, their bytes.
+    for series in ["epoch.chunks", "epoch.audit_packages", "epoch.audit_bytes"] {
+        assert!(
+            report.counter(series).unwrap_or(0) > 0,
+            "epoch cost counter {series} never recorded"
+        );
+    }
+
     // Store layer: the fleet's WAL took appends during provisioning
     // and the save/recover traffic.
     assert!(report.counter("store.wal_appends").unwrap_or(0) > 0);
