@@ -26,11 +26,11 @@
 //! (§6.2, Security).
 //!
 //! Here `K` is whatever the untrusted provider signs — the honest one cuts
-//! `K = clamp(marks, 1, N)` chunks ([`Log::plan_epoch`]), one per insertion
-//! until the fleet size caps it — so the audit budget is a *rate*, not a
-//! count. One rule, [`audit_draws`], owned by this module and enforced by
-//! the HSM from its own configuration (`C`) and its own registered fleet
-//! (`N`):
+//! `K = clamp(pending, 1, N)` chunks ([`Log::plan_epoch`]), one per pending
+//! insertion until the fleet size caps it, however the insertions arrived
+//! — so the audit budget is a *rate*, not a count. One rule,
+//! [`audit_draws`], owned by this module and enforced by the HSM from its
+//! own configuration (`C`) and its own registered fleet (`N`):
 //!
 //! * **`K ≥ 1`.** An update that commits to no chunk certifies nothing and
 //!   is refused ([`AuditError::NoChunks`]); an empty epoch is one empty
@@ -154,9 +154,10 @@ pub struct EpochUpdate {
 }
 
 impl EpochUpdate {
-    /// Builds the update from an epoch cut, replaying each chunk to compute
-    /// the intermediate digests. Fails if the chain does not reach the new
-    /// digest (which would indicate provider state corruption).
+    /// Builds the update from an epoch cut alone: replays each chunk for
+    /// the boundary digests, then [`from_certified`](Self::from_certified).
+    /// Fails if a chunk does not replay or the chain does not reach the
+    /// new digest (which would indicate provider state corruption).
     pub fn build(cut: &EpochCut) -> Result<Self, AuditError> {
         let mut digests = Vec::with_capacity(cut.chunk_proofs.len());
         let mut d = cut.old_digest;
@@ -164,26 +165,7 @@ impl EpochUpdate {
             d = proof.replay(&d).map_err(|_| AuditError::BrokenChain)?;
             digests.push(d);
         }
-        if d != cut.new_digest {
-            return Err(AuditError::BrokenChain);
-        }
-        let leaves: Vec<Vec<u8>> = digests
-            .iter()
-            .enumerate()
-            .map(|(i, d)| chunk_leaf(i as u32, d))
-            .collect();
-        let tree = MerkleTree::build(&leaves);
-        Ok(Self {
-            message: UpdateMessage {
-                old_digest: cut.old_digest,
-                new_digest: cut.new_digest,
-                root: tree.root(),
-                chunk_count: cut.chunk_proofs.len() as u32,
-            },
-            chunk_digests: digests,
-            chunk_proofs: cut.chunk_proofs.clone(),
-            tree,
-        })
+        Self::from_certified(cut, digests)
     }
 
     /// Builds the update from a certified cut — the boundary digests the
@@ -593,9 +575,9 @@ mod tests {
         let replayed = EpochUpdate::build(&cut).unwrap();
         assert_eq!(streamed.message(), replayed.message());
         assert_eq!(streamed.chunk_digests, replayed.chunk_digests);
-        // Two marks (the solo insert, the wave) under a cap of 4.
-        assert_eq!(streamed.message().chunk_count, 2);
-        for chunk in 0..2 {
+        // 24 pending entries (a solo insert, then a wave) under a cap of 4.
+        assert_eq!(streamed.message().chunk_count, 4);
+        for chunk in 0..4 {
             let a = streamed.audit_package(chunk).unwrap();
             let b = replayed.audit_package(chunk).unwrap();
             assert_eq!(a, b);

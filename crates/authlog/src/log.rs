@@ -52,22 +52,26 @@ impl From<TrieError> for LogError {
 
 /// The provider's log: entry list + authenticated dictionary + the pending
 /// insert steps not yet certified by an epoch update.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Log {
     entries: Vec<LogEntry>,
     trie: MerkleTrie,
     /// Insert steps since the last epoch cut, in order.
     pending: Vec<InsertStep>,
+    /// The digest after each pending step (the root hash is cached, so
+    /// recording it is free): every pending entry is a place an epoch can
+    /// cut, and certifying one never replays the pending steps.
+    pending_digests: Vec<Hash256>,
     /// Digest at the last epoch cut.
-    last_epoch_digest: Option<Hash256>,
+    last_epoch_digest: Hash256,
     /// Completed garbage collections.
     generation: u64,
-    /// `(pending position, digest at that position)` marks recorded as
-    /// insertions arrive — one per step for serial inserts (the root hash
-    /// is cached, so a mark is free), one per wave for batched inserts.
-    /// Epoch cuts snap chunk boundaries to these marks, so certifying an
-    /// epoch never replays the pending steps.
-    marks: Vec<(usize, Hash256)>,
+}
+
+impl Default for Log {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Log {
@@ -77,9 +81,9 @@ impl Log {
             entries: Vec::new(),
             trie: MerkleTrie::new(),
             pending: Vec::new(),
-            last_epoch_digest: Some(MerkleTrie::empty_digest()),
+            pending_digests: Vec::new(),
+            last_epoch_digest: MerkleTrie::empty_digest(),
             generation: 0,
-            marks: Vec::new(),
         }
     }
 
@@ -124,7 +128,9 @@ impl Log {
             .map(|e| e.value.as_slice())
     }
 
-    /// Inserts `(id, value)`; fails if `id` is already defined.
+    /// Inserts `(id, value)`; fails if `id` is already defined. This is the
+    /// only way an entry reaches the dictionary — waves, membership events
+    /// and journal replay all come through here.
     pub fn insert(&mut self, id: &[u8], value: &[u8]) -> Result<(), LogError> {
         let step = self.trie.insert(id, value)?;
         self.entries.push(LogEntry {
@@ -132,47 +138,16 @@ impl Log {
             value: value.to_vec(),
         });
         self.pending.push(step);
-        self.marks.push((self.pending.len(), self.digest()));
+        self.pending_digests.push(self.digest());
         Ok(())
     }
 
-    /// Inserts a wave of `(id, value)` pairs through
-    /// [`MerkleTrie::insert_batch`], sharing root-to-leaf hashing across
-    /// the wave. Per-item outcomes are returned in caller order; the final
-    /// digest is byte-identical to inserting the wave's successful items
-    /// one at a time (the digest is a function of the entry *set*).
-    ///
-    /// Entries and pending steps are recorded in the batch's application
-    /// (path) order.
+    /// Inserts a wave of `(id, value)` pairs: [`insert`](Self::insert) on
+    /// each, in the caller's order, with per-item outcomes in that order.
+    /// A duplicate — of an existing entry or of an earlier item of the
+    /// wave — is refused without disturbing its neighbours.
     pub fn insert_many(&mut self, items: &[(Vec<u8>, Vec<u8>)]) -> Vec<Result<(), LogError>> {
-        let batch = self.trie.insert_batch(items);
-        let mut results: Vec<Option<Result<InsertStep, TrieError>>> =
-            batch.results.into_iter().map(Some).collect();
-        let mut out: Vec<Result<(), LogError>> = results
-            .iter()
-            .map(|r| match r {
-                Some(Ok(_)) | None => Ok(()),
-                Some(Err(e)) => Err(e.clone().into()),
-            })
-            .collect();
-        for &i in &batch.order {
-            match results[i].take() {
-                Some(Ok(step)) => {
-                    self.entries.push(LogEntry {
-                        id: step.id.clone(),
-                        value: step.value.clone(),
-                    });
-                    self.pending.push(step);
-                }
-                // `order` only lists successes; a mismatch means the trie
-                // and the log disagree, so surface it to the caller.
-                _ => out[i] = Err(LogError::Trie(TrieError::InvalidProof)),
-            }
-        }
-        if !batch.order.is_empty() {
-            self.marks.push((self.pending.len(), self.digest()));
-        }
-        out
+        items.iter().map(|(id, v)| self.insert(id, v)).collect()
     }
 
     /// `ProveIncludes`: inclusion proof for `(id, value)` against the
@@ -207,8 +182,8 @@ impl Log {
 
     /// Computes the epoch cut **without mutating the log**: the pending
     /// insertions split into chunks, plus the post-chunk boundary digests
-    /// read off the digest marks recorded at insert time — the provider
-    /// can certify the epoch
+    /// read off the digests recorded at insert time — the provider can
+    /// certify the epoch
     /// ([`crate::distributed::EpochUpdate::from_certified`]) without
     /// replaying a single pending step. A certification that fails
     /// leaves the log exactly as it was, so the next attempt plans the
@@ -216,63 +191,35 @@ impl Log {
     /// with [`mark_certified`](Self::mark_certified).
     ///
     /// `max_chunks` is a **cap**, not a count: the epoch is cut into
-    /// `K = clamp(marks, 1, max_chunks)` chunks, where `marks` is the
-    /// number of insert-time boundaries there are to cut at (one per
-    /// serial insert, one per wave) — an epoch never has more chunks
-    /// than it has places to cut, and an empty epoch is one empty chunk.
+    /// `K = clamp(pending, 1, max_chunks)` chunks of `⌈pending/K⌉` steps
+    /// (the last ones shorter, or empty) — an epoch never has more chunks
+    /// than insertions, and an empty epoch is one empty chunk. The layout
+    /// is a function of the pending entries alone, however they arrived.
     /// What each HSM then audits is sized from `K` by
     /// [`crate::distributed::audit_draws`].
-    ///
-    /// Chunk boundaries are the ideal near-equal split snapped forward to
-    /// the nearest mark: identical to the equal split when every step has
-    /// a mark (serial inserts), wave-aligned after batched inserts.
     pub fn plan_epoch(&self, max_chunks: usize) -> (EpochCut, Vec<Hash256>) {
-        let old = self.certified_digest();
-        let new = self.digest();
-        let (steps, marks) = (&self.pending, &self.marks);
-        let chunks = marks.len().clamp(1, max_chunks.max(1));
-        let per = steps.len().div_ceil(chunks).max(1);
-        let digest_at = |pos: usize| -> Hash256 {
-            if pos == 0 {
-                return old;
-            }
-            if pos == steps.len() {
-                return new;
-            }
-            match marks.binary_search_by_key(&pos, |&(p, _)| p) {
-                Ok(i) => marks[i].1,
-                // Unreachable: boundaries are chosen from the marks.
-                Err(_) => new,
-            }
-        };
+        let old = self.last_epoch_digest;
+        let steps = &self.pending;
+        let chunks = steps.len().clamp(1, max_chunks.max(1));
+        let per = steps.len().div_ceil(chunks);
         let mut proofs = Vec::with_capacity(chunks);
         let mut digests = Vec::with_capacity(chunks);
         let mut start = 0usize;
-        for k in 0..chunks {
-            let end = if k + 1 == chunks {
-                steps.len()
-            } else {
-                let target = ((k + 1) * per).min(steps.len());
-                // Snap forward to the first insert-time mark at or past
-                // the ideal boundary (monotone in `k`, so chunks never
-                // overlap).
-                marks
-                    .iter()
-                    .map(|&(p, _)| p)
-                    .find(|&p| p >= target)
-                    .unwrap_or(steps.len())
-                    .min(steps.len())
-            };
+        for _ in 0..chunks {
+            let end = (start + per).min(steps.len());
             proofs.push(ExtensionProof {
                 steps: steps[start..end].to_vec(),
             });
-            digests.push(digest_at(end));
+            digests.push(match end {
+                0 => old,
+                _ => self.pending_digests[end - 1],
+            });
             start = end;
         }
         (
             EpochCut {
                 old_digest: old,
-                new_digest: new,
+                new_digest: self.digest(),
                 chunk_proofs: proofs,
             },
             digests,
@@ -283,8 +230,8 @@ impl Log {
     /// next epoch chains from the current digest.
     pub fn mark_certified(&mut self) {
         self.pending.clear();
-        self.marks.clear();
-        self.last_epoch_digest = Some(self.digest());
+        self.pending_digests.clear();
+        self.last_epoch_digest = self.digest();
     }
 
     /// The digest as of the last certified cut (the empty digest before
@@ -292,7 +239,6 @@ impl Log {
     /// in-sync HSM holds.
     pub fn certified_digest(&self) -> Hash256 {
         self.last_epoch_digest
-            .unwrap_or_else(MerkleTrie::empty_digest)
     }
 
     /// Garbage collection (§6.2): archives the current entries and resets
@@ -302,8 +248,8 @@ impl Log {
         let archived = std::mem::take(&mut self.entries);
         self.trie = MerkleTrie::new();
         self.pending.clear();
-        self.marks.clear();
-        self.last_epoch_digest = Some(MerkleTrie::empty_digest());
+        self.pending_digests.clear();
+        self.last_epoch_digest = MerkleTrie::empty_digest();
         self.generation += 1;
         archived
     }
@@ -315,7 +261,7 @@ impl Log {
 }
 
 /// The provider's materials for one epoch update.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochCut {
     /// Digest the HSMs currently hold.
     pub old_digest: Hash256,
@@ -424,7 +370,7 @@ mod tests {
             seq.insert(id, v).unwrap();
         }
         assert_eq!(batched.digest(), seq.digest());
-        assert_eq!(batched.len(), seq.len());
+        assert_eq!(batched.entries(), seq.entries());
         // Inclusion proofs agree byte-for-byte: same entry set, same trie.
         for (id, v) in &items {
             assert_eq!(batched.prove_includes(id, v), seq.prove_includes(id, v));
@@ -450,9 +396,8 @@ mod tests {
 
     #[test]
     fn certified_cut_serial_matches_plain_cut() {
-        // With serial inserts every position has a mark, so the certified
-        // cut's chunking is the ceil split — byte-identical to cut_epoch —
-        // and each boundary digest replays correctly.
+        // The certified cut's chunking is the ceil split — byte-identical
+        // to cut_epoch — and each boundary digest replays correctly.
         let mut a = Log::new();
         let mut b = Log::new();
         for i in 0..17 {
@@ -475,8 +420,9 @@ mod tests {
 
     #[test]
     fn certified_cut_with_waves_replays() {
-        // Waves make the marks sparse: boundaries snap to wave edges, and
-        // the reported digests still match a full replay of each chunk.
+        // A wave is a run of serial inserts: every entry is a place to
+        // cut, wave edges mean nothing to the layout, and the reported
+        // digests match a full replay of each chunk.
         let mut log = Log::new();
         log.insert(b"solo-0", b"v").unwrap();
         log.insert_many(&wave(0, 13)).iter().for_each(|r| {
@@ -486,12 +432,13 @@ mod tests {
         log.insert_many(&wave(13, 6)).iter().for_each(|r| {
             r.as_ref().unwrap();
         });
-        // Four marks (solo, wave, solo, wave), so a cap of 5 cuts 4 chunks.
+        // 21 pending entries under a cap of 5: five chunks of ⌈21/5⌉ = 5
+        // steps, the last one short — no chunk ends on a wave edge.
         let (cut, digests) = log.cut_epoch_certified(5);
-        assert_eq!(cut.chunk_proofs.len(), 4);
-        assert_eq!(digests.len(), 4);
-        let total: usize = cut.chunk_proofs.iter().map(|p| p.steps.len()).sum();
-        assert_eq!(total, 21);
+        assert_eq!(cut.chunk_proofs.len(), 5);
+        assert_eq!(digests.len(), 5);
+        let sizes: Vec<usize> = cut.chunk_proofs.iter().map(|p| p.steps.len()).collect();
+        assert_eq!(sizes, vec![5, 5, 5, 5, 1]);
         let mut d = cut.old_digest;
         for (proof, boundary) in cut.chunk_proofs.iter().zip(&digests) {
             d = proof.replay(&d).unwrap();
@@ -502,8 +449,9 @@ mod tests {
 
     #[test]
     fn chunk_count_is_capped_by_marks_and_by_the_argument() {
-        // K = clamp(marks, 1, max_chunks): one chunk per insert-time
-        // boundary until the cap binds, and an empty epoch is one chunk.
+        // K = clamp(pending, 1, max_chunks): one chunk per pending entry
+        // — serial or in a wave — until the cap binds, and an empty epoch
+        // is one chunk.
         let mut log = Log::new();
         assert_eq!(log.plan_epoch(8).0.chunk_proofs.len(), 1);
         assert_eq!(log.plan_epoch(0).0.chunk_proofs.len(), 1);
@@ -515,14 +463,14 @@ mod tests {
         log.insert_many(&wave(0, 9)).iter().for_each(|r| {
             r.as_ref().unwrap();
         });
-        // Ten pending steps but only two places to cut.
-        assert_eq!(log.plan_epoch(8).0.chunk_proofs.len(), 2);
+        // Ten pending steps, ten places to cut: the cap binds.
+        assert_eq!(log.plan_epoch(8).0.chunk_proofs.len(), 8);
+        assert_eq!(log.plan_epoch(32).0.chunk_proofs.len(), 10);
         for i in 0..10 {
             log.insert(format!("s{i}").as_bytes(), b"v").unwrap();
         }
-        // Twelve marks: now the cap binds.
         assert_eq!(log.plan_epoch(8).0.chunk_proofs.len(), 8);
-        assert_eq!(log.plan_epoch(32).0.chunk_proofs.len(), 12);
+        assert_eq!(log.plan_epoch(32).0.chunk_proofs.len(), 20);
     }
 
     #[test]

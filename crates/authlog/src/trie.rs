@@ -416,15 +416,9 @@ impl MerkleTrie {
 
     /// Walks the path for `kh`, collecting sibling hashes.
     fn lookup_path(&self, kh: &Hash256) -> LookupProof {
-        Self::lookup_path_from(&self.root, kh, 0)
-    }
-
-    /// [`lookup_path`](Self::lookup_path) starting at an interior `node`
-    /// rooted at absolute `depth` (bit positions stay absolute).
-    fn lookup_path_from(node: &Node, kh: &Hash256, depth: usize) -> LookupProof {
         let mut siblings = Vec::new();
-        let mut node = node;
-        let mut depth = depth;
+        let mut node = &self.root;
+        let mut depth = 0;
         loop {
             match node {
                 Node::Empty => {
@@ -595,193 +589,6 @@ impl MerkleTrie {
     pub fn does_extend(old: &Hash256, new: &Hash256, proof: &ExtensionProof) -> bool {
         matches!(proof.replay(old), Ok(d) if d == *new)
     }
-
-    /// Inserts a wave of `(id, value)` pairs in one pass over the trie.
-    ///
-    /// Items are applied in *path order* (sorted by key hash, which is the
-    /// trie's in-order traversal order), so every internal node on the
-    /// batch's touched paths is re-hashed once per batch instead of once
-    /// per insert. The outcome — final digest, structure, and each
-    /// successful item's [`InsertStep`] — is byte-identical to calling
-    /// [`insert`](Self::insert) sequentially in that same path order; the
-    /// digest is additionally identical to caller-order insertion because
-    /// it is a function of the entry *set*.
-    ///
-    /// Per-item results are returned in caller order. Duplicates — against
-    /// the existing trie or within the wave (first occurrence by caller
-    /// index wins) — fail with [`TrieError::DuplicateIdentifier`] without
-    /// disturbing the other items.
-    pub fn insert_batch(&mut self, items: &[(Vec<u8>, Vec<u8>)]) -> BatchInsert {
-        let mut results: Vec<Option<Result<InsertStep, TrieError>>> = vec![None; items.len()];
-        let khs: Vec<Hash256> = items.iter().map(|(id, _)| key_hash(id)).collect();
-        let vhs: Vec<Hash256> = items.iter().map(|(id, v)| value_hash(id, v)).collect();
-        // Path order; ties broken by caller index so the first occurrence
-        // of an in-wave duplicate is the one caller-order insertion would
-        // admit.
-        let mut sorted: Vec<usize> = (0..items.len()).collect();
-        sorted.sort_by(|&a, &b| khs[a].cmp(&khs[b]).then(a.cmp(&b)));
-        let mut unique: Vec<usize> = Vec::with_capacity(sorted.len());
-        for &i in &sorted {
-            match unique.last() {
-                Some(&prev) if khs[prev] == khs[i] => {
-                    results[i] = Some(Err(TrieError::DuplicateIdentifier));
-                }
-                _ => unique.push(i),
-            }
-        }
-        let mut order = Vec::with_capacity(unique.len());
-        let mut stack: Vec<Hash256> = Vec::new();
-        let root = std::mem::replace(&mut self.root, Node::Empty);
-        self.root = Self::insert_batch_node(
-            root,
-            &unique,
-            items,
-            &khs,
-            &vhs,
-            0,
-            &mut stack,
-            &mut results,
-            &mut order,
-        );
-        self.len += order.len();
-        BatchInsert {
-            results: results
-                .into_iter()
-                .map(|r| r.unwrap_or(Err(TrieError::InvalidProof)))
-                .collect(),
-            order,
-        }
-    }
-
-    /// Applies the (path-ordered, deduplicated) items under `node`.
-    ///
-    /// `stack` carries the sibling hashes of the shared root-to-`node`
-    /// path. When descending left, the sibling is the *untouched* right
-    /// subtree; when descending right, it is the left subtree with all of
-    /// the batch's left-side items already applied — exactly the hashes
-    /// sequential path-order insertion would have recorded, because every
-    /// left-side item sorts before every right-side one.
-    #[allow(clippy::too_many_arguments)]
-    fn insert_batch_node(
-        node: Node,
-        idxs: &[usize],
-        items: &[(Vec<u8>, Vec<u8>)],
-        khs: &[Hash256],
-        vhs: &[Hash256],
-        depth: usize,
-        stack: &mut Vec<Hash256>,
-        results: &mut [Option<Result<InsertStep, TrieError>>],
-        order: &mut Vec<usize>,
-    ) -> Node {
-        if idxs.is_empty() {
-            return node;
-        }
-        match node {
-            Node::Internal { left, right, .. } => {
-                // Path order means all left-descending (bit 0) items
-                // precede the right-descending ones.
-                let split = idxs.partition_point(|&i| !bit(&khs[i], depth));
-                let (l_idxs, r_idxs) = idxs.split_at(split);
-                stack.push(right.hash());
-                let left = Self::insert_batch_node(
-                    *left,
-                    l_idxs,
-                    items,
-                    khs,
-                    vhs,
-                    depth + 1,
-                    stack,
-                    results,
-                    order,
-                );
-                stack.pop();
-                stack.push(left.hash());
-                let right = Self::insert_batch_node(
-                    *right,
-                    r_idxs,
-                    items,
-                    khs,
-                    vhs,
-                    depth + 1,
-                    stack,
-                    results,
-                    order,
-                );
-                stack.pop();
-                Node::Internal {
-                    hash: internal_hash(&left.hash(), &right.hash()),
-                    left: Box::new(left),
-                    right: Box::new(right),
-                }
-            }
-            // A leaf or empty slot: the region's items go in one by one
-            // (their divergence chains are new nodes the batch itself
-            // creates), each prefixing the shared path collected above.
-            base => {
-                let mut sub = base;
-                for &i in idxs {
-                    let local = Self::lookup_path_from(&sub, &khs[i], depth);
-                    // Pre-check both failure modes so a failing item never
-                    // consumes or corrupts the subtree.
-                    if let PathEnd::Leaf { kh: lkh, .. } = &local.end {
-                        if *lkh == khs[i] {
-                            results[i] = Some(Err(TrieError::DuplicateIdentifier));
-                            continue;
-                        }
-                        let mut j = depth + local.siblings.len();
-                        while j < MAX_DEPTH && bit(&khs[i], j) == bit(lkh, j) {
-                            j += 1;
-                        }
-                        if j == MAX_DEPTH {
-                            results[i] = Some(Err(TrieError::DepthExhausted));
-                            continue;
-                        }
-                    }
-                    if depth + local.siblings.len() >= MAX_DEPTH {
-                        results[i] = Some(Err(TrieError::DepthExhausted));
-                        continue;
-                    }
-                    match Self::insert_node(sub, &khs[i], &vhs[i], depth) {
-                        Ok(next) => {
-                            sub = next;
-                            let mut siblings =
-                                Vec::with_capacity(stack.len() + local.siblings.len());
-                            siblings.extend_from_slice(stack);
-                            siblings.extend_from_slice(&local.siblings);
-                            results[i] = Some(Ok(InsertStep {
-                                id: items[i].0.clone(),
-                                value: items[i].1.clone(),
-                                path: LookupProof {
-                                    siblings,
-                                    end: local.end,
-                                },
-                            }));
-                            order.push(i);
-                        }
-                        Err(e) => {
-                            // Unreachable after the pre-checks; if it ever
-                            // fires the region restarts empty rather than
-                            // holding torn state.
-                            results[i] = Some(Err(e));
-                            sub = Node::Empty;
-                        }
-                    }
-                }
-                sub
-            }
-        }
-    }
-}
-
-/// The outcome of one [`MerkleTrie::insert_batch`] wave.
-#[derive(Debug, Clone)]
-pub struct BatchInsert {
-    /// Per-item outcome, indexed as the caller passed the items.
-    pub results: Vec<Result<InsertStep, TrieError>>,
-    /// Caller indices of the successful items in the order they were
-    /// applied (path order); replaying their steps in this order extends
-    /// the pre-batch digest to the post-batch one.
-    pub order: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -1041,137 +848,6 @@ mod tests {
         }
         assert!(t.contains(b"user-3"));
         assert!(!t.contains(b"user-11"));
-    }
-
-    /// Sequential insertion in the batch's application order, for
-    /// byte-equality comparisons.
-    fn sequential_in_path_order(
-        base: &MerkleTrie,
-        items: &[(Vec<u8>, Vec<u8>)],
-        order: &[usize],
-    ) -> (MerkleTrie, Vec<InsertStep>) {
-        let mut t = base.clone();
-        let steps = order
-            .iter()
-            .map(|&i| t.insert(&items[i].0, &items[i].1).unwrap())
-            .collect();
-        (t, steps)
-    }
-
-    #[test]
-    fn batch_matches_sequential_byte_for_byte() {
-        let mut base = MerkleTrie::new();
-        for (id, v) in entries(40) {
-            base.insert(&id, &v).unwrap();
-        }
-        let items: Vec<(Vec<u8>, Vec<u8>)> = (100..164)
-            .map(|i| {
-                (
-                    format!("wave-{i}").into_bytes(),
-                    format!("val-{i}").into_bytes(),
-                )
-            })
-            .collect();
-        let mut batched = base.clone();
-        let out = batched.insert_batch(&items);
-        assert!(out.results.iter().all(|r| r.is_ok()));
-        assert_eq!(out.order.len(), items.len());
-        let (seq, seq_steps) = sequential_in_path_order(&base, &items, &out.order);
-        assert_eq!(batched.digest(), seq.digest());
-        assert_eq!(batched.len(), seq.len());
-        // Every InsertStep — entry plus absence path — is byte-identical
-        // to what sequential path-order insertion records.
-        for (k, &i) in out.order.iter().enumerate() {
-            assert_eq!(out.results[i].as_ref().unwrap(), &seq_steps[k]);
-        }
-        // The steps replay as one extension proof.
-        let proof = ExtensionProof { steps: seq_steps };
-        assert!(MerkleTrie::does_extend(
-            &base.digest(),
-            &batched.digest(),
-            &proof
-        ));
-    }
-
-    #[test]
-    fn batch_digest_matches_caller_order_insertion() {
-        let items: Vec<(Vec<u8>, Vec<u8>)> = entries(30);
-        let mut batched = MerkleTrie::new();
-        batched.insert_batch(&items);
-        let mut seq = MerkleTrie::new();
-        for (id, v) in &items {
-            seq.insert(id, v).unwrap();
-        }
-        assert_eq!(batched.digest(), seq.digest());
-    }
-
-    #[test]
-    fn batch_rejects_duplicates_without_disturbing_others() {
-        let mut t = MerkleTrie::new();
-        t.insert(b"existing", b"v0").unwrap();
-        let items = vec![
-            (b"a".to_vec(), b"1".to_vec()),
-            (b"existing".to_vec(), b"clobber".to_vec()),
-            (b"b".to_vec(), b"2".to_vec()),
-            (b"a".to_vec(), b"later-dup".to_vec()),
-        ];
-        let out = t.insert_batch(&items);
-        assert!(out.results[0].is_ok());
-        assert_eq!(
-            out.results[1].as_ref().unwrap_err(),
-            &TrieError::DuplicateIdentifier
-        );
-        assert!(out.results[2].is_ok());
-        assert_eq!(
-            out.results[3].as_ref().unwrap_err(),
-            &TrieError::DuplicateIdentifier
-        );
-        assert_eq!(t.len(), 3);
-        // The first occurrence of the in-wave duplicate is the one kept.
-        let d = t.digest();
-        let proof = t.prove_includes(b"a", b"1").unwrap();
-        assert!(MerkleTrie::does_include(&d, b"a", b"1", &proof));
-        assert!(t.prove_includes(b"a", b"later-dup").is_none());
-        assert!(t.prove_includes(b"existing", b"v0").is_some());
-    }
-
-    #[test]
-    fn batch_empty_wave_is_a_no_op() {
-        let mut t = MerkleTrie::new();
-        t.insert(b"x", b"y").unwrap();
-        let d = t.digest();
-        let out = t.insert_batch(&[]);
-        assert!(out.results.is_empty());
-        assert!(out.order.is_empty());
-        assert_eq!(t.digest(), d);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn batch_into_empty_trie() {
-        let items: Vec<(Vec<u8>, Vec<u8>)> = entries(10);
-        let mut batched = MerkleTrie::new();
-        let out = batched.insert_batch(&items);
-        let (seq, _) = sequential_in_path_order(&MerkleTrie::new(), &items, &out.order);
-        assert_eq!(batched.digest(), seq.digest());
-        for (id, v) in &items {
-            assert!(batched.prove_includes(id, v).is_some());
-        }
-    }
-
-    #[test]
-    fn batch_single_item_matches_insert() {
-        let mut base = MerkleTrie::new();
-        for (id, v) in entries(12) {
-            base.insert(&id, &v).unwrap();
-        }
-        let mut batched = base.clone();
-        let out = batched.insert_batch(&[(b"solo".to_vec(), b"v".to_vec())]);
-        let step_b = out.results[0].as_ref().unwrap().clone();
-        let mut seq = base.clone();
-        let step_s = seq.insert(b"solo", b"v").unwrap();
-        assert_eq!(step_b, step_s);
-        assert_eq!(batched.digest(), seq.digest());
     }
 
     #[test]

@@ -200,10 +200,10 @@ pub struct SaveSession<'a> {
 
 /// The save flow: every session's backup is built locally against the
 /// client's cached enrollments, then the whole wave is uploaded in
-/// **one** [`ProviderRequest::SaveBatch`] frame — one batched log
-/// insertion and one group-commit flush on the provider, and no HSM
-/// message (paper §3–4). Outcomes come back per user in
-/// session order (the artifact, which the caller may also keep
+/// **one** [`ProviderRequest::SaveBatch`] frame — one log insertion
+/// per save, in session order, under one group-commit flush on the
+/// provider, and no HSM message (paper §3–4). Outcomes come back per
+/// user in session order (the artifact, which the caller may also keep
 /// locally); one user's refusal never sinks the wave, a failed frame
 /// fails every user it carried.
 pub fn save_many<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(

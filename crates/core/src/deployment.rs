@@ -133,19 +133,6 @@ impl From<RemoteError> for DeploymentError {
     }
 }
 
-/// The phases of Figure 4's vulnerability window, tracked per recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowPhase {
-    /// Before the client contacts its HSMs: compromise reveals nothing
-    /// (the attacker does not know the cluster).
-    NotVulnerable,
-    /// Between first HSM contact and the completion of puncturing:
-    /// compromise of the *contacted* HSMs breaks this recovery.
-    Vulnerable,
-    /// After puncturing: compromise reveals nothing (forward secrecy).
-    Revoked,
-}
-
 /// The result of a full recovery run.
 #[derive(Debug)]
 pub struct RecoveryOutcome {
@@ -157,9 +144,6 @@ pub struct RecoveryOutcome {
     pub responders: usize,
     /// HSMs contacted.
     pub contacted: usize,
-    /// Where the vulnerability window ended (always `Revoked` on
-    /// success).
-    pub window: WindowPhase,
     /// Transport traffic this recovery generated (bytes are nonzero only
     /// on byte-metering transports like `Serialized`).
     pub wire: TransportStats,
@@ -432,12 +416,12 @@ impl<S: BlockStore + Send> Deployment<S> {
     /// Saves a whole wave of users through the one save flow
     /// ([`remote::save_many`]) against this deployment's own
     /// [`handle`](Self::handle): every artifact is built client-side,
-    /// then the wave lands under **one** batched log insertion and
-    /// **one** group-commit WAL flush (`SaveBatch`), touching no HSM.
-    /// Outcomes come back per user in session order; one user's refusal
-    /// ([`DeploymentError::SaveRefused`]) never sinks the wave. Log
-    /// state and digests are independent of how the saves were split
-    /// into waves.
+    /// then the wave lands as one log insertion per save, in session
+    /// order, under **one** group-commit WAL flush (`SaveBatch`),
+    /// touching no HSM. Outcomes come back per user in session order;
+    /// one user's refusal ([`DeploymentError::SaveRefused`]) never sinks
+    /// the wave. Log state, entry order and digests are independent of
+    /// how the saves were split into waves.
     pub fn save_many<R: RngCore + CryptoRng>(
         &mut self,
         sessions: &mut [SaveSession<'_>],
@@ -540,7 +524,6 @@ impl<S: BlockStore + Send> Deployment<S> {
                     phases: recovered.phases,
                     responders: recovered.responders,
                     contacted: recovered.contacted,
-                    window: WindowPhase::Revoked,
                     wire,
                 })
             }));
@@ -743,7 +726,6 @@ mod tests {
             .unwrap();
         let outcome = d.recover(&client, b"493201", &artifact, &mut rng).unwrap();
         assert_eq!(outcome.message, b"the disk key");
-        assert_eq!(outcome.window, WindowPhase::Revoked);
         assert!(outcome.responders > 0 && outcome.responders <= outcome.contacted);
     }
 

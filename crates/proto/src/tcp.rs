@@ -236,25 +236,20 @@ pub fn serve_frames<S: Read + Write>(
     }
 }
 
+/// How long the [`Tcp`] client waits on one socket read or write.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Connection settings for the [`Tcp`] client.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// The server address (`host:port`).
     pub addr: String,
-    /// Per-connection read timeout.
-    pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
 }
 
 impl TcpConfig {
-    /// Defaults: 30-second timeouts.
+    /// A connection to `addr`.
     pub fn new(addr: impl Into<String>) -> Self {
-        Self {
-            addr: addr.into(),
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-        }
+        Self { addr: addr.into() }
     }
 }
 
@@ -296,12 +291,8 @@ impl Tcp {
 
     fn dial(config: &TcpConfig) -> Result<TcpStream, ProtoError> {
         let mut stream = TcpStream::connect(&config.addr).map_err(io_err)?;
-        stream
-            .set_read_timeout(Some(config.read_timeout))
-            .map_err(io_err)?;
-        stream
-            .set_write_timeout(Some(config.write_timeout))
-            .map_err(io_err)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(io_err)?;
+        stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(io_err)?;
         let _ = stream.set_nodelay(true);
         client_handshake(&mut stream)?;
         Ok(stream)

@@ -56,10 +56,10 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// journaled **before** the first `AcceptUpdate` leaves, so a device
     /// never holds a digest the provider cannot replay to the others.
     pub fn run_epoch(&mut self) -> Result<EpochOutcome, ProviderError> {
-        // Streaming certification: the chunk-boundary digests were
-        // recorded incrementally as entries arrived (`Log` digest
-        // marks), so assembling the update replays no insert steps —
-        // cutting an epoch is O(chunks), not O(pending · path length).
+        // Streaming certification: `Log::insert` recorded the digest
+        // after every pending entry, so assembling the update replays no
+        // insert steps — cutting an epoch is O(chunks), not
+        // O(pending · path length).
         let (cut, chunk_digests) = self.log.plan_epoch(self.hsms.len());
         let update = EpochUpdate::from_certified(&cut, chunk_digests)
             .map_err(|_| ProviderError::EpochFailed("broken chain"))?;

@@ -252,17 +252,18 @@ impl<S: BlockStore + Send> Datacenter<S> {
         Ok(())
     }
 
-    /// The save path: accepts a whole wave of saves under **one**
-    /// batched log insertion ([`Log::insert_many`] — each touched trie
-    /// node hashed once per wave; every save appends its
-    /// content-addressed audit record, and an identical re-save is
-    /// idempotent) and **one** group-commit journal flush. A backup involves
-    /// the client and the provider only (paper §3–4): the client
-    /// encrypted to the published keys ([`enrollments`](Self::enrollments)),
-    /// so a save moves no HSM message and succeeds with the whole fleet
-    /// down. A solo save (`PutBackup`) is a wave of one. Per-user
-    /// outcomes come back in request order; log state and digests are
-    /// independent of how the saves were split into waves.
+    /// The save path: accepts a whole wave of saves — one
+    /// [`Log::insert`] per save, in request order ([`Log::insert_many`];
+    /// every save appends its content-addressed audit record, and an
+    /// identical re-save is idempotent) — under **one** group-commit
+    /// journal flush. A backup involves the client and the provider only
+    /// (paper §3–4): the client encrypted to the published keys
+    /// ([`enrollments`](Self::enrollments)), so a save moves no HSM
+    /// message and succeeds with the whole fleet down. A solo save
+    /// (`PutBackup`) is a wave of one. Per-user outcomes come back in
+    /// request order; the log — digest, entry order, and the layout of
+    /// the epoch that certifies it — is independent of how the saves were
+    /// split into waves, and is what replaying the journal rebuilds.
     pub fn save_many(&mut self, saves: &[SaveRequest]) -> Vec<SaveOutcome> {
         let items: Vec<(Vec<u8>, Vec<u8>)> = saves
             .iter()

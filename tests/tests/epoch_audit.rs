@@ -1,6 +1,6 @@
 //! The one rule that sizes an epoch's audit work
 //! (`authlog::distributed`, module docs): the log cuts
-//! `K = clamp(marks, 1, N)` chunks, every HSM draws `a = ⌈C·K/N⌉` of them
+//! `K = clamp(pending, 1, N)` chunks, every HSM draws `a = ⌈C·K/N⌉` of them
 //! (all `K` when `a ≥ K`), and provider and HSM derive the same sets from
 //! the signed message. Checked here for arbitrary fleet sizes, audit
 //! budgets, insert patterns and failed subsets — at the log level against
@@ -27,9 +27,9 @@ use safetypin_proto::{
     TransportStats,
 };
 
-/// One pending-insert pattern: each item is a serial insert (`1`, one
-/// mark per step) or a wave of that many entries (one mark per wave).
-/// `serial_only` patterns are what a fleet of solo clients produces.
+/// One pending-insert pattern: each item is a serial insert (`1`) or a
+/// wave of that many entries. `serial_only` patterns are what a fleet of
+/// solo clients produces.
 fn insert_pattern(rng: &mut StdRng, serial_only: bool) -> Vec<usize> {
     let items = rng.gen_range(0..70usize);
     (0..items)
@@ -62,7 +62,7 @@ fn fixed_draw_assignment(hsm_id: u64, root: &Hash256, chunk_count: u32, audits: 
     out
 }
 
-/// The previous chunk layout for fully marked (serial) steps: always
+/// The previous chunk layout for serially inserted steps: always
 /// `chunks` chunks of `⌈len/chunks⌉` steps, the tail ones short or empty.
 fn fixed_count_split(steps: &[InsertStep], chunks: usize) -> Vec<ExtensionProof> {
     let per = steps.len().div_ceil(chunks).max(1);
@@ -84,7 +84,7 @@ fn fixed_count_split(steps: &[InsertStep], chunks: usize) -> Vec<ExtensionProof>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (i) `K = clamp(marks, 1, N)` and the chunk chain replays
+    /// (i) `K = clamp(pending, 1, N)` and the chunk chain replays
     /// `old → new`; (ii) `a = K` or `a·N ≥ C·K`, and no more than that
     /// needs; every assignment is in range, verifies, and is all of
     /// `0..K` when `a = K`; (v) with serial inserts and at least `N`
@@ -117,12 +117,12 @@ proptest! {
             }
             next += size;
         }
-        let (marks, pending) = (pattern.len(), next);
+        let pending = next;
 
         // (i)
         let (cut, digests) = log.plan_epoch(fleet);
         let chunk_count = cut.chunk_proofs.len();
-        prop_assert_eq!(chunk_count, marks.clamp(1, fleet));
+        prop_assert_eq!(chunk_count, pending.clamp(1, fleet));
         prop_assert_eq!(digests.len(), chunk_count);
         let mut d = cut.old_digest;
         for (proof, boundary) in cut.chunk_proofs.iter().zip(&digests) {
@@ -361,7 +361,8 @@ proptest! {
             let outcome = dc.run_epoch().unwrap();
             let message = outcome.message;
             let k = message.chunk_count;
-            prop_assert_eq!(k as usize, pattern.len().clamp(1, fleet as usize));
+            let pending: usize = pattern.iter().sum();
+            prop_assert_eq!(k as usize, pending.clamp(1, fleet as usize));
             prop_assert_eq!(&outcome.signers, &active.iter().map(|&id| id as usize).collect::<Vec<_>>());
             prop_assert_eq!(&outcome.skipped, &failed);
             for &id in &active {

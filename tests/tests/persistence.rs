@@ -1,14 +1,18 @@
 //! Persistence acceptance tests: a deployment persisted to disk,
 //! dropped, and restored behaves **byte-identically** to one that never
 //! restarted — including completing a PIN recovery whose attempt was
-//! already in flight when the process died.
+//! already in flight when the process died, and down to the order of the
+//! log entries auditors replay and the layout of the next epoch the HSMs
+//! sign.
 
 use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use safetypin::authlog::log::LogEntry;
 use safetypin::primitives::wire::Encode;
 use safetypin::proto::{self, HsmResponse};
+use safetypin::provider::save_record;
 use safetypin::{Deployment, SystemParams};
 use safetypin_store::{FileOptions, StoreError};
 
@@ -95,6 +99,51 @@ fn restored_recovery_is_byte_identical_to_uninterrupted_run() {
         replies_b, replies_a,
         "RecoveryResponse bytes must be identical after restore"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A restored fleet is the same fleet: after one multi-user save wave
+/// the live fleet and its persisted → dropped → restored twin hold the
+/// same entry list — in request order, which is the order the journal
+/// replays — and certify the same next epoch.
+#[test]
+fn restored_fleet_keeps_entry_order_and_cuts_the_same_epoch() {
+    let saves: Vec<proto::SaveRequest> = (0..12)
+        .map(|i| proto::SaveRequest {
+            username: format!("wave-user-{i}").into_bytes(),
+            blob: format!("wave-blob-{i}").into_bytes(),
+        })
+        .collect();
+    let fleet_after_the_wave = || {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 20);
+        let mut d = Deployment::provision(SystemParams::test_small(8), &mut rng).unwrap();
+        assert!(d.datacenter.save_many(&saves).iter().all(|o| o.saved()));
+        d
+    };
+    let mut live = fleet_after_the_wave();
+    let mut twin = fleet_after_the_wave();
+    let dir = tmpdir("restart-equivalence");
+    let mut seal_rng = StdRng::seed_from_u64(0x5EA4);
+    twin.persist(&dir, FileOptions::relaxed(), &mut seal_rng)
+        .unwrap();
+    drop(twin);
+    let (mut restored, _) = Deployment::restore_from(&dir, FileOptions::relaxed()).unwrap();
+
+    let request_order: Vec<LogEntry> = saves
+        .iter()
+        .map(|s| {
+            let (id, value) = save_record(&s.username, &s.blob);
+            LogEntry { id, value }
+        })
+        .collect();
+    assert_eq!(live.datacenter.log_entries(), request_order);
+    assert_eq!(restored.datacenter.log_entries(), request_order);
+
+    let live_epoch = live.datacenter.run_epoch().unwrap().message;
+    let restored_epoch = restored.datacenter.run_epoch().unwrap().message;
+    assert_eq!(restored_epoch, live_epoch);
+    // Twelve pending entries on a fleet of eight: the cap binds.
+    assert_eq!(live_epoch.chunk_count, 8);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -562,7 +611,8 @@ mod kill_sweep {
         enrollments: Vec<Vec<u8>>,
         log_digest: [u8; 32],
         certified_digest: [u8; 32],
-        log_entries: usize,
+        /// The auditors' replay list, in order.
+        log_entries: Vec<LogEntry>,
         epochs: usize,
         archived_logs: usize,
         backups: u64,
@@ -647,7 +697,7 @@ mod kill_sweep {
                 enrollments: dc.enrollments().iter().map(|e| e.to_bytes()).collect(),
                 log_digest: dc.log_digest(),
                 certified_digest: dc.certified_digest(),
-                log_entries: dc.log_entries().len(),
+                log_entries: dc.log_entries().to_vec(),
                 epochs: dc.update_history().len(),
                 archived_logs: dc.archived_logs().len(),
                 backups: dc.status_report().backups,

@@ -278,11 +278,12 @@ proptest! {
 
     // ---------------- Authenticated-log batch insertion --------------------
 
-    // The save-path engine's ordering theorem, end to end: a wave
-    // through `Log::insert_many` (sorted batch, shared root-to-leaf
-    // path work, one digest mark) must be indistinguishable from the
-    // same wave inserted one at a time — same per-item outcomes, same
-    // trie root, byte-identical inclusion proofs. Waves include
+    // The save path's ordering theorem, end to end: a wave through
+    // `Log::insert_many` must be indistinguishable from the same wave
+    // inserted one at a time — same per-item outcomes, same trie root,
+    // byte-identical inclusion proofs, the same entry list in the same
+    // order (what auditors replay and what a journal replay rebuilds),
+    // and the same epoch cut under any chunk cap. Waves include
     // duplicate identifiers (within the wave and against the prefix)
     // and may be empty.
     #[test]
@@ -295,6 +296,7 @@ proptest! {
             (proptest::collection::vec(0u8..4, 1..5), proptest::collection::vec(any::<u8>(), 0..8)),
             0..16,
         ),
+        cap in 0usize..=20,
     ) {
         // Identical pre-wave state on both logs (the tiny id alphabet
         // makes collisions common in both prefix and wave).
@@ -313,7 +315,9 @@ proptest! {
         }
 
         prop_assert_eq!(batched.digest(), serial.digest(), "trie roots diverged");
-        prop_assert_eq!(batched.len(), serial.len());
+        prop_assert_eq!(batched.entries(), serial.entries());
+        prop_assert_eq!(batched.pending_count(), serial.pending_count());
+        prop_assert_eq!(batched.plan_epoch(cap), serial.plan_epoch(cap));
         for (id, _) in prefix.iter().chain(wave.iter()) {
             let value = serial.get(id).map(<[u8]>::to_vec);
             if let Some(value) = value {
