@@ -221,31 +221,16 @@ impl Decode for BfePublicKey {
 ///
 /// The per-slot scalars live in a [`SecureArray`] at the untrusted provider;
 /// this handle holds only the array's root key plus puncture bookkeeping —
-/// constant HSM state, as §7.2 requires.
+/// constant HSM state, as §7.2 requires. The root key is an `AeadKey`
+/// inside the array handle, so dropping the handle wipes it and `Debug`
+/// redacts it.
+#[derive(Debug)]
 pub struct BfeSecretKey {
     /// Filter parameters.
     pub params: BfeParams,
     array: SecureArray,
     punctures: u64,
     slots_deleted: u64,
-}
-
-impl core::fmt::Debug for BfeSecretKey {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("BfeSecretKey")
-            .field("params", &self.params)
-            .field("punctures", &self.punctures)
-            .field("slots_deleted", &self.slots_deleted)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Drop for BfeSecretKey {
-    fn drop(&mut self) {
-        // The handle's only secret is the array root key; wipe it so a
-        // dropped (e.g. rotated-away) key leaves no bytes behind.
-        self.array.wipe_root_key();
-    }
 }
 
 /// Metrics describing one key generation (used by the cost model: rotation
@@ -430,31 +415,13 @@ impl OpReport {
 /// The constant trusted state of a [`BfeSecretKey`]: the secure-array
 /// handle (root key included — seal before persisting) plus the
 /// puncture bookkeeping that drives the rotation trigger.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BfeKeyState {
     /// Filter parameters.
     pub params: BfeParams,
     array: ArrayState,
     punctures: u64,
     slots_deleted: u64,
-}
-
-impl core::fmt::Debug for BfeKeyState {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("BfeKeyState")
-            .field("params", &self.params)
-            .field("punctures", &self.punctures)
-            .field("slots_deleted", &self.slots_deleted)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Drop for BfeKeyState {
-    fn drop(&mut self) {
-        // The contained `ArrayState` wipes itself too; this impl keeps
-        // the wipe-on-drop contract visible on the registered type.
-        self.array.wipe();
-    }
 }
 
 impl Encode for BfeKeyState {
@@ -498,11 +465,9 @@ impl BfeSecretKey {
     /// Rebuilds a secret-key handle from exported state; the caller must
     /// present the block store the original key wrote its slot array to.
     pub fn from_state(state: BfeKeyState) -> Self {
-        // `BfeKeyState` implements `Drop` (wipe-on-drop), so its array
-        // cannot be moved out; clone it and let `state` wipe itself.
         Self {
             params: state.params,
-            array: SecureArray::from_state(state.array.clone()),
+            array: SecureArray::from_state(state.array),
             punctures: state.punctures,
             slots_deleted: state.slots_deleted,
         }

@@ -551,6 +551,10 @@ pub fn crash_restart_churn(seed: u64) -> Result<ScenarioReport, ChaosError> {
     // and accepts fresh saves past the replayed WAL sequence.
     let mut fresh_rng = StdRng::seed_from_u64(mix(seed, 322));
     let survivor_client = d2.new_client(&user(100))?;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the save loop above pushed six artifacts, user 100's first"
+    )]
     let survivor = d2.recover(&survivor_client, &pin(100), &survivors[0], &mut fresh_rng);
     report.check(
         "a pre-crash save recovered byte-identical after replay",

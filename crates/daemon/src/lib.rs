@@ -48,9 +48,20 @@
 //! [`codes::SHUTTING_DOWN`]: safetypin_proto::codes::SHUTTING_DOWN
 //! [`codes::DEGRADED`]: safetypin_proto::codes::DEGRADED
 
-// Serve-path panic discipline ([workspace.lints] + crates/audit):
-// unwrap/expect stay warnings in library code, allowed in tests.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Serve-path panic discipline ([workspace.lints.clippy] plus the
+// `assert!` ban in this crate's clippy.toml): no unwrap, expect, raw
+// indexing or panicking macro in library code; tests allow them.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::disallowed_macros,
+        reason = "test code fails by panicking"
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -66,7 +77,7 @@ use rand::SeedableRng;
 use safetypin::{Deployment, DeploymentBuilder, DeploymentError, SystemParams};
 use safetypin_proto::tcp::{accept_handshake, serve_frames, Tcp, TcpConfig};
 use safetypin_proto::{
-    codes, ErrorReply, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta,
+    codes, ErrorCode, ErrorReply, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta,
 };
 use safetypin_store::{Durability, FileOptions, FileStore, StoreError};
 
@@ -443,7 +454,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Result<SnapshotMet
     Ok(deployment.persist(&shared.store_dir, shared.file_options, rng)?)
 }
 
-fn refusal(code: u16, detail: &str) -> ProviderResponse {
+fn refusal(code: ErrorCode, detail: &str) -> ProviderResponse {
     ProviderResponse::Error(ErrorReply::new(code, detail))
 }
 

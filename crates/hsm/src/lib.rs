@@ -21,9 +21,20 @@
 //! request group under one slot audit and one durability barrier, and a
 //! solo request ([`Hsm::handle`]) is a group of one.
 
-// Serve-path panic discipline ([workspace.lints] + crates/audit):
-// unwrap/expect stay warnings in library code, allowed in tests.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Serve-path panic discipline ([workspace.lints.clippy] plus the
+// `assert!` ban in this crate's clippy.toml): no unwrap, expect, raw
+// indexing or panicking macro in library code; tests allow them.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::disallowed_macros,
+        reason = "test code fails by panicking"
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -141,6 +152,18 @@ fn no_reply() -> safetypin_proto::HsmResponse {
         safetypin_proto::codes::INTERNAL,
         "batch scheduler produced no reply for this request",
     ))
+}
+
+/// Files `reply` as the answer to request `pos` of a group; a position
+/// outside the group is left to [`no_reply`].
+fn answer(
+    responses: &mut [Option<safetypin_proto::HsmResponse>],
+    pos: usize,
+    reply: safetypin_proto::HsmResponse,
+) {
+    if let Some(slot) = responses.get_mut(pos) {
+        *slot = Some(reply);
+    }
 }
 
 /// One hardware security module.
@@ -337,9 +360,7 @@ impl Hsm {
                     self.serve_recovery_segment(&mut segment, &mut responses, store, rng);
                     segment_slots.clear();
                     let reply = self.handle_inner(other, store, rng);
-                    if let Some(slot) = responses.get_mut(pos) {
-                        *slot = Some(reply);
-                    }
+                    answer(&mut responses, pos, reply);
                 }
             }
         }
@@ -400,7 +421,7 @@ impl Hsm {
         for (pos, request) in segment.drain(..) {
             match self.recover_share_checks(&request) {
                 Ok(c) => checked.push((pos, c)),
-                Err(e) => responses[pos] = Some(HsmResponse::Error((&e).into())),
+                Err(e) => answer(responses, pos, HsmResponse::Error((&e).into())),
             }
         }
         if checked.is_empty() {
@@ -408,15 +429,15 @@ impl Hsm {
         }
 
         // Phase 2: one shared-prefix batch decrypt across every share of
-        // every surviving request in the segment.
-        let mut owners: Vec<usize> = Vec::new();
-        let mut items: Vec<(&[u8], &[u8], &safetypin_bfe::BfeCiphertext)> = Vec::new();
-        for (ci, (_, c)) in checked.iter().enumerate() {
-            for share_ct in &c.share_cts {
-                owners.push(ci);
-                items.push((c.tag.as_slice(), c.context.as_slice(), share_ct));
-            }
-        }
+        // every surviving request in the segment, in request order.
+        let items: Vec<(&[u8], &[u8], &safetypin_bfe::BfeCiphertext)> = checked
+            .iter()
+            .flat_map(|(_, c)| {
+                c.share_cts
+                    .iter()
+                    .map(|share_ct| (c.tag.as_slice(), c.context.as_slice(), share_ct))
+            })
+            .collect();
         let (decrypted, report) = self.bfe_sk.decrypt_many_traced(store, &items);
 
         // Attribute the batch's decrypt cost evenly across the jobs
@@ -435,33 +456,35 @@ impl Hsm {
             )
         };
 
-        // Phase 3: per request, fold in its jobs' outcomes and enforce
+        // Phase 3: per request, fold in its jobs' outcomes (its share
+        // decryptions are the next `share_cts.len()` items) and enforce
         // the §4.1 username binding.
         let mut pending: Vec<(usize, PreparedRecovery)> = Vec::with_capacity(checked.len());
-        let mut outcomes: Vec<Result<SlotOutcomes, HsmError>> =
-            checked.iter().map(|_| Ok(Vec::new())).collect();
-        for (i, (owner, item)) in owners.iter().zip(decrypted).enumerate() {
-            let (decs, aes, io) = job_phase(i as u64);
-            let c = &mut checked[*owner].1;
-            c.phases.lhe.elgamal_decs += decs;
-            c.phases.pe.aes_blocks += aes;
-            c.phases.pe.add_io(io);
-            if let Ok(slot_outcomes) = &mut outcomes[*owner] {
-                match item {
-                    Ok((pt, trace)) => slot_outcomes.push((pt, trace)),
-                    Err(_) => outcomes[*owner] = Err(HsmError::DecryptFailed),
-                }
-            }
-        }
-        for ((pos, c), outcome) in checked.into_iter().zip(outcomes) {
+        let mut jobs_done = 0u64;
+        let mut decrypted = decrypted.into_iter();
+        for (pos, c) in checked {
             let CheckedRecovery {
-                phases,
+                mut phases,
                 tag,
                 context,
                 username,
+                share_cts,
                 recovery_pk,
-                ..
             } = c;
+            let mut outcome: Result<SlotOutcomes, HsmError> = Ok(Vec::new());
+            for item in decrypted.by_ref().take(share_cts.len()) {
+                let (decs, aes, io) = job_phase(jobs_done);
+                jobs_done += 1;
+                phases.lhe.elgamal_decs += decs;
+                phases.pe.aes_blocks += aes;
+                phases.pe.add_io(io);
+                if let Ok(slot_outcomes) = &mut outcome {
+                    match item {
+                        Ok((pt, trace)) => slot_outcomes.push((pt, trace)),
+                        Err(_) => outcome = Err(HsmError::DecryptFailed),
+                    }
+                }
+            }
             let resolved = outcome.and_then(|slot_outcomes| {
                 let mut shares = Vec::with_capacity(slot_outcomes.len());
                 let mut trace = Vec::with_capacity(slot_outcomes.len());
@@ -487,7 +510,7 @@ impl Hsm {
                 )),
                 Err(e) => {
                     self.costs.add(&phases.total());
-                    responses[pos] = Some(HsmResponse::Error((&e).into()));
+                    answer(responses, pos, HsmResponse::Error((&e).into()));
                 }
             }
         }
@@ -532,7 +555,11 @@ impl Hsm {
         if !audited {
             for (pos, prepared) in pending.drain(..) {
                 self.costs.add(&prepared.phases.total());
-                responses[pos] = Some(HsmResponse::Error((&HsmError::DecryptFailed).into()));
+                answer(
+                    responses,
+                    pos,
+                    HsmResponse::Error((&HsmError::DecryptFailed).into()),
+                );
             }
             return;
         }
@@ -548,7 +575,11 @@ impl Hsm {
             Err(_) => {
                 for (pos, prepared) in pending.drain(..) {
                     self.costs.add(&prepared.phases.total());
-                    responses[pos] = Some(HsmResponse::Error((&HsmError::DecryptFailed).into()));
+                    answer(
+                        responses,
+                        pos,
+                        HsmResponse::Error((&HsmError::DecryptFailed).into()),
+                    );
                 }
                 return;
             }
@@ -568,7 +599,11 @@ impl Hsm {
                 .pe
                 .add_io(split_evenly(io_total, k, i as u64));
             let (response, phases) = self.finish_recovery_response(prepared, rng);
-            responses[pos] = Some(HsmResponse::RecoveryShare { response, phases });
+            answer(
+                responses,
+                pos,
+                HsmResponse::RecoveryShare { response, phases },
+            );
         }
     }
 

@@ -708,7 +708,10 @@ fn designated_auditors_gate_recovery() {
 /// Client-side prep shared by the grouped-serving tests: two users back
 /// up, both attempts are logged under ONE epoch, and the per-HSM request
 /// groups are assembled in user order.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "a test fixture's one-off tuple, read positionally by its callers"
+)]
 fn two_user_round(
     fx: &mut Fixture,
 ) -> (

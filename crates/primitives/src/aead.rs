@@ -28,8 +28,13 @@ pub const TAG_LEN: usize = 16;
 
 /// A 128-bit AEAD key.
 ///
-/// Constant-time equality is provided for tests and for share comparison;
-/// the `Debug` impl redacts the key bytes.
+/// One of the three leaf types that hold secret bytes (with
+/// [`SecretKey`](crate::elgamal::SecretKey) and
+/// [`Share`](crate::shamir::Share)): it wipes itself on drop, its `Debug`
+/// redacts, it has no `Display`, and `==` is [`ConstantTimeEq::ct_eq`].
+/// A type holding an `AeadKey` gets the wipe through its drop glue and
+/// the redaction and constant-time compare through derived `Debug` and
+/// `PartialEq`.
 #[derive(Clone)]
 pub struct AeadKey([u8; KEY_LEN]);
 
@@ -75,9 +80,15 @@ impl core::fmt::Debug for AeadKey {
     }
 }
 
+impl ConstantTimeEq for AeadKey {
+    fn ct_eq(&self, other: &Self) -> subtle::Choice {
+        self.0.ct_eq(&other.0)
+    }
+}
+
 impl PartialEq for AeadKey {
     fn eq(&self, other: &Self) -> bool {
-        self.0.ct_eq(&other.0).into()
+        self.ct_eq(other).into()
     }
 }
 

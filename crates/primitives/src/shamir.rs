@@ -11,6 +11,7 @@
 //! module is the pure field-level sharing.
 
 use rand::{CryptoRng, RngCore};
+use subtle::ConstantTimeEq;
 
 use crate::error::WireError;
 use crate::gf256;
@@ -19,7 +20,11 @@ use crate::{CryptoError, Result};
 
 /// One Shamir share: the evaluation point `index` (nonzero) and one byte of
 /// polynomial output per byte of the secret.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// A leaf secret type: wiped on drop, redacted in `Debug`, no
+/// `Display`, and `==` is [`ConstantTimeEq::ct_eq`] (an early-exit
+/// compare over `data` would time the matching prefix).
+#[derive(Clone)]
 pub struct Share {
     /// Evaluation point in [1, 255].
     pub index: u8,
@@ -40,6 +45,20 @@ impl Drop for Share {
         crate::zeroize::wipe_bytes(&mut self.data);
     }
 }
+
+impl ConstantTimeEq for Share {
+    fn ct_eq(&self, other: &Self) -> subtle::Choice {
+        self.index.ct_eq(&other.index) & self.data.as_slice().ct_eq(&other.data)
+    }
+}
+
+impl PartialEq for Share {
+    fn eq(&self, other: &Self) -> bool {
+        self.ct_eq(other).into()
+    }
+}
+
+impl Eq for Share {}
 
 impl Encode for Share {
     fn encode(&self, w: &mut Writer) {
@@ -305,6 +324,29 @@ mod tests {
         let mut rng = rng();
         let shares = share(b"", 2, 3, &mut rng).unwrap();
         assert_eq!(reconstruct(&shares[..2], 2).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn eq_agrees_with_ct_eq_on_equal_and_unequal_pairs() {
+        let mut rng = rng();
+        let shares = share(b"0123456789abcdef", 2, 3, &mut rng).unwrap();
+        let (a, b) = (&shares[0], &shares[1]);
+        let with = |index: u8, data: &[u8]| Share {
+            index,
+            data: data.to_vec(),
+        };
+        let pairs = [
+            (a.clone(), a.clone()),
+            (a.clone(), with(a.index, &a.data)),
+            (a.clone(), b.clone()),
+            (a.clone(), with(a.index, &b.data)),
+            (a.clone(), with(b.index, &a.data)),
+            (a.clone(), with(a.index, &a.data[..8])),
+        ];
+        for (i, (x, y)) in pairs.iter().enumerate() {
+            assert_eq!(x == y, bool::from(x.ct_eq(y)), "pair {i}");
+            assert_eq!(x == y, i < 2, "pair {i}");
+        }
     }
 
     #[test]

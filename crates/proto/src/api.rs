@@ -23,75 +23,96 @@ use crate::messages::{
 };
 use crate::metrics::MetricsReport;
 
+/// A wire error code: one of the [`codes`] constants, or a code this
+/// build does not know, preserved as decoded. The field is private, so
+/// only [`codes`] and the decoder can make one: a reply site cannot
+/// carry a bare number. `Debug` and `Display` print the number.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ErrorCode(u16);
+
+impl core::fmt::Debug for ErrorCode {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        core::fmt::Debug::fmt(&self.0, f)
+    }
+}
+
+impl core::fmt::Display for ErrorCode {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        core::fmt::Display::fmt(&self.0, f)
+    }
+}
+
 /// Stable numeric codes carried by [`ErrorReply`] messages.
 ///
 /// Codes 1–16 mirror the HSM's refusal reasons; 32+ are transport-layer
 /// outcomes a faulty link can synthesize.
 pub mod codes {
+    use super::ErrorCode;
+
     /// The HSM has fail-stopped.
-    pub const UNAVAILABLE: u16 = 1;
+    pub const UNAVAILABLE: ErrorCode = ErrorCode(1);
     /// The log-inclusion proof did not verify.
-    pub const BAD_INCLUSION_PROOF: u16 = 2;
+    pub const BAD_INCLUSION_PROOF: ErrorCode = ErrorCode(2);
     /// The HSM is not the committed cluster member for a requested slot.
-    pub const NOT_IN_CLUSTER: u16 = 3;
+    pub const NOT_IN_CLUSTER: ErrorCode = ErrorCode(3);
     /// The presented ciphertext does not match the committed hash.
-    pub const CIPHERTEXT_MISMATCH: u16 = 4;
+    pub const CIPHERTEXT_MISMATCH: ErrorCode = ErrorCode(4);
     /// Share decryption failed (punctured, wrong key, or malformed).
-    pub const DECRYPT_FAILED: u16 = 5;
+    pub const DECRYPT_FAILED: ErrorCode = ErrorCode(5);
     /// The decrypted share was not bound to the requesting username.
-    pub const USERNAME_MISMATCH: u16 = 6;
+    pub const USERNAME_MISMATCH: ErrorCode = ErrorCode(6);
     /// A chunk audit failed.
-    pub const AUDIT_FAILED: u16 = 7;
+    pub const AUDIT_FAILED: ErrorCode = ErrorCode(7);
     /// Audit packages do not match the deterministic assignment.
-    pub const WRONG_AUDIT_SET: u16 = 8;
+    pub const WRONG_AUDIT_SET: ErrorCode = ErrorCode(8);
     /// The update's old digest does not match the held digest.
-    pub const STALE_DIGEST: u16 = 9;
+    pub const STALE_DIGEST: ErrorCode = ErrorCode(9);
     /// Too few signers behind an aggregate signature.
-    pub const QUORUM_TOO_SMALL: u16 = 10;
+    pub const QUORUM_TOO_SMALL: ErrorCode = ErrorCode(10);
     /// The aggregate signature did not verify.
-    pub const BAD_AGGREGATE: u16 = 11;
+    pub const BAD_AGGREGATE: ErrorCode = ErrorCode(11);
     /// A fleet key's proof of possession failed.
-    pub const BAD_PROOF_OF_POSSESSION: u16 = 12;
+    pub const BAD_PROOF_OF_POSSESSION: ErrorCode = ErrorCode(12);
     /// A designated-auditor endorsement was missing or invalid.
-    pub const MISSING_AUDITOR_ENDORSEMENT: u16 = 13;
+    pub const MISSING_AUDITOR_ENDORSEMENT: ErrorCode = ErrorCode(13);
     /// The provider exhausted its garbage-collection budget.
-    pub const GC_LIMIT_REACHED: u16 = 14;
+    pub const GC_LIMIT_REACHED: ErrorCode = ErrorCode(14);
     /// Malformed wire input inside a payload.
-    pub const WIRE: u16 = 15;
+    pub const WIRE: ErrorCode = ErrorCode(15);
     /// An underlying cryptographic failure.
-    pub const CRYPTO: u16 = 16;
+    pub const CRYPTO: ErrorCode = ErrorCode(16);
     /// The addressed HSM does not exist.
-    pub const UNKNOWN_HSM: u16 = 17;
+    pub const UNKNOWN_HSM: ErrorCode = ErrorCode(17);
     /// A log insertion was refused (attempt already consumed).
-    pub const LOG_REFUSED: u16 = 18;
+    pub const LOG_REFUSED: ErrorCode = ErrorCode(18);
     /// The epoch protocol failed to assemble a quorum.
-    pub const EPOCH_FAILED: u16 = 19;
+    pub const EPOCH_FAILED: ErrorCode = ErrorCode(19);
     /// The transport dropped the message.
-    pub const DROPPED: u16 = 32;
+    pub const DROPPED: ErrorCode = ErrorCode(32);
     /// The transport corrupted the message beyond parsing.
-    pub const CORRUPTED: u16 = 33;
+    pub const CORRUPTED: ErrorCode = ErrorCode(33);
     /// The service refused the request because the connection exceeded
     /// its request-rate budget; retry after backing off.
-    pub const RATE_LIMITED: u16 = 34;
+    pub const RATE_LIMITED: ErrorCode = ErrorCode(34);
     /// The service refused the connection or request because it is at
     /// its concurrent-client capacity.
-    pub const OVERLOADED: u16 = 35;
+    pub const OVERLOADED: ErrorCode = ErrorCode(35);
     /// The service is draining toward a persist-on-shutdown and accepts
     /// no new work.
-    pub const SHUTTING_DOWN: u16 = 36;
+    pub const SHUTTING_DOWN: ErrorCode = ErrorCode(36);
     /// The endpoint cannot serve this request class (e.g. raw HSM
     /// traffic sent to a fleet-less endpoint, or a service-level
     /// request sent to a bare datacenter).
-    pub const UNSUPPORTED: u16 = 37;
+    pub const UNSUPPORTED: ErrorCode = ErrorCode(37);
     /// The service hit an internal fault (e.g. a fan-out worker died)
     /// and could not produce a real reply for this request.
-    pub const INTERNAL: u16 = 38;
+    pub const INTERNAL: ErrorCode = ErrorCode(38);
     /// The service is temporarily degraded — its fleet stayed held for
     /// the whole request budget (a wedged operation, a stalled store) —
     /// and refuses fleet work instead of queueing behind the stall.
     /// Control-plane requests (status, metrics, shutdown) keep
     /// answering; retry fleet work after backing off.
-    pub const DEGRADED: u16 = 39;
+    pub const DEGRADED: ErrorCode = ErrorCode(39);
 }
 
 /// A wire-transportable refusal: a stable numeric code plus a
@@ -99,14 +120,14 @@ pub mod codes {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorReply {
     /// One of the [`codes`] constants (unknown codes are preserved).
-    pub code: u16,
+    pub code: ErrorCode,
     /// Human-readable context; never interpreted programmatically.
     pub detail: String,
 }
 
 impl ErrorReply {
     /// Builds a reply from a code and detail text.
-    pub fn new(code: u16, detail: impl Into<String>) -> Self {
+    pub fn new(code: ErrorCode, detail: impl Into<String>) -> Self {
         Self {
             code,
             detail: detail.into(),
@@ -150,14 +171,14 @@ impl core::fmt::Display for ErrorReply {
 
 impl Encode for ErrorReply {
     fn encode(&self, w: &mut Writer) {
-        w.put_u16(self.code);
+        w.put_u16(self.code.0);
         w.put_bytes(self.detail.as_bytes());
     }
 }
 
 impl Decode for ErrorReply {
     fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let code = r.get_u16()?;
+        let code = ErrorCode(r.get_u16()?);
         // Detail is advisory text; tolerate (lossily repair) non-UTF-8 so
         // a mangled detail string never masks the code it carries.
         let detail = String::from_utf8_lossy(r.get_bytes()?).into_owned();
@@ -270,9 +291,10 @@ impl HsmRequest {
 
 /// HSM → datacenter replies, one per [`HsmRequest`] variant plus a
 /// typed refusal.
-// Variant sizes intentionally differ: responses are transient values
-// that are encoded or consumed immediately, never stored in bulk.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "responses are transient values, encoded or consumed immediately and never stored in bulk"
+)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum HsmResponse {
     /// Reply to [`HsmRequest::GetEnrollment`].

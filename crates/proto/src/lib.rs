@@ -58,9 +58,20 @@
 //! [`WireError::InvalidTag`]: safetypin_primitives::error::WireError::InvalidTag
 //! [`WireError::UnsupportedVersion`]: safetypin_primitives::error::WireError::UnsupportedVersion
 
-// Serve-path panic discipline ([workspace.lints] + crates/audit):
-// unwrap/expect stay warnings in library code, allowed in tests.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Serve-path panic discipline ([workspace.lints.clippy] plus the
+// `assert!` ban in this crate's clippy.toml): no unwrap, expect, raw
+// indexing or panicking macro in library code; tests allow them.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::disallowed_macros,
+        reason = "test code fails by panicking"
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -73,8 +84,8 @@ pub mod tcp;
 pub mod transport;
 
 pub use api::{
-    codes, ErrorReply, HsmRequest, HsmResponse, ProviderRequest, ProviderResponse, SaveOutcome,
-    SaveRequest, MAX_RECOVER_BATCH_USERS, MAX_SAVE_BATCH_USERS,
+    codes, ErrorCode, ErrorReply, HsmRequest, HsmResponse, ProviderRequest, ProviderResponse,
+    SaveOutcome, SaveRequest, MAX_RECOVER_BATCH_USERS, MAX_SAVE_BATCH_USERS,
 };
 pub use envelope::{Envelope, Message, MAX_GROUP_REQUESTS, PROTO_VERSION};
 pub use error::ProtoError;

@@ -42,7 +42,7 @@ use std::time::Duration;
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::wire::{Decode, Encode};
 
-use crate::api::{codes, ErrorReply, ProviderRequest, ProviderResponse};
+use crate::api::{codes, ErrorCode, ErrorReply, ProviderRequest, ProviderResponse};
 use crate::envelope::{Envelope, Message, PROTO_VERSION};
 use crate::error::ProtoError;
 
@@ -78,8 +78,12 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtoError
 fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, ProtoError> {
     let mut filled = 0;
     while filled < buf.len() {
-        // audit:allow(panic-path) `filled < buf.len()` holds by the loop guard, so the range cannot panic
-        match r.read(&mut buf[filled..]) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`filled < buf.len()` holds by the loop guard, so the range cannot panic"
+        )]
+        let rest = &mut buf[filled..];
+        match r.read(rest) {
             Ok(0) => {
                 if filled == 0 {
                     return Ok(false);
@@ -173,7 +177,7 @@ pub fn accept_handshake<S: Read + Write>(stream: &mut S) -> Result<(), ProtoErro
     Ok(())
 }
 
-fn error_message(code: u16, detail: impl Into<String>) -> Message {
+fn error_message(code: ErrorCode, detail: impl Into<String>) -> Message {
     Message::ProviderResponse(ProviderResponse::Error(ErrorReply::new(code, detail)))
 }
 

@@ -53,7 +53,10 @@ use crate::error::ProtoError;
 /// One round of requests, classified by shape. Every transport speaks
 /// all four classes through the single [`Transport::round`] method.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(clippy::large_enum_variant)] // Single inlines an HsmRequest, same trade as HsmRequest itself
+#[expect(
+    clippy::large_enum_variant,
+    reason = "Single inlines an HsmRequest, same trade as HsmRequest itself"
+)]
 pub enum Traffic {
     /// One request for one HSM (the `u64` is its datacenter index).
     Single(u64, HsmRequest),
@@ -73,7 +76,10 @@ pub enum Traffic {
 
 /// The reply to one [`Traffic`] round, in the matching class.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(clippy::large_enum_variant)] // Single inlines an HsmResponse, same trade as HsmResponse itself
+#[expect(
+    clippy::large_enum_variant,
+    reason = "Single inlines an HsmResponse, same trade as HsmResponse itself"
+)]
 pub enum TrafficReply {
     /// Reply to [`Traffic::Single`].
     Single(HsmResponse),
@@ -649,7 +655,9 @@ impl Faulty {
         if !bytes.is_empty() {
             let pos = self.rng.gen_range(0..bytes.len());
             let bit = 1u8 << self.rng.gen_range(0..8u32);
-            bytes[pos] ^= bit;
+            if let Some(byte) = bytes.get_mut(pos) {
+                *byte ^= bit;
+            }
         }
         Envelope::from_bytes(&bytes).ok().map(|env| env.msg)
     }

@@ -4,8 +4,14 @@
 //! guarantees that make the envelope format safe to speak over a real
 //! link.
 
-// Test code: the serve-path unwrap/expect lints do not apply here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::disallowed_macros,
+    reason = "test code fails by panicking"
+)]
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -331,6 +337,59 @@ fn every_message_variant_roundtrips() {
             bytes,
             "envelope {i} re-encoded differently"
         );
+    }
+}
+
+/// The corpus is the variant list: for `Message` and for each of the
+/// four role enums it carries, every tag byte the decoder accepts is one
+/// some sample encodes with, and every other byte is `InvalidTag`. A
+/// variant added without a sample fails here, and the truncation and
+/// trailing-byte tests below iterate the same corpus.
+#[test]
+fn decoders_accept_exactly_the_tags_the_corpus_encodes() {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    // Byte 2 of an envelope is the `Message` tag; for the four
+    // role-enum messages, byte 3 is the inner variant's tag.
+    let mut message_tags = BTreeSet::new();
+    let mut variant_tags: BTreeMap<u8, BTreeSet<u8>> = BTreeMap::new();
+    for envelope in sample_envelopes(0x5AFE_0075) {
+        let bytes = envelope.to_bytes();
+        message_tags.insert(bytes[2]);
+        if matches!(
+            envelope.msg,
+            Message::HsmRequest(_)
+                | Message::HsmResponse(_)
+                | Message::ProviderRequest(_)
+                | Message::ProviderResponse(_)
+        ) {
+            variant_tags.entry(bytes[2]).or_default().insert(bytes[3]);
+        }
+    }
+    assert_eq!(variant_tags.len(), 4, "one tag set per role enum");
+
+    // An envelope that ends right after `prefix ‖ tag`: a known tag then
+    // runs out of input (or decodes a payload-free variant), an unknown
+    // one is refused by name.
+    let refused = |prefix: &[u8], tag: u8| {
+        let mut bytes = PROTO_VERSION.to_be_bytes().to_vec();
+        bytes.extend_from_slice(prefix);
+        bytes.push(tag);
+        matches!(Envelope::from_bytes(&bytes), Err(WireError::InvalidTag(t)) if t == tag)
+    };
+    for tag in 0..=u8::MAX {
+        assert_eq!(
+            refused(&[], tag),
+            !message_tags.contains(&tag),
+            "Message tag {tag}"
+        );
+        for (&message_tag, tags) in &variant_tags {
+            assert_eq!(
+                refused(&[message_tag], tag),
+                !tags.contains(&tag),
+                "Message tag {message_tag}, variant tag {tag}"
+            );
+        }
     }
 }
 

@@ -95,8 +95,10 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 let package = update
                     .audit_package(c)
                     .map_err(|_| ProviderError::EpochFailed("audit chunk out of range"))?;
-                audit_bytes +=
-                    *chunk_bytes[c as usize].get_or_insert_with(|| package.proof_bytes() as u64);
+                let size = chunk_bytes
+                    .get_mut(c as usize)
+                    .ok_or(ProviderError::EpochFailed("audit chunk out of range"))?;
+                audit_bytes += *size.get_or_insert_with(|| package.proof_bytes() as u64);
                 packages.push(package);
             }
             audit_packages += packages.len() as u64;
@@ -240,18 +242,20 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 "restored HSM's digest is not on the certified chain",
             ));
         };
+        let device = id as usize;
+        let (Some(hsm), Some(store)) = (self.hsms.get_mut(device), self.stores.get_mut(device))
+        else {
+            return Err(ProviderError::UnknownHsm(id));
+        };
+        let chain = self.update_history.iter().zip(&self.epoch_certs);
         let mut replayed = 0u64;
-        for i in self.chain_start + start..self.update_history.len() {
-            let message = self.update_history[i];
-            let cert = self.epoch_certs[i].clone();
+        for (message, cert) in chain.skip(self.chain_start + start) {
             let signers: Vec<usize> = cert.signers.iter().map(|&s| s as usize).collect();
-            self.hsm_mut(id)?
-                .accept_update(&message, &signers, &cert.aggregate)
+            hsm.accept_update(message, &signers, &cert.aggregate)
                 .map_err(ProviderError::Hsm)?;
             replayed += 1;
         }
-        let device = id as usize;
-        self.hsms[device].commit(&mut self.stores[device], &mut rand::thread_rng());
+        hsm.commit(store, &mut rand::thread_rng());
         Ok(replayed)
     }
 

@@ -24,7 +24,9 @@
 use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use safetypin_hsm::{Hsm, HsmConfig, HsmError};
-use safetypin_proto::{codes, ErrorReply, HsmRequest, HsmResponse, Traffic, TrafficReply};
+use safetypin_proto::{
+    codes, ErrorCode, ErrorReply, HsmRequest, HsmResponse, Traffic, TrafficReply,
+};
 use safetypin_seckv::{BlockStore, MemStore};
 
 /// Worker-thread cap for `jobs` independent work items. The host's
@@ -169,7 +171,7 @@ struct GroupJob<'b, S> {
     requests: Vec<HsmRequest>,
 }
 
-fn error_group(code: u16, id: u64, len: usize, detail: String) -> (u64, Vec<HsmResponse>) {
+fn error_group(code: ErrorCode, id: u64, len: usize, detail: String) -> (u64, Vec<HsmResponse>) {
     (
         id,
         (0..len)

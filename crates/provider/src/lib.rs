@@ -27,9 +27,20 @@
 //! both roles — the honest orchestrator and the cheating provider the
 //! HSMs must catch.
 
-// Serve-path panic discipline ([workspace.lints] + crates/audit):
-// unwrap/expect stay warnings in library code, allowed in tests.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Serve-path panic discipline ([workspace.lints.clippy] plus the
+// `assert!` ban in this crate's clippy.toml): no unwrap, expect, raw
+// indexing or panicking macro in library code; tests allow them.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::disallowed_macros,
+        reason = "test code fails by panicking"
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

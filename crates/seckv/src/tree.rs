@@ -96,44 +96,21 @@ impl Decode for Metrics {
 /// sensitive as the HSM's internal flash: the persistence layer
 /// (`safetypin-store`) always seals it under a device key before it
 /// leaves trusted memory. The blocks themselves stay at the untrusted
-/// provider and are *not* part of this state.
-#[derive(Clone, PartialEq, Eq)]
+/// provider and are *not* part of this state. The key is an
+/// [`AeadKey`], so dropping the state wipes it and the derived `Debug`
+/// and `PartialEq` redact it and compare it in constant time.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayState {
-    root_key: [u8; KEY_LEN],
+    root_key: AeadKey,
     len: u64,
     height: u32,
     array_id: [u8; 16],
     metrics: Metrics,
 }
 
-impl core::fmt::Debug for ArrayState {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ArrayState")
-            .field("root_key", &"<redacted>")
-            .field("len", &self.len)
-            .field("height", &self.height)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ArrayState {
-    /// Volatile-wipes the root key held in this snapshot.
-    pub fn wipe(&mut self) {
-        safetypin_primitives::zeroize::wipe_array(&mut self.root_key);
-    }
-}
-
-impl Drop for ArrayState {
-    fn drop(&mut self) {
-        // As sensitive as HSM flash (see the type docs): wipe the root
-        // key so a dropped snapshot leaves no key bytes behind.
-        self.wipe();
-    }
-}
-
 impl Encode for ArrayState {
     fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.root_key);
+        w.put_fixed(self.root_key.as_bytes());
         w.put_u64(self.len);
         w.put_u32(self.height);
         w.put_fixed(&self.array_id);
@@ -144,7 +121,7 @@ impl Encode for ArrayState {
 impl Decode for ArrayState {
     fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
         Ok(Self {
-            root_key: r.get_array::<KEY_LEN>()?,
+            root_key: AeadKey::from_bytes(r.get_array::<KEY_LEN>()?),
             len: r.get_u64()?,
             height: r.get_u32()?,
             array_id: r.get_array::<16>()?,
@@ -200,13 +177,6 @@ fn split_pair(pt: &[u8]) -> Result<(AeadKey, AeadKey)> {
 }
 
 impl SecureArray {
-    /// Volatile-wipes the root key, leaving the handle unable to read
-    /// (or further delete from) the outsourced array. Used by owners of
-    /// secret-key handles to wipe on drop.
-    pub fn wipe_root_key(&mut self) {
-        self.root_key.wipe();
-    }
-
     /// Encrypts `data` into `store` and returns the array handle holding
     /// only the root key (`Setup` in Appendix C).
     ///
@@ -322,7 +292,7 @@ impl SecureArray {
     /// seal it (see `safetypin-store`) before writing it to host storage.
     pub fn export_state(&self) -> ArrayState {
         ArrayState {
-            root_key: *self.root_key.as_bytes(),
+            root_key: self.root_key.clone(),
             len: self.len,
             height: self.height,
             array_id: self.array_id,
@@ -336,7 +306,7 @@ impl SecureArray {
     /// failures on the first read.
     pub fn from_state(state: ArrayState) -> Self {
         Self {
-            root_key: AeadKey::from_bytes(state.root_key),
+            root_key: state.root_key,
             len: state.len,
             height: state.height,
             array_id: state.array_id,

@@ -23,24 +23,12 @@ use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 
 use crate::error::StoreError;
 
-/// A per-device sealing key (models the HSM's on-chip storage key).
-#[derive(Clone)]
+/// A per-device sealing key (models the HSM's on-chip storage key). The
+/// bytes live in an [`AeadKey`], which wipes itself on drop and redacts
+/// its `Debug`.
+#[derive(Debug, Clone)]
 pub struct DeviceKey {
     key: AeadKey,
-}
-
-impl core::fmt::Debug for DeviceKey {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "DeviceKey(<redacted>)")
-    }
-}
-
-impl Drop for DeviceKey {
-    fn drop(&mut self) {
-        // The contained `AeadKey` wipes itself too; this impl keeps the
-        // wipe-on-drop contract visible on the registered type.
-        self.key.wipe();
-    }
 }
 
 impl DeviceKey {
@@ -96,25 +84,9 @@ pub fn seal_domain(component: &str, device_id: u64) -> Vec<u8> {
 ///
 /// Serialized to its own file, standing in for on-chip flash — see the
 /// module docs for why it must live apart from the block stores.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Keyring {
     keys: Vec<DeviceKey>,
-}
-
-impl core::fmt::Debug for Keyring {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Keyring({} keys, <redacted>)", self.keys.len())
-    }
-}
-
-impl Drop for Keyring {
-    fn drop(&mut self) {
-        // Stands in for on-chip flash (see module docs): wipe every
-        // device key before the backing memory is freed.
-        for key in &mut self.keys {
-            key.key.wipe();
-        }
-    }
 }
 
 impl Keyring {

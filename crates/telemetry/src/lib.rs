@@ -30,7 +30,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Serve-path panic discipline ([workspace.lints.clippy] plus the
+// `assert!` ban in this crate's clippy.toml): no unwrap, expect, raw
+// indexing or panicking macro in library code; tests allow them.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::disallowed_macros,
+        reason = "test code fails by panicking"
+    )
+)]
 
 mod histogram;
 mod registry;

@@ -1,8 +1,14 @@
 //! Histogram/quantile correctness, concurrency, and overhead tests
 //! for `safetypin-telemetry`.
 
-// Test code: the serve-path unwrap/expect lints do not apply here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::disallowed_macros,
+    reason = "test code fails by panicking"
+)]
 
 use proptest::prelude::*;
 use safetypin_telemetry::{bucket_bounds, bucket_index, Registry, BUCKETS};
