@@ -107,9 +107,10 @@ impl Node {
 }
 
 /// Where a lookup path terminates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum PathEnd {
     /// The path reached an empty slot.
+    #[default]
     Empty,
     /// The path reached a leaf (the key's own, or a divergent one).
     Leaf {
@@ -149,7 +150,7 @@ impl Decode for PathEnd {
 /// An authenticated path for one key: sibling hashes from the root to the
 /// path's end. Step `i` is the hash of the sibling *not* taken at depth
 /// `i`; the direction taken is bit `i` of the key hash.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LookupProof {
     /// Sibling hash at each depth along the path.
     pub siblings: Vec<Hash256>,
@@ -284,7 +285,8 @@ impl LookupProof {
 }
 
 /// An inclusion proof for `(id, val)` relative to a digest (`π_Inc`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The default (the empty path) is a recovery request's placeholder.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InclusionProof {
     /// The authenticated path to the entry's leaf.
     pub path: LookupProof,

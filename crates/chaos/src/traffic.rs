@@ -132,13 +132,13 @@ pub struct WaveSession<'a> {
 }
 
 /// Recovers a whole wave through the one Figure 3 flow
-/// ([`remote::recover_many`]): one `InsertLog` per user, **one**
-/// `RunEpoch`, one `ProveInclusion` per user, **one** `RecoverBatch`
-/// frame, then per-user client-side reconstruction. Per-user failures
-/// (a refused log insert, a cluster that lost too many replies) come
-/// back in that user's slot; a failed shared frame fails every user it
-/// carried. Clients are built fresh from the fleet's *current*
-/// enrollments.
+/// ([`remote::recover_many`]): **one** `RecoverBatch` frame, in which
+/// the provider logs every attempt, cuts one epoch and attaches each
+/// inclusion proof, then per-user client-side reconstruction. Per-user
+/// failures (a refused log insert, a cluster that lost too many
+/// replies) come back in that user's slot; a failed shared frame fails
+/// every user it carried. Clients are built fresh from the fleet's
+/// *current* enrollments.
 pub fn recover_wave<S: BlockStore + Send>(
     harness: &mut Harness<S>,
     sessions: &[WaveSession<'_>],

@@ -7,11 +7,10 @@
 //!
 //! 1. [`Client::backup`] → upload the ciphertext to the provider;
 //! 2. [`Client::start_recovery`] → a [`RecoveryAttempt`] whose
-//!    [`log_entry`](RecoveryAttempt::log_entry) the client asks the
-//!    provider to insert;
-//! 3. after the next log epoch, build per-HSM requests with
-//!    [`RecoveryAttempt::requests`] (given the provider's inclusion
-//!    proof);
+//!    [`log_entry`](RecoveryAttempt::log_entry) the provider logs;
+//! 3. build per-HSM requests with [`RecoveryAttempt::requests`] — the
+//!    provider's recovery round logs the attempt, certifies it in an
+//!    epoch and attaches the inclusion proof before any HSM sees them;
 //! 4. feed the HSM responses to [`RecoveryAttempt::finish`] to decrypt the
 //!    backup.
 //!
@@ -363,21 +362,11 @@ impl RecoveryAttempt {
         self.recovery_kp.as_ref().map(|kp| kp.sk.to_bytes())
     }
 
-    /// Builds the per-HSM requests once the provider has returned the
-    /// log-inclusion proof. Cluster positions are grouped per HSM: each
-    /// HSM decrypts all its shares before its single puncture.
+    /// Builds the per-HSM requests; each HSM decrypts all its cluster
+    /// positions before its single puncture. The provider's recovery
+    /// round replaces `inclusion` with its own proof (clients send
+    /// `InclusionProof::default()`); auditor endorsements go empty.
     pub fn requests(&self, inclusion: &InclusionProof) -> Vec<(u64, RecoveryRequest)> {
-        self.requests_with_endorsements(inclusion, Vec::new())
-    }
-
-    /// Like [`requests`](Self::requests), carrying designated-auditor
-    /// endorsements of the latest digest (§6.3) for deployments that
-    /// require them.
-    pub fn requests_with_endorsements(
-        &self,
-        inclusion: &InclusionProof,
-        auditor_endorsements: Vec<safetypin_multisig::Signature>,
-    ) -> Vec<(u64, RecoveryRequest)> {
         let mut by_hsm: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
         for (j, &i) in self.cluster.iter().enumerate() {
             by_hsm.entry(i).or_default().push(j as u32);
@@ -395,7 +384,7 @@ impl RecoveryAttempt {
                         ciphertext: self.ct_bytes.clone(),
                         share_indices,
                         recovery_pk: self.recovery_kp.as_ref().map(|kp| kp.pk),
-                        auditor_endorsements: auditor_endorsements.clone(),
+                        auditor_endorsements: Vec::new(),
                     },
                 )
             })

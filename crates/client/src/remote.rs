@@ -15,12 +15,13 @@
 //! 2. [`save_many`]: produce a wave of backups locally and upload them
 //!    in one [`ProviderRequest::SaveBatch`] frame; [`save`] is a wave of
 //!    one.
-//! 3. [`recover_many`]: **the** Figure 3 flow — log every attempt, one
-//!    epoch, one inclusion proof per user, one
-//!    [`ProviderRequest::RecoverBatch`] round, per-user reconstruction;
-//!    [`recover`] is a wave of one. Every caller — the in-process
-//!    `Deployment`, the benchmark, the chaos traffic plane, the CLI —
-//!    reaches recovery through it.
+//! 3. [`recover_many`]: **the** Figure 3 flow — one
+//!    [`ProviderRequest::RecoverBatch`] request per wave, in which the
+//!    provider logs every attempt, certifies them in one epoch and
+//!    attaches each inclusion proof before contacting the clusters;
+//!    then per-user reconstruction. [`recover`] is a wave of one. Every
+//!    caller — the in-process `Deployment`, the benchmark, the chaos
+//!    traffic plane, the CLI — reaches recovery through it.
 //!
 //! Failures stay typed end to end: a provider refusal arrives as
 //! [`RemoteError::Refused`] carrying the server's [`ErrorReply`]
@@ -28,6 +29,7 @@
 //! [`RemoteError::Transport`], and local reconstruction failures as
 //! [`RemoteError::Client`] — each with its `source()` chain intact.
 
+use safetypin_authlog::trie::InclusionProof;
 use safetypin_lhe::{LheParams, Salt};
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::wire::{Reader, Writer};
@@ -320,29 +322,29 @@ pub struct Recovered {
 
 /// The Figure 3 recovery flow, for a whole wave of users:
 ///
-/// * per user, the attempt is prepared and logged (one per identifier:
-///   a refused insertion fails that user only);
-/// * **one** epoch certifies every logged attempt;
-/// * per user, the inclusion proof is fetched and the per-HSM requests
-///   built;
-/// * **one** [`ProviderRequest::RecoverBatch`] round contacts every
-///   cluster — the provider coalesces the wave's requests per HSM, and
-///   each HSM audits and punctures per group;
+/// * per user, the attempt is prepared and the per-HSM requests built,
+///   with an empty inclusion proof;
+/// * **one** [`ProviderRequest::RecoverBatch`] request does the rest:
+///   the provider logs every attempt (one per identifier: a refused
+///   insertion fails that user only), certifies them in one epoch,
+///   attaches each user's inclusion proof, and contacts every cluster —
+///   coalescing the wave's requests per HSM, each HSM auditing and
+///   puncturing per group;
 /// * per user, the secret is reconstructed from the shares that came
 ///   back.
 ///
-/// Outcomes come back per user, in session order; one user's refusal
-/// (attempt already consumed, wrong PIN) never sinks the wave, while a
-/// failure of a shared frame (the epoch, the batch round) fails every
-/// user still pending. How many users share a wave is unobservable in
-/// the outcomes.
+/// That is the only request the wave sends. Outcomes come back per
+/// user, in session order; one user's refusal (attempt already
+/// consumed, wrong PIN) never sinks the wave, while a failure of the
+/// shared request (its epoch, its round) fails every user it carried.
+/// How many users share a wave is unobservable in the outcomes.
 ///
 /// **Refusal policy**, decided here once: a per-HSM reply that is not a
 /// share (a transport fault, a fail-stopped device, a refusal) is
 /// skipped, and if the shares that did arrive reconstruct, the recovery
 /// succeeds — the threshold scheme's fault tolerance. Otherwise the
 /// error is the first refusal that is not an availability failure
-/// (`BAD_INCLUSION_PROOF`, `NOT_IN_CLUSTER`, `DECRYPT_FAILED`, … stay
+/// (`LOG_REFUSED`, `NOT_IN_CLUSTER`, `DECRYPT_FAILED`, … stay
 /// typed as [`RemoteError::Refused`]), or else the client's own
 /// threshold error.
 pub fn recover_many<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
@@ -354,80 +356,24 @@ pub fn recover_many<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
     let mut outcomes: Vec<Option<Result<Recovered, RemoteError>>> = Vec::new();
     outcomes.resize_with(sessions.len(), || None);
 
-    // Steps 2–3 per user: prepare the attempt, log it.
-    let mut logged: Vec<(usize, RecoveryAttempt)> = Vec::with_capacity(sessions.len());
+    // Step 2 per user: prepare the attempt; the placeholder proof is
+    // replaced by the provider's round, which does steps 3–5.
+    let mut batch = Vec::with_capacity(sessions.len());
+    let mut pending: Vec<(usize, RecoveryAttempt)> = Vec::with_capacity(sessions.len());
     for (idx, session) in sessions.iter().enumerate() {
-        let attempt = session
+        match session
             .client
             .start_recovery(session.pin, &session.artifact.ciphertext, false, rng)
-            .map_err(RemoteError::Client)
-            .and_then(|attempt| {
-                let (id, value) = attempt.log_entry();
-                expect(
-                    endpoint.call(ProviderRequest::InsertLog { id, value }),
-                    "expected an Ack reply",
-                    |reply| match reply {
-                        ProviderResponse::Ack => Ok(attempt),
-                        other => Err(other),
-                    },
-                )
-            });
-        match attempt {
-            Ok(attempt) => logged.push((idx, attempt)),
-            Err(e) => outcomes[idx] = Some(Err(e)),
-        }
-    }
-
-    // Step 4, once per wave: a single epoch certifies every logged
-    // attempt.
-    let mut failed = None;
-    if !logged.is_empty() {
-        failed = expect(
-            endpoint.call(ProviderRequest::RunEpoch),
-            "expected an EpochCertified reply",
-            |reply| match reply {
-                ProviderResponse::EpochCertified { .. } => Ok(()),
-                other => Err(other),
-            },
-        )
-        .err();
-    }
-
-    // Step 5 per user: inclusion proof + per-HSM requests.
-    let mut batch = Vec::with_capacity(logged.len());
-    let mut pending: Vec<(usize, RecoveryAttempt)> = Vec::with_capacity(logged.len());
-    for (idx, attempt) in logged {
-        if let Some(e) = &failed {
-            outcomes[idx] = Some(Err(e.clone()));
-            continue;
-        }
-        let (id, value) = attempt.log_entry();
-        let proof = expect(
-            endpoint.call(ProviderRequest::ProveInclusion { id, value }),
-            "expected an Inclusion reply",
-            |reply| match reply {
-                ProviderResponse::Inclusion(proof) => Ok(proof),
-                other => Err(other),
-            },
-        )
-        .and_then(|proof| {
-            proof.ok_or_else(|| {
-                RemoteError::Refused(ErrorReply::new(
-                    codes::LOG_REFUSED,
-                    "the logged attempt has no inclusion proof",
-                ))
-            })
-        });
-        match proof {
-            Ok(proof) => {
-                batch.push(attempt.requests(&proof));
+        {
+            Ok(attempt) => {
+                batch.push(attempt.requests(&InclusionProof::default()));
                 pending.push((idx, attempt));
             }
-            Err(e) => outcomes[idx] = Some(Err(e)),
+            Err(e) => outcomes[idx] = Some(Err(RemoteError::Client(e))),
         }
     }
 
-    // Steps 6–7: one recovery round for the whole wave, then per-user
+    // Steps 3–7: one recovery round for the whole wave, then per-user
     // reconstruction.
     if !pending.is_empty() {
         let users = pending.len();

@@ -371,25 +371,27 @@ impl Decode for HsmResponse {
 pub enum ProviderRequest {
     /// Download the fleet's enrollment records (the master public key).
     FetchEnrollments,
-    /// Insert a recovery-attempt record into the log (step 3).
+    /// Legacy (step 3): insert a recovery-attempt record into the log.
+    /// The recovery round does steps 3–5 itself; no client here sends it.
     InsertLog {
         /// Log identifier (the username).
         id: Vec<u8>,
         /// Log value (the serialized commitment).
         value: Vec<u8>,
     },
-    /// Fetch an inclusion proof for a logged entry (step 5).
+    /// Legacy (step 5): fetch an inclusion proof for a logged entry.
+    /// The recovery round attaches its own; no client here sends it.
     ProveInclusion {
         /// Log identifier.
         id: Vec<u8>,
         /// Log value.
         value: Vec<u8>,
     },
-    /// Run one Figure 5 epoch update (step 4; batches all pending
-    /// insertions).
+    /// Legacy (step 4): run one Figure 5 epoch update over all pending
+    /// insertions. The recovery round cuts its own; no client here sends it.
     RunEpoch,
-    /// Route a batched recovery round to the committed cluster
-    /// (steps 6–7); one entry per distinct HSM.
+    /// One user's recovery round (steps 3–7: log, epoch, proof, cluster
+    /// round — see `RecoverBatch`); one entry per distinct HSM.
     Recover(Vec<(u64, RecoveryRequest)>),
     /// Fetch the provider's stored §8 reply copies for a username
     /// (replacement-device recovery).
@@ -397,14 +399,16 @@ pub enum ProviderRequest {
         /// The username whose reply copies to return.
         username: Vec<u8>,
     },
-    /// Route **many users'** recovery rounds in one request (steps 6–7
+    /// Route **many users'** recovery rounds in one request (steps 3–7
     /// across the whole batch): one entry per user, each a per-HSM
     /// request list exactly as [`ProviderRequest::Recover`] carries for
-    /// a single user. The provider coalesces every request bound for
-    /// the same HSM into one envelope per device per direction and the
-    /// devices serve each coalesced group under a single group-commit
-    /// durability barrier. Decoding rejects batches larger than
-    /// [`MAX_RECOVER_BATCH_USERS`] with a typed error.
+    /// a single user. The provider logs every user's attempt, certifies
+    /// them in **one** epoch, attaches each user's inclusion proof,
+    /// coalesces every request bound for the same HSM into one envelope
+    /// per device per direction, and the devices serve each coalesced
+    /// group under a single group-commit durability barrier. Decoding
+    /// rejects batches larger than [`MAX_RECOVER_BATCH_USERS`] with a
+    /// typed error.
     RecoverBatch(Vec<Vec<(u64, RecoveryRequest)>>),
     /// Store a user's encrypted backup blob with the provider (the
     /// provider is untrusted storage: the blob is the client-sealed
@@ -564,14 +568,15 @@ impl ProviderRequest {
     ///   audit record is content-addressed over `(username, blob)` —
     ///   the provider treats an identical re-save as a duplicate no-op,
     ///   never a fresh log entry.
-    /// * `RunEpoch` is safe to repeat: an extra epoch certifies an
-    ///   empty pending set and invalidates nothing.
+    /// * `RunEpoch` (legacy) is safe to repeat: an extra epoch
+    ///   certifies an empty pending set and invalidates nothing.
     /// * `Shutdown` is a latching flag.
-    /// * `InsertLog`, `Recover`, and `RecoverBatch` are **not**
-    ///   idempotent: the log admits each attempt identifier exactly
-    ///   once and the cluster punctures on service, so a blind retry
+    /// * `Recover` and `RecoverBatch` are **not** idempotent: each logs
+    ///   its attempts (the log admits each attempt identifier exactly
+    ///   once) and the cluster punctures on service, so a blind retry
     ///   could burn a second attempt. Recovery clients must fail the
     ///   flow and let the *user* decide to spend another attempt.
+    ///   Neither is the legacy `InsertLog`, for the same reason.
     pub fn is_idempotent(&self) -> bool {
         match self {
             ProviderRequest::FetchEnrollments

@@ -57,6 +57,7 @@ use safetypin_authlog::log::{Log, LogEntry, LogError};
 use safetypin_authlog::trie::InclusionProof;
 use safetypin_hsm::{Hsm, HsmError, RecoveryRequest, RecoveryResponse};
 use safetypin_multisig::Signature;
+use safetypin_primitives::commit;
 use safetypin_primitives::hashes::{hash_parts, Domain};
 use safetypin_proto::{
     codes, ErrorReply, HsmRequest, HsmResponse, ProtoError, ProviderRequest, ProviderResponse,
@@ -180,6 +181,19 @@ pub fn save_record(username: &[u8], blob: &[u8]) -> (Vec<u8>, Vec<u8>) {
     let id = hash_parts(Domain::LogEntry, &[b"save-id", username, blob]);
     let value = hash_parts(Domain::LogEntry, &[b"save-commit", username, blob]);
     (id.to_vec(), value.to_vec())
+}
+
+/// The reply for an attempt the log would not take.
+fn log_refused(e: ProviderError) -> ErrorReply {
+    ErrorReply::new(codes::LOG_REFUSED, e.to_string())
+}
+
+/// The reply for a recovery round the fleet transport failed as a whole.
+fn round_failed(e: impl Into<ProviderError>) -> ErrorReply {
+    match e.into() {
+        ProviderError::Transport(ProtoError::Dropped) => ErrorReply::dropped(),
+        e => ErrorReply::new(codes::CORRUPTED, e.to_string()),
+    }
 }
 
 impl<S: BlockStore + Send> Datacenter<S> {
@@ -312,39 +326,75 @@ impl<S: BlockStore + Send> Datacenter<S> {
         outcomes
     }
 
-    /// Serves an inclusion proof (Figure 3, step 5). Valid against the
-    /// digest the HSMs hold once the covering epoch has run.
+    /// Serves an inclusion proof (Figure 3, step 5) against the live log:
+    /// the legacy `ProveInclusion`. A recovery round proves its own.
     pub fn prove_inclusion(&self, id: &[u8], value: &[u8]) -> Option<InclusionProof> {
         self.log.prove_includes(id, value)
     }
 
-    /// The recovery round (Figure 3 steps 6–7, the serving engine's
-    /// transport leg): takes one per-HSM request list per user,
-    /// coalesces every request bound for the same HSM — across users —
-    /// into **one envelope per HSM per direction**, and lets each device
-    /// serve its whole group under a single group-commit durability
-    /// barrier ([`Hsm::handle_batch`]). One user is a wave of one.
+    /// The recovery round behind `Recover`/`RecoverBatch`, Figure 3 steps
+    /// 3–7 under one `&mut self` for one per-HSM request list per user
+    /// (one user is a wave of one): each user's attempt, the `(username,
+    /// commitment_of(opening))` all its requests carry, is logged (an
+    /// earlier `InsertLog` of it is fine) and proved — a user without a
+    /// proof gets `LOG_REFUSED` in every slot and touches no HSM — then,
+    /// if anyone is routed and insertions are pending, **one** epoch
+    /// certifies them (the cut leaves the trie alone, so the proofs hold
+    /// against the digest every HSM then has). Each routed request gets
+    /// the provider's proof, and every request bound for the same HSM —
+    /// across users — travels in **one envelope per HSM per direction**,
+    /// each device serving its group under one group-commit durability
+    /// barrier ([`Hsm::handle_batch`]). Nothing lands between logging an
+    /// attempt and serving it, so a logged attempt always gets its shares.
     ///
     /// Per-user replies come back in request order. A lost or refused
     /// reply is that item's [`HsmResponse::Error`], so the caller can
-    /// reconstruct from whatever cleared the threshold; only a
-    /// whole-round transport failure is `Err`. Every share that cleared
-    /// is copied for the §8 failure-during-recovery flow, and the copies
-    /// are journaled before any share is returned.
+    /// reconstruct from whatever cleared the threshold; only a failed
+    /// epoch (`EPOCH_FAILED`) or transport round is `Err`. Cleared shares
+    /// are copied for §8 and journaled before any share is returned.
     pub fn route_recovery<R: RngCore + CryptoRng>(
         &mut self,
         users: Vec<Vec<(u64, RecoveryRequest)>>,
         rng: &mut R,
-    ) -> Result<Vec<Vec<(u64, HsmResponse)>>, ProviderError> {
+    ) -> Result<Vec<Vec<(u64, HsmResponse)>>, ErrorReply> {
+        let mut logged = Vec::with_capacity(users.len());
+        for round in &users {
+            safetypin_telemetry::span!("recover.log_insert");
+            logged.push(self.log_attempt(round));
+        }
+        let mut proofs = Vec::with_capacity(users.len());
+        for attempt in logged {
+            safetypin_telemetry::span!("recover.inclusion");
+            // A logged identifier with no proof holds another attempt.
+            proofs.push(attempt.and_then(|(id, value)| {
+                self.log
+                    .prove_includes(&id, &value)
+                    .ok_or_else(|| log_refused(LogError::DuplicateIdentifier.into()))
+            }));
+        }
+        if proofs.iter().any(Result::is_ok) && self.log.pending_count() > 0 {
+            safetypin_telemetry::span!("recover.epoch");
+            self.run_epoch()
+                .map_err(|e| ErrorReply::new(codes::EPOCH_FAILED, e.to_string()))?;
+        }
+
+        safetypin_telemetry::span!("recover.cluster_round");
         // Coalesce across users: one group per addressed HSM, items in
         // (user, position) order, with a slot map to reassemble.
         let mut groups: std::collections::BTreeMap<u64, Vec<HsmRequest>> = Default::default();
         let mut slots: std::collections::BTreeMap<u64, Vec<(usize, usize, Vec<u8>)>> =
             Default::default();
         let mut out: Vec<Vec<(u64, HsmResponse)>> = Vec::with_capacity(users.len());
-        for (user, round) in users.into_iter().enumerate() {
+        for (user, (round, proof)) in users.into_iter().zip(proofs).enumerate() {
             let mut user_out = Vec::with_capacity(round.len());
-            for (pos, (id, request)) in round.into_iter().enumerate() {
+            for (pos, (id, mut request)) in round.into_iter().enumerate() {
+                match &proof {
+                    Ok(proof) => request.inclusion = proof.clone(),
+                    Err(refusal) => {
+                        user_out.push((id, HsmResponse::Error(refusal.clone())));
+                        continue;
+                    }
+                }
                 slots
                     .entry(id)
                     .or_default()
@@ -360,19 +410,21 @@ impl<S: BlockStore + Send> Datacenter<S> {
         }
 
         let grouped: Vec<(u64, Vec<HsmRequest>)> = groups.into_iter().collect();
-        let replies = self.fleet_round(rng, |transport, serve| {
-            transport.exchange_grouped(grouped, serve)
-        })?;
+        let replies = self
+            .fleet_round(rng, |transport, serve| {
+                transport.exchange_grouped(grouped, serve)
+            })
+            .map_err(round_failed)?;
 
         let mut copies = Vec::new();
         for (id, responses) in replies {
             let Some(slot_list) = slots.remove(&id) else {
-                return Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
+                return Err(round_failed(ProtoError::UnexpectedMessage(
                     "group response for an HSM that was never addressed",
                 )));
             };
             if slot_list.len() != responses.len() {
-                return Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
+                return Err(round_failed(ProtoError::UnexpectedMessage(
                     "group response count does not match the request group",
                 )));
             }
@@ -393,23 +445,32 @@ impl<S: BlockStore + Send> Datacenter<S> {
         Ok(out)
     }
 
-    /// The `Recover`/`RecoverBatch` arms: one
-    /// [`route_recovery`](Self::route_recovery) round under the
-    /// `recover.cluster_round` span. It only fails whole-round on a
-    /// transport-level error (per-HSM refusals come back as items), so
-    /// the refusal carries a transport code.
-    fn recovery_round<R: RngCore + CryptoRng>(
+    /// Logs the attempt all of one user's requests carry, `(username,
+    /// commitment_of(opening))`. A defined identifier is left to the proof,
+    /// which holds only for this very attempt (an earlier `InsertLog`).
+    fn log_attempt(
         &mut self,
-        users: Vec<Vec<(u64, RecoveryRequest)>>,
-        rng: &mut R,
-    ) -> Result<Vec<Vec<(u64, HsmResponse)>>, ProviderResponse> {
-        safetypin_telemetry::span!("recover.cluster_round");
-        self.route_recovery(users, rng).map_err(|e| {
-            ProviderResponse::Error(match e {
-                ProviderError::Transport(ProtoError::Dropped) => ErrorReply::dropped(),
-                e => ErrorReply::new(codes::CORRUPTED, e.to_string()),
-            })
-        })
+        round: &[(u64, RecoveryRequest)],
+    ) -> Result<(Vec<u8>, Vec<u8>), ErrorReply> {
+        use safetypin_primitives::wire::Encode;
+        let attempts: Vec<_> = round
+            .iter()
+            .map(|(_, r)| (&r.username, commit::commitment_of(&r.opening)))
+            .collect();
+        let Some(&(username, commitment)) = attempts
+            .first()
+            .filter(|first| attempts.iter().all(|attempt| attempt == *first))
+        else {
+            return Err(ErrorReply::new(
+                codes::LOG_REFUSED,
+                "the user's requests carry no single attempt",
+            ));
+        };
+        let (id, value) = (username.clone(), commitment.to_bytes());
+        match self.insert_log(&id, &value) {
+            Ok(()) | Err(ProviderError::Log(LogError::DuplicateIdentifier)) => Ok((id, value)),
+            Err(e) => Err(log_refused(e)),
+        }
     }
 
     /// The `PutBackup`/`SaveBatch` arms: one
@@ -430,41 +491,31 @@ impl<S: BlockStore + Send> Datacenter<S> {
         request: ProviderRequest,
         rng: &mut R,
     ) -> ProviderResponse {
-        // The Figure-10 phase spans are opened here and nowhere else:
-        // every flow — in-process `Deployment` calls included — reaches
-        // the provider through this dispatch, so a client driving the
-        // protocol over a daemon lands in the same histograms as one
-        // calling the library directly.
+        // The Figure-10 phase spans are opened in `route_recovery` and
+        // `save_wave` only, which every flow reaches through this
+        // dispatch; the legacy InsertLog/ProveInclusion/RunEpoch arms
+        // open none, so a client still sending them is not counted twice.
         match request {
             ProviderRequest::FetchEnrollments => ProviderResponse::Enrollments(self.enrollments()),
-            ProviderRequest::InsertLog { id, value } => {
-                safetypin_telemetry::span!("recover.log_insert");
-                match self.insert_log(&id, &value) {
-                    Ok(()) => ProviderResponse::Ack,
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::LOG_REFUSED, e.to_string()))
-                    }
-                }
-            }
+            ProviderRequest::InsertLog { id, value } => match self.insert_log(&id, &value) {
+                Ok(()) => ProviderResponse::Ack,
+                Err(e) => ProviderResponse::Error(log_refused(e)),
+            },
             ProviderRequest::ProveInclusion { id, value } => {
-                safetypin_telemetry::span!("recover.inclusion");
                 ProviderResponse::Inclusion(self.prove_inclusion(&id, &value))
             }
-            ProviderRequest::RunEpoch => {
-                safetypin_telemetry::span!("recover.epoch");
-                match self.run_epoch() {
-                    Ok(outcome) => ProviderResponse::EpochCertified {
-                        message: outcome.message,
-                        signer_count: outcome.signers.len() as u32,
-                    },
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::EPOCH_FAILED, e.to_string()))
-                    }
+            ProviderRequest::RunEpoch => match self.run_epoch() {
+                Ok(outcome) => ProviderResponse::EpochCertified {
+                    message: outcome.message,
+                    signer_count: outcome.signers.len() as u32,
+                },
+                Err(e) => {
+                    ProviderResponse::Error(ErrorReply::new(codes::EPOCH_FAILED, e.to_string()))
                 }
-            }
-            ProviderRequest::Recover(requests) => match self.recovery_round(vec![requests], rng) {
+            },
+            ProviderRequest::Recover(requests) => match self.route_recovery(vec![requests], rng) {
                 Ok(mut per_user) => ProviderResponse::Recovered(per_user.pop().unwrap_or_default()),
-                Err(refusal) => refusal,
+                Err(refusal) => ProviderResponse::Error(refusal),
             },
             ProviderRequest::FetchReplyCopies { username } => ProviderResponse::ReplyCopies(
                 self.reply_copies_for(&username)
@@ -472,9 +523,9 @@ impl<S: BlockStore + Send> Datacenter<S> {
                     .cloned()
                     .collect(),
             ),
-            ProviderRequest::RecoverBatch(users) => match self.recovery_round(users, rng) {
+            ProviderRequest::RecoverBatch(users) => match self.route_recovery(users, rng) {
                 Ok(per_user) => ProviderResponse::RecoveredBatch(per_user),
-                Err(refusal) => refusal,
+                Err(refusal) => ProviderResponse::Error(refusal),
             },
             // The full save path, not a bare blob insert: the save's
             // content-addressed audit record lands in the log (an

@@ -247,6 +247,143 @@ fn tcp_recover_batch_wave_is_byte_identical_to_direct() {
     handle.shutdown().unwrap();
 }
 
+fn log_entries(d: &mut Deployment, rng: &mut StdRng) -> u64 {
+    match d.handle(ProviderRequest::Status, rng) {
+        ProviderResponse::Status(status) => status.log_entries,
+        other => panic!("unexpected Status reply: {other:?}"),
+    }
+}
+
+/// The legacy four-request recovery with another connection's work
+/// landing inside it: (a) a save between `RunEpoch` and
+/// `ProveInclusion`, (b) another user's `InsertLog` + `RunEpoch` between
+/// `ProveInclusion` and `RecoverBatch`. Either moves the log past the
+/// digest the client's proof is for; the recovery round proves and
+/// certifies the attempt itself, so the logged attempt still gets its
+/// shares, the log grows by exactly what was sent, and a right-PIN
+/// retry is refused without growing it.
+#[test]
+fn a_logged_attempt_recovers_whatever_lands_between_the_legacy_requests() {
+    for foreign_epoch_after_proof in [false, true] {
+        let mut rng = StdRng::seed_from_u64(SEED + 8);
+        let mut d = Deployment::provision(SystemParams::test_small(6), &mut rng).unwrap();
+        let artifact = d
+            .save(b"alice", b"577215", b"alice's key", &mut rng)
+            .unwrap();
+        let alice = d.new_client(b"alice").unwrap();
+        let carol_artifact = d
+            .save(b"carol", b"141421", b"carol's key", &mut rng)
+            .unwrap();
+        let carol = d.new_client(b"carol").unwrap();
+        let mut srv_rng = StdRng::seed_from_u64(SEED + 9);
+        let before = log_entries(&mut d, &mut srv_rng);
+
+        let attempt = alice
+            .start_recovery(b"577215", &artifact.ciphertext, false, &mut rng)
+            .unwrap();
+        let (id, value) = attempt.log_entry();
+        let mut call = |d: &mut Deployment, request| d.handle(request, &mut srv_rng);
+        let insert = ProviderRequest::InsertLog {
+            id: id.clone(),
+            value: value.clone(),
+        };
+        assert_eq!(call(&mut d, insert), ProviderResponse::Ack);
+        let certified =
+            |reply: ProviderResponse| matches!(reply, ProviderResponse::EpochCertified { .. });
+        assert!(certified(call(&mut d, ProviderRequest::RunEpoch)));
+        if !foreign_epoch_after_proof {
+            let mut bob = d.new_client(b"bob").unwrap();
+            let saved = bob.backup(b"161803", b"bob's key", 0, &mut rng).unwrap();
+            let put = ProviderRequest::PutBackup {
+                username: b"bob".to_vec(),
+                blob: remote::encode_artifact(&saved),
+            };
+            assert_eq!(call(&mut d, put), ProviderResponse::Ack);
+        }
+        let proof = match call(&mut d, ProviderRequest::ProveInclusion { id, value }) {
+            ProviderResponse::Inclusion(Some(proof)) => proof,
+            other => panic!("unexpected ProveInclusion reply: {other:?}"),
+        };
+        if foreign_epoch_after_proof {
+            let (id, value) = carol
+                .start_recovery(b"141421", &carol_artifact.ciphertext, false, &mut rng)
+                .unwrap()
+                .log_entry();
+            let insert = ProviderRequest::InsertLog { id, value };
+            assert_eq!(call(&mut d, insert), ProviderResponse::Ack);
+            assert!(certified(call(&mut d, ProviderRequest::RunEpoch)));
+        }
+        let batch = ProviderRequest::RecoverBatch(vec![attempt.requests(&proof)]);
+        let responses = match call(&mut d, batch) {
+            ProviderResponse::RecoveredBatch(mut per_user) => per_user
+                .pop()
+                .unwrap()
+                .into_iter()
+                .map(|(_, reply)| match reply {
+                    HsmResponse::RecoveryShare { response, .. } => response,
+                    other => panic!("an HSM refused the logged attempt: {other:?}"),
+                })
+                .collect(),
+            other => panic!("unexpected RecoverBatch reply: {other:?}"),
+        };
+        assert_eq!(attempt.finish(responses).unwrap(), b"alice's key");
+        assert_eq!(log_entries(&mut d, &mut srv_rng), before + 2);
+
+        let mut endpoint = |request: ProviderRequest| -> Result<ProviderResponse, ProtoError> {
+            Ok(d.handle(request, &mut srv_rng))
+        };
+        match remote::recover(&mut endpoint, &alice, b"577215", &artifact, &mut rng) {
+            Err(remote::RemoteError::Refused(e)) => assert_eq!(e.code, codes::LOG_REFUSED),
+            other => panic!("a consumed attempt was served again: {other:?}"),
+        }
+        assert_eq!(log_entries(&mut d, &mut srv_rng), before + 2);
+    }
+}
+
+/// Four connections save and recover with no client-side lock: every
+/// recovery returns its secret, every right-PIN retry is refused
+/// `LOG_REFUSED`, and the log holds exactly one entry per save and per
+/// attempt.
+#[test]
+fn unsynchronised_connections_never_burn_an_attempt() {
+    const CONNECTIONS: usize = 4;
+    const USERS: usize = 6;
+    let handle = Daemon::bind(config("unsynchronised", SEED + 10)).unwrap();
+    let addr = handle.addr().to_string();
+    let start = std::sync::Barrier::new(CONNECTIONS);
+    std::thread::scope(|scope| {
+        for conn in 0..CONNECTIONS {
+            let (addr, start) = (&addr, &start);
+            scope.spawn(move || {
+                let mut tcp = Tcp::connect(TcpConfig::new(addr.clone())).unwrap();
+                let mut rng = StdRng::seed_from_u64(SEED + 11 + conn as u64);
+                start.wait();
+                for user in 0..USERS {
+                    let name = format!("conn-{conn}-user-{user}").into_bytes();
+                    let secret = format!("secret of {conn}/{user}").into_bytes();
+                    let mut client = remote::connect(&mut tcp, &name).unwrap();
+                    remote::save(&mut tcp, &mut client, b"299792", &secret, &mut rng).unwrap();
+                    let artifact = remote::fetch_backup(&mut tcp, &name).unwrap();
+                    let recovered =
+                        remote::recover(&mut tcp, &client, b"299792", &artifact, &mut rng);
+                    assert_eq!(recovered.unwrap(), secret, "a recovery was burned");
+                    match remote::recover(&mut tcp, &client, b"299792", &artifact, &mut rng) {
+                        Err(remote::RemoteError::Refused(e)) => {
+                            assert_eq!(e.code, codes::LOG_REFUSED)
+                        }
+                        other => panic!("a consumed attempt was served again: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    let mut tcp = Tcp::connect(TcpConfig::new(addr)).unwrap();
+    let status = remote::fetch_status(&mut tcp).unwrap();
+    assert_eq!(status.log_entries, (2 * CONNECTIONS * USERS) as u64);
+    drop(tcp);
+    handle.shutdown().unwrap();
+}
+
 /// A shutdown request drains the daemon — status stays observable and
 /// reports `draining`, new work is refused with a typed
 /// `SHUTTING_DOWN` — and the persisted fleet serves the saved backup

@@ -1,8 +1,9 @@
 //! Phase-span parity: whichever entry point a recovery or a save comes
 //! in through, it lands in the same Figure-10 histograms with the same
 //! counts — per user for the log insert and the inclusion proof, per
-//! wave for the epoch and the cluster round — and every wave, a solo
-//! one included, passes the HSMs' MSM slot audit.
+//! wave for the epoch and the cluster round — every wave, a solo one
+//! included, passes the HSMs' MSM slot audit, and the client sends it
+//! as one request.
 //!
 //! One test, alone in its binary: it reads exact deltas off the
 //! process-wide registry.
@@ -126,13 +127,16 @@ fn every_entry_point_lands_in_the_same_phase_histograms() {
             outcome.unwrap();
         }
     });
+    let mut calls = 0;
     assert_recovery_wave("remote::recover", 1, || {
         let mut fleet_rng = StdRng::seed_from_u64(0x5BA3);
         let mut endpoint = |request: ProviderRequest| -> Result<ProviderResponse, ProtoError> {
+            calls += 1;
             Ok(d.handle(request, &mut fleet_rng))
         };
         remote::recover(&mut endpoint, &users[5].0, PIN, &users[5].1, &mut rng).unwrap()
     });
+    assert_eq!(calls, 1, "a recovery wave of one is one request");
 
     // And over TCP: a daemon serving the same parameters.
     let dir = std::env::temp_dir().join(format!("safetypin-phase-spans-{}", std::process::id()));
@@ -152,11 +156,17 @@ fn every_entry_point_lands_in_the_same_phase_histograms() {
         });
         remote_users.push((client, artifact));
     }
+    let mut calls = 0;
     assert_recovery_wave("remote::recover_many over TCP", 4, || {
-        for outcome in remote::recover_many(&mut tcp, &sessions(&remote_users), &mut rng) {
+        let mut endpoint = |request: ProviderRequest| -> Result<ProviderResponse, ProtoError> {
+            calls += 1;
+            tcp.call(request)
+        };
+        for outcome in remote::recover_many(&mut endpoint, &sessions(&remote_users), &mut rng) {
             outcome.unwrap();
         }
     });
+    assert_eq!(calls, 1, "a recovery wave of four is one request");
     drop(tcp);
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
