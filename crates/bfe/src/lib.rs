@@ -43,6 +43,7 @@ use safetypin_primitives::hashes::{hash_parts, indices_from_seed, Domain};
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 use safetypin_primitives::{CryptoError, Result};
 use safetypin_seckv::{ArrayState, BlockStore, SecureArray, StorageError};
+use std::sync::Arc;
 
 /// Bloom-filter-encryption parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,11 +138,16 @@ impl Decode for BfeParams {
 }
 
 /// A Bloom-filter-encryption public key: one point per slot.
+///
+/// Cloning shares the points: a clone is a reference-count increment,
+/// not a copy of `slots` points, so every enrollment record, client and
+/// directory in a process reads the one array its key was built or
+/// decoded into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BfePublicKey {
     /// Filter parameters.
     pub params: BfeParams,
-    points: Vec<PublicKey>,
+    points: Arc<[PublicKey]>,
 }
 
 impl BfePublicKey {
@@ -196,7 +202,7 @@ impl Encode for BfePublicKey {
     fn encode(&self, w: &mut Writer) {
         self.params.encode(w);
         w.put_u32(self.points.len() as u32);
-        for p in &self.points {
+        for p in self.points.iter() {
             p.encode(w);
         }
     }
@@ -213,7 +219,10 @@ impl Decode for BfePublicKey {
         for _ in 0..n {
             points.push(PublicKey::decode(r)?);
         }
-        Ok(Self { params, points })
+        Ok(Self {
+            params,
+            points: points.into(),
+        })
     }
 }
 
@@ -263,7 +272,10 @@ pub fn keygen<S: BlockStore, R: RngCore + CryptoRng>(
         .map_err(|_| CryptoError::InvalidParameter("secure array setup failed"))?;
     let outsourced_bytes = params.secret_key_bytes();
     Ok((
-        BfePublicKey { params, points },
+        BfePublicKey {
+            params,
+            points: points.into(),
+        },
         BfeSecretKey {
             params,
             array,
@@ -1120,6 +1132,16 @@ mod tests {
         let (pk, _, _) = keygen(params, &mut store, &mut rng).unwrap();
         let back = BfePublicKey::from_bytes(&pk.to_bytes()).unwrap();
         assert_eq!(back, pk);
+    }
+
+    #[test]
+    fn public_key_clones_share_the_slot_points() {
+        let mut rng = rng();
+        let mut store = MemStore::new();
+        let (pk, _, _) = keygen(small_params(), &mut store, &mut rng).unwrap();
+        assert!(std::ptr::eq(pk.slot(0), pk.clone().slot(0)));
+        let decoded = BfePublicKey::from_bytes(&pk.to_bytes()).unwrap();
+        assert!(std::ptr::eq(decoded.slot(0), decoded.clone().slot(0)));
     }
 
     #[test]

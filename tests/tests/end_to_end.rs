@@ -145,6 +145,52 @@ fn keying_material_scales_with_fleet() {
     );
 }
 
+/// Every copy of the fleet's public keys in a process is the devices'
+/// own: the published enrollment records share each HSM's slot points
+/// rather than copying them.
+#[test]
+fn published_enrollments_share_the_devices_slot_points() {
+    let (d, _) = deployment(8, 10);
+    let enrollments = d.datacenter.enrollments();
+    for (i, record) in enrollments.iter().enumerate() {
+        let device = d.datacenter.hsm(i as u64).unwrap().bfe_public_key();
+        assert!(
+            std::ptr::eq(record.bfe_pk.slot(0), device.slot(0)),
+            "HSM {i}'s published key copies its slot points"
+        );
+    }
+}
+
+/// Fixed-seed output pinned to the byte: the encoded enrollment list a
+/// client downloads and a backup's ciphertext. A change to how keys are
+/// held or a backup is built must not move either hash.
+#[test]
+fn fixed_seed_enrollments_and_backup_are_byte_identical() {
+    use safetypin::primitives::wire::Encode;
+    use safetypin::proto::ProviderResponse;
+    use sha2::{Digest, Sha256};
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    let (d, mut rng) = deployment(8, 11);
+    let enrollments = ProviderResponse::Enrollments(d.datacenter.enrollments()).to_bytes();
+    assert_eq!(
+        hex(Sha256::digest(&enrollments).as_slice()),
+        "b36549d137c2278788468c711aa5c17f17408e87162af3f92833cc16544e21bb"
+    );
+
+    let mut client = d.new_client(b"golden").unwrap();
+    let artifact = client
+        .backup(b"271828", b"pinned secret", 3, &mut rng)
+        .unwrap();
+    assert_eq!(
+        hex(Sha256::digest(&artifact.ciphertext).as_slice()),
+        "d48e8fa3a717287587748376e4f84ac85b710b6dd8d1bc191e423b037df205a8"
+    );
+}
+
 #[test]
 fn recovery_outcome_costs_price_on_all_devices() {
     use safetypin::sim::device::{SAFENET_A700, SOLOKEY, YUBIHSM2};
