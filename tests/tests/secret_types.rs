@@ -9,6 +9,10 @@
 //! derive `Debug`, `PartialEq` and their drop glue, which run the leaves'
 //! impls. The run-time test checks that no secret byte reaches the
 //! `Debug` output of any of the eight.
+//!
+//! An `AeadKey` is expanded into an `aes_gcm::Aes128Gcm` for each seal or
+//! open; the cipher's key schedule starts with the key itself, so the
+//! cipher wipes itself in its own `Drop` too.
 
 use std::fmt::Display;
 
@@ -56,6 +60,7 @@ fn leaf_secret_types_wipe_and_compare_in_constant_time() {
     wipes_on_drop::<AeadKey>();
     wipes_on_drop::<SecretKey>();
     wipes_on_drop::<Share>();
+    wipes_on_drop::<aes_gcm::Aes128Gcm>();
     compares_in_constant_time::<AeadKey>();
     compares_in_constant_time::<Share>();
     // The scalar has no equality; giving it one means adding it to the
@@ -68,6 +73,7 @@ fn no_secret_type_is_display() {
     <AeadKey as AmbiguousIfDisplay<_>>::check();
     <SecretKey as AmbiguousIfDisplay<_>>::check();
     <Share as AmbiguousIfDisplay<_>>::check();
+    <aes_gcm::Aes128Gcm as AmbiguousIfDisplay<_>>::check();
     <ArrayState as AmbiguousIfDisplay<_>>::check();
     <BfeSecretKey as AmbiguousIfDisplay<_>>::check();
     <BfeKeyState as AmbiguousIfDisplay<_>>::check();
