@@ -30,9 +30,6 @@
 //!   signing `(d, d', R)`.
 //! - [`auditor`]: full-replay auditing for external transparency watchers
 //!   (§6.3).
-//! - [`membership`]: fleet-roster management through the log — the third
-//!   log use the paper describes (§6) but leaves unimplemented; built out
-//!   here with churn-anomaly detection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,10 +37,8 @@
 pub mod auditor;
 pub mod distributed;
 pub mod log;
-pub mod membership;
 pub mod trie;
 
 pub use distributed::{AuditError, ChunkAudit, EpochUpdate, UpdateMessage};
 pub use log::{Log, LogEntry, LogError};
-pub use membership::{MembershipEvent, Roster};
 pub use trie::{ExtensionProof, InclusionProof, MerkleTrie, TrieError};

@@ -129,8 +129,8 @@ impl Log {
     }
 
     /// Inserts `(id, value)`; fails if `id` is already defined. This is the
-    /// only way an entry reaches the dictionary — waves, membership events
-    /// and journal replay all come through here.
+    /// only way an entry reaches the dictionary — waves and journal
+    /// replay both come through here.
     pub fn insert(&mut self, id: &[u8], value: &[u8]) -> Result<(), LogError> {
         let step = self.trie.insert(id, value)?;
         self.entries.push(LogEntry {

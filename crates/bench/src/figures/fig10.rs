@@ -78,10 +78,12 @@ pub fn run() {
     report.metric("save_ciphertext_bytes", artifact.ciphertext.len() as f64);
 
     // ---------------- Recovery (HSM-side, priced at SoloKey) -------------
+    deployment.datacenter.drain_fleet_costs();
     let outcome = deployment
         .recover(&client, b"314159", &artifact, &mut rng)
         .expect("recovery succeeds");
     assert_eq!(outcome.message, disk_key);
+    let phases = deployment.datacenter.drain_fleet_costs();
 
     let responders = outcome.responders.max(1) as u64;
     let phase_secs = |c: &OpCosts| {
@@ -97,9 +99,9 @@ pub fn run() {
         per.io_messages = (per.io_messages / responders).max(1);
         model.total_seconds(&per)
     };
-    let log_s = phase_secs(&outcome.phases.log);
-    let lhe_s = phase_secs(&outcome.phases.lhe);
-    let pe_s = phase_secs(&outcome.phases.pe);
+    let log_s = phase_secs(&phases.log);
+    let lhe_s = phase_secs(&phases.lhe);
+    let pe_s = phase_secs(&phases.pe);
     // Paper-scale PE: scale outsourced-tree traffic from height 12 to 21.
     let pe_paper = pe_s * (21.0 / (BFE_SLOTS as f64).log2());
 
@@ -123,11 +125,8 @@ pub fn run() {
     report.metric("recovery_pe_s", pe_s);
     report.metric("recovery_pe_paper_scale_s", pe_paper);
     report.metric("recovery_total_s", log_s + lhe_s + pe_s);
-    report.metric(
-        "recovery_pe_aes_blocks",
-        outcome.phases.pe.aes_blocks as f64,
-    );
-    report.metric("recovery_pe_io_bytes", outcome.phases.pe.io_bytes as f64);
+    report.metric("recovery_pe_aes_blocks", phases.pe.aes_blocks as f64);
+    report.metric("recovery_pe_io_bytes", phases.pe.io_bytes as f64);
 
     // Baseline recovery: one ElGamal decryption + a PIN-hash compare.
     let mut bl = OpCosts::new();

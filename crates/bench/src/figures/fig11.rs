@@ -42,15 +42,15 @@ pub fn run() {
             .backup(b"123456", b"disk key material!", 0, &mut rng)
             .unwrap();
 
+        deployment.datacenter.drain_fleet_costs();
         let outcome = deployment
             .recover(&client, b"123456", &artifact, &mut rng)
             .unwrap();
         assert_eq!(outcome.message, b"disk key material!");
-        let (phases, contacted) = (outcome.phases, outcome.contacted);
 
         // Per-HSM time (cluster works in parallel): total/contacted.
-        let mut per = phases.total();
-        let div = contacted.max(1) as u64;
+        let mut per = deployment.datacenter.drain_fleet_costs().total();
+        let div = outcome.contacted.max(1) as u64;
         per.group_mults /= div;
         per.elgamal_decs /= div;
         per.sha_ops /= div;

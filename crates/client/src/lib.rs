@@ -527,7 +527,7 @@ mod tests {
             let inclusion = self.log.prove_includes(&id, &value).unwrap();
             let mut responses = Vec::new();
             for (hsm_id, request) in attempt.requests(&inclusion) {
-                if let safetypin_proto::HsmResponse::RecoveryShare { response, .. } =
+                if let safetypin_proto::HsmResponse::RecoveryShare { response } =
                     self.hsms[hsm_id as usize].handle(
                         safetypin_proto::HsmRequest::RecoverShare(request),
                         &mut self.stores[hsm_id as usize],

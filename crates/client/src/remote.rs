@@ -35,7 +35,7 @@ use safetypin_primitives::error::WireError;
 use safetypin_primitives::wire::{Reader, Writer};
 use safetypin_proto::{
     codes, EnrollmentRecord, ErrorReply, HsmResponse, ProtoError, ProviderRequest,
-    ProviderResponse, RecoveryPhases, SaveRequest, StatusReport,
+    ProviderResponse, SaveRequest, StatusReport,
 };
 
 use crate::{BackupArtifact, Client, ClientError, RecoveryAttempt};
@@ -312,8 +312,6 @@ pub struct RecoverySession<'a> {
 pub struct Recovered {
     /// The recovered plaintext.
     pub message: Vec<u8>,
-    /// Summed per-phase HSM costs across the responders (Figure 10).
-    pub phases: RecoveryPhases,
     /// HSMs that returned shares.
     pub responders: usize,
     /// HSMs contacted.
@@ -414,18 +412,11 @@ fn reconstruct(
     replies: Vec<(u64, HsmResponse)>,
 ) -> Result<Recovered, RemoteError> {
     let contacted = replies.len();
-    let mut phases = RecoveryPhases::default();
     let mut responses = Vec::with_capacity(contacted);
     let mut refusal = None;
     for (_, reply) in replies {
         match reply {
-            HsmResponse::RecoveryShare {
-                response,
-                phases: p,
-            } => {
-                phases.add(&p);
-                responses.push(response);
-            }
+            HsmResponse::RecoveryShare { response } => responses.push(response),
             HsmResponse::Error(e) if e.is_transport_fault() || e.code == codes::UNAVAILABLE => {}
             HsmResponse::Error(e) => {
                 refusal.get_or_insert(RemoteError::Refused(e));
@@ -439,7 +430,6 @@ fn reconstruct(
     match attempt.finish(responses) {
         Ok(message) => Ok(Recovered {
             message,
-            phases,
             responders,
             contacted,
         }),

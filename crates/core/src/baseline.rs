@@ -120,7 +120,6 @@ struct BaselineHsm {
     kp: elgamal::KeyPair,
     /// Per-(user) guess counters — local, unauditable state.
     counters: HashMap<Vec<u8>, u32>,
-    costs: OpCosts,
 }
 
 /// The baseline backup system: datacenter + fixed clusters.
@@ -136,7 +135,6 @@ impl BaselineSystem {
             .map(|_| BaselineHsm {
                 kp: elgamal::KeyPair::generate(rng),
                 counters: HashMap::new(),
-                costs: OpCosts::new(),
             })
             .collect();
         Self { params, hsms }
@@ -210,12 +208,10 @@ impl BaselineSystem {
             .get(slot)
             .ok_or(BaselineError::Crypto(CryptoError::DecryptionFailed))?;
         let pt = elgamal::decrypt(&hsm.kp.sk, username, share).map_err(BaselineError::Crypto)?;
-        hsm.costs.elgamal_decs += 1;
         if pt.len() != 16 + 32 {
             return Err(BaselineError::Crypto(CryptoError::DecryptionFailed));
         }
         let stored_hash: Hash256 = pt[16..].try_into().expect("length checked");
-        hsm.costs.hmac_ops += 1;
         if &stored_hash != presented_pin_hash {
             return Err(BaselineError::WrongPin);
         }
@@ -246,15 +242,6 @@ impl BaselineSystem {
             }
         }
         Err(last_err)
-    }
-
-    /// Sum of fleet costs (for throughput comparison).
-    pub fn drain_fleet_costs(&mut self) -> OpCosts {
-        let mut total = OpCosts::new();
-        for h in self.hsms.iter_mut() {
-            total.add(&std::mem::take(&mut h.costs));
-        }
-        total
     }
 
     /// Models single-HSM compromise: with one cluster HSM's secret key,

@@ -2,8 +2,10 @@
 //!
 //! [`Deployment`] wires the datacenter, HSM fleet, and clients together
 //! and exposes the two whole-system operations of §3 — `Backup` and
-//! `Recover` — plus the bookkeeping the evaluation needs: per-phase cost
-//! attribution and vulnerability-window tracking (Figure 4).
+//! `Recover` — plus the bookkeeping the evaluation needs:
+//! vulnerability-window tracking (Figure 4). The per-phase HSM cost of a
+//! recovery (Figure 10) is the fleet's own meter, read with
+//! [`Datacenter::drain_fleet_costs`] around the call.
 //!
 //! Neither flow is written here. [`Deployment::recover_many`] and
 //! [`Deployment::save_many`] run the client flows of
@@ -18,7 +20,6 @@ use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use safetypin_client::remote::{self, RemoteError};
 use safetypin_client::{BackupArtifact, Client, ClientError};
-use safetypin_hsm::RecoveryPhases;
 use safetypin_primitives::CryptoError;
 use safetypin_proto::{
     codes, ProtoError, ProviderRequest, ProviderResponse, SnapshotMeta, StatusReport, Transport,
@@ -26,7 +27,6 @@ use safetypin_proto::{
 };
 use safetypin_provider::{Datacenter, ProviderError};
 use safetypin_seckv::{BlockStore, MemStore};
-use safetypin_sim::{CostModel, OpCosts};
 use safetypin_store::{Durability, FileOptions, FileStore, SnapshotBlocks, StoreError};
 
 use crate::params::SystemParams;
@@ -138,8 +138,6 @@ impl From<RemoteError> for DeploymentError {
 pub struct RecoveryOutcome {
     /// The recovered plaintext.
     pub message: Vec<u8>,
-    /// Summed per-phase HSM costs across the cluster (Figure 10).
-    pub phases: RecoveryPhases,
     /// HSMs that returned shares.
     pub responders: usize,
     /// HSMs contacted.
@@ -147,36 +145,6 @@ pub struct RecoveryOutcome {
     /// Transport traffic this recovery generated (bytes are nonzero only
     /// on byte-metering transports like `Serialized`).
     pub wire: TransportStats,
-}
-
-impl RecoveryOutcome {
-    /// Critical-path HSM time for this recovery under a device model:
-    /// the maximum per-HSM cost is what the client waits on, since the
-    /// cluster works in parallel. We approximate with the per-phase sum
-    /// divided by responders (homogeneous requests), which matches the
-    /// paper's single-HSM phase accounting in Figure 10.
-    pub fn hsm_seconds(&self, model: &CostModel) -> f64 {
-        let per_hsm = self.per_responder_costs();
-        model.total_seconds(&per_hsm)
-    }
-
-    /// Mean per-responder cost.
-    pub fn per_responder_costs(&self) -> OpCosts {
-        let total = self.phases.total();
-        let div = self.responders.max(1) as u64;
-        OpCosts {
-            group_mults: total.group_mults / div,
-            elgamal_decs: total.elgamal_decs / div,
-            pairings: total.pairings / div,
-            ecdsa_verifies: total.ecdsa_verifies / div,
-            hmac_ops: total.hmac_ops / div,
-            sha_ops: total.sha_ops / div,
-            aes_blocks: total.aes_blocks / div,
-            flash_reads: total.flash_reads / div,
-            io_bytes: total.io_bytes / div,
-            io_messages: total.io_messages / div,
-        }
-    }
 }
 
 /// A complete SafetyPin deployment: parameters plus the datacenter.
@@ -521,7 +489,6 @@ impl<S: BlockStore + Send> Deployment<S> {
                 let recovered = outcome?;
                 Ok(RecoveryOutcome {
                     message: recovered.message,
-                    phases: recovered.phases,
                     responders: recovered.responders,
                     contacted: recovered.contacted,
                     wire,
@@ -590,6 +557,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use safetypin_sim::CostModel;
 
     fn deployment(total: u64) -> (Deployment, StdRng) {
         let mut rng = StdRng::seed_from_u64(1_000_000 + total);
@@ -776,16 +744,20 @@ mod tests {
         let (mut d, mut rng) = deployment(8);
         let mut client = d.new_client(b"erin").unwrap();
         let artifact = client.backup(b"444444", b"m", 0, &mut rng).unwrap();
+        d.datacenter.drain_fleet_costs();
         let outcome = d.recover(&client, b"444444", &artifact, &mut rng).unwrap();
+        let phases = d.datacenter.drain_fleet_costs();
         // LHE phase: one ElGamal decryption per share.
-        assert!(outcome.phases.lhe.elgamal_decs >= d.params.lhe.cluster as u64);
+        assert!(phases.lhe.elgamal_decs >= d.params.lhe.cluster as u64);
         // PE phase: outsourced-storage traffic.
-        assert!(outcome.phases.pe.io_bytes > 0);
-        assert!(outcome.phases.pe.aes_blocks > 0);
+        assert!(phases.pe.io_bytes > 0);
+        assert!(phases.pe.aes_blocks > 0);
         // Log phase: proof checking.
-        assert!(outcome.phases.log.sha_ops > 0);
-        // Priced on a SoloKey, the whole thing lands in a plausible range.
-        let secs = outcome.hsm_seconds(&CostModel::paper_default());
+        assert!(phases.log.sha_ops > 0);
+        // Priced on a SoloKey, one responder's mean share of the work
+        // lands in a plausible range.
+        let secs = CostModel::paper_default().total_seconds(&phases.total())
+            / outcome.responders.max(1) as f64;
         assert!(secs > 0.01 && secs < 30.0, "got {secs}");
     }
 }

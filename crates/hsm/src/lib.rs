@@ -6,9 +6,11 @@
 //! keypair, a BLS signing key for log updates, a Bloom-filter-encryption
 //! keypair whose secret array is outsourced with secure deletion, the
 //! current log digest, and a bounded garbage-collection counter — and every
-//! operation executes the *real* cryptography while a meter counts the
-//! resource-relevant operations so the simulation layer can price them at
-//! SoloKey (or YubiHSM2 / SafeNet) rates.
+//! operation executes the *real* cryptography. A [`PhaseCosts`] meter
+//! counts the resource-relevant operations of the recovery work the device
+//! serves, split into Figure 10's phases, so the simulation layer can price
+//! them at SoloKey (or YubiHSM2 / SafeNet) rates. The meter stays on the
+//! device: a share reply carries shares and nothing else.
 //!
 //! The recovery-share operation implements the §4.2 check list verbatim:
 //! recompute the client's commitment, check the log-inclusion proof against
@@ -43,14 +45,14 @@ pub mod state;
 pub mod types;
 
 pub use error::HsmError;
-pub use types::{EnrollmentRecord, RecoveryPhases, RecoveryRequest, RecoveryResponse};
+pub use types::{EnrollmentRecord, RecoveryRequest, RecoveryResponse};
 
 use rand::{CryptoRng, RngCore};
 use safetypin_authlog::distributed::{
     audit_chunks_for, reaudit_chunks_for, verify_chunk, AuditError, ChunkAudit, UpdateMessage,
 };
 use safetypin_authlog::trie::MerkleTrie;
-use safetypin_bfe::{BfeParams, BfePublicKey, BfeSecretKey, KeygenReport};
+use safetypin_bfe::{BfeParams, BfePublicKey, BfeSecretKey, KeygenReport, OpReport};
 use safetypin_lhe::scheme::{parse_share_plaintext, share_context};
 use safetypin_multisig as multisig;
 use safetypin_primitives::commit;
@@ -110,18 +112,55 @@ pub struct ExfiltratedState {
 /// accumulated while a serving segment resolves its batched decrypts.
 type SlotOutcomes = Vec<(Vec<u8>, (u64, p256::Scalar))>;
 
-/// Part `i` of `total` split evenly over `parts`, remainder on part 0 —
-/// how a coalesced group's shared cost is attributed to its members'
-/// per-request phase meters (the aggregate always matches exactly).
-fn split_evenly(total: u64, parts: u64, i: u64) -> u64 {
-    total / parts + if i == 0 { total % parts } else { 0 }
+/// The recovery work an HSM has served, split into Figure 10's phases
+/// (§9). Totals for whole coalesced groups: a group's shared decrypt and
+/// puncture passes are metered once, never attributed to its members.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseCosts {
+    /// Log work: inclusion-proof and commitment checks plus request and
+    /// reply I/O.
+    pub log: OpCosts,
+    /// Location-hiding encryption work: the ElGamal share decryptions.
+    pub lhe: OpCosts,
+    /// Puncturable-encryption work: outsourced-storage reads, secure
+    /// deletion, and the associated AES traffic.
+    pub pe: OpCosts,
+    /// Public-key work for the optional encrypted reply (§8).
+    pub pke: OpCosts,
+}
+
+impl PhaseCosts {
+    /// Sum over all phases.
+    pub fn total(&self) -> OpCosts {
+        let mut t = OpCosts::new();
+        for phase in [&self.log, &self.lhe, &self.pe, &self.pke] {
+            t.add(phase);
+        }
+        t
+    }
+
+    /// Component-wise sum.
+    pub fn add(&mut self, other: &PhaseCosts) {
+        self.log.add(&other.log);
+        self.lhe.add(&other.lhe);
+        self.pe.add(&other.pe);
+        self.pke.add(&other.pke);
+    }
+
+    /// Meters one pass over the outsourced store (a batched decrypt or
+    /// puncture) as puncturable-encryption work: its AEAD bytes in AES
+    /// blocks, 96 bytes of I/O per block moved, one message per item.
+    fn add_store_pass(&mut self, report: &OpReport, messages: u64) {
+        self.pe.aes_blocks += report.aead_bytes.div_ceil(16);
+        self.pe.io_bytes += (report.blocks_read + report.blocks_written) * 96;
+        self.pe.io_messages += messages;
+    }
 }
 
 /// A recovery that has cleared the §4.2 validation (steps 1–5) but not
 /// yet touched the outsourced store: what remains is the share
 /// decryptions and the puncture obligation.
 struct CheckedRecovery {
-    phases: RecoveryPhases,
     tag: Vec<u8>,
     context: Vec<u8>,
     username: Vec<u8>,
@@ -136,7 +175,6 @@ struct CheckedRecovery {
 /// response bytes are built.
 struct PreparedRecovery {
     shares: Vec<Share>,
-    phases: RecoveryPhases,
     /// The tag whose slots the obligated puncture must delete.
     tag: Vec<u8>,
     context: Vec<u8>,
@@ -179,7 +217,7 @@ pub struct Hsm {
     gc_count: u64,
     key_epoch: u64,
     status: HsmStatus,
-    costs: OpCosts,
+    costs: PhaseCosts,
     /// Seals this device's state blocks (models the on-chip storage key).
     device_key: DeviceKey,
     /// Which parts of the trusted state the next [`commit`](Self::commit)
@@ -199,10 +237,8 @@ impl Hsm {
     ) -> Result<Self, HsmError> {
         let identity = elgamal::KeyPair::generate(rng);
         let sig_key = multisig::SigningKey::generate(rng);
-        let (bfe_pk, bfe_sk, report) =
+        let (bfe_pk, bfe_sk, _) =
             safetypin_bfe::keygen(config.bfe_params, store, rng).map_err(HsmError::Crypto)?;
-        let mut costs = OpCosts::new();
-        costs.group_mults += report.group_ops + 2; // BFE slots + identity + BLS keygen
         let mut hsm = Self {
             config,
             identity,
@@ -215,7 +251,7 @@ impl Hsm {
             gc_count: 0,
             key_epoch: 0,
             status: HsmStatus::Active,
-            costs,
+            costs: PhaseCosts::default(),
             device_key: DeviceKey::random(rng),
             static_dirty: true,
             dynamic_dirty: true,
@@ -399,8 +435,7 @@ impl Hsm {
     ///    MSM slot audit, one coalesced multi-tag puncture, responses.
     ///
     /// Outcomes per request match serving the segment one request at a
-    /// time; only the meters (and their attribution across the group)
-    /// differ.
+    /// time; only the meter differs.
     ///
     /// [`recover_share_checks`]: Self::recover_share_checks
     /// [`discharge_pending`]: Self::discharge_pending
@@ -439,32 +474,19 @@ impl Hsm {
             })
             .collect();
         let (decrypted, report) = self.bfe_sk.decrypt_many_traced(store, &items);
-
-        // Attribute the batch's decrypt cost evenly across the jobs
-        // (remainder on the first): the ElGamal half of a share
-        // decryption is the "location-hiding encryption" phase, the
-        // outsourced-storage traffic (AEAD bytes, block reads) the
+        // The ElGamal half of a share decryption is the "location-hiding
+        // encryption" phase, the outsourced-storage traffic the
         // "puncturable encryption" phase.
-        let jobs = items.len() as u64;
-        let aes_total = report.aead_bytes.div_ceil(16);
-        let io_total = (report.blocks_read + report.blocks_written) * 96;
-        let job_phase = |i: u64| {
-            (
-                split_evenly(report.group_ops, jobs, i),
-                split_evenly(aes_total, jobs, i),
-                split_evenly(io_total, jobs, i),
-            )
-        };
+        self.costs.lhe.elgamal_decs += report.group_ops;
+        self.costs.add_store_pass(&report, items.len() as u64);
 
         // Phase 3: per request, fold in its jobs' outcomes (its share
         // decryptions are the next `share_cts.len()` items) and enforce
         // the §4.1 username binding.
         let mut pending: Vec<(usize, PreparedRecovery)> = Vec::with_capacity(checked.len());
-        let mut jobs_done = 0u64;
         let mut decrypted = decrypted.into_iter();
         for (pos, c) in checked {
             let CheckedRecovery {
-                mut phases,
                 tag,
                 context,
                 username,
@@ -473,11 +495,6 @@ impl Hsm {
             } = c;
             let mut outcome: Result<SlotOutcomes, HsmError> = Ok(Vec::new());
             for item in decrypted.by_ref().take(share_cts.len()) {
-                let (decs, aes, io) = job_phase(jobs_done);
-                jobs_done += 1;
-                phases.lhe.elgamal_decs += decs;
-                phases.pe.aes_blocks += aes;
-                phases.pe.add_io(io);
                 if let Ok(slot_outcomes) = &mut outcome {
                     match item {
                         Ok((pt, trace)) => slot_outcomes.push((pt, trace)),
@@ -501,17 +518,13 @@ impl Hsm {
                     pos,
                     PreparedRecovery {
                         shares,
-                        phases,
                         tag,
                         context,
                         trace,
                         recovery_pk,
                     },
                 )),
-                Err(e) => {
-                    self.costs.add(&phases.total());
-                    answer(responses, pos, HsmResponse::Error((&e).into()));
-                }
+                Err(e) => answer(responses, pos, HsmResponse::Error((&e).into())),
             }
         }
 
@@ -550,11 +563,8 @@ impl Hsm {
             safetypin_telemetry::span!("hsm.msm_audit");
             self.bfe_pk.audit_slot_scalars(&traces, rng)
         };
-        // One MSM plus one fixed-base multiplication for the whole group.
-        self.costs.group_mults += 2;
         if !audited {
-            for (pos, prepared) in pending.drain(..) {
-                self.costs.add(&prepared.phases.total());
+            for (pos, _) in pending.drain(..) {
                 answer(
                     responses,
                     pos,
@@ -573,8 +583,7 @@ impl Hsm {
         let report = match self.bfe_sk.puncture_many(store, &tags, rng) {
             Ok(report) => report,
             Err(_) => {
-                for (pos, prepared) in pending.drain(..) {
-                    self.costs.add(&prepared.phases.total());
+                for (pos, _) in pending.drain(..) {
                     answer(
                         responses,
                         pos,
@@ -585,25 +594,11 @@ impl Hsm {
             }
         };
         drop(puncture_span);
+        self.costs.add_store_pass(&report, pending.len() as u64);
 
-        // Attribute the shared puncture cost evenly across the group
-        // (the remainder lands on the first request) — the aggregate
-        // matches the meters, per-request phases are an attribution.
-        let k = pending.len() as u64;
-        let aes_total = report.aead_bytes.div_ceil(16);
-        let io_total = (report.blocks_read + report.blocks_written) * 96;
-        for (i, (pos, mut prepared)) in pending.drain(..).enumerate() {
-            prepared.phases.pe.aes_blocks += split_evenly(aes_total, k, i as u64);
-            prepared
-                .phases
-                .pe
-                .add_io(split_evenly(io_total, k, i as u64));
-            let (response, phases) = self.finish_recovery_response(prepared, rng);
-            answer(
-                responses,
-                pos,
-                HsmResponse::RecoveryShare { response, phases },
-            );
+        for (pos, prepared) in pending.drain(..) {
+            let response = self.finish_recovery_response(prepared, rng);
+            answer(responses, pos, HsmResponse::RecoveryShare { response });
         }
     }
 
@@ -658,13 +653,13 @@ impl Hsm {
         }
     }
 
-    /// Accumulated metered costs.
-    pub fn costs(&self) -> OpCosts {
+    /// The recovery work served since the last drain, per phase.
+    pub fn costs(&self) -> PhaseCosts {
         self.costs
     }
 
-    /// Drains the metered costs (returns the old value).
-    pub fn take_costs(&mut self) -> OpCosts {
+    /// Drains the meter (returns the old value).
+    pub fn take_costs(&mut self) -> PhaseCosts {
         std::mem::take(&mut self.costs)
     }
 
@@ -693,8 +688,6 @@ impl Hsm {
             if !vk.verify_possession(pop) {
                 return Err(HsmError::BadProofOfPossession);
             }
-            // Each PoP check costs two pairings.
-            self.costs.pairings += 2;
             verified.push(*vk);
         }
         self.fleet_keys = verified;
@@ -712,7 +705,7 @@ impl Hsm {
     }
 
     fn check_auditor_endorsements(
-        &mut self,
+        &self,
         endorsements: &[multisig::Signature],
     ) -> Result<(), HsmError> {
         if self.designated_auditors.is_empty() {
@@ -722,8 +715,6 @@ impl Hsm {
             return Err(HsmError::MissingAuditorEndorsement);
         }
         for (vk, sig) in self.designated_auditors.iter().zip(endorsements) {
-            // Each endorsement check is a two-pairing verification.
-            self.costs.pairings += 2;
             if !safetypin_authlog::auditor::verify_endorsement(vk, &self.log_digest, sig) {
                 return Err(HsmError::MissingAuditorEndorsement);
             }
@@ -752,13 +743,11 @@ impl Hsm {
     ) -> Result<CheckedRecovery, HsmError> {
         self.ensure_active()?;
         self.check_auditor_endorsements(&request.auditor_endorsements)?;
-        let mut phases = RecoveryPhases::default();
-        let request_bytes = request.to_bytes().len() as u64;
-        phases.log.add_io(request_bytes);
+        self.costs.log.add_io(request.to_bytes().len() as u64);
 
         // 1. Recompute the client's commitment from its opening.
         let commitment = commit::commitment_of(&request.opening);
-        phases.log.sha_ops += 1 + (request.opening.payload.len() as u64) / 64;
+        self.costs.log.sha_ops += 1 + (request.opening.payload.len() as u64) / 64;
 
         // 2. The recovery attempt must be logged: check the inclusion proof
         //    for (username, h) against our digest.
@@ -769,10 +758,9 @@ impl Hsm {
             &commitment_bytes,
             &request.inclusion,
         ) {
-            self.costs.add(&phases.total());
             return Err(HsmError::BadInclusionProof);
         }
-        phases.log.sha_ops += 2 * (request.inclusion.path.siblings.len() as u64 + 1);
+        self.costs.log.sha_ops += 2 * (request.inclusion.path.siblings.len() as u64 + 1);
 
         // 3. Parse the opening: committed cluster plus ciphertext hash.
         let (cluster, ct_hash) = types::parse_commit_payload(&request.opening.payload)?;
@@ -794,9 +782,8 @@ impl Hsm {
 
         // 5. The presented recovery ciphertext must be the committed one.
         let presented = hash_parts(Domain::RecoveryCommit, &[b"ct", &request.ciphertext]);
-        phases.log.sha_ops += request.ciphertext.len() as u64 / 64 + 1;
+        self.costs.log.sha_ops += request.ciphertext.len() as u64 / 64 + 1;
         if presented != ct_hash {
-            self.costs.add(&phases.total());
             return Err(HsmError::CiphertextMismatch);
         }
 
@@ -805,7 +792,6 @@ impl Hsm {
             share_cts.push(types::share_ct_at(&request.ciphertext, j)?);
         }
         Ok(CheckedRecovery {
-            phases,
             tag: types::puncture_tag(&request.username, &request.salt),
             context: share_context(&request.username, &request.salt),
             username: request.username.clone(),
@@ -816,16 +802,15 @@ impl Hsm {
 
     /// Step 8: builds the reply — optionally encrypted under the
     /// client's per-recovery public key (§8, failure-during-recovery) —
-    /// and folds the accumulated phase costs into the device meter. The
-    /// caller must have discharged the puncture obligation first.
+    /// and meters its reply. The caller must have discharged the puncture
+    /// obligation first.
     fn finish_recovery_response<R: RngCore + CryptoRng>(
         &mut self,
         prepared: PreparedRecovery,
         rng: &mut R,
-    ) -> (RecoveryResponse, RecoveryPhases) {
+    ) -> RecoveryResponse {
         let PreparedRecovery {
             shares,
-            mut phases,
             context,
             recovery_pk,
             ..
@@ -836,13 +821,12 @@ impl Hsm {
                 let mut w = safetypin_primitives::wire::Writer::new();
                 w.put_seq(&shares);
                 let ct = elgamal::encrypt(pk, &context, &w.into_bytes(), rng);
-                phases.pke.group_mults += 2;
+                self.costs.pke.group_mults += 2;
                 RecoveryResponse::Encrypted(ct)
             }
         };
-        phases.log.add_io(response.to_bytes().len() as u64);
-        self.costs.add(&phases.total());
-        (response, phases)
+        self.costs.log.add_io(response.to_bytes().len() as u64);
+        response
     }
 
     // ------------------------------------------------------------------
@@ -921,12 +905,7 @@ impl Hsm {
         }
         for package in packages {
             verify_chunk(message, package).map_err(HsmError::Audit)?;
-            let bytes = package.proof_bytes() as u64;
-            self.costs.add_io(bytes);
-            self.costs.sha_ops += bytes / 64 + 2;
         }
-        // Signing costs one G1 multiplication (priced as a group mult).
-        self.costs.group_mults += 1;
         Ok(self.sig_key.sign(&message.signing_bytes()))
     }
 
@@ -962,7 +941,6 @@ impl Hsm {
         }
         // Aggregate verification is one two-pairing product check,
         // independent of the signer count (§6.2 Scalability).
-        self.costs.pairings += 2;
         if !multisig::verify_aggregate(&keys, &message.signing_bytes(), aggregate) {
             return Err(HsmError::BadAggregate);
         }
@@ -1010,8 +988,6 @@ impl Hsm {
         self.bfe_sk = sk;
         self.key_epoch += 1;
         (self.static_dirty, self.dynamic_dirty) = (true, true);
-        self.costs.group_mults += report.group_ops;
-        self.costs.add_io(report.outsourced_bytes);
         Ok((pk, report))
     }
 

@@ -43,10 +43,9 @@ use safetypin_primitives::hashes::{hash_parts, Domain, Hash256};
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 use safetypin_primitives::zeroize::wipe_bytes;
 use safetypin_seckv::BlockStore;
-use safetypin_sim::OpCosts;
 use safetypin_store::{seal_domain, DeviceKey, StoreError};
 
-use crate::{Hsm, HsmConfig, HsmStatus};
+use crate::{Hsm, HsmConfig, HsmStatus, PhaseCosts};
 
 /// Block address of the sealed dynamic state (see the module docs).
 pub const DYNAMIC_ADDR: u64 = u64::MAX;
@@ -255,7 +254,7 @@ impl Hsm {
             gc_count,
             key_epoch,
             status,
-            costs: OpCosts::new(),
+            costs: PhaseCosts::default(),
             device_key,
             static_dirty: false,
             dynamic_dirty: false,

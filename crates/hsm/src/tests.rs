@@ -15,9 +15,10 @@ use safetypin_primitives::elgamal;
 use safetypin_primitives::shamir::Share;
 use safetypin_primitives::wire::Encode;
 use safetypin_seckv::MemStore;
+use safetypin_sim::OpCosts;
 
 use crate::types::{build_commit_payload, ciphertext_commit_hash};
-use crate::{Hsm, HsmConfig, HsmError, HsmStatus, RecoveryRequest, RecoveryResponse};
+use crate::{Hsm, HsmConfig, HsmError, HsmStatus, PhaseCosts, RecoveryRequest, RecoveryResponse};
 
 const TOTAL: u64 = 8;
 
@@ -157,7 +158,7 @@ impl Fixture {
             &mut self.stores[idx],
             rng,
         ) {
-            HsmResponse::RecoveryShare { response, .. } => Ok(response),
+            HsmResponse::RecoveryShare { response } => Ok(response),
             HsmResponse::Error(e) => Err((&e).into()),
             other => panic!("unexpected reply to RecoverShare: {other:?}"),
         }
@@ -608,19 +609,38 @@ fn compromise_exfiltrates_but_punctured_data_stays_safe() {
 #[test]
 fn costs_are_metered() {
     let mut fx = fixture();
-    let before = fx.hsms.iter().map(|h| h.costs().group_mults).sum::<u64>();
-    assert!(before > 0, "provisioning costs metered");
+    // Provisioning and fleet registration are not recovery work: the
+    // meter starts empty.
+    assert!(fx.hsms.iter().all(|h| h.costs() == PhaseCosts::default()));
     let _ = full_recovery(&mut fx, b"hank", b"666666", b"m");
-    let decs: u64 = fx.hsms.iter().map(|h| h.costs().elgamal_decs).sum();
+    let mut served = PhaseCosts::default();
+    for h in &fx.hsms {
+        served.add(&h.costs());
+    }
     assert!(
-        decs >= fx.params.cluster as u64,
-        "decryptions metered: {decs}"
+        served.lhe.elgamal_decs >= fx.params.cluster as u64,
+        "decryptions metered: {}",
+        served.lhe.elgamal_decs
     );
-    let io: u64 = fx.hsms.iter().map(|h| h.costs().io_bytes).sum();
-    assert!(io > 0, "io metered");
-    let drained = fx.hsms[0].take_costs();
-    assert_eq!(fx.hsms[0].costs().group_mults, 0);
-    let _ = drained;
+    assert!(
+        served.pe.io_bytes > 0 && served.pe.aes_blocks > 0,
+        "store traffic metered"
+    );
+    assert!(
+        served.log.sha_ops > 0 && served.log.io_messages > 0,
+        "log checks metered"
+    );
+    assert_eq!(
+        served.pke,
+        OpCosts::new(),
+        "plain replies do no public-key work"
+    );
+    let id = (0..fx.hsms.len())
+        .find(|&i| fx.hsms[i].costs() != PhaseCosts::default())
+        .unwrap();
+    let drained = fx.hsms[id].take_costs();
+    assert_ne!(drained, PhaseCosts::default());
+    assert_eq!(fx.hsms[id].costs(), PhaseCosts::default());
 }
 
 #[test]
@@ -803,8 +823,8 @@ fn handle_batch_matches_serial_serving_byte_for_byte() {
         for (s, g) in serial_responses.iter().zip(&grouped_responses) {
             match (s, g) {
                 (
-                    HsmResponse::RecoveryShare { response: rs, .. },
-                    HsmResponse::RecoveryShare { response: rg, .. },
+                    HsmResponse::RecoveryShare { response: rs },
+                    HsmResponse::RecoveryShare { response: rg },
                 ) => assert_eq!(
                     rs.to_bytes(),
                     rg.to_bytes(),
@@ -1015,8 +1035,8 @@ fn handle_batch_cross_tag_slot_coverage_matches_serial() {
     for (k, (s, b)) in serial.iter().zip(&batched).enumerate() {
         match (s, b) {
             (
-                HsmResponse::RecoveryShare { response: rs, .. },
-                HsmResponse::RecoveryShare { response: rb, .. },
+                HsmResponse::RecoveryShare { response: rs },
+                HsmResponse::RecoveryShare { response: rb },
             ) => assert_eq!(rs.to_bytes(), rb.to_bytes(), "request {k}"),
             (HsmResponse::Error(es), HsmResponse::Error(eb)) => {
                 assert_eq!(es.code, eb.code, "request {k}")

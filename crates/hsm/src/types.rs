@@ -6,8 +6,8 @@
 //! that surface [`HsmError`] instead of the proto-layer error types.
 
 pub use safetypin_proto::messages::{
-    build_commit_payload, ciphertext_commit_hash, puncture_tag, EnrollmentRecord, RecoveryPhases,
-    RecoveryRequest, RecoveryResponse,
+    build_commit_payload, ciphertext_commit_hash, puncture_tag, EnrollmentRecord, RecoveryRequest,
+    RecoveryResponse,
 };
 
 use safetypin_bfe::BfeCiphertext;

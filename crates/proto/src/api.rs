@@ -18,9 +18,7 @@ use safetypin_multisig::Signature;
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 
-use crate::messages::{
-    EnrollmentRecord, RecoveryPhases, RecoveryRequest, RecoveryResponse, StatusReport,
-};
+use crate::messages::{EnrollmentRecord, RecoveryRequest, RecoveryResponse, StatusReport};
 use crate::metrics::MetricsReport;
 
 /// A wire error code: one of the [`codes`] constants, or a code this
@@ -291,21 +289,15 @@ impl HsmRequest {
 
 /// HSM → datacenter replies, one per [`HsmRequest`] variant plus a
 /// typed refusal.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "responses are transient values, encoded or consumed immediately and never stored in bulk"
-)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum HsmResponse {
     /// Reply to [`HsmRequest::GetEnrollment`].
     Enrollment(EnrollmentRecord),
-    /// Reply to [`HsmRequest::RecoverShare`]: the shares plus the
-    /// Figure 10 per-phase cost attribution.
+    /// Reply to [`HsmRequest::RecoverShare`]: the shares and nothing
+    /// else. The device's cost meter never leaves it.
     RecoveryShare {
         /// The decrypted (or §8-encrypted) shares.
         response: RecoveryResponse,
-        /// Metered cost, attributed to protocol phases.
-        phases: RecoveryPhases,
     },
     /// Reply to [`HsmRequest::AuditAndSign`]: this HSM's BLS signature
     /// over `(d, d', R)`.
@@ -327,10 +319,9 @@ impl Encode for HsmResponse {
                 w.put_u8(0);
                 e.encode(w);
             }
-            HsmResponse::RecoveryShare { response, phases } => {
+            HsmResponse::RecoveryShare { response } => {
                 w.put_u8(1);
                 response.encode(w);
-                phases.encode(w);
             }
             HsmResponse::Signed(sig) => {
                 w.put_u8(2);
@@ -355,7 +346,6 @@ impl Decode for HsmResponse {
             0 => Ok(HsmResponse::Enrollment(EnrollmentRecord::decode(r)?)),
             1 => Ok(HsmResponse::RecoveryShare {
                 response: RecoveryResponse::decode(r)?,
-                phases: RecoveryPhases::decode(r)?,
             }),
             2 => Ok(HsmResponse::Signed(Signature::decode(r)?)),
             3 => Ok(HsmResponse::Ack),

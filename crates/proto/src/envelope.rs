@@ -25,8 +25,9 @@ use crate::messages::SnapshotMeta;
 /// The protocol version this build speaks. The versioning rule is strict
 /// equality: a decoder rejects every other version, so any change to an
 /// existing message's encoding must bump this constant (purely additive
-/// variants may keep it).
-pub const PROTO_VERSION: u16 = 1;
+/// variants may keep it). Version 2 dropped the per-phase cost meter
+/// that version 1 appended to every `HsmResponse::RecoveryShare`.
+pub const PROTO_VERSION: u16 = 2;
 
 /// Every message kind that can travel in an [`Envelope`].
 ///

@@ -90,7 +90,7 @@ pub use api::{
 pub use envelope::{Envelope, Message, MAX_GROUP_REQUESTS, PROTO_VERSION};
 pub use error::ProtoError;
 pub use messages::{
-    EnrollmentRecord, RecoveryPhases, RecoveryRequest, RecoveryResponse, SnapshotMeta, StatusReport,
+    EnrollmentRecord, RecoveryRequest, RecoveryResponse, SnapshotMeta, StatusReport,
 };
 pub use metrics::{HistogramSummary, MetricsReport, MAX_METRICS_SERIES};
 pub use tcp::{Tcp, TcpConfig, MAX_FRAME_BYTES};

@@ -14,7 +14,6 @@ use safetypin_primitives::error::WireError;
 use safetypin_primitives::hashes::{hash_parts, Domain, Hash256};
 use safetypin_primitives::shamir::Share;
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
-use safetypin_sim::OpCosts;
 
 use crate::error::ProtoError;
 
@@ -195,63 +194,6 @@ impl Decode for RecoveryResponse {
             1 => Ok(RecoveryResponse::Encrypted(elgamal::Ciphertext::decode(r)?)),
             t => Err(WireError::InvalidTag(t)),
         }
-    }
-}
-
-/// Per-phase cost attribution for one recovery-share operation
-/// (Figure 10's breakdown). Rides along with the shares in a
-/// [`HsmResponse::RecoveryShare`](crate::api::HsmResponse::RecoveryShare)
-/// so metering survives serialization.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPhases {
-    /// Log work: inclusion-proof and commitment checks plus request I/O.
-    pub log: OpCosts,
-    /// Location-hiding encryption work: the ElGamal share decryptions.
-    pub lhe: OpCosts,
-    /// Puncturable-encryption work: outsourced-storage reads, secure
-    /// deletion, and the associated AES traffic.
-    pub pe: OpCosts,
-    /// Public-key work for the optional encrypted reply (§8).
-    pub pke: OpCosts,
-}
-
-impl RecoveryPhases {
-    /// Sum over all phases.
-    pub fn total(&self) -> OpCosts {
-        let mut t = OpCosts::new();
-        t.add(&self.log);
-        t.add(&self.lhe);
-        t.add(&self.pe);
-        t.add(&self.pke);
-        t
-    }
-
-    /// Component-wise sum.
-    pub fn add(&mut self, other: &RecoveryPhases) {
-        self.log.add(&other.log);
-        self.lhe.add(&other.lhe);
-        self.pe.add(&other.pe);
-        self.pke.add(&other.pke);
-    }
-}
-
-impl Encode for RecoveryPhases {
-    fn encode(&self, w: &mut Writer) {
-        self.log.encode(w);
-        self.lhe.encode(w);
-        self.pe.encode(w);
-        self.pke.encode(w);
-    }
-}
-
-impl Decode for RecoveryPhases {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            log: OpCosts::decode(r)?,
-            lhe: OpCosts::decode(r)?,
-            pe: OpCosts::decode(r)?,
-            pke: OpCosts::decode(r)?,
-        })
     }
 }
 

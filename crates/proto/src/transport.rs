@@ -76,10 +76,6 @@ pub enum Traffic {
 
 /// The reply to one [`Traffic`] round, in the matching class.
 #[derive(Debug, Clone, PartialEq)]
-#[expect(
-    clippy::large_enum_variant,
-    reason = "Single inlines an HsmResponse, same trade as HsmResponse itself"
-)]
 pub enum TrafficReply {
     /// Reply to [`Traffic::Single`].
     Single(HsmResponse),

@@ -21,10 +21,9 @@ use safetypin_primitives::wire::{Decode, Encode};
 use safetypin_primitives::{commit, elgamal, shamir};
 use safetypin_proto::{
     codes, Envelope, ErrorReply, HistogramSummary, HsmRequest, HsmResponse, Message, MetricsReport,
-    ProviderRequest, ProviderResponse, RecoveryPhases, RecoveryRequest, RecoveryResponse,
-    SaveOutcome, SaveRequest, SnapshotMeta, StatusReport, PROTO_VERSION,
+    ProviderRequest, ProviderResponse, RecoveryRequest, RecoveryResponse, SaveOutcome, SaveRequest,
+    SnapshotMeta, StatusReport, PROTO_VERSION,
 };
-use safetypin_sim::OpCosts;
 
 /// Builds real protocol objects (commitments, inclusion proofs, BLS
 /// signatures, BFE keys) from a seed, then covers every message variant
@@ -77,28 +76,6 @@ fn sample_envelopes(seed: u64) -> Vec<Envelope> {
     };
 
     let shares = shamir::share(b"transport key", 2, 4, &mut rng).unwrap();
-    let phases = RecoveryPhases {
-        log: OpCosts {
-            sha_ops: 11,
-            io_bytes: 2048,
-            io_messages: 2,
-            ..OpCosts::new()
-        },
-        lhe: OpCosts {
-            elgamal_decs: 3,
-            ..OpCosts::new()
-        },
-        pe: OpCosts {
-            aes_blocks: 40,
-            io_bytes: 960,
-            io_messages: 10,
-            ..OpCosts::new()
-        },
-        pke: OpCosts {
-            group_mults: 2,
-            ..OpCosts::new()
-        },
-    };
     let encrypted_reply = elgamal::encrypt(&kp.pk, b"ctx", b"wire-encoded shares", &mut rng);
 
     let hsm_requests = vec![
@@ -122,11 +99,9 @@ fn sample_envelopes(seed: u64) -> Vec<Envelope> {
         HsmResponse::Enrollment(enrollment.clone()),
         HsmResponse::RecoveryShare {
             response: RecoveryResponse::Plain(shares.clone()),
-            phases,
         },
         HsmResponse::RecoveryShare {
             response: RecoveryResponse::Encrypted(encrypted_reply),
-            phases,
         },
         HsmResponse::Signed(signature),
         HsmResponse::Ack,
@@ -202,7 +177,6 @@ fn sample_envelopes(seed: u64) -> Vec<Envelope> {
             1,
             HsmResponse::RecoveryShare {
                 response: RecoveryResponse::Plain(shares.clone()),
-                phases,
             },
         )]),
         ProviderResponse::ReplyCopies(vec![RecoveryResponse::Plain(shares.clone())]),
@@ -212,7 +186,6 @@ fn sample_envelopes(seed: u64) -> Vec<Envelope> {
                 1,
                 HsmResponse::RecoveryShare {
                     response: RecoveryResponse::Plain(shares),
-                    phases,
                 },
             )],
             vec![(3, HsmResponse::Error(ErrorReply::dropped()))],
@@ -325,6 +298,7 @@ fn sample_envelopes(seed: u64) -> Vec<Envelope> {
 
 #[test]
 fn every_message_variant_roundtrips() {
+    let mut share_replies = 0;
     for (i, envelope) in sample_envelopes(0x5AFE_0071).into_iter().enumerate() {
         let bytes = envelope.to_bytes();
         let back = Envelope::from_bytes(&bytes)
@@ -337,7 +311,14 @@ fn every_message_variant_roundtrips() {
             bytes,
             "envelope {i} re-encoded differently"
         );
+        // A share reply is its tag and its shares: nothing rides along.
+        if let Message::HsmResponse(reply @ HsmResponse::RecoveryShare { response }) = &envelope.msg
+        {
+            assert_eq!(reply.to_bytes().len(), 1 + response.to_bytes().len());
+            share_replies += 1;
+        }
     }
+    assert_eq!(share_replies, 2, "one Plain and one Encrypted share reply");
 }
 
 /// The corpus is the variant list: for `Message` and for each of the
@@ -426,26 +407,16 @@ fn trailing_bytes_rejected() {
 fn unknown_version_tag_rejected_with_typed_error() {
     let envelope = Envelope::seal(Message::HsmRequest(HsmRequest::GetEnrollment));
     let mut bytes = envelope.to_bytes();
-    // Overwrite the big-endian u16 version prefix.
-    bytes[0] = 0x00;
-    bytes[1] = 0x02;
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::UnsupportedVersion(2)
-    );
-    bytes[0] = 0xFF;
-    bytes[1] = 0xFF;
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::UnsupportedVersion(0xFFFF)
-    );
-    // Version 0 (a zeroed header) is just as dead.
-    bytes[0] = 0x00;
-    bytes[1] = 0x00;
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::UnsupportedVersion(0)
-    );
+    // Overwrite the big-endian u16 version prefix. The neighbours on
+    // both sides are refused: a newer peer, and an older one (version 1
+    // still appended a cost meter to every share reply).
+    for version in [PROTO_VERSION + 1, PROTO_VERSION - 1, 0xFFFF, 0] {
+        bytes[..2].copy_from_slice(&version.to_be_bytes());
+        assert_eq!(
+            Envelope::from_bytes(&bytes).unwrap_err(),
+            WireError::UnsupportedVersion(version)
+        );
+    }
 }
 
 /// The engine's batch messages carry explicit size ceilings: a declared

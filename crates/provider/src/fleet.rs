@@ -3,10 +3,9 @@
 
 use rand::{CryptoRng, RngCore};
 use safetypin_authlog::log::Log;
-use safetypin_hsm::{EnrollmentRecord, Hsm, HsmConfig};
+use safetypin_hsm::{EnrollmentRecord, Hsm, HsmConfig, PhaseCosts};
 use safetypin_proto::{Direct, HsmRequest, HsmResponse, ProtoError};
 use safetypin_seckv::{BlockStore, MemStore};
-use safetypin_sim::OpCosts;
 
 use crate::{fanout, Datacenter, ProviderError};
 
@@ -145,9 +144,9 @@ impl<S: BlockStore + Send> Datacenter<S> {
         Ok(())
     }
 
-    /// Sum of all HSMs' metered costs since the last drain.
-    pub fn drain_fleet_costs(&mut self) -> OpCosts {
-        let mut total = OpCosts::new();
+    /// Sum of all HSMs' metered recovery work since the last drain.
+    pub fn drain_fleet_costs(&mut self) -> PhaseCosts {
+        let mut total = PhaseCosts::default();
         for hsm in self.hsms.iter_mut() {
             total.add(&hsm.take_costs());
         }

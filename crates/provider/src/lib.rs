@@ -429,7 +429,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 )));
             }
             for ((user, pos, username), resp) in slot_list.into_iter().zip(responses) {
-                if let HsmResponse::RecoveryShare { response, .. } = &resp {
+                if let HsmResponse::RecoveryShare { response } = &resp {
                     copies.push((username, response.clone()));
                 }
                 if let Some(slot) = out.get_mut(user).and_then(|items| items.get_mut(pos)) {
@@ -585,29 +585,6 @@ impl<S: BlockStore + Send> Datacenter<S> {
             .filter(|(u, _)| u == username)
             .map(|(_, r)| r)
             .collect()
-    }
-
-    /// Records a fleet-membership event in the log (§6 / the
-    /// `authlog::membership` extension). The event becomes immutable once
-    /// the next epoch certifies it.
-    pub fn record_membership(
-        &mut self,
-        seq: u64,
-        event: &safetypin_authlog::MembershipEvent,
-    ) -> Result<(), ProviderError> {
-        use safetypin_primitives::wire::Encode;
-        self.insert_log(
-            &safetypin_authlog::membership::membership_log_id(seq),
-            &event.to_bytes(),
-        )
-    }
-
-    /// Reconstructs the fleet roster from the log's membership events
-    /// (what a client or auditor computes from replayed entries).
-    pub fn roster(
-        &self,
-    ) -> Result<safetypin_authlog::Roster, safetypin_authlog::membership::RosterError> {
-        safetypin_authlog::Roster::from_entries(self.log.entries())
     }
 }
 

@@ -8,8 +8,6 @@
 
 use crate::device::DeviceProfile;
 use crate::transport::TransportProfile;
-use safetypin_primitives::error::WireError;
-use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 
 /// Counted operations for some protocol segment.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -65,41 +63,6 @@ impl OpCosts {
     pub fn add_io(&mut self, bytes: u64) {
         self.io_bytes += bytes;
         self.io_messages += 1;
-    }
-}
-
-// Cost meters travel inside `safetypin-proto` recovery replies (the
-// Figure 10 phase attribution rides along with the shares), so they need
-// the canonical wire encoding: ten big-endian `u64`s in field order.
-impl Encode for OpCosts {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.group_mults);
-        w.put_u64(self.elgamal_decs);
-        w.put_u64(self.pairings);
-        w.put_u64(self.ecdsa_verifies);
-        w.put_u64(self.hmac_ops);
-        w.put_u64(self.sha_ops);
-        w.put_u64(self.aes_blocks);
-        w.put_u64(self.flash_reads);
-        w.put_u64(self.io_bytes);
-        w.put_u64(self.io_messages);
-    }
-}
-
-impl Decode for OpCosts {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            group_mults: r.get_u64()?,
-            elgamal_decs: r.get_u64()?,
-            pairings: r.get_u64()?,
-            ecdsa_verifies: r.get_u64()?,
-            hmac_ops: r.get_u64()?,
-            sha_ops: r.get_u64()?,
-            aes_blocks: r.get_u64()?,
-            flash_reads: r.get_u64()?,
-            io_bytes: r.get_u64()?,
-            io_messages: r.get_u64()?,
-        })
     }
 }
 

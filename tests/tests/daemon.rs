@@ -153,7 +153,7 @@ fn tcp_save_recover_round_trip_is_byte_identical_to_direct() {
         ProviderResponse::Recovered(items) => items
             .into_iter()
             .filter_map(|(_, reply)| match reply {
-                HsmResponse::RecoveryShare { response, .. } => Some(response),
+                HsmResponse::RecoveryShare { response } => Some(response),
                 _ => None,
             })
             .collect(),
@@ -236,7 +236,7 @@ fn tcp_recover_batch_wave_is_byte_identical_to_direct() {
         let responses = replies
             .into_iter()
             .filter_map(|(_, reply)| match reply {
-                HsmResponse::RecoveryShare { response, .. } => Some(response),
+                HsmResponse::RecoveryShare { response } => Some(response),
                 _ => None,
             })
             .collect();
@@ -320,7 +320,7 @@ fn a_logged_attempt_recovers_whatever_lands_between_the_legacy_requests() {
                 .unwrap()
                 .into_iter()
                 .map(|(_, reply)| match reply {
-                    HsmResponse::RecoveryShare { response, .. } => response,
+                    HsmResponse::RecoveryShare { response } => response,
                     other => panic!("an HSM refused the logged attempt: {other:?}"),
                 })
                 .collect(),

@@ -184,7 +184,7 @@ fn fleet_survives_restart_mid_recovery() {
         .remove(0)
     {
         match reply {
-            HsmResponse::RecoveryShare { response, .. } => responses.push(response),
+            HsmResponse::RecoveryShare { response } => responses.push(response),
             other => panic!("expected a share, got {other:?}"),
         }
     }

@@ -299,7 +299,7 @@ fn recover_batch_message_serves_many_users() {
         let responses: Vec<_> = items
             .into_iter()
             .filter_map(|(_, resp)| match resp {
-                safetypin::proto::HsmResponse::RecoveryShare { response, .. } => Some(response),
+                safetypin::proto::HsmResponse::RecoveryShare { response } => Some(response),
                 _ => None,
             })
             .collect();
