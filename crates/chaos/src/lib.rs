@@ -3,7 +3,7 @@
 //! SafetyPin's security story (Dauterman et al., OSDI 2020) is only as
 //! good as its behavior when things break: HSMs fail-stop mid-epoch,
 //! the wire drops and corrupts messages, the host loses power during a
-//! WAL commit, the daemon's fleet mutex wedges. This crate composes
+//! WAL commit, the daemon is drained mid-storm. This crate composes
 //! those failures — deliberately, on a schedule — while real save and
 //! recovery traffic runs, and then audits the invariants that must
 //! survive *any* of it:
@@ -34,8 +34,8 @@
 //!   retry/backoff wrapper;
 //! * the **resilience plane** (exercised, not defined, here): the
 //!   [`Retrying`](safetypin_client::retry::Retrying) endpoint's
-//!   idempotency-aware retries and the daemon's bounded lock wait
-//!   (typed `DEGRADED` refusals instead of queueing behind a stall).
+//!   idempotency-aware retries and the daemon's drain (typed
+//!   `SHUTTING_DOWN` refusals while status still answers).
 //!
 //! ## Determinism
 //!

@@ -10,7 +10,7 @@
 //! | `crash-restart-churn` | persist/reopen frames + torn WAL commit | log digest stable, exactly the pre-crash prefix survives |
 //! | `corrupted-wire-storm` | drop+corrupt on the client hop, retries on | acked saves observed exactly once, ledger == telemetry |
 //! | `exhaustion-rotation-under-load` | puncture budget spent, rotation mid-load | rotation resets the budget, post-rotation traffic byte-identical |
-//! | `drain-during-storm` | live daemon wedged past its request budget, drained, restarted | typed DEGRADED refusals during the wedge, service resumes after it, every acked save durable exactly once |
+//! | `drain-during-storm` | live daemon drained mid-storm, restarted | shutdown acked, later fleet work refused SHUTTING_DOWN while status answers, the drain finishes, every acked save durable exactly once |
 
 use std::time::Duration;
 
@@ -767,20 +767,26 @@ pub fn exhaustion_rotation_under_load(seed: u64) -> Result<ScenarioReport, Chaos
 }
 
 // ---------------------------------------------------------------------
-// 6. Drain during storm: the live daemon wedges, heals, drains, returns
+// 6. Drain during storm: the live daemon drains mid-storm and returns
 // ---------------------------------------------------------------------
 
+/// Acked saves the storm must land before the control connection
+/// drains the daemon, so the drain always meets saves in flight.
+const SAVES_BEFORE_DRAIN: usize = 256;
+
 /// The only wall-clock scenario: a real `safetypind` serves a
-/// multi-threaded save storm over TCP while its fleet mutex is wedged
-/// past the request budget (typed `DEGRADED` refusals), then the
-/// daemon drains and restarts from its store. Thread interleaving is
-/// not deterministic, so the invariants are the ones that must hold
-/// under *any* interleaving: requests were refused typed during the
-/// wedge, service resumed after it, and every save the storm saw acked
-/// is durable — exactly once, byte-identical — across the restart.
+/// multi-threaded save storm over TCP, a control connection drains it
+/// while the storm is still saving, and the daemon restarts from its
+/// store. Thread interleaving is not deterministic, so the invariants
+/// are the ones that must hold under *any* interleaving: the drain is
+/// acknowledged, fleet work after it is refused typed while status
+/// still answers, the drain finishes once the storm's connections
+/// close, and every save the storm saw acked is durable — exactly
+/// once, byte-identical — across the restart.
 pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
+    use std::time::Instant;
 
     let mut report = ScenarioReport::new("drain-during-storm", seed);
     let dir = scratch_dir("drain", seed);
@@ -788,21 +794,10 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
     let config = DaemonConfig::new(&dir, params)
         .durability(Durability::Relaxed)
         .seed(mix(seed, 601))
-        .io_timeout(Duration::from_secs(5))
-        .request_timeout(Duration::from_millis(250));
+        .io_timeout(Duration::from_secs(5));
     let handle = Daemon::bind(config).map_err(daemon_err)?;
     let addr = handle.addr().to_string();
-
     let mut control = Tcp::connect(TcpConfig::new(addr.clone()))?;
-    let scrape = |tcp: &mut Tcp, name: &str| -> Result<u64, ChaosError> {
-        match tcp.call(ProviderRequest::Metrics)? {
-            ProviderResponse::Metrics(m) => Ok(m.counter(name).unwrap_or(0)),
-            other => Err(ChaosError::Check(format!("metrics scrape got {other:?}"))),
-        }
-    };
-    let refused_before = scrape(&mut control, "daemon.refused.degraded")?;
-    // Warm the status cache: it is what answers while the fleet is held.
-    control.call(ProviderRequest::Status)?;
 
     // Three client threads storm saves through the retry layer; every
     // artifact the daemon acks is recorded with its encoded bytes.
@@ -847,65 +842,47 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
         }));
     }
 
-    // Mid-storm: wedge the fleet mutex well past the request budget.
-    std::thread::sleep(Duration::from_millis(100));
-    let wedge = handle.inject_wedge(Duration::from_millis(800));
-    std::thread::sleep(Duration::from_millis(50));
-    // The wedged fleet refuses typed after the request budget — never a
-    // hung or dropped connection — and still explains itself.
+    // Mid-storm: once the storm has landed some saves, drain the
+    // daemon while the workers are still saving.
+    let patience = Instant::now() + Duration::from_secs(10);
+    let acked_count = || acked.lock().unwrap_or_else(|e| e.into_inner()).len();
+    while acked_count() < SAVES_BEFORE_DRAIN && Instant::now() < patience {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let drain = control.call(ProviderRequest::Shutdown)?;
+    report.check(
+        "a shutdown mid-storm is acknowledged",
+        matches!(drain, ProviderResponse::Ack),
+        format!("{drain:?}"),
+    );
     let probe = control.call(ProviderRequest::FetchBackup { username: user(0) })?;
     report.check(
-        "a fleet request during the wedge is refused DEGRADED",
-        matches!(&probe, ProviderResponse::Error(e) if e.code == codes::DEGRADED),
+        "a fleet request after the drain is refused SHUTTING_DOWN",
+        matches!(&probe, ProviderResponse::Error(e) if e.code == codes::SHUTTING_DOWN),
         format!("{probe:?}"),
     );
     let status = control.call(ProviderRequest::Status)?;
     report.check(
-        "status still answers during the wedge",
-        matches!(status, ProviderResponse::Status(_)),
-        "served from the status cache",
+        "status still answers while draining",
+        matches!(&status, ProviderResponse::Status(s) if s.draining),
+        "draining: true on the control connection",
     );
-    let _ = wedge.join();
-    std::thread::sleep(Duration::from_millis(300));
     stop.store(true, Ordering::Relaxed);
     for worker in workers {
         let _ = worker.join();
     }
-
-    let refused_after = scrape(&mut control, "daemon.refused.degraded")?;
-    report.check(
-        "requests were refused typed during the wedge",
-        refused_after > refused_before,
-        format!("daemon.refused.degraded {refused_before} -> {refused_after}"),
-    );
-    // The wedge is gone: a fresh save goes straight through, and joins
-    // the acked set the restart is audited against.
-    const AFTER_WEDGE: usize = 9000;
-    let mut rng = StdRng::seed_from_u64(mix(seed, 630));
-    let resumed = remote::connect(&mut control, &user(AFTER_WEDGE)).and_then(|mut client| {
-        remote::save(
-            &mut control,
-            &mut client,
-            &pin(AFTER_WEDGE),
-            &secret(AFTER_WEDGE),
-            &mut rng,
-        )
-    });
-    report.check(
-        "service resumed after the wedge",
-        resumed.is_ok(),
-        "a save on the control connection",
-    );
-    if let Ok(artifact) = &resumed {
-        acked
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((AFTER_WEDGE, remote::encode_artifact(artifact)));
-    }
     drop(control);
+    let drained = handle.wait();
+    report.check(
+        "the drain finishes once the storm's connections close",
+        drained.is_ok(),
+        match &drained {
+            Ok(_) => "handle.wait() returned the checkpoint".to_string(),
+            Err(e) => e.to_string(),
+        },
+    );
 
-    // Drain, then restart from the store.
-    handle.shutdown().map_err(daemon_err)?;
+    // Restart from the store.
     report.injections.restarts += 1;
     let handle = Daemon::bind(
         DaemonConfig::new(&dir, params)
@@ -920,7 +897,7 @@ pub fn drain_during_storm(seed: u64) -> Result<ScenarioReport, ChaosError> {
     report.check(
         "the storm landed some saves",
         !acked.is_empty(),
-        format!("{} saves acked through the wedge", acked.len()),
+        format!("{} saves acked before the drain", acked.len()),
     );
     let mut missing = 0u64;
     let mut mismatched = 0u64;

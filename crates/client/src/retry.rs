@@ -16,8 +16,8 @@
 //!   ([`ProtoError::is_transient`] — drop, corruption, socket I/O) or a
 //!   typed back-pressure refusal
 //!   ([`ErrorReply::is_transient`](safetypin_proto::ErrorReply::is_transient)
-//!   — `RATE_LIMITED`, `OVERLOADED`, `DEGRADED`). A `SHUTTING_DOWN`
-//!   refusal, a log refusal, or a protocol violation is final.
+//!   — `RATE_LIMITED`, `OVERLOADED`). A `SHUTTING_DOWN` refusal, a log
+//!   refusal, or a protocol violation is final.
 //!
 //! Backoff is exponential from [`RetryPolicy::base_delay`], doubling
 //! per attempt and capped at [`RetryPolicy::max_delay`]; the whole
@@ -268,7 +268,6 @@ mod tests {
         for (code, expect_calls) in [
             (codes::OVERLOADED, 4),
             (codes::RATE_LIMITED, 4),
-            (codes::DEGRADED, 4),
             (codes::SHUTTING_DOWN, 1),
             (codes::LOG_REFUSED, 1),
         ] {

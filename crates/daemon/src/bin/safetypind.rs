@@ -25,7 +25,8 @@ options:
   --max-connections M  concurrent-connection ceiling (default 64; 0 = unlimited)
   --rate-limit R       per-connection requests/second (default 0 = unlimited)
   --io-timeout-secs S  per-connection socket timeout (default 30)
-  --seed S             first-boot provisioning seed (default 0)
+  --seed S             RNG seed for first-boot provisioning and, on every
+                       start, for serving requests (default 0)
 ";
 
 struct Args {

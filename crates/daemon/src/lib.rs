@@ -27,13 +27,12 @@
 //!   `draining: true`), in-flight connections finish, and the fleet's
 //!   stores are checkpointed before the accept thread exits (a
 //!   convenience: the store directory is restorable after every commit,
-//!   so a `kill -9` loses nothing an ack covered);
-//! * bounded waits — a request waits at most
-//!   [`DaemonConfig::request_timeout`] for the fleet mutex, then is
-//!   refused with [`codes::DEGRADED`] instead of queueing forever
-//!   behind a wedged fleet operation; status is then served from
-//!   cache, and metrics and shutdown never touch the mutex, so a
-//!   stalled fleet still explains itself.
+//!   so a `kill -9` loses nothing an ack covered).
+//!
+//! An admitted fleet request, and a status query, waits for the fleet
+//! mutex for as long as the fleet is busy (the wait lands in the
+//! `daemon.lock_wait` histogram); metrics and shutdown never touch the
+//! mutex, so a busy fleet can still be observed and drained.
 //!
 //! The `safetypind` and `safetypin-cli` binaries are thin argument
 //! parsers over these pieces.
@@ -46,7 +45,6 @@
 //! [`codes::OVERLOADED`]: safetypin_proto::codes::OVERLOADED
 //! [`codes::RATE_LIMITED`]: safetypin_proto::codes::RATE_LIMITED
 //! [`codes::SHUTTING_DOWN`]: safetypin_proto::codes::SHUTTING_DOWN
-//! [`codes::DEGRADED`]: safetypin_proto::codes::DEGRADED
 
 // Serve-path panic discipline ([workspace.lints.clippy] plus the
 // `assert!` ban in this crate's clippy.toml): no unwrap, expect, raw
@@ -159,7 +157,8 @@ pub struct DaemonConfig {
     /// Block-file tuning for the live [`FileStore`]s.
     pub file_options: FileOptions,
     /// Concurrent connections served before new ones are refused with
-    /// [`codes::OVERLOADED`] (`0` = unlimited).
+    /// [`codes::OVERLOADED`] (`0` = unlimited). A refused connection
+    /// holds no slot, even while it stays open.
     pub max_connections: usize,
     /// Per-connection requests/second before refusing with
     /// [`codes::RATE_LIMITED`] (`0` = unlimited). Bursts up to one
@@ -168,13 +167,11 @@ pub struct DaemonConfig {
     /// Per-connection socket read/write timeout; also bounds how long
     /// draining waits for an idle connection.
     pub io_timeout: Duration,
-    /// How long one request may wait for the fleet mutex before being
-    /// refused with [`codes::DEGRADED`] instead of queueing behind a
-    /// stall.
-    pub request_timeout: Duration,
-    /// Seed for first-boot provisioning (restores ignore it). Two
-    /// daemons booted fresh from the same seed and parameters serve
-    /// byte-identical fleets.
+    /// Seeds the daemon's RNG on every bind: first-boot provisioning
+    /// draws from it, and so does every request served afterwards,
+    /// restores included (ROADMAP item 7 replaces this with owned
+    /// entropy). Two daemons booted fresh from the same seed and
+    /// parameters serve byte-identical fleets.
     pub seed: u64,
 }
 
@@ -190,7 +187,6 @@ impl DaemonConfig {
             max_connections: 64,
             rate_limit: 0,
             io_timeout: Duration::from_secs(30),
-            request_timeout: Duration::from_secs(30),
             seed: 0,
         }
     }
@@ -225,13 +221,7 @@ impl DaemonConfig {
         self
     }
 
-    /// Sets the per-request fleet-mutex wait budget.
-    pub fn request_timeout(mut self, timeout: Duration) -> Self {
-        self.request_timeout = timeout;
-        self
-    }
-
-    /// Sets the first-boot provisioning seed.
+    /// Sets the seed of the daemon's RNG.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -259,7 +249,6 @@ struct DaemonMeters {
     refused_rate_limited: Arc<safetypin_telemetry::Counter>,
     refused_overloaded: Arc<safetypin_telemetry::Counter>,
     refused_shutting_down: Arc<safetypin_telemetry::Counter>,
-    refused_degraded: Arc<safetypin_telemetry::Counter>,
     connections: Arc<safetypin_telemetry::Gauge>,
 }
 
@@ -273,7 +262,6 @@ impl DaemonMeters {
             refused_rate_limited: registry.counter("daemon.refused.rate_limited"),
             refused_overloaded: registry.counter("daemon.refused.overloaded"),
             refused_shutting_down: registry.counter("daemon.refused.shutting_down"),
-            refused_degraded: registry.counter("daemon.refused.degraded"),
             connections: registry.gauge("daemon.connections"),
         }
     }
@@ -289,43 +277,22 @@ struct Shared {
     max_connections: usize,
     rate_limit: u32,
     io_timeout: Duration,
-    request_timeout: Duration,
     store_dir: PathBuf,
     file_options: FileOptions,
-    /// The last fleet status successfully read; served (with live
-    /// connection counters) when the fleet mutex is wedged, so the
-    /// status surface that explains a stall is never itself stalled.
-    status_cache: Mutex<Option<safetypin_proto::StatusReport>>,
     meters: DaemonMeters,
 }
 
 impl Shared {
+    /// The only way to the fleet: waits for the mutex however long the
+    /// fleet is busy, and records the wait in `daemon.lock_wait`.
     fn world(&self) -> MutexGuard<'_, World> {
+        let start = Instant::now();
         // A panic while holding the lock poisons it; the fleet state
         // itself is guarded by its own WAL discipline, so serving
         // beats refusing everything forever.
-        self.world.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Bounded acquisition: spins on `try_lock` for at most `patience`,
-    /// returning `None` (caller refuses typed, never wedges) if the
-    /// mutex stays held. The wait lands in `daemon.lock_wait`.
-    fn try_world(&self, patience: Duration) -> Option<MutexGuard<'_, World>> {
-        let start = Instant::now();
-        let guard = loop {
-            match self.world.try_lock() {
-                Ok(guard) => break guard,
-                Err(std::sync::TryLockError::Poisoned(e)) => break e.into_inner(),
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    if start.elapsed() >= patience {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        };
+        let guard = self.world.lock().unwrap_or_else(|e| e.into_inner());
         self.meters.lock_wait.record_duration(start.elapsed());
-        Some(guard)
+        guard
     }
 }
 
@@ -356,10 +323,8 @@ impl Daemon {
             max_connections: config.max_connections,
             rate_limit: config.rate_limit,
             io_timeout: config.io_timeout,
-            request_timeout: config.request_timeout,
             store_dir: config.store_dir,
             file_options: config.file_options,
-            status_cache: Mutex::new(None),
             meters: DaemonMeters::from_global(),
         });
         let accept_shared = Arc::clone(&shared);
@@ -378,21 +343,6 @@ impl DaemonHandle {
     /// The bound listen address (useful with `listen("127.0.0.1:0")`).
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
-    }
-
-    /// Chaos hook: grabs the fleet mutex and holds it for `hold`,
-    /// simulating a wedged fleet operation. Returns the holder thread's
-    /// handle immediately; join it to wait out the stall. With `hold`
-    /// past [`DaemonConfig::request_timeout`], fleet work is refused
-    /// with [`codes::DEGRADED`] (status/metrics/shutdown still
-    /// answering) until the holder releases.
-    pub fn inject_wedge(&self, hold: Duration) -> JoinHandle<()> {
-        let shared = Arc::clone(&self.shared);
-        std::thread::spawn(move || {
-            let world = shared.world();
-            std::thread::sleep(hold);
-            drop(world);
-        })
     }
 
     /// Requests shutdown over the wire — exactly what a
@@ -497,17 +447,21 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
     let _ = stream.set_read_timeout(Some(shared.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.io_timeout));
     accept_handshake(&mut stream)?;
-    let admitted = {
-        let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-        shared.max_connections == 0 || active <= shared.max_connections as u64
-    };
+    // `active` counts admitted connections only: a refused one takes
+    // no slot, however long it stays open.
+    let admitted = shared
+        .active
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |active| {
+            let free = shared.max_connections == 0 || active < shared.max_connections as u64;
+            free.then_some(active + 1)
+        })
+        .is_ok();
     shared.meters.connections.add(1);
     let mut bucket = TokenBucket::new(shared.rate_limit);
     let serve = |request: ProviderRequest| -> ProviderResponse {
-        // Every request gets a fresh trace id: spans recorded anywhere
-        // below (deployment phases, store fsyncs) run under it, and
-        // policy refusals echo it so a client report can be matched to
-        // the daemon's own records.
+        // Every request gets a fresh trace id, which policy refusals
+        // echo so a client report can be matched to the daemon's own
+        // records.
         let trace = safetypin_telemetry::begin_trace();
         let started = Instant::now();
         shared.meters.requests.incr();
@@ -515,8 +469,8 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
             // Control-plane requests bypass admission and rate policy:
             // shutdown must always land, status must stay observable
             // while draining or overloaded, and the metrics surface is
-            // served straight from the lock-free registry — a wedged
-            // fleet mutex can never hide the numbers that explain it.
+            // served straight from the lock-free registry, so a busy
+            // fleet can never hide the numbers that explain it.
             ProviderRequest::Shutdown => {
                 shared.served.fetch_add(1, Ordering::SeqCst);
                 shared.draining.store(true, Ordering::SeqCst);
@@ -530,43 +484,12 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
             }
             ProviderRequest::Status => {
                 shared.served.fetch_add(1, Ordering::SeqCst);
-                // Status must answer even while the fleet mutex is
-                // wedged: a fresh report when the lock is available,
-                // the cached fleet snapshot (with live connection
-                // counters) when it is not.
-                let fleet = match shared.try_world(shared.request_timeout) {
-                    Some(world) => {
-                        let report = world.deployment.status_report();
-                        let mut cache = shared
-                            .status_cache
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner());
-                        *cache = Some(report.clone());
-                        Some(report)
-                    }
-                    None => shared
-                        .status_cache
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .clone(),
-                };
-                match fleet {
-                    Some(mut report) => {
-                        report.active_connections = shared.active.load(Ordering::SeqCst) as u32;
-                        report.served_requests = shared.served.load(Ordering::SeqCst);
-                        report.rejected_requests = shared.rejected.load(Ordering::SeqCst);
-                        report.draining = shared.draining.load(Ordering::SeqCst);
-                        ProviderResponse::Status(report)
-                    }
-                    // Wedged before the first report was ever built.
-                    None => refusal(
-                        codes::DEGRADED,
-                        &format!(
-                            "fleet stalled before any status was cached (trace {})",
-                            trace.id()
-                        ),
-                    ),
-                }
+                let mut report = shared.world().deployment.status_report();
+                report.active_connections = shared.active.load(Ordering::SeqCst) as u32;
+                report.served_requests = shared.served.load(Ordering::SeqCst);
+                report.rejected_requests = shared.rejected.load(Ordering::SeqCst);
+                report.draining = shared.draining.load(Ordering::SeqCst);
+                ProviderResponse::Status(report)
             }
             _ if shared.draining.load(Ordering::SeqCst) => {
                 shared.rejected.fetch_add(1, Ordering::SeqCst);
@@ -595,27 +518,12 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
                     &format!("per-connection rate limit exceeded (trace {})", trace.id()),
                 )
             }
-            request => match shared.try_world(shared.request_timeout) {
-                Some(mut world) => {
-                    shared.served.fetch_add(1, Ordering::SeqCst);
-                    let World { deployment, rng } = &mut *world;
-                    deployment.handle(request, rng)
-                }
-                // The mutex stayed held for the whole request budget:
-                // refuse typed instead of queueing indefinitely behind
-                // the stall.
-                None => {
-                    shared.rejected.fetch_add(1, Ordering::SeqCst);
-                    shared.meters.refused_degraded.incr();
-                    refusal(
-                        codes::DEGRADED,
-                        &format!(
-                            "fleet mutex held past the request budget (trace {})",
-                            trace.id()
-                        ),
-                    )
-                }
-            },
+            request => {
+                shared.served.fetch_add(1, Ordering::SeqCst);
+                let mut world = shared.world();
+                let World { deployment, rng } = &mut *world;
+                deployment.handle(request, rng)
+            }
         };
         shared
             .meters
@@ -625,6 +533,8 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> Result<(), ProtoErr
     };
     let outcome = serve_frames(&mut stream, serve);
     shared.meters.connections.add(-1);
-    shared.active.fetch_sub(1, Ordering::SeqCst);
+    if admitted {
+        shared.active.fetch_sub(1, Ordering::SeqCst);
+    }
     outcome
 }

@@ -105,12 +105,9 @@ pub mod codes {
     /// The service hit an internal fault (e.g. a fan-out worker died)
     /// and could not produce a real reply for this request.
     pub const INTERNAL: ErrorCode = ErrorCode(38);
-    /// The service is temporarily degraded — its fleet stayed held for
-    /// the whole request budget (a wedged operation, a stalled store) —
-    /// and refuses fleet work instead of queueing behind the stall.
-    /// Control-plane requests (status, metrics, shutdown) keep
-    /// answering; retry fleet work after backing off.
-    pub const DEGRADED: ErrorCode = ErrorCode(39);
+    // 39 is retired: it meant "the fleet stayed held past the request
+    // budget", a refusal the daemon no longer makes. Peers may have
+    // seen it, so it must never be reused for another meaning.
 }
 
 /// A wire-transportable refusal: a stable numeric code plus a
@@ -149,15 +146,12 @@ impl ErrorReply {
     }
 
     /// True for refusals that describe a *transient* service condition —
-    /// rate limiting, admission-control overload, a stalled (degraded)
-    /// fleet — where the same request may well succeed after a backoff.
-    /// Protocol-level refusals (bad proof, consumed attempt, version
-    /// mismatch) are permanent and return `false`.
+    /// rate limiting, admission-control overload — where the same
+    /// request may well succeed after a backoff. Protocol-level
+    /// refusals (bad proof, consumed attempt, version mismatch) are
+    /// permanent and return `false`.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self.code,
-            codes::RATE_LIMITED | codes::OVERLOADED | codes::DEGRADED
-        )
+        matches!(self.code, codes::RATE_LIMITED | codes::OVERLOADED)
     }
 }
 

@@ -299,7 +299,8 @@ pub struct StatusReport {
     pub backups: u64,
     /// Stored §8 reply copies.
     pub reply_copies: u64,
-    /// Client connections currently being served (daemon only).
+    /// Admitted client connections currently open (daemon only); a
+    /// connection refused by admission control is not counted.
     pub active_connections: u32,
     /// Requests served since boot (daemon only).
     pub served_requests: u64,

@@ -689,3 +689,47 @@ fn overload_and_rate_limit_are_typed_refusals() {
     drop(tcp1);
     handle.shutdown().unwrap();
 }
+
+/// A refused connection holds no admission slot, even while it stays
+/// open (a retrying client re-sends `OVERLOADED` requests on the same
+/// socket): once the one admitted connection leaves, the next newcomer
+/// is admitted.
+#[test]
+fn a_refused_connection_holds_no_admission_slot() {
+    let handle = Daemon::bind(config("admission", SEED + 7).max_connections(1)).unwrap();
+    let addr = handle.addr().to_string();
+    let active = |tcp: &mut Tcp| match tcp.call(ProviderRequest::Status).unwrap() {
+        ProviderResponse::Status(report) => report.active_connections,
+        other => panic!("expected a Status reply, got {other:?}"),
+    };
+
+    // A is admitted; one served round guarantees it is counted.
+    let mut a = Tcp::connect(TcpConfig::new(addr.clone())).unwrap();
+    assert_eq!(active(&mut a), 1);
+
+    // B is refused, stays connected, and is not counted.
+    let mut b = Tcp::connect(TcpConfig::new(addr.clone())).unwrap();
+    match b.call(ProviderRequest::FetchEnrollments).unwrap() {
+        ProviderResponse::Error(e) => assert_eq!(e.code, codes::OVERLOADED),
+        other => panic!("expected an OVERLOADED refusal, got {other:?}"),
+    }
+
+    // A leaves; its serving thread releases the slot once it reads the
+    // close. Status is control-plane, so B can watch for that.
+    drop(a);
+    let patience = std::time::Instant::now() + Duration::from_secs(2);
+    while active(&mut b) != 0 && std::time::Instant::now() < patience {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // C arrives while B is still open: no admitted connection is, so C
+    // is served.
+    let mut c = Tcp::connect(TcpConfig::new(addr)).unwrap();
+    match c.call(ProviderRequest::FetchEnrollments).unwrap() {
+        ProviderResponse::Enrollments(list) => assert!(!list.is_empty()),
+        other => panic!("C refused although no admitted connection is open: {other:?}"),
+    }
+    assert_eq!(active(&mut b), 1, "only C is admitted");
+    drop((b, c));
+    handle.shutdown().unwrap();
+}

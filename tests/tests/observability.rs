@@ -64,9 +64,17 @@ fn daemon_metrics_cover_every_layer_over_the_wire() {
 
     let handle = boot("layers", 0x0B5_E001);
     let addr = handle.addr().to_string();
+    let before = scrape(&addr);
 
-    // One full save + recover through the public client protocol.
-    let mut tcp = Tcp::connect(TcpConfig::new(addr.clone())).unwrap();
+    // One full save + recover through the public client protocol. Every
+    // request sent below is a status or fleet request, and `sent`
+    // counts them.
+    let mut sent = 0u64;
+    let mut conn = Tcp::connect(TcpConfig::new(addr.clone())).unwrap();
+    let mut tcp = |request: ProviderRequest| {
+        sent += 1;
+        conn.call(request)
+    };
     let mut rng = StdRng::seed_from_u64(7);
     let mut client = remote::connect(&mut tcp, b"obs-user").unwrap();
     remote::save(&mut tcp, &mut client, b"482911", b"observed", &mut rng).unwrap();
@@ -81,10 +89,11 @@ fn daemon_metrics_cover_every_layer_over_the_wire() {
         username: b"obs-wave-user".to_vec(),
         blob: remote::encode_artifact(&wave_artifact),
     }];
-    match tcp.call(ProviderRequest::SaveBatch(saves)).unwrap() {
+    match tcp(ProviderRequest::SaveBatch(saves)).unwrap() {
         ProviderResponse::SavedBatch(outcomes) => assert_eq!(outcomes.len(), 1),
         other => panic!("expected a SavedBatch reply, got {other:?}"),
     }
+    drop(conn);
 
     let report = scrape(&addr);
     handle.shutdown().unwrap();
@@ -92,7 +101,14 @@ fn daemon_metrics_cover_every_layer_over_the_wire() {
     // Daemon layer: request accounting and end-to-end latency.
     assert!(report.counter("daemon.requests").unwrap_or(0) > 0);
     assert!(histogram_count(&report, "daemon.request") > 0);
-    assert!(histogram_count(&report, "daemon.lock_wait") > 0);
+    // Exactly one fleet-lock wait per status or fleet request: the
+    // series the benchmark scrapes as `daemon.lock_wait_ms`.
+    assert!(sent > 0);
+    assert_eq!(
+        histogram_count(&report, "daemon.lock_wait") - histogram_count(&before, "daemon.lock_wait"),
+        sent,
+        "daemon.lock_wait must record one wait per status or fleet request"
+    );
 
     // Deployment layer: the Figure-10 phase spans fired on the
     // wire-facing dispatch (the same histograms `Deployment::recover`
