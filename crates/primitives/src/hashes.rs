@@ -1,14 +1,14 @@
-//! Domain-separated hashing, HKDF, and hash-to-indices expansion.
+//! Domain-separated hashing, HMAC, and hash-to-indices expansion.
 //!
 //! The paper models its hash functions as random oracles (Appendix A.4) and
 //! separates them by role: `Hash(salt, pin)` maps to a cluster of HSM
 //! indices, `Hash'` derives ElGamal DEM keys, and further hashes build
 //! commitments and Merkle trees. We realize each role as SHA-256 under a
 //! distinct domain-separation prefix so no two roles can ever collide on an
-//! input.
+//! input. Every hash runs on this crate's own SHA-256 kernel
+//! (`crate::sha256`).
 
-use hmac::{Hmac, Mac};
-use sha2::{Digest, Sha256};
+use crate::sha256::Sha256;
 
 /// A 32-byte SHA-256 output.
 pub type Hash256 = [u8; 32];
@@ -44,8 +44,6 @@ pub enum Domain {
     BaselinePinHash,
     /// Deterministic audit-chunk selection (Appendix B.3).
     AuditSelect,
-    /// Generic key derivation (HKDF expand).
-    Hkdf,
 }
 
 impl Domain {
@@ -63,7 +61,6 @@ impl Domain {
             Domain::MultisigPop => b"safetypin/v1/multisig-pop",
             Domain::BaselinePinHash => b"safetypin/v1/baseline-pin",
             Domain::AuditSelect => b"safetypin/v1/audit-select",
-            Domain::Hkdf => b"safetypin/v1/hkdf",
         }
     }
 }
@@ -76,47 +73,34 @@ impl Domain {
 pub fn hash_parts(domain: Domain, parts: &[&[u8]]) -> Hash256 {
     let mut h = Sha256::new();
     let tag = domain.tag();
-    h.update((tag.len() as u64).to_be_bytes());
+    h.update(&(tag.len() as u64).to_be_bytes());
     h.update(tag);
     for part in parts {
-        h.update((part.len() as u64).to_be_bytes());
+        h.update(&(part.len() as u64).to_be_bytes());
         h.update(part);
     }
-    h.finalize().into()
+    h.finalize()
 }
 
-/// HMAC-SHA256 of `data` under `key`.
+/// HMAC-SHA256 (RFC 2104) of `data` under `key`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Hash256 {
-    let mut mac = <Hmac<Sha256> as Mac>::new_from_slice(key).expect("HMAC accepts any key length");
-    mac.update(data);
-    mac.finalize().into_bytes().into()
-}
-
-/// HKDF (RFC 5869) extract-and-expand built by hand on HMAC-SHA256.
-///
-/// Returns `len` bytes of output keying material. Panics if `len` exceeds
-/// 255·32 bytes, per the RFC limit.
-pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= 255 * 32, "HKDF output length limit exceeded");
-    // Extract.
-    let prk = hmac_sha256(salt, ikm);
-    // Expand.
-    let mut okm = Vec::with_capacity(len);
-    let mut block: Vec<u8> = Vec::new();
-    let mut counter: u8 = 1;
-    let tag = Domain::Hkdf.tag();
-    while okm.len() < len {
-        let mut data = Vec::with_capacity(block.len() + tag.len() + info.len() + 1);
-        data.extend_from_slice(&block);
-        data.extend_from_slice(tag);
-        data.extend_from_slice(info);
-        data.push(counter);
-        block = hmac_sha256(&prk, &data).to_vec();
-        let take = core::cmp::min(32, len - okm.len());
-        okm.extend_from_slice(&block[..take]);
-        counter = counter.checked_add(1).expect("HKDF block counter overflow");
+    // A key longer than the 64-byte block is hashed first; a shorter one
+    // is zero-padded to the block.
+    let mut block = [0u8; 64];
+    if key.len() > block.len() {
+        let mut h = Sha256::new();
+        h.update(key);
+        block[..32].copy_from_slice(&h.finalize());
+    } else {
+        block[..key.len()].copy_from_slice(key);
     }
-    okm
+    let mut inner = Sha256::new();
+    inner.update(&block.map(|b| b ^ 0x36));
+    inner.update(data);
+    let mut outer = Sha256::new();
+    outer.update(&block.map(|b| b ^ 0x5c));
+    outer.update(&inner.finalize());
+    outer.finalize()
 }
 
 /// A deterministic stream of pseudorandom bytes derived from a seed.
@@ -235,20 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn hkdf_lengths() {
-        let okm = hkdf(b"salt", b"ikm", b"info", 91);
-        assert_eq!(okm.len(), 91);
-        // Prefix property: shorter outputs are prefixes of longer ones.
-        let short = hkdf(b"salt", b"ikm", b"info", 32);
-        assert_eq!(&okm[..32], &short[..]);
-    }
-
-    #[test]
-    fn hkdf_differs_by_info() {
-        assert_ne!(hkdf(b"s", b"k", b"a", 32), hkdf(b"s", b"k", b"b", 32));
-    }
-
-    #[test]
     fn stream_deterministic_and_distinct() {
         let mut s1 = HashStream::new(Domain::ClusterSelect, &[b"seed"]);
         let mut s2 = HashStream::new(Domain::ClusterSelect, &[b"seed"]);
@@ -303,5 +273,78 @@ mod tests {
         assert_eq!(t1, t2);
         assert_ne!(t1, t3);
         assert_ne!(t1, t4);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// RFC 4231 §4, test cases 1–4, 6 and 7 (case 5 truncates the tag).
+    /// Cases 6 and 7 take the 131-byte key, which is hashed first.
+    #[test]
+    fn hmac_matches_rfc_4231() {
+        let key_25: Vec<u8> = (1..=25).collect();
+        let cases: [(&[u8], &[u8], &str); 6] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &key_25,
+                &[0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than \
+                  block-size data. The key needs to be hashed before being used by the \
+                  HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (i, (key, data, tag)) in cases.into_iter().enumerate() {
+            assert_eq!(hex(&hmac_sha256(key, data)), tag, "case index {i}");
+        }
+    }
+
+    /// The framing `hash_parts` hashes, fed to the vendored `sha2`: the
+    /// digests every stored log, trie and ciphertext depends on.
+    #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the vendored `sha2` is this crate's test oracle"
+    )]
+    fn hash_parts_matches_the_oracle() {
+        use sha2::Digest;
+        let long = [0x5au8; 200];
+        let inputs: [&[&[u8]]; 4] = [&[], &[b""], &[b"salt", b"1234"], &[&long, b"x", &long]];
+        for parts in inputs {
+            let tag = Domain::MerkleNode.tag();
+            let mut h = sha2::Sha256::new();
+            h.update((tag.len() as u64).to_be_bytes());
+            h.update(tag);
+            for part in parts {
+                h.update((part.len() as u64).to_be_bytes());
+                h.update(part);
+            }
+            let expected: Hash256 = h.finalize().into();
+            assert_eq!(hash_parts(Domain::MerkleNode, parts), expected);
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!   key-private encryption scheme from Appendix A.4 of the paper.
 //! - [`aead`]: an authenticated-encryption wrapper around AES-128-GCM.
 //! - [`shamir`]: t-out-of-n Shamir secret sharing over GF(2^8).
-//! - [`hashes`]: domain-separated SHA-256 hashing, HKDF, and the
+//! - [`hashes`]: domain-separated SHA-256 hashing, HMAC, and the
 //!   hash-to-indices expansion used by location-hiding encryption.
 //! - [`commit`]: hash-based commitments (used to commit to recovery-cluster
 //!   identities in the recovery log).
@@ -19,12 +19,15 @@
 //!   proof in the workspace serializes through it so sizes reported by the
 //!   benchmark harness reflect real wire costs.
 //!
-//! Only field/curve/cipher arithmetic comes from external crates
-//! (`p256`, `sha2`, `hmac`, `aes-gcm`); every protocol-level construction is
-//! implemented here from scratch.
+//! Only field/curve/cipher arithmetic comes from external crates (`p256`,
+//! `aes-gcm`); SHA-256 and HMAC run on this crate's own kernel, and every
+//! protocol-level construction is implemented here from scratch. The
+//! `sha2` dependency is the kernel tests' oracle, and nothing in the crate
+//! uses `hmac` (`clippy.toml` bans both types outside tests).
 
-// `deny` rather than `forbid`: the `zeroize` module opts back in for
-// the volatile writes that wipe key material (the crate's only unsafe).
+// `deny` rather than `forbid`: two private modules opt back in, `zeroize`
+// for the volatile writes that wipe key material and `sha256` for the
+// SHA-NI kernel's call and loads.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -35,6 +38,7 @@ pub mod error;
 pub mod gf256;
 pub mod hashes;
 pub mod merkle;
+mod sha256;
 pub mod shamir;
 pub mod wire;
 pub mod zeroize;

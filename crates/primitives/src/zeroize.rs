@@ -8,9 +8,9 @@
 //! optimizer may not elide — and follow with a [`compiler_fence`] so
 //! the wipe is ordered before the deallocation that follows in `Drop`.
 //!
-//! This is the workspace's only unsafe code (the crate is otherwise
-//! `deny(unsafe_code)`); the module is deliberately tiny so the whole
-//! surface is reviewable at once. The guarantees are those of the
+//! The crate is otherwise `deny(unsafe_code)`: only this module and the
+//! SHA-256 kernel (`crate::sha256`) opt back in, and this one is
+//! deliberately tiny so the whole surface is reviewable at once. The guarantees are those of the
 //! `zeroize` crate's approach: protection against the compiler, not
 //! against a swapped-out page or a hardware side channel.
 

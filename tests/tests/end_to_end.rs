@@ -162,8 +162,10 @@ fn published_enrollments_share_the_devices_slot_points() {
 }
 
 /// Fixed-seed output pinned to the byte: the encoded enrollment list a
-/// client downloads and a backup's ciphertext. A change to how keys are
-/// held or a backup is built must not move either hash.
+/// client downloads, a backup's ciphertext, and the log's digest after
+/// that backup's recovery (the trie, Merkle and epoch hashes). A change
+/// to how keys are held, a backup is built or the log is hashed must not
+/// move any of the three.
 #[test]
 fn fixed_seed_enrollments_and_backup_are_byte_identical() {
     use safetypin::primitives::wire::Encode;
@@ -174,7 +176,7 @@ fn fixed_seed_enrollments_and_backup_are_byte_identical() {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    let (d, mut rng) = deployment(8, 11);
+    let (mut d, mut rng) = deployment(8, 11);
     let enrollments = ProviderResponse::Enrollments(d.datacenter.enrollments()).to_bytes();
     assert_eq!(
         hex(Sha256::digest(&enrollments).as_slice()),
@@ -188,6 +190,13 @@ fn fixed_seed_enrollments_and_backup_are_byte_identical() {
     assert_eq!(
         hex(Sha256::digest(&artifact.ciphertext).as_slice()),
         "d48e8fa3a717287587748376e4f84ac85b710b6dd8d1bc191e423b037df205a8"
+    );
+
+    let outcome = d.recover(&client, b"271828", &artifact, &mut rng).unwrap();
+    assert_eq!(outcome.message, b"pinned secret");
+    assert_eq!(
+        hex(&d.datacenter.log_digest()),
+        "ab14017f7e4a216d00a0a5b3e91efef4430774b1e2eb9fc3629768e230f45aee"
     );
 }
 
