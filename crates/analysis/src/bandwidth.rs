@@ -65,7 +65,7 @@ mod tests {
 
     /// Paper-scale model. `enrollment_bytes` is NOT the paper's 3.7 KB:
     /// with one point per Bloom slot (the only structure that keeps
-    /// punctured slots independent — see DESIGN.md), a 2²¹-slot public
+    /// punctured slots independent), a 2²¹-slot public
     /// key is ≈66 MB. We test the *model*, at paper scale, with the
     /// paper's per-HSM figure so the derived quantities can be compared
     /// to §9.2, and separately with our measured record size.
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn honest_full_size_keys_are_heavy() {
         // With full per-slot public keys (2²¹ × 33 B ≈ 69 MB/HSM) the
-        // download is hundreds of GB — the tradeoff our DESIGN.md flags.
+        // download is hundreds of GB — the price of per-slot keys.
         let m = paper_scale((1u64 << 21) * 33);
         assert!(m.initial_download_bytes() > 100 * (1 << 30));
     }

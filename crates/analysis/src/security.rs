@@ -174,7 +174,7 @@ mod tests {
         let bits = p.security_loss_bits();
         // 3N/n = 232.5 ⇒ log2 ≈ 7.86. (The paper's Figure 11 annotates
         // ~6.81 at n = 40 from a tighter accounting of the same lemma;
-        // the slope in n is identical — see EXPERIMENTS.md.)
+        // the slope in n is identical.)
         assert!((bits - 7.86).abs() < 0.05, "got {bits}");
     }
 

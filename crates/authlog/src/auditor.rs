@@ -79,32 +79,6 @@ pub fn recovery_attempts_for<'a>(entries: &'a [LogEntry], id: &[u8]) -> Vec<&'a 
     entries.iter().filter(|e| e.id == id).collect()
 }
 
-/// A designated auditor's endorsement of a log digest (§6.3: "the HSMs
-/// would only complete the recovery if these auditors sign the latest log
-/// digest"). Brute-forcing a user's PIN then requires compromising their
-/// external auditors too.
-pub fn endorse_digest(
-    sk: &safetypin_multisig::SigningKey,
-    digest: &Hash256,
-) -> safetypin_multisig::Signature {
-    sk.sign(&endorsement_message(digest))
-}
-
-/// Verifies a designated auditor's endorsement of `digest`.
-pub fn verify_endorsement(
-    vk: &safetypin_multisig::VerifyKey,
-    digest: &Hash256,
-    sig: &safetypin_multisig::Signature,
-) -> bool {
-    vk.verify(&endorsement_message(digest), sig)
-}
-
-fn endorsement_message(digest: &Hash256) -> Vec<u8> {
-    let mut msg = b"safetypin/auditor-endorse/v1".to_vec();
-    msg.extend_from_slice(digest);
-    msg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,8 +18,7 @@
 //!   `ProveExtends`, `DoesExtend`) over a Merkle binary search tree; we use
 //!   a Merkle binary *trie* keyed by `H(id)` — the same interface and
 //!   security properties with set-deterministic digests and simpler
-//!   insertion-replay extension proofs (substitution recorded in
-//!   DESIGN.md).
+//!   insertion-replay extension proofs.
 //! - [`log`]: the provider-side log state; generates inclusion and
 //!   extension proofs as it ingests insertions.
 //! - [`distributed`]: the Figure 5 epoch-update protocol — the provider

@@ -1,4 +1,4 @@
-//! Regenerates the paper's bandwidth artifact. See DESIGN.md for the index.
+//! Regenerates the paper's bandwidth artifact.
 
 fn main() {
     safetypin_bench::figures::bandwidth::run();

@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig8 artifact. See DESIGN.md for the index.
+//! Regenerates the paper's fig8 artifact.
 
 fn main() {
     safetypin_bench::figures::fig8::run();

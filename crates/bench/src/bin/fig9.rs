@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig9 artifact. See DESIGN.md for the index.
+//! Regenerates the paper's fig9 artifact.
 
 fn main() {
     safetypin_bench::figures::fig9::run();

@@ -1,4 +1,4 @@
-//! Regenerates the paper's table14 artifact. See DESIGN.md for the index.
+//! Regenerates the paper's table14 artifact.
 
 fn main() {
     safetypin_bench::figures::table14::run();

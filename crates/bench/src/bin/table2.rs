@@ -1,4 +1,4 @@
-//! Regenerates the paper's table2 artifact. See DESIGN.md for the index.
+//! Regenerates the paper's table2 artifact.
 
 fn main() {
     safetypin_bench::figures::table2::run();

@@ -1,4 +1,4 @@
-//! Regenerates the paper's table7 artifact. See DESIGN.md for the index.
+//! Regenerates the paper's table7 artifact.
 
 fn main() {
     safetypin_bench::figures::table7::run();

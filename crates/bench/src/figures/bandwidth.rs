@@ -49,7 +49,7 @@ pub fn run() {
 
     // One full recovery over the Serialized transport: the per-recovery
     // traffic below is the sum of the actual encoded request/response
-    // envelopes (log epoch + batched cluster round), not an estimate.
+    // envelopes (log epoch + grouped cluster round), not an estimate.
     let outcome = deployment
         .recover(&client, b"123456", &artifact, &mut rng)
         .expect("scaled recovery succeeds");
@@ -73,7 +73,7 @@ pub fn run() {
         ],
     );
     report.line(format!(
-        "{} envelopes / {} messages; cluster round batched into one envelope per direction",
+        "{} envelopes / {} messages; one envelope per contacted HSM per direction",
         wire.envelopes, wire.messages
     ));
 
@@ -109,7 +109,6 @@ pub fn run() {
         ));
     }
     report.line("paper: 11.5 MB initial, 1.97 MB/day, ~9.02 KB stored for the chosen cluster.");
-    report.line("(Our honest per-slot public keys are far larger — see DESIGN.md §3 and");
-    report.line(" EXPERIMENTS.md for the discrepancy discussion.)");
+    report.line("(Our honest per-slot public keys are far larger: one 33-byte point per slot.)");
     report.finish();
 }

@@ -86,7 +86,6 @@ pub fn run() {
     );
     report.line("");
     report.line("paper Fig 11: ~1.0 s at n = 40 growing slowly to ~1.3 s at n = 100;");
-    report
-        .line("bits 6.81 → 5.49 (ours: 7.86 → 6.54 — same log2(3N/n) slope, see EXPERIMENTS.md).");
+    report.line("bits 6.81 → 5.49 (ours: 7.86 → 6.54 — same log2(3N/n) slope).");
     report.finish();
 }

@@ -15,8 +15,7 @@
 //! Scaling note: the paper's log holds ~100M entries (trie depth ≈ 27);
 //! we pre-seed 2^17 (depth ≈ 17) and report both raw and depth-corrected
 //! times. Audit cost is proof-bytes-dominated and proof size is linear in
-//! depth, so the correction is a simple ratio (documented in
-//! EXPERIMENTS.md).
+//! depth, so the correction is a simple ratio.
 
 use safetypin_authlog::distributed::{audit_chunks_for, verify_chunk, EpochUpdate};
 use safetypin_authlog::log::Log;

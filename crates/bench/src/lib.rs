@@ -3,9 +3,10 @@
 //!
 //! Each `figures::*` module regenerates one table or figure; the binaries
 //! under `src/bin/` are thin wrappers, and `all_figures` runs everything
-//! and writes the output under `bench_out/`. The per-experiment index
-//! mapping paper artifacts to these modules lives in DESIGN.md; the
-//! measured-vs-paper comparison lives in EXPERIMENTS.md.
+//! and writes the output under `bench_out/`. Each module and binary is
+//! named after the paper artifact it regenerates, and each report prints
+//! the paper's numbers beside ours; README's *Benchmarks* section says
+//! which of them the repository stands behind.
 //!
 //! Methodology: protocols execute with real cryptography on the host while
 //! meters count resource-relevant operations; device time is then priced

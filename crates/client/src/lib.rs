@@ -384,7 +384,6 @@ impl RecoveryAttempt {
                         ciphertext: self.ct_bytes.clone(),
                         share_indices,
                         recovery_pk: self.recovery_kp.as_ref().map(|kp| kp.pk),
-                        auditor_endorsements: Vec::new(),
                     },
                 )
             })

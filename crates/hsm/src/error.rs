@@ -43,9 +43,6 @@ pub enum HsmError {
     BadAggregate,
     /// A fleet key's proof of possession failed.
     BadProofOfPossession,
-    /// A designated external auditor's endorsement of the current digest
-    /// was missing or invalid (§6.3).
-    MissingAuditorEndorsement,
     /// The provider has exhausted its garbage-collection budget.
     GcLimitReached,
     /// Malformed wire input.
@@ -71,9 +68,6 @@ impl fmt::Display for HsmError {
             }
             HsmError::BadAggregate => write!(f, "aggregate signature rejected"),
             HsmError::BadProofOfPossession => write!(f, "fleet key proof-of-possession rejected"),
-            HsmError::MissingAuditorEndorsement => {
-                write!(f, "designated-auditor endorsement missing or invalid")
-            }
             HsmError::GcLimitReached => write!(f, "garbage-collection budget exhausted"),
             HsmError::Wire(e) => write!(f, "malformed input: {e}"),
             HsmError::Crypto(e) => write!(f, "crypto failure: {e}"),
@@ -126,7 +120,6 @@ impl From<&HsmError> for safetypin_proto::ErrorReply {
             HsmError::QuorumTooSmall { .. } => codes::QUORUM_TOO_SMALL,
             HsmError::BadAggregate => codes::BAD_AGGREGATE,
             HsmError::BadProofOfPossession => codes::BAD_PROOF_OF_POSSESSION,
-            HsmError::MissingAuditorEndorsement => codes::MISSING_AUDITOR_ENDORSEMENT,
             HsmError::GcLimitReached => codes::GC_LIMIT_REACHED,
             HsmError::Wire(_) => codes::WIRE,
             HsmError::Crypto(_) => codes::CRYPTO,
@@ -161,7 +154,6 @@ impl From<&safetypin_proto::ErrorReply> for HsmError {
             codes::QUORUM_TOO_SMALL => HsmError::QuorumTooSmall { got: 0, need: 0 },
             codes::BAD_AGGREGATE => HsmError::BadAggregate,
             codes::BAD_PROOF_OF_POSSESSION => HsmError::BadProofOfPossession,
-            codes::MISSING_AUDITOR_ENDORSEMENT => HsmError::MissingAuditorEndorsement,
             codes::GC_LIMIT_REACHED => HsmError::GcLimitReached,
             codes::WIRE => HsmError::Wire(WireError::InvalidTag(0)),
             codes::CRYPTO => HsmError::Crypto(CryptoError::DecryptionFailed),

@@ -213,7 +213,6 @@ pub struct Hsm {
     bfe_sk: BfeSecretKey,
     log_digest: Hash256,
     fleet_keys: Vec<multisig::VerifyKey>,
-    designated_auditors: Vec<multisig::VerifyKey>,
     gc_count: u64,
     key_epoch: u64,
     status: HsmStatus,
@@ -247,7 +246,6 @@ impl Hsm {
             bfe_sk,
             log_digest: MerkleTrie::empty_digest(),
             fleet_keys: Vec::new(),
-            designated_auditors: Vec::new(),
             gc_count: 0,
             key_epoch: 0,
             status: HsmStatus::Active,
@@ -695,33 +693,6 @@ impl Hsm {
         Ok(())
     }
 
-    /// Installs the deployment's designated external auditors (§6.3):
-    /// once set, every recovery must present each auditor's signature
-    /// over the HSM's current log digest. Brute-forcing a PIN through
-    /// the log then additionally requires compromising the auditors.
-    pub fn set_designated_auditors(&mut self, keys: Vec<multisig::VerifyKey>) {
-        self.designated_auditors = keys;
-        self.static_dirty = true;
-    }
-
-    fn check_auditor_endorsements(
-        &self,
-        endorsements: &[multisig::Signature],
-    ) -> Result<(), HsmError> {
-        if self.designated_auditors.is_empty() {
-            return Ok(());
-        }
-        if endorsements.len() != self.designated_auditors.len() {
-            return Err(HsmError::MissingAuditorEndorsement);
-        }
-        for (vk, sig) in self.designated_auditors.iter().zip(endorsements) {
-            if !safetypin_authlog::auditor::verify_endorsement(vk, &self.log_digest, sig) {
-                return Err(HsmError::MissingAuditorEndorsement);
-            }
-        }
-        Ok(())
-    }
-
     fn ensure_active(&self) -> Result<(), HsmError> {
         match self.status {
             HsmStatus::Failed => Err(HsmError::Unavailable),
@@ -742,7 +713,6 @@ impl Hsm {
         request: &RecoveryRequest,
     ) -> Result<CheckedRecovery, HsmError> {
         self.ensure_active()?;
-        self.check_auditor_endorsements(&request.auditor_endorsements)?;
         self.costs.log.add_io(request.to_bytes().len() as u64);
 
         // 1. Recompute the client's commitment from its opening.

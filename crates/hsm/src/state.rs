@@ -22,11 +22,14 @@
 //! * [`SECRETS_ADDR`] — what changes only at provisioning and rotation:
 //!   the configuration, the identity and BLS signing secrets, and a
 //!   digest of the public block. Sealed; 168 bytes.
-//! * [`PUBLIC_ADDR`] — the registered fleet keys, the designated
-//!   auditors and the BFE public key (33 bytes per slot: 541 KB at 2^14
-//!   slots). All public, so stored **unsealed**; the digest inside the
-//!   sealed secrets block is what keeps the untrusted host from swapping
-//!   in rogue fleet keys.
+//! * [`PUBLIC_ADDR`] — the registered fleet keys and the BFE public
+//!   key (33 bytes per slot: 541 KB at 2^14 slots). All public, so
+//!   stored **unsealed**; the digest inside the sealed secrets block is
+//!   what keeps the untrusted host from swapping in rogue fleet keys.
+//!   The layout follows `PROTO_VERSION`: version 2 also kept a
+//!   designated-auditor list between the two, and a store written by
+//!   another version is refused by `snapshot.meta`'s version check
+//!   before any of its blocks is opened.
 //!
 //! The sealed blocks model the HSM's internal NVRAM: an operator holding
 //! the provider's disks but not the device keys learns nothing from
@@ -145,11 +148,10 @@ impl Hsm {
     pub fn commit<S: BlockStore, R: RngCore + CryptoRng>(&mut self, store: &mut S, rng: &mut R) {
         let id = self.config.id;
         if std::mem::take(&mut self.static_dirty) {
-            let keys = self.fleet_keys.len() + self.designated_auditors.len();
+            let keys = self.fleet_keys.len();
             let bfe = self.config.bfe_params.public_key_bytes() as usize;
-            let mut public = Writer::with_capacity(bfe + multisig::PK_LEN * keys + 8);
+            let mut public = Writer::with_capacity(bfe + multisig::PK_LEN * keys + 4);
             public.put_seq(&self.fleet_keys);
-            public.put_seq(&self.designated_auditors);
             self.bfe_pk.encode(&mut public);
             let public = public.into_bytes();
 
@@ -219,7 +221,6 @@ impl Hsm {
         }
         let mut r = Reader::new(&public);
         let fleet_keys = r.get_seq()?;
-        let designated_auditors = r.get_seq()?;
         let bfe_pk = BfePublicKey::decode(&mut r)?;
 
         let (bfe_sk, log_digest, gc_count, key_epoch, status) = get_sealed(
@@ -250,7 +251,6 @@ impl Hsm {
             bfe_sk,
             log_digest,
             fleet_keys,
-            designated_auditors,
             gc_count,
             key_epoch,
             status,

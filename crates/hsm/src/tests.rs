@@ -187,7 +187,6 @@ fn full_recovery(fx: &mut Fixture, username: &[u8], pin: &[u8], msg: &[u8]) -> V
             ciphertext: ct_bytes.clone(),
             share_indices: positions,
             recovery_pk: None,
-            auditor_endorsements: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(hsm_id);
         let response = fx.recover_share(hsm_id, &request, &mut rng).unwrap();
@@ -222,7 +221,6 @@ fn recovery_punctures_revoking_reuse() {
             ciphertext: ct_bytes.clone(),
             share_indices: positions.clone(),
             recovery_pk: None,
-            auditor_endorsements: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(*hsm_id);
         fx.recover_share(*hsm_id, &request, &mut rng).unwrap();
@@ -237,7 +235,6 @@ fn recovery_punctures_revoking_reuse() {
             ciphertext: ct_bytes.clone(),
             share_indices: positions.clone(),
             recovery_pk: None,
-            auditor_endorsements: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(*hsm_id);
         assert_eq!(
@@ -267,7 +264,6 @@ fn unlogged_recovery_rejected() {
         ciphertext: ct_bytes,
         share_indices: positions,
         recovery_pk: None,
-        auditor_endorsements: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(1);
     assert_eq!(
@@ -293,7 +289,6 @@ fn ciphertext_substitution_rejected() {
         ciphertext: other_bytes,
         share_indices: positions,
         recovery_pk: None,
-        auditor_endorsements: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(2);
     assert_eq!(
@@ -317,7 +312,6 @@ fn wrong_cluster_slot_rejected() {
         ciphertext: ct_bytes,
         share_indices: vec![0],
         recovery_pk: None,
-        auditor_endorsements: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(3);
     assert_eq!(
@@ -343,7 +337,6 @@ fn per_recovery_encrypted_reply() {
             ciphertext: ct_bytes.clone(),
             share_indices: positions,
             recovery_pk: Some(recovery_kp.pk),
-            auditor_endorsements: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(hsm_id + 100);
         let response = fx.recover_share(hsm_id, &request, &mut rng).unwrap();
@@ -566,7 +559,6 @@ fn key_rotation_resets_punctures() {
         ciphertext: ct_bytes,
         share_indices: positions,
         recovery_pk: None,
-        auditor_endorsements: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(7);
     fx.recover_share(hsm_id, &request, &mut rng).unwrap();
@@ -669,56 +661,10 @@ fn request_wire_roundtrip() {
         ciphertext: ct_bytes,
         share_indices: Fixture::grouped(&cluster).into_iter().next().unwrap().1,
         recovery_pk: None,
-        auditor_endorsements: Vec::new(),
     };
     use safetypin_primitives::wire::Decode;
     let back = RecoveryRequest::from_bytes(&request.to_bytes()).unwrap();
     assert_eq!(back, request);
-}
-
-#[test]
-fn designated_auditors_gate_recovery() {
-    // §6.3 extension: with designated auditors installed, an HSM refuses
-    // recovery until every auditor has endorsed its current digest.
-    let mut fx = fixture();
-    let auditor_key = safetypin_multisig::SigningKey::generate(&mut fx.rng);
-    for h in fx.hsms.iter_mut() {
-        h.set_designated_auditors(vec![auditor_key.verify_key()]);
-    }
-    let (_, ct_bytes, salt) = fx.backup(b"judy", b"888888", b"m");
-    let (cluster, opening, inclusion) = fx.log_recovery(b"judy", b"888888", &ct_bytes, &salt);
-    let (hsm_id, positions) = Fixture::grouped(&cluster).into_iter().next().unwrap();
-
-    // Without an endorsement: refused.
-    let mut request = RecoveryRequest {
-        username: b"judy".to_vec(),
-        salt,
-        opening,
-        inclusion,
-        ciphertext: ct_bytes,
-        share_indices: positions,
-        recovery_pk: None,
-        auditor_endorsements: Vec::new(),
-    };
-    let mut rng = StdRng::seed_from_u64(88);
-    assert_eq!(
-        fx.recover_share(hsm_id, &request, &mut rng).unwrap_err(),
-        HsmError::MissingAuditorEndorsement
-    );
-
-    // With an endorsement of the WRONG digest: refused.
-    let stale = safetypin_authlog::auditor::endorse_digest(&auditor_key, &[0u8; 32]);
-    request.auditor_endorsements = vec![stale];
-    assert_eq!(
-        fx.recover_share(hsm_id, &request, &mut rng).unwrap_err(),
-        HsmError::MissingAuditorEndorsement
-    );
-
-    // With a fresh endorsement of the certified digest: served.
-    let digest = fx.hsms[hsm_id as usize].log_digest();
-    let good = safetypin_authlog::auditor::endorse_digest(&auditor_key, &digest);
-    request.auditor_endorsements = vec![good];
-    fx.recover_share(hsm_id, &request, &mut rng).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -777,7 +723,6 @@ fn two_user_round(
                 ciphertext: ct_bytes.clone(),
                 share_indices: positions,
                 recovery_pk: None,
-                auditor_endorsements: Vec::new(),
             });
         }
     }
@@ -859,7 +804,6 @@ fn handle_batch_repeated_tag_observes_earlier_puncture() {
         ciphertext: ct_bytes,
         share_indices: positions,
         recovery_pk: None,
-        auditor_endorsements: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(7);
     let responses = fx.hsms[hsm_id as usize].handle_batch(
@@ -1005,7 +949,6 @@ fn handle_batch_cross_tag_slot_coverage_matches_serial() {
                 ciphertext: ct_bytes,
                 share_indices: positions,
                 recovery_pk: None,
-                auditor_endorsements: Vec::new(),
             });
         }
         let mut rng = StdRng::seed_from_u64(0xC0FE);
@@ -1068,7 +1011,6 @@ fn one_served_recovery(fx: &mut Fixture, username: &[u8]) -> (u64, RecoveryReque
         ciphertext: ct_bytes,
         share_indices: positions,
         recovery_pk: None,
-        auditor_endorsements: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(3);
     fx.recover_share(hsm_id, &request, &mut rng).unwrap();

@@ -201,11 +201,16 @@ impl<'a> Reader<'a> {
     /// Reads a `u32`-prefixed sequence of decodable items.
     pub fn get_seq<T: Decode>(&mut self) -> Result<Vec<T>, WireError> {
         let len = self.get_u32()? as usize;
-        // Each item consumes at least one byte; this caps allocation.
+        // Each item consumes at least one byte; this caps the count.
         if len > self.remaining() {
             return Err(WireError::LengthOutOfRange);
         }
-        let mut out = Vec::with_capacity(len);
+        // The declared count is the peer's claim: reserve only as many
+        // items as the bytes left in the input would fill in memory, so
+        // the reservation is bounded by the input. Growth past that is
+        // paid for by items that actually decode.
+        let fits = self.remaining() / core::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             out.push(T::decode(self)?);
         }

@@ -71,8 +71,9 @@ pub mod codes {
     pub const BAD_AGGREGATE: ErrorCode = ErrorCode(11);
     /// A fleet key's proof of possession failed.
     pub const BAD_PROOF_OF_POSSESSION: ErrorCode = ErrorCode(12);
-    /// A designated-auditor endorsement was missing or invalid.
-    pub const MISSING_AUDITOR_ENDORSEMENT: ErrorCode = ErrorCode(13);
+    // 13 is retired: it meant "a designated-auditor endorsement was
+    // missing or invalid", a gate the HSM no longer has. Peers may have
+    // seen it, so it must never be reused for another meaning.
     /// The provider exhausted its garbage-collection budget.
     pub const GC_LIMIT_REACHED: ErrorCode = ErrorCode(14);
     /// Malformed wire input inside a payload.

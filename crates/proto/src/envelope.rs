@@ -27,23 +27,19 @@ use crate::messages::SnapshotMeta;
 /// existing message's encoding must bump this constant (purely additive
 /// variants may keep it). Version 2 dropped the per-phase cost meter
 /// that version 1 appended to every `HsmResponse::RecoveryShare`.
-pub const PROTO_VERSION: u16 = 2;
+/// Version 3 retired the solo and batch HSM kinds (tags 0–3: every
+/// fleet round travels as per-device groups) and dropped the always-empty
+/// designated-auditor endorsement list from `RecoveryRequest`.
+pub const PROTO_VERSION: u16 = 3;
 
 /// Every message kind that can travel in an [`Envelope`].
 ///
-/// The batch variants pack one entry per addressed HSM so a whole
-/// cluster recovery round (or epoch fan-out) pays a single envelope
-/// framing instead of one per device.
+/// HSM traffic travels only as per-device groups: every fleet round
+/// ships one [`HsmGroupRequest`](Message::HsmGroupRequest) per addressed
+/// HSM and gets one [`HsmGroupResponse`](Message::HsmGroupResponse)
+/// back, as over the paper's per-device USB links.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Datacenter → one HSM.
-    HsmRequest(HsmRequest),
-    /// One HSM → datacenter.
-    HsmResponse(HsmResponse),
-    /// Datacenter → many HSMs, one envelope (batched fan-out).
-    HsmBatchRequest(Vec<(u64, HsmRequest)>),
-    /// Many HSMs → datacenter, one envelope.
-    HsmBatchResponse(Vec<(u64, HsmResponse)>),
     /// Client → untrusted provider.
     ProviderRequest(ProviderRequest),
     /// Untrusted provider → client.
@@ -53,11 +49,11 @@ pub enum Message {
     /// the same strict version handshake as live traffic).
     SnapshotMeta(SnapshotMeta),
     /// Datacenter → one HSM: **all** of one round's requests bound for
-    /// that device — possibly many users' — in a single envelope. The
-    /// multi-user recovery engine ships one of these per HSM per round
-    /// (one envelope per HSM per direction), and the device serves the
-    /// whole group under a single durability barrier
-    /// (`Hsm::handle_batch`'s group commit).
+    /// that device — possibly many users' — in a single envelope. Every
+    /// fleet round (recovery, epoch audit and accept, GC, rotation)
+    /// ships one of these per addressed HSM (one envelope per HSM per
+    /// direction), and the device serves the whole group under a single
+    /// durability barrier (`Hsm::handle_batch`'s group commit).
     HsmGroupRequest {
         /// The addressed HSM's datacenter index.
         id: u64,
@@ -83,23 +79,10 @@ pub const MAX_GROUP_REQUESTS: usize = 4096;
 
 impl Encode for Message {
     fn encode(&self, w: &mut Writer) {
+        // Tags 0–3 are retired (version 3): they carried the solo and
+        // batch HSM kinds. A decoder refuses them as unknown tags; they
+        // must never be reused for another meaning.
         match self {
-            Message::HsmRequest(m) => {
-                w.put_u8(0);
-                m.encode(w);
-            }
-            Message::HsmResponse(m) => {
-                w.put_u8(1);
-                m.encode(w);
-            }
-            Message::HsmBatchRequest(items) => {
-                w.put_u8(2);
-                w.put_seq(items);
-            }
-            Message::HsmBatchResponse(items) => {
-                w.put_u8(3);
-                w.put_seq(items);
-            }
             Message::ProviderRequest(m) => {
                 w.put_u8(4);
                 m.encode(w);
@@ -144,10 +127,6 @@ fn get_group<T: Decode>(r: &mut Reader<'_>) -> core::result::Result<(u64, Vec<T>
 impl Decode for Message {
     fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
         match r.get_u8()? {
-            0 => Ok(Message::HsmRequest(HsmRequest::decode(r)?)),
-            1 => Ok(Message::HsmResponse(HsmResponse::decode(r)?)),
-            2 => Ok(Message::HsmBatchRequest(r.get_seq()?)),
-            3 => Ok(Message::HsmBatchResponse(r.get_seq()?)),
             4 => Ok(Message::ProviderRequest(ProviderRequest::decode(r)?)),
             5 => Ok(Message::ProviderResponse(ProviderResponse::decode(r)?)),
             6 => Ok(Message::SnapshotMeta(SnapshotMeta::decode(r)?)),

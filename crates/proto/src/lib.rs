@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! version : u16   — must equal PROTO_VERSION, checked before anything else
-//! tag     : u8    — selects the Message kind (request/response/batch, per role)
+//! tag     : u8    — selects the Message kind (provider request/response, per-HSM group)
 //! payload : bytes — the message, in the strict length-prefixed codec of
 //!                   safetypin_primitives::wire
 //! ```
@@ -39,8 +39,8 @@
 //!
 //! The [`transport`] module defines the [`Transport`] trait — one
 //! required [`round`](Transport::round) method over a request-class
-//! enum ([`Traffic`]), with typed conveniences default-implemented on
-//! top — and three backends for the provider↔fleet hop: [`Direct`]
+//! enum ([`Traffic`]; every fleet round is [`Traffic::Grouped`]), with
+//! typed conveniences default-implemented on top — and three backends for the provider↔fleet hop: [`Direct`]
 //! (in-process, zero-copy), [`Serialized`] (full codec round-trip,
 //! byte-metered and priced against a USB profile) and [`Faulty`]
 //! (seeded drop/delay/corrupt injection). See the module docs for how

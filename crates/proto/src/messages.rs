@@ -90,10 +90,6 @@ pub struct RecoveryRequest {
     pub share_indices: Vec<u32>,
     /// Optional per-recovery public key for encrypted replies (§8).
     pub recovery_pk: Option<elgamal::PublicKey>,
-    /// Designated-auditor endorsements of the latest log digest, in the
-    /// order of the HSM's configured auditor set (§6.3). Empty when the
-    /// deployment designates no auditors.
-    pub auditor_endorsements: Vec<multisig::Signature>,
 }
 
 impl Encode for RecoveryRequest {
@@ -108,7 +104,6 @@ impl Encode for RecoveryRequest {
             w.put_u32(*i);
         }
         w.put_option(&self.recovery_pk);
-        w.put_seq(&self.auditor_endorsements);
     }
 }
 
@@ -135,7 +130,6 @@ impl Decode for RecoveryRequest {
             ciphertext,
             share_indices,
             recovery_pk: r.get_option()?,
-            auditor_endorsements: r.get_seq()?,
         })
     }
 }

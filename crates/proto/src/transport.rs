@@ -5,11 +5,11 @@
 //! A [`Transport`] moves one *round* of [`Traffic`] to the serving peer
 //! and its [`TrafficReply`] back. The serving side is supplied by the
 //! caller as a `serve` closure (the datacenter owns the devices), so a
-//! transport decides only *how* the messages travel. The [`Traffic`]
-//! classes differ only in framing: the fleet serves every class through
-//! one grouped fan-out, where a solo request is a group of one and a
-//! per-request batch is regrouped by device (recovery rounds always
-//! travel as [`Traffic::Grouped`]).
+//! transport decides only *how* the messages travel. Every fleet round
+//! — recovery, epoch audit and accept, GC, rotation — travels as
+//! [`Traffic::Grouped`]: one request group per addressed HSM, one
+//! envelope per HSM per direction, as on the paper's per-device USB
+//! links (a solo request is a group of one).
 //! Backends:
 //!
 //! * [`Direct`] — in-process, zero-copy: the request value is handed to
@@ -27,12 +27,14 @@
 //!
 //! Implement exactly one required method, [`Transport::round`]: given
 //! one [`Traffic`] value, deliver it (however the medium does that) and
-//! return the matching [`TrafficReply`] class. The convenience methods
-//! ([`exchange`](Transport::exchange),
-//! [`exchange_batch`](Transport::exchange_batch),
-//! [`exchange_grouped`](Transport::exchange_grouped),
-//! [`call_provider`](Transport::call_provider)) are default-implemented
-//! on top of `round` and never need overriding. Encode with
+//! return the matching [`TrafficReply`] class. The two conveniences,
+//! [`exchange_grouped`](Transport::exchange_grouped) and
+//! [`call_provider`](Transport::call_provider), are default-implemented
+//! on top of `round` and never need overriding. A wire backend ships a
+//! grouped round as one [`Message::HsmGroupRequest`] per group and a
+//! provider round as one [`Message::ProviderRequest`]; it refuses
+//! [`Traffic::Single`] and [`Traffic::Batch`], which no envelope
+//! carries, with [`ProtoError::UnexpectedMessage`]. Encode with
 //! [`Envelope::seal`] + [`Encode::to_bytes`]; decode with
 //! [`Envelope::from_bytes`] and reject unexpected message kinds with
 //! [`ProtoError::UnexpectedMessage`]. Report moved bytes through
@@ -50,19 +52,23 @@ use crate::api::{ErrorReply, HsmRequest, HsmResponse, ProviderRequest, ProviderR
 use crate::envelope::{Envelope, Message};
 use crate::error::ProtoError;
 
-/// One round of requests, classified by shape. Every transport speaks
-/// all four classes through the single [`Transport::round`] method.
+/// One round of requests, classified by shape, carried through the
+/// single [`Transport::round`] method. Fleet rounds are
+/// [`Grouped`](Traffic::Grouped); client rounds are
+/// [`Provider`](Traffic::Provider).
 #[derive(Debug, Clone, PartialEq)]
 #[expect(
     clippy::large_enum_variant,
     reason = "Single inlines an HsmRequest, same trade as HsmRequest itself"
 )]
 pub enum Traffic {
-    /// One request for one HSM (the `u64` is its datacenter index).
+    /// Retired: one request for one HSM. Nothing sends it; it stays so
+    /// that existing [`Transport`] implementations matching on it still
+    /// build. The fleet refuses it with a typed `UNSUPPORTED` reply,
+    /// [`Serialized`] with [`ProtoError::UnexpectedMessage`].
     Single(u64, HsmRequest),
-    /// A fan-out of per-HSM requests, answered in request order. The
-    /// whole batch is handed to `serve` in one call so the fleet can
-    /// process independent HSMs concurrently.
+    /// Retired: a per-request fan-out, refused exactly like
+    /// [`Single`](Traffic::Single).
     Batch(Vec<(u64, HsmRequest)>),
     /// A **grouped** round: per addressed HSM, the whole coalesced
     /// request group — possibly many users' requests — in one delivery
@@ -77,10 +83,10 @@ pub enum Traffic {
 /// The reply to one [`Traffic`] round, in the matching class.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrafficReply {
-    /// Reply to [`Traffic::Single`].
+    /// Reply to the retired [`Traffic::Single`].
     Single(HsmResponse),
-    /// Reply to [`Traffic::Batch`], one response per request, in
-    /// request order.
+    /// Reply to the retired [`Traffic::Batch`], one response per
+    /// request, in request order.
     Batch(Vec<(u64, HsmResponse)>),
     /// Reply to [`Traffic::Grouped`], one `(id, responses)` entry per
     /// delivered group, in group order, each list in request order.
@@ -94,17 +100,17 @@ pub enum TrafficReply {
 /// fans independent per-HSM groups out across threads
 /// ([`std::thread::scope`] in `safetypin-provider`) — while the
 /// transport decides only how the envelopes *travel*. Implementations
-/// must reply in the delivered class: per-item responses in request
-/// order for batches, one `(id, responses)` entry per group in group
-/// order for grouped rounds.
+/// must reply in the delivered class: one `(id, responses)` entry per
+/// group in group order for grouped rounds.
 pub type ServeTrafficFn<'a> = dyn FnMut(Traffic) -> TrafficReply + 'a;
 
 /// Byte/message/time accounting for one transport.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct TransportStats {
-    /// Envelopes sealed and shipped (a batch counts once per direction).
+    /// Envelopes sealed and shipped (a grouped round counts once per
+    /// group per direction).
     pub envelopes: u64,
-    /// Logical messages carried (a batch counts once per item).
+    /// Logical messages carried (a group counts once per item).
     pub messages: u64,
     /// Encoded request bytes shipped toward the serving peer.
     pub request_bytes: u64,
@@ -165,7 +171,7 @@ pub trait Transport: Send {
     /// Carries one round of traffic to the serving peer and returns its
     /// reply.
     ///
-    /// Per-item transport faults inside batch and grouped rounds must
+    /// Per-item transport faults inside grouped rounds must
     /// surface as [`ErrorReply`] responses in place (a lost reply from
     /// one HSM must not sink a cluster round); whole-round faults are
     /// `Err`. The reply must be in the delivered class — a mismatch is
@@ -183,38 +189,13 @@ pub trait Transport: Send {
     /// Drains the accounting, returning the old value.
     fn take_stats(&mut self) -> TransportStats;
 
-    /// Carries one request to HSM `hsm_id` and returns its response.
-    fn exchange(
-        &mut self,
-        hsm_id: u64,
-        request: HsmRequest,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<HsmResponse, ProtoError> {
-        match self.round(Traffic::Single(hsm_id, request), serve)? {
-            TrafficReply::Single(resp) => Ok(resp),
-            _ => Err(ProtoError::UnexpectedMessage("expected a single HSM reply")),
-        }
-    }
-
-    /// Carries a fan-out of per-HSM requests and returns per-HSM
-    /// responses in request order.
-    fn exchange_batch(
-        &mut self,
-        batch: Vec<(u64, HsmRequest)>,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<Vec<(u64, HsmResponse)>, ProtoError> {
-        match self.round(Traffic::Batch(batch), serve)? {
-            TrafficReply::Batch(items) => Ok(items),
-            _ => Err(ProtoError::UnexpectedMessage("expected an HSM batch reply")),
-        }
-    }
-
     /// Carries a grouped round (one coalesced request group per
     /// addressed HSM), returning per-group response lists in group
-    /// order. This is the recovery round's transport shape
-    /// (`Datacenter::route_recovery`; a solo recovery is a wave of
-    /// one): a 128-user storm whose clusters overlap pays one framing
-    /// per *device*, not one per user-device pair.
+    /// order. This is every fleet round's transport shape: a recovery
+    /// wave (a solo recovery is a wave of one), where a 128-user storm
+    /// whose clusters overlap pays one framing per *device*, not one
+    /// per user-device pair, and each epoch, GC or rotation round (one
+    /// request per device).
     fn exchange_grouped(
         &mut self,
         groups: Vec<(u64, Vec<HsmRequest>)>,
@@ -268,19 +249,15 @@ impl Transport for Direct {
         traffic: Traffic,
         serve: &mut ServeTrafficFn<'_>,
     ) -> Result<TrafficReply, ProtoError> {
-        // Virtual envelope counts match what a batching wire backend
-        // would ship for the same round, so envelope counts stay
-        // comparable across transports: one per direction for single,
-        // batch, and provider rounds; one per HSM per direction for
-        // grouped rounds (the grouped contract).
+        // Virtual envelope counts match what a wire backend would ship
+        // for the same round, so envelope counts stay comparable across
+        // transports: one per HSM per direction for grouped rounds (the
+        // grouped contract), one per direction for provider rounds. The
+        // retired classes are forwarded and count as one exchange.
         match &traffic {
-            Traffic::Single(..) | Traffic::Provider(_) => {
+            Traffic::Single(..) | Traffic::Batch(_) | Traffic::Provider(_) => {
                 self.stats.envelopes += 2;
                 self.stats.messages += 2;
-            }
-            Traffic::Batch(batch) => {
-                self.stats.envelopes += 2;
-                self.stats.messages += 2 * batch.len() as u64;
             }
             Traffic::Grouped(groups) => {
                 self.stats.envelopes += 2 * groups.len() as u64;
@@ -363,47 +340,6 @@ impl Serialized {
         Ok(Envelope::from_bytes(&bytes)?.msg)
     }
 
-    fn round_single(
-        &mut self,
-        hsm_id: u64,
-        request: HsmRequest,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<TrafficReply, ProtoError> {
-        self.stats.messages += 2;
-        let delivered = match self.ship_request(Message::HsmRequest(request))? {
-            Message::HsmRequest(req) => req,
-            _ => return Err(ProtoError::UnexpectedMessage("expected HSM request")),
-        };
-        let response = match serve(Traffic::Single(hsm_id, delivered)) {
-            TrafficReply::Single(resp) => resp,
-            _ => return Err(ProtoError::UnexpectedMessage("expected a single HSM reply")),
-        };
-        match self.ship_response(Message::HsmResponse(response))? {
-            Message::HsmResponse(resp) => Ok(TrafficReply::Single(resp)),
-            _ => Err(ProtoError::UnexpectedMessage("expected HSM response")),
-        }
-    }
-
-    fn round_batch(
-        &mut self,
-        batch: Vec<(u64, HsmRequest)>,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<TrafficReply, ProtoError> {
-        self.stats.messages += 2 * batch.len() as u64;
-        let delivered = match self.ship_request(Message::HsmBatchRequest(batch))? {
-            Message::HsmBatchRequest(items) => items,
-            _ => return Err(ProtoError::UnexpectedMessage("expected HSM batch request")),
-        };
-        let served = match serve(Traffic::Batch(delivered)) {
-            TrafficReply::Batch(items) => items,
-            _ => return Err(ProtoError::UnexpectedMessage("expected an HSM batch reply")),
-        };
-        match self.ship_response(Message::HsmBatchResponse(served))? {
-            Message::HsmBatchResponse(items) => Ok(TrafficReply::Batch(items)),
-            _ => Err(ProtoError::UnexpectedMessage("expected HSM batch response")),
-        }
-    }
-
     fn round_grouped(
         &mut self,
         groups: Vec<(u64, Vec<HsmRequest>)>,
@@ -468,10 +404,11 @@ impl Transport for Serialized {
         serve: &mut ServeTrafficFn<'_>,
     ) -> Result<TrafficReply, ProtoError> {
         match traffic {
-            Traffic::Single(id, request) => self.round_single(id, request, serve),
-            Traffic::Batch(batch) => self.round_batch(batch, serve),
             Traffic::Grouped(groups) => self.round_grouped(groups, serve),
             Traffic::Provider(request) => self.round_provider(request, serve),
+            Traffic::Single(..) | Traffic::Batch(_) => Err(ProtoError::UnexpectedMessage(
+                "no envelope carries a solo or batch HSM round",
+            )),
         }
     }
 
@@ -504,8 +441,8 @@ pub enum FaultScope {
 pub struct FaultPlan {
     /// Probability a message (request or response) is dropped.
     pub drop_prob: f64,
-    /// Probability a delivered response has one byte flipped in its
-    /// encoded envelope.
+    /// Probability a delivered response has one bit flipped in its
+    /// encoding.
     pub corrupt_prob: f64,
     /// Probability a delivered message is delayed.
     pub delay_prob: f64,
@@ -560,12 +497,14 @@ impl FaultPlan {
 ///
 /// Faults are decided by a seeded deterministic generator, so a failing
 /// scenario replays exactly. Dropped messages surface as
-/// [`ProtoError::Dropped`] from single and provider rounds, or as
-/// [`ErrorReply::dropped`] per-item responses from batch and grouped
-/// rounds. Corruption flips one byte in the *encoded* response envelope
-/// and then attempts a decode — sometimes that yields a typed parse
-/// failure, sometimes a structurally valid envelope with mangled
-/// content, exactly like a real flaky link.
+/// [`ProtoError::Dropped`] from provider rounds, or as
+/// [`ErrorReply::dropped`] per-item responses from grouped rounds.
+/// Corruption flips one bit of the *encoded* response — the provider
+/// reply's envelope, or a grouped item's own `HsmResponse` encoding —
+/// and then attempts a decode: sometimes that yields a typed parse
+/// failure, sometimes a structurally valid reply with mangled content,
+/// exactly like a real flaky link. The retired [`Traffic::Single`] and
+/// [`Traffic::Batch`] classes pass through unfaulted.
 ///
 /// Every injected fault also lands in a telemetry counter
 /// (`faults.injected_drop` / `faults.injected_corrupt` /
@@ -645,9 +584,8 @@ impl Faulty {
         }
     }
 
-    /// Flips one byte of a sealed response envelope and re-decodes.
-    fn corrupt_message(&mut self, msg: Message) -> Option<Message> {
-        let mut bytes = Envelope::seal(msg).to_bytes();
+    /// Flips one random bit of `bytes`.
+    fn flip_bit(&mut self, bytes: &mut [u8]) {
         if !bytes.is_empty() {
             let pos = self.rng.gen_range(0..bytes.len());
             let bit = 1u8 << self.rng.gen_range(0..8u32);
@@ -655,42 +593,37 @@ impl Faulty {
                 *byte ^= bit;
             }
         }
-        Envelope::from_bytes(&bytes).ok().map(|env| env.msg)
     }
 
-    /// Flips one byte of the response's encoded envelope and re-decodes.
-    fn corrupt_response(&mut self, response: HsmResponse) -> Result<HsmResponse, ProtoError> {
-        match self.corrupt_message(Message::HsmResponse(response)) {
-            Some(Message::HsmResponse(resp)) => Ok(resp),
-            _ => Err(ProtoError::Corrupted),
-        }
-    }
-
-    /// Applies the response-side fate decided for one in-scope message.
-    fn apply_response_fate(&mut self, response: HsmResponse) -> Result<HsmResponse, ProtoError> {
+    /// Applies the response-leg fate drawn for one in-scope grouped
+    /// item: a lost reply, or one whose flipped bit no longer decodes,
+    /// becomes a typed error in its place.
+    fn item_fate(&mut self, response: HsmResponse) -> HsmResponse {
         match self.fate() {
-            Fate::Deliver => Ok(response),
+            Fate::Deliver => response,
             Fate::Drop => {
                 self.faults.dropped += 1;
                 self.injected_drop.incr();
-                Err(ProtoError::Dropped)
+                HsmResponse::Error(ErrorReply::dropped())
             }
             Fate::Corrupt => {
                 self.faults.corrupted += 1;
                 self.injected_corrupt.incr();
-                self.corrupt_response(response)
+                let mut bytes = response.to_bytes();
+                self.flip_bit(&mut bytes);
+                HsmResponse::from_bytes(&bytes)
+                    .unwrap_or_else(|_| HsmResponse::Error(ErrorReply::corrupted()))
             }
             Fate::Delay => {
                 self.faults.seconds += self.plan.delay_seconds;
                 self.injected_delay.incr();
-                Ok(response)
+                response
             }
         }
     }
 
-    /// Draws a request-leg fate for a whole-round message (single and
-    /// provider rounds): a dropped request aborts the round before the
-    /// peer sees it.
+    /// Draws a request-leg fate for a provider round: a dropped request
+    /// aborts the round before the peer sees it.
     fn apply_request_fate(&mut self) -> Result<(), ProtoError> {
         match self.fate() {
             Fate::Drop => {
@@ -707,62 +640,16 @@ impl Faulty {
         }
     }
 
-    fn round_single(
-        &mut self,
-        hsm_id: u64,
-        request: HsmRequest,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<TrafficReply, ProtoError> {
-        if !self.in_scope(&request) {
-            return self.inner.round(Traffic::Single(hsm_id, request), serve);
-        }
-        self.apply_request_fate()?;
-        let response = match self.inner.round(Traffic::Single(hsm_id, request), serve)? {
-            TrafficReply::Single(resp) => resp,
-            _ => return Err(ProtoError::UnexpectedMessage("expected a single HSM reply")),
-        };
-        self.apply_response_fate(response).map(TrafficReply::Single)
-    }
-
-    fn round_batch(
-        &mut self,
-        batch: Vec<(u64, HsmRequest)>,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<TrafficReply, ProtoError> {
-        // Batch faults hit the *response* leg: the request still reaches
-        // the HSM (which may puncture its key before replying — the §8
-        // failure-during-recovery scenario), but the reply is lost or
-        // mangled on the way back and surfaces as an error item.
-        let in_scope: Vec<bool> = batch.iter().map(|(_, req)| self.in_scope(req)).collect();
-        let served = match self.inner.round(Traffic::Batch(batch), serve)? {
-            TrafficReply::Batch(items) => items,
-            _ => return Err(ProtoError::UnexpectedMessage("expected an HSM batch reply")),
-        };
-        let mut out = Vec::with_capacity(served.len());
-        for ((id, resp), scoped) in served.into_iter().zip(in_scope) {
-            if !scoped {
-                out.push((id, resp));
-                continue;
-            }
-            let resp = match self.apply_response_fate(resp) {
-                Ok(resp) => resp,
-                Err(ProtoError::Dropped) => HsmResponse::Error(ErrorReply::dropped()),
-                Err(_) => HsmResponse::Error(ErrorReply::corrupted()),
-            };
-            out.push((id, resp));
-        }
-        Ok(TrafficReply::Batch(out))
-    }
-
     fn round_grouped(
         &mut self,
         groups: Vec<(u64, Vec<HsmRequest>)>,
         serve: &mut ServeTrafficFn<'_>,
     ) -> Result<TrafficReply, ProtoError> {
-        // Same discipline as the batch path: the request leg is clean
-        // (the HSM may puncture before its reply is lost — §8), faults
-        // land per item on the response leg so one mangled reply never
-        // sinks a whole device group, let alone the round.
+        // Faults hit the *response* leg: the request still reaches the
+        // HSM (which may puncture its key before replying — the §8
+        // failure-during-recovery scenario), and faults land per item
+        // so one mangled reply never sinks a whole device group, let
+        // alone the round.
         let scopes: Vec<Vec<bool>> = groups
             .iter()
             .map(|(_, reqs)| reqs.iter().map(|r| self.in_scope(r)).collect())
@@ -775,16 +662,7 @@ impl Faulty {
         for ((id, responses), scoped) in served.into_iter().zip(scopes) {
             let mut group_out = Vec::with_capacity(responses.len());
             for (resp, in_scope) in responses.into_iter().zip(scoped) {
-                if !in_scope {
-                    group_out.push(resp);
-                    continue;
-                }
-                let resp = match self.apply_response_fate(resp) {
-                    Ok(resp) => resp,
-                    Err(ProtoError::Dropped) => HsmResponse::Error(ErrorReply::dropped()),
-                    Err(_) => HsmResponse::Error(ErrorReply::corrupted()),
-                };
-                group_out.push(resp);
+                group_out.push(if in_scope { self.item_fate(resp) } else { resp });
             }
             out.push((id, group_out));
         }
@@ -814,8 +692,10 @@ impl Faulty {
             Fate::Corrupt => {
                 self.faults.corrupted += 1;
                 self.injected_corrupt.incr();
-                match self.corrupt_message(Message::ProviderResponse(response)) {
-                    Some(Message::ProviderResponse(resp)) => Ok(TrafficReply::Provider(resp)),
+                let mut bytes = Envelope::seal(Message::ProviderResponse(response)).to_bytes();
+                self.flip_bit(&mut bytes);
+                match Envelope::from_bytes(&bytes).map(|env| env.msg) {
+                    Ok(Message::ProviderResponse(resp)) => Ok(TrafficReply::Provider(resp)),
                     _ => Err(ProtoError::Corrupted),
                 }
             }
@@ -839,10 +719,9 @@ impl Transport for Faulty {
         serve: &mut ServeTrafficFn<'_>,
     ) -> Result<TrafficReply, ProtoError> {
         match traffic {
-            Traffic::Single(id, request) => self.round_single(id, request, serve),
-            Traffic::Batch(batch) => self.round_batch(batch, serve),
             Traffic::Grouped(groups) => self.round_grouped(groups, serve),
             Traffic::Provider(request) => self.round_provider(request, serve),
+            retired @ (Traffic::Single(..) | Traffic::Batch(_)) => self.inner.round(retired, serve),
         }
     }
 

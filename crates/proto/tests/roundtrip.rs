@@ -72,7 +72,6 @@ fn sample_envelopes(seed: u64) -> Vec<Envelope> {
         ciphertext: vec![0xA5; 96],
         share_indices: vec![0, 2, 3],
         recovery_pk: Some(kp.pk),
-        auditor_endorsements: vec![signature],
     };
 
     let shares = shamir::share(b"transport key", 2, 4, &mut rng).unwrap();
@@ -244,30 +243,29 @@ fn sample_envelopes(seed: u64) -> Vec<Envelope> {
         ProviderResponse::Metrics(MetricsReport::default()),
     ];
 
+    // HSM traffic travels only in per-device groups: every request and
+    // response alone in a one-item group, then one device's whole group
+    // in each direction, and the empty-group edge.
     let mut envelopes = Vec::new();
-    let mut batch_req = Vec::new();
-    let mut batch_resp = Vec::new();
-    for (i, req) in hsm_requests.into_iter().enumerate() {
-        envelopes.push(Envelope::seal(Message::HsmRequest(req.clone())));
-        batch_req.push((i as u64, req));
+    for (id, req) in (0..).zip(&hsm_requests) {
+        envelopes.push(Envelope::seal(Message::HsmGroupRequest {
+            id,
+            requests: vec![req.clone()],
+        }));
     }
-    for (i, resp) in hsm_responses.into_iter().enumerate() {
-        envelopes.push(Envelope::seal(Message::HsmResponse(resp.clone())));
-        batch_resp.push((i as u64, resp));
+    for (id, resp) in (0..).zip(&hsm_responses) {
+        envelopes.push(Envelope::seal(Message::HsmGroupResponse {
+            id,
+            responses: vec![resp.clone()],
+        }));
     }
-    envelopes.push(Envelope::seal(Message::HsmBatchRequest(batch_req.clone())));
-    envelopes.push(Envelope::seal(Message::HsmBatchResponse(
-        batch_resp.clone(),
-    )));
-    // Grouped per-device envelopes (the multi-user engine ships one per
-    // HSM per direction), including the empty-group edge.
     envelopes.push(Envelope::seal(Message::HsmGroupRequest {
         id: 3,
-        requests: batch_req.into_iter().map(|(_, req)| req).collect(),
+        requests: hsm_requests,
     }));
     envelopes.push(Envelope::seal(Message::HsmGroupResponse {
         id: 3,
-        responses: batch_resp.into_iter().map(|(_, resp)| resp).collect(),
+        responses: hsm_responses,
     }));
     envelopes.push(Envelope::seal(Message::HsmGroupRequest {
         id: u64::MAX,
@@ -312,13 +310,19 @@ fn every_message_variant_roundtrips() {
             "envelope {i} re-encoded differently"
         );
         // A share reply is its tag and its shares: nothing rides along.
-        if let Message::HsmResponse(reply @ HsmResponse::RecoveryShare { response }) = &envelope.msg
-        {
-            assert_eq!(reply.to_bytes().len(), 1 + response.to_bytes().len());
-            share_replies += 1;
+        if let Message::HsmGroupResponse { responses, .. } = &envelope.msg {
+            for reply in responses {
+                if let HsmResponse::RecoveryShare { response } = reply {
+                    assert_eq!(reply.to_bytes().len(), 1 + response.to_bytes().len());
+                    share_replies += 1;
+                }
+            }
         }
     }
-    assert_eq!(share_replies, 2, "one Plain and one Encrypted share reply");
+    assert_eq!(
+        share_replies, 4,
+        "one Plain and one Encrypted share reply, alone and in the full group"
+    );
 }
 
 /// The corpus is the variant list: for `Message` and for each of the
@@ -330,22 +334,27 @@ fn every_message_variant_roundtrips() {
 fn decoders_accept_exactly_the_tags_the_corpus_encodes() {
     use std::collections::{BTreeMap, BTreeSet};
 
-    // Byte 2 of an envelope is the `Message` tag; for the four
-    // role-enum messages, byte 3 is the inner variant's tag.
+    // Byte 2 of an envelope is the `Message` tag. The role enum's
+    // variant tag follows it at byte 3 in the two provider messages, and
+    // at byte 15 in a one-item group (after the HSM id and the item
+    // count). Each role enum is probed behind the bytes that precede
+    // its tag.
     let mut message_tags = BTreeSet::new();
-    let mut variant_tags: BTreeMap<u8, BTreeSet<u8>> = BTreeMap::new();
+    let mut variant_tags: BTreeMap<u8, (Vec<u8>, BTreeSet<u8>)> = BTreeMap::new();
     for envelope in sample_envelopes(0x5AFE_0075) {
         let bytes = envelope.to_bytes();
         message_tags.insert(bytes[2]);
-        if matches!(
-            envelope.msg,
-            Message::HsmRequest(_)
-                | Message::HsmResponse(_)
-                | Message::ProviderRequest(_)
-                | Message::ProviderResponse(_)
-        ) {
-            variant_tags.entry(bytes[2]).or_default().insert(bytes[3]);
-        }
+        let at = match &envelope.msg {
+            Message::ProviderRequest(_) | Message::ProviderResponse(_) => 3,
+            Message::HsmGroupRequest { requests, .. } if requests.len() == 1 => 15,
+            Message::HsmGroupResponse { responses, .. } if responses.len() == 1 => 15,
+            _ => continue,
+        };
+        variant_tags
+            .entry(bytes[2])
+            .or_insert_with(|| (bytes[2..at].to_vec(), BTreeSet::new()))
+            .1
+            .insert(bytes[at]);
     }
     assert_eq!(variant_tags.len(), 4, "one tag set per role enum");
 
@@ -364,9 +373,9 @@ fn decoders_accept_exactly_the_tags_the_corpus_encodes() {
             !message_tags.contains(&tag),
             "Message tag {tag}"
         );
-        for (&message_tag, tags) in &variant_tags {
+        for (&message_tag, (prefix, tags)) in &variant_tags {
             assert_eq!(
-                refused(&[message_tag], tag),
+                refused(prefix, tag),
                 !tags.contains(&tag),
                 "Message tag {message_tag}, variant tag {tag}"
             );
@@ -405,11 +414,15 @@ fn trailing_bytes_rejected() {
 
 #[test]
 fn unknown_version_tag_rejected_with_typed_error() {
-    let envelope = Envelope::seal(Message::HsmRequest(HsmRequest::GetEnrollment));
+    let envelope = Envelope::seal(Message::HsmGroupRequest {
+        id: 0,
+        requests: vec![HsmRequest::GetEnrollment],
+    });
     let mut bytes = envelope.to_bytes();
     // Overwrite the big-endian u16 version prefix. The neighbours on
-    // both sides are refused: a newer peer, and an older one (version 1
-    // still appended a cost meter to every share reply).
+    // both sides are refused: a newer peer, and an older one (version 2
+    // still carried the solo and batch HSM kinds, and an endorsement
+    // list in every recovery request).
     for version in [PROTO_VERSION + 1, PROTO_VERSION - 1, 0xFFFF, 0] {
         bytes[..2].copy_from_slice(&version.to_be_bytes());
         assert_eq!(
@@ -597,7 +610,7 @@ proptest! {
     /// never panics, never over-reads.
     #[test]
     fn single_byte_corruption_is_safe(pos_seed in any::<u64>(), bit in 0u8..8) {
-        let envelope = &sample_envelopes(0x5AFE_0074)[1]; // RecoverShare: biggest payload
+        let envelope = &sample_envelopes(0x5AFE_0074)[1]; // a RecoverShare group: biggest payload
         let mut bytes = envelope.to_bytes();
         let pos = (pos_seed as usize) % bytes.len();
         bytes[pos] ^= 1 << bit;

@@ -7,7 +7,7 @@ use safetypin_multisig::{aggregate_signatures, Signature};
 use safetypin_proto::{codes, HsmRequest, HsmResponse, ProtoError};
 use safetypin_seckv::BlockStore;
 
-use crate::{Datacenter, EpochOutcome, ProviderError};
+use crate::{each_reply, Datacenter, EpochOutcome, ProviderError};
 
 /// The quorum certificate retained for one entry of the update history:
 /// who signed and the aggregate over `(d, d', R)`. Kept so a restored
@@ -45,9 +45,9 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// (including B.3 re-audits for failed HSMs), aggregate, distribute.
     ///
     /// Both the audit fan-out and the certified-digest distribution are
-    /// batched transport rounds. An HSM whose audit reply is lost to a
-    /// transport fault simply misses this epoch's signer set; the epoch
-    /// still certifies if the quorum holds.
+    /// grouped transport rounds, one request per active HSM. An HSM whose
+    /// audit reply is lost to a transport fault simply misses this
+    /// epoch's signer set; the epoch still certifies if the quorum holds.
     ///
     /// Neither side advances first: the cut is only *planned* until the
     /// aggregate covers the quorum the devices enforce, so a failed
@@ -85,7 +85,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
         // itself will expect (`Hsm::audit_assignment`: B.3 assignment plus
         // re-audits, sized from the signed chunk count). A chunk's size is
         // taken once, however many devices audit it.
-        let mut audit_batch = Vec::with_capacity(active_ids.len());
+        let mut audit_groups = Vec::with_capacity(active_ids.len());
         let mut chunk_bytes = vec![None; message.chunk_count as usize];
         let (mut audit_packages, mut audit_bytes) = (0u64, 0u64);
         for hsm in self.hsms.iter().filter(|h| active_ids.contains(&h.id())) {
@@ -102,24 +102,22 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 packages.push(package);
             }
             audit_packages += packages.len() as u64;
-            audit_batch.push((
+            audit_groups.push((
                 hsm.id(),
-                HsmRequest::AuditAndSign {
+                vec![HsmRequest::AuditAndSign {
                     message,
                     active_ids: active_ids.clone(),
                     failed_ids: failed_ids.clone(),
                     packages,
-                },
+                }],
             ));
         }
 
         let mut rng = rand::thread_rng();
         let mut sigs = Vec::new();
         let mut signers = Vec::new();
-        let replies = self.fleet_round(&mut rng, |transport, serve| {
-            transport.exchange_batch(audit_batch, serve)
-        })?;
-        for (id, resp) in replies {
+        let replies = self.fleet_round(&mut rng, audit_groups)?;
+        for (id, resp) in each_reply(replies) {
             match resp {
                 HsmResponse::Signed(sig) => {
                     sigs.push(sig);
@@ -172,11 +170,9 @@ impl<S: BlockStore + Send> Datacenter<S> {
         };
         self.apply_epoch(message, cert);
 
-        let accept_batch: Vec<_> = active_ids.iter().map(|&id| (id, accept.clone())).collect();
-        let replies = self.fleet_round(&mut rng, |transport, serve| {
-            transport.exchange_batch(accept_batch, serve)
-        })?;
-        for (_, resp) in replies {
+        let accept_groups = active_ids.iter().map(|&id| (id, vec![accept.clone()]));
+        let replies = self.fleet_round(&mut rng, accept_groups.collect())?;
+        for (_, resp) in each_reply(replies) {
             match resp {
                 HsmResponse::Ack => {}
                 // A lost Ack (or a stale HSM that couldn't sign

@@ -6,10 +6,9 @@
 //! embarrassingly parallel across devices. This module fans that work
 //! out with [`std::thread::scope`] — no extra dependencies — through
 //! **one** serving loop, [`serve_grouped`]: each addressed device serves
-//! its whole request group via [`Hsm::handle_batch`]. A solo request is a
-//! group of one, and a per-request batch is regrouped by device and its
-//! replies scattered back into request order. Two guarantees the
-//! transport tests pin:
+//! its whole request group via [`Hsm::handle_batch`]. Every fleet round
+//! arrives grouped (a lone request is a group of one). Two guarantees
+//! the transport tests pin:
 //!
 //! * **Deterministic results.** Each device's work runs under its own
 //!   RNG stream, seeded *sequentially* from the caller's RNG in a fixed
@@ -17,9 +16,8 @@
 //!   of the caller's RNG state — independent of thread count and
 //!   scheduling, and byte-identical whether the round arrived over the
 //!   `Direct` or the `Serialized` transport.
-//! * **Request order.** Responses are reassembled into request order, and
-//!   several requests addressed to one HSM are served in their original
-//!   relative order by the same worker.
+//! * **Request order.** Responses come back in group order, each group's
+//!   in request order, served by one worker per device.
 
 use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
@@ -80,18 +78,12 @@ fn fan_out<J: Send, T: Send>(
     })
 }
 
-/// Builds the fleet's serve side for every [`Traffic`] class the
-/// datacenter's own transport can deliver (`Datacenter::fleet_round` is
-/// the only caller — no client reaches it), all through
-/// [`serve_grouped`]:
-///
-/// * `Grouped` — one coalesced group per device, as delivered.
-/// * `Single` — a group of one.
-/// * `Batch` — regrouped by addressed HSM (each device's requests keep
-///   their relative order), replies scattered back into request order.
-/// * `Provider` — refused with a typed [`codes::UNSUPPORTED`] reply:
-///   the fleet endpoint serves HSM traffic only (the datacenter's
-///   client-facing dispatch is `Datacenter::handle`).
+/// Builds the fleet's serve side (`Datacenter::fleet_round` is the only
+/// caller — no client reaches it). `Grouped` rounds go to
+/// [`serve_grouped`]; every other class is refused with a typed
+/// [`codes::UNSUPPORTED`] reply and reaches no device: the fleet
+/// endpoint serves grouped HSM traffic only (the datacenter's
+/// client-facing dispatch is `Datacenter::handle`).
 ///
 /// Unknown ids become typed error replies — on the wire there is no
 /// out-of-bounds index, only a device that does not answer.
@@ -100,57 +92,29 @@ pub(crate) fn serve_traffic<'a, S: BlockStore + Send, R: RngCore + CryptoRng>(
     stores: &'a mut [S],
     rng: &'a mut R,
 ) -> impl FnMut(Traffic) -> TrafficReply + 'a {
-    move |traffic| match traffic {
-        Traffic::Single(id, request) => {
-            let response = serve_grouped(hsms, stores, rng, usize::MAX, vec![(id, vec![request])])
-                .pop()
-                .and_then(|(_, mut responses)| responses.pop())
-                .unwrap_or_else(unserved);
-            TrafficReply::Single(response)
-        }
-        Traffic::Batch(batch) => {
-            let ids: Vec<u64> = batch.iter().map(|(id, _)| *id).collect();
-            let mut groups: std::collections::BTreeMap<u64, Vec<HsmRequest>> = Default::default();
-            let mut positions: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
-            for (pos, (id, request)) in batch.into_iter().enumerate() {
-                groups.entry(id).or_default().push(request);
-                positions.entry(id).or_default().push(pos);
-            }
-            let mut out: Vec<Option<HsmResponse>> = ids.iter().map(|_| None).collect();
-            let groups = groups.into_iter().collect();
-            for (id, responses) in serve_grouped(hsms, stores, rng, usize::MAX, groups) {
-                let slots = positions.remove(&id).unwrap_or_default();
-                for (pos, response) in slots.into_iter().zip(responses) {
-                    if let Some(slot) = out.get_mut(pos) {
-                        *slot = Some(response);
-                    }
-                }
-            }
-            TrafficReply::Batch(
-                ids.into_iter()
-                    .zip(out)
-                    .map(|(id, response)| (id, response.unwrap_or_else(unserved)))
-                    .collect(),
-            )
-        }
-        Traffic::Grouped(groups) => {
-            TrafficReply::Grouped(serve_grouped(hsms, stores, rng, usize::MAX, groups))
-        }
-        Traffic::Provider(_) => {
-            TrafficReply::Provider(safetypin_proto::ProviderResponse::Error(ErrorReply::new(
+    move |traffic| {
+        let refusal = || {
+            ErrorReply::new(
                 codes::UNSUPPORTED,
-                "the fleet endpoint serves HSM traffic only",
-            )))
+                "the fleet endpoint serves grouped HSM traffic only",
+            )
+        };
+        match traffic {
+            Traffic::Grouped(groups) => {
+                TrafficReply::Grouped(serve_grouped(hsms, stores, rng, usize::MAX, groups))
+            }
+            Traffic::Single(..) => TrafficReply::Single(HsmResponse::Error(refusal())),
+            Traffic::Batch(batch) => TrafficReply::Batch(
+                batch
+                    .into_iter()
+                    .map(|(id, _)| (id, HsmResponse::Error(refusal())))
+                    .collect(),
+            ),
+            Traffic::Provider(_) => {
+                TrafficReply::Provider(safetypin_proto::ProviderResponse::Error(refusal()))
+            }
         }
     }
-}
-
-/// The reply for a request the fan-out never produced an answer to.
-fn unserved() -> HsmResponse {
-    HsmResponse::Error(ErrorReply::new(
-        codes::INTERNAL,
-        "fan-out produced no reply for this request",
-    ))
 }
 
 // serve_grouped: one coalesced request group per addressed HSM, each

@@ -7,7 +7,7 @@ use safetypin_hsm::{EnrollmentRecord, Hsm, HsmConfig, PhaseCosts};
 use safetypin_proto::{Direct, HsmRequest, HsmResponse, ProtoError};
 use safetypin_seckv::{BlockStore, MemStore};
 
-use crate::{fanout, Datacenter, ProviderError};
+use crate::{each_reply, fanout, Datacenter, ProviderError};
 
 impl Datacenter<MemStore> {
     /// Provisions a fleet of `total` HSMs and registers the fleet keys on
@@ -96,35 +96,31 @@ impl<S: BlockStore + Send> Datacenter<S> {
         if hsm_id as usize >= self.hsms.len() {
             return Err(ProviderError::UnknownHsm(hsm_id));
         }
-        let reply = self.fleet_round(rng, |transport, serve| {
-            transport.exchange(hsm_id, HsmRequest::RotateKeys, serve)
-        })?;
-        match reply {
-            HsmResponse::Rotated(_) => Ok(()),
-            HsmResponse::Error(e) => Err(ProviderError::Hsm((&e).into())),
+        let replies = self.fleet_round(rng, vec![(hsm_id, vec![HsmRequest::RotateKeys])])?;
+        match each_reply(replies).next() {
+            Some((_, HsmResponse::Rotated(_))) => Ok(()),
+            Some((_, HsmResponse::Error(e))) => Err(ProviderError::Hsm((&e).into())),
             _ => Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
                 "expected Rotated reply",
             ))),
         }
     }
 
-    /// Garbage-collects the log: asks every live HSM (one batched round)
-    /// to follow — each enforces its own GC budget — then archives the
+    /// Garbage-collects the log: asks every live HSM (one grouped round,
+    /// one request per device) to follow — each enforces its own GC budget — then archives the
     /// entries, resets the log and journals the collection. A kill in
     /// between leaves the devices on the empty digest, one collection
     /// into their budget, and the log uncollected; restoring replays
     /// the chain back to them.
     pub fn garbage_collect(&mut self) -> Result<(), ProviderError> {
-        let batch: Vec<_> = self
+        let groups: Vec<_> = self
             .hsms
             .iter()
             .filter(|h| h.status() != safetypin_hsm::HsmStatus::Failed)
-            .map(|h| (h.id(), HsmRequest::GarbageCollect))
+            .map(|h| (h.id(), vec![HsmRequest::GarbageCollect]))
             .collect();
-        let replies = self.fleet_round(&mut rand::thread_rng(), |transport, serve| {
-            transport.exchange_batch(batch, serve)
-        })?;
-        for (_, resp) in replies {
+        let replies = self.fleet_round(&mut rand::thread_rng(), groups)?;
+        for (_, resp) in each_reply(replies) {
             match resp {
                 HsmResponse::Ack => {}
                 // A lost Ack: that HSM keeps the old digest and its

@@ -9,8 +9,9 @@
 //! recovery replies for the failure-during-recovery flow (§8).
 //!
 //! **All HSM traffic flows through a pluggable [`Transport`]**: every
-//! operation is a [`HsmRequest`]/[`HsmResponse`] exchange served by
-//! [`Hsm::handle_batch`] (a solo request is a group of one), and the
+//! fleet round — recovery, epoch audit and accept, GC, rotation — is one
+//! [`HsmRequest`] group per addressed HSM, served by
+//! [`Hsm::handle_batch`] (a lone request is a group of one), and the
 //! transport decides whether messages pass
 //! in-process ([`safetypin_proto::Direct`]), round-trip through the
 //! canonical wire codec with byte metering
@@ -61,7 +62,7 @@ use safetypin_primitives::commit;
 use safetypin_primitives::hashes::{hash_parts, Domain};
 use safetypin_proto::{
     codes, ErrorReply, HsmRequest, HsmResponse, ProtoError, ProviderRequest, ProviderResponse,
-    SaveOutcome, SaveRequest, ServeTrafficFn, StatusReport, Transport, TransportStats,
+    SaveOutcome, SaveRequest, StatusReport, Transport, TransportStats,
 };
 use safetypin_seckv::{BlockStore, MemStore};
 use safetypin_store::SnapshotBlocks;
@@ -196,6 +197,14 @@ fn round_failed(e: impl Into<ProviderError>) -> ErrorReply {
     }
 }
 
+/// The replies of a round that sent each device a one-request group,
+/// as one `(id, response)` per device.
+fn each_reply(groups: Vec<(u64, Vec<HsmResponse>)>) -> impl Iterator<Item = (u64, HsmResponse)> {
+    groups
+        .into_iter()
+        .flat_map(|(id, responses)| responses.into_iter().map(move |resp| (id, resp)))
+}
+
 impl<S: BlockStore + Send> Datacenter<S> {
     /// Swaps the transport backend (e.g. to `Serialized` for byte-true
     /// accounting, or to `Faulty` for failure scenarios). Accumulated
@@ -215,25 +224,21 @@ impl<S: BlockStore + Send> Datacenter<S> {
         self.transport.take_stats()
     }
 
-    /// One transport round against the fleet's serve side: `send` picks
-    /// the traffic shape (`exchange`, `exchange_batch`,
-    /// `exchange_grouped`), the devices answer under per-device streams
+    /// One transport round against the fleet's serve side: one request
+    /// group per addressed HSM, answered under per-device streams
     /// seeded from `rng` ([`fanout::serve_traffic`]).
-    fn fleet_round<R: RngCore + CryptoRng, T>(
+    fn fleet_round<R: RngCore + CryptoRng>(
         &mut self,
         rng: &mut R,
-        send: impl FnOnce(&mut dyn Transport, &mut ServeTrafficFn<'_>) -> Result<T, ProtoError>,
-    ) -> Result<T, ProviderError> {
+        groups: Vec<(u64, Vec<HsmRequest>)>,
+    ) -> Result<Vec<(u64, Vec<HsmResponse>)>, ProviderError> {
         let Self {
             hsms,
             stores,
             transport,
             ..
         } = self;
-        Ok(send(
-            transport.as_mut(),
-            &mut fanout::serve_traffic(hsms, stores, rng),
-        )?)
+        Ok(transport.exchange_grouped(groups, &mut fanout::serve_traffic(hsms, stores, rng))?)
     }
 
     /// The full current log (external auditors, §6.3).
@@ -409,11 +414,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
             out.push(user_out);
         }
 
-        let grouped: Vec<(u64, Vec<HsmRequest>)> = groups.into_iter().collect();
         let replies = self
-            .fleet_round(rng, |transport, serve| {
-                transport.exchange_grouped(grouped, serve)
-            })
+            .fleet_round(rng, groups.into_iter().collect())
             .map_err(round_failed)?;
 
         let mut copies = Vec::new();

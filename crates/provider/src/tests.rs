@@ -185,7 +185,6 @@ fn end_to_end_recovery_through_datacenter() {
                 ciphertext: ct_bytes.clone(),
                 share_indices: positions,
                 recovery_pk: None,
-                auditor_endorsements: Vec::new(),
             };
             (hsm_id, request)
         })
@@ -319,6 +318,48 @@ fn fanout_outcome_is_independent_of_worker_count() {
     assert_eq!(one.len(), 2 * TOTAL as usize);
     assert_eq!(one, all, "replies must not depend on the worker count");
     assert_eq!(rng_one, rng_all, "caller RNG consumption must not either");
+}
+
+/// Every fleet round travels grouped, so the two retired traffic
+/// classes are refused, never served: through `Direct` into the fleet's
+/// serve side each gets a typed `UNSUPPORTED` reply, `Serialized` has
+/// no envelope for them, and HSM 3 keeps its keys either way.
+#[test]
+fn solo_and_batch_traffic_are_refused_not_served() {
+    use safetypin_proto::{
+        codes, Direct, ProtoError, Serialized, Traffic, TrafficReply, Transport,
+    };
+    let (mut dc, mut rng) = datacenter();
+    let retired = || {
+        [
+            Traffic::Single(3, HsmRequest::RotateKeys),
+            Traffic::Batch(vec![(3, HsmRequest::RotateKeys)]),
+        ]
+    };
+    for traffic in retired() {
+        let mut serve = fanout::serve_traffic(&mut dc.hsms, &mut dc.stores, &mut rng);
+        let replies = match Direct::new().round(traffic, &mut serve).unwrap() {
+            TrafficReply::Single(reply) => vec![reply],
+            TrafficReply::Batch(replies) => replies.into_iter().map(|(_, reply)| reply).collect(),
+            other => panic!("reply in the wrong class: {other:?}"),
+        };
+        assert_eq!(replies.len(), 1);
+        for reply in replies {
+            assert!(
+                matches!(&reply, HsmResponse::Error(e) if e.code == codes::UNSUPPORTED),
+                "served: {reply:?}"
+            );
+        }
+    }
+    for traffic in retired() {
+        let mut serve = fanout::serve_traffic(&mut dc.hsms, &mut dc.stores, &mut rng);
+        let refused = Serialized::cdc().round(traffic, &mut serve);
+        assert!(
+            matches!(refused, Err(ProtoError::UnexpectedMessage(_))),
+            "{refused:?}"
+        );
+    }
+    assert_eq!(dc.hsm(3).unwrap().key_epoch(), 0);
 }
 
 /// Provisioning is likewise a pure function of the caller's RNG: one

@@ -618,27 +618,36 @@ fn raw_hsm_frames_are_refused_typed_and_reach_no_hsm() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     client_handshake(&mut stream).unwrap();
-    let mut exchange = |msg: Message| {
-        write_frame(&mut stream, &Envelope::seal(msg).to_bytes()).unwrap();
+    let mut exchange = |frame: Vec<u8>| {
+        write_frame(&mut stream, &frame).unwrap();
         let reply = read_frame(&mut stream, MAX_FRAME_BYTES).unwrap().unwrap();
         Envelope::from_bytes(&reply).unwrap().msg
     };
-    for msg in [
-        Message::HsmBatchRequest(vec![(0, HsmRequest::RotateKeys)]),
-        Message::HsmGroupRequest {
-            id: 0,
-            requests: vec![HsmRequest::GarbageCollect],
-        },
+    for requests in [
+        vec![HsmRequest::RotateKeys],
+        vec![HsmRequest::GarbageCollect],
     ] {
-        match exchange(msg) {
+        let msg = Message::HsmGroupRequest { id: 0, requests };
+        match exchange(Envelope::seal(msg).to_bytes()) {
             Message::ProviderResponse(ProviderResponse::Error(e)) => {
                 assert_eq!(e.code, codes::UNSUPPORTED)
             }
             other => panic!("an HSM-level frame was served: {other:?}"),
         }
     }
+    // A batch of one `RotateKeys` under the retired `Message` tag 2, as
+    // a version-2 peer framed it: undecodable now, refused as such.
+    let mut retired = PROTO_VERSION.to_be_bytes().to_vec();
+    retired.push(2);
+    retired.extend_from_slice(&1u32.to_be_bytes());
+    retired.extend_from_slice(&0u64.to_be_bytes());
+    retired.extend_from_slice(&HsmRequest::RotateKeys.to_bytes());
+    match exchange(retired) {
+        Message::ProviderResponse(ProviderResponse::Error(e)) => assert_eq!(e.code, codes::WIRE),
+        other => panic!("a retired-tag frame was served: {other:?}"),
+    }
     assert!(matches!(
-        exchange(Message::ProviderRequest(ProviderRequest::Status)),
+        exchange(Envelope::seal(Message::ProviderRequest(ProviderRequest::Status)).to_bytes()),
         Message::ProviderResponse(ProviderResponse::Status(_))
     ));
     drop(stream);

@@ -211,11 +211,13 @@ impl Transport for RecordingAudits {
         traffic: Traffic,
         serve: &mut ServeTrafficFn<'_>,
     ) -> Result<TrafficReply, ProtoError> {
-        if let Traffic::Batch(batch) = &traffic {
+        if let Traffic::Grouped(groups) = &traffic {
             let mut shipped = self.shipped.lock().unwrap();
-            for (id, request) in batch {
-                if let HsmRequest::AuditAndSign { packages, .. } = request {
-                    shipped.insert(*id, packages.clone());
+            for (id, requests) in groups {
+                for request in requests {
+                    if let HsmRequest::AuditAndSign { packages, .. } = request {
+                        shipped.insert(*id, packages.clone());
+                    }
                 }
             }
         }
