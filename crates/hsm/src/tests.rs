@@ -869,9 +869,9 @@ fn handle_batch_group_commits_once_per_group() {
         "a served group must commit exactly once"
     );
     assert_eq!(
-        fstore.uncommitted_ops(),
-        0,
-        "no puncture may remain staged after the group returns"
+        std::fs::metadata(dir.join("wal.bin")).unwrap().len(),
+        fstore.wal_len(),
+        "the group's punctures must be on disk, not staged, when it returns"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

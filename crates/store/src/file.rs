@@ -11,28 +11,38 @@
 //!   old segment, so the segment is always a complete, internally
 //!   consistent snapshot.
 //! * `wal.bin` — the append-only write-ahead log of every mutation since
-//!   the last checkpoint. `put`/`remove` append records; `flush` appends
-//!   a `Commit` record (the transaction boundary) and, under
-//!   [`Durability::Strict`], fsyncs.
+//!   the last checkpoint. `put`/`remove` frame their records into an
+//!   in-memory staging buffer; `flush` appends a `Commit` record (the
+//!   transaction boundary) and writes the whole transaction — its frames
+//!   and its commit record — with **one** positioned write at the end of
+//!   the committed log, then, under [`Durability::Strict`], fsyncs. The
+//!   buffer is released at the commit, so nothing is held between
+//!   transactions. The bytes on disk are exactly those of appending each
+//!   frame as it is staged; only the number of writes differs.
 //!
 //! # Crash safety
 //!
-//! Opening a store replays the segment strictly (it was published
-//! atomically, so any damage is a hard [`StoreError::CorruptSegment`]),
-//! then replays the WAL leniently: per-record CRC/length framing detects
-//! the torn tail a crash leaves behind, and everything after — plus any
-//! uncommitted transaction before it — is discarded. Recovered state is
-//! therefore byte-identical to the state at some `flush` boundary, never
-//! a torn hybrid; the crash-point property test in this crate drives a
-//! workload through every possible WAL truncation point to pin this.
+//! Nothing uncommitted reaches the file: a store dropped (or a process
+//! killed) mid-transaction leaves `wal.bin` at its last commit. Opening
+//! a store replays the segment strictly (it was published atomically, so
+//! any damage is a hard [`StoreError::CorruptSegment`]), then replays the
+//! WAL leniently: per-record CRC/length framing detects the torn tail a
+//! crash during the commit write leaves behind, and that tail is
+//! discarded. Recovered state is therefore byte-identical to the state
+//! at some `flush` boundary, never a torn hybrid; the crash-point
+//! property test in this crate drives a workload through every possible
+//! WAL truncation point to pin this.
 //!
 //! # Reads
 //!
 //! The store keeps an in-memory index (address → file and offset) and no
-//! block cache of its own: a `get` is an index lookup plus one read of
-//! the indexed location, served by the kernel's page cache. (A private
-//! LRU in front of it bought nothing end to end and cost memory; see
-//! README "Dead-weight census".) [`StoreStats::cache_hits`] /
+//! block cache of its own: a `get` of a block written in the open
+//! transaction copies it out of the staging buffer, and any other `get`
+//! is an index lookup plus one positioned read (`pread`) of the indexed
+//! location, served by the kernel's page cache. No file cursor is ever
+//! moved: every read and write names its offset. (A private LRU in
+//! front of the page cache bought nothing end to end and cost memory;
+//! see README "Dead-weight census".) [`StoreStats::cache_hits`] /
 //! [`StoreStats::cache_misses`] therefore stay zero, as for
 //! [`safetypin_seckv::MemStore`].
 //!
@@ -40,14 +50,15 @@
 //!
 //! The [`BlockStore`] trait deliberately has no error channel (the HSM's
 //! storage oracle either answers or the block is treated as missing), so
-//! *unexpected* host I/O failures on the hot path (`put`/`get`/`flush`)
-//! panic with context rather than silently corrupting state. Everything
-//! on the recovery path ([`FileStore::open`], [`FileStore::checkpoint`])
-//! returns typed [`StoreError`]s.
+//! *unexpected* host I/O failures on the hot path (`get`/`flush`; `put`
+//! and `remove` touch only memory) panic with context rather than
+//! silently corrupting state. Everything on the recovery path
+//! ([`FileStore::open`], [`FileStore::checkpoint`]) returns typed
+//! [`StoreError`]s.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use safetypin_seckv::{BlockStore, StoreStats};
@@ -61,11 +72,11 @@ pub enum Durability {
     /// fsync on every commit and checkpoint — survives power loss.
     #[default]
     Strict,
-    /// Skip fsync: commits still hit the OS page cache (surviving
-    /// process kills, which is what the crash tests exercise via file
-    /// truncation) but not power loss. This is the CI knob — the WAL
-    /// discipline and record framing are identical, only the syscalls
-    /// are elided.
+    /// Skip fsync: each commit's one write still reaches the OS page
+    /// cache (surviving process kills, which is what the crash tests
+    /// exercise via file truncation) but not power loss. This is the CI
+    /// and benchmark knob — the WAL discipline, record framing and
+    /// writes are identical, only the sync syscalls are elided.
     Relaxed,
 }
 
@@ -150,9 +161,11 @@ pub struct FileStore {
     opts: FileOptions,
     segment: File,
     wal: File,
-    wal_len: u64,
-    /// Mutations appended since the last commit record.
-    uncommitted: u64,
+    /// Length of `wal.bin`: everything up to the last commit record.
+    durable_len: u64,
+    /// Frames of the open transaction, bound for `wal.bin` at
+    /// `durable_len`. Empty between transactions.
+    staged: Vec<u8>,
     seq: u64,
     index: Index,
     stats: StoreStats,
@@ -174,17 +187,15 @@ fn open_rw(path: &Path, truncate: bool) -> std::io::Result<File> {
         .open(path)
 }
 
-fn read_all(file: &mut File) -> std::io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    file.seek(SeekFrom::Start(0))?;
-    file.read_to_end(&mut buf)?;
+fn read_all(file: &File) -> std::io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; file.metadata()?.len() as usize];
+    file.read_exact_at(&mut buf, 0)?;
     Ok(buf)
 }
 
-fn read_block(file: &mut File, loc: BlockLoc) -> std::io::Result<Vec<u8>> {
-    file.seek(SeekFrom::Start(loc.offset))?;
+fn read_block(file: &File, loc: BlockLoc) -> std::io::Result<Vec<u8>> {
     let mut buf = vec![0u8; loc.len as usize];
-    file.read_exact(&mut buf)?;
+    file.read_exact_at(&mut buf, loc.offset)?;
     Ok(buf)
 }
 
@@ -238,27 +249,31 @@ pub(crate) fn write_segment(
     mut placed: impl FnMut(u64, BlockLoc),
 ) -> Result<File, StoreError> {
     let tmp_path = dir.join(SEGMENT_TMP);
-    let mut tmp = open_rw(&tmp_path, true)?;
-    let mut offset = 0u64;
+    let tmp = open_rw(&tmp_path, true)?;
+    // `written` bytes are in the file, `buf` holds the ones after them.
+    let mut written = 0u64;
     let mut buf = Vec::new();
     for entry in blocks {
         let (addr, block) = entry?;
         let loc = BlockLoc {
-            offset: offset + PUT_BLOCK_OFFSET,
+            offset: written + buf.len() as u64 + PUT_BLOCK_OFFSET,
             len: block.len() as u32,
         };
         placed(addr, loc);
-        let frame = Record::Put { addr, block }.to_frame();
-        offset += frame.len() as u64;
-        buf.extend_from_slice(&frame);
+        Record::Put {
+            addr,
+            block: &block,
+        }
+        .append_frame(&mut buf);
         // Bound memory: stream out in ~4 MiB slabs.
         if buf.len() > 4 << 20 {
-            tmp.write_all(&buf)?;
+            tmp.write_all_at(&buf, written)?;
+            written += buf.len() as u64;
             buf.clear();
         }
     }
-    buf.extend_from_slice(&Record::Commit { seq }.to_frame());
-    tmp.write_all(&buf)?;
+    Record::Commit { seq }.append_frame(&mut buf);
+    tmp.write_all_at(&buf, written)?;
     publish(&tmp, &tmp_path, &dir.join(SEGMENT_FILE), durability)?;
     Ok(tmp)
 }
@@ -276,8 +291,8 @@ impl FileStore {
             std::fs::remove_file(&tmp)?;
         }
 
-        let mut segment = open_rw(&dir.join(SEGMENT_FILE), false)?;
-        let seg_bytes = read_all(&mut segment)?;
+        let segment = open_rw(&dir.join(SEGMENT_FILE), false)?;
+        let seg_bytes = read_all(&segment)?;
         let seg_replay = replay(&seg_bytes);
         // The segment is published atomically, so anything short of a
         // clean full replay is real corruption, not a crash artifact.
@@ -301,8 +316,8 @@ impl FileStore {
         }
         let segment_blocks = index.len();
 
-        let mut wal = open_rw(&dir.join(WAL_FILE), false)?;
-        let wal_bytes = read_all(&mut wal)?;
+        let wal = open_rw(&dir.join(WAL_FILE), false)?;
+        let wal_bytes = read_all(&wal)?;
         let wal_replay = replay(&wal_bytes);
         for (addr, effect) in &wal_replay.effects {
             match effect {
@@ -314,8 +329,8 @@ impl FileStore {
                 }
             }
         }
-        // Truncate the torn / uncommitted tail so appends resume at a
-        // clean record boundary.
+        // Truncate the torn / uncommitted tail (a crash mid-commit-write)
+        // so the next commit lands at a clean record boundary.
         let torn_bytes = wal_bytes.len() as u64 - wal_replay.committed_len;
         if torn_bytes > 0 {
             wal.set_len(wal_replay.committed_len)?;
@@ -327,8 +342,8 @@ impl FileStore {
             opts,
             segment,
             wal,
-            wal_len: wal_replay.committed_len,
-            uncommitted: 0,
+            durable_len: wal_replay.committed_len,
+            staged: Vec::new(),
             seq: seg_replay.last_seq.max(wal_replay.last_seq),
             index,
             stats: StoreStats::default(),
@@ -359,12 +374,7 @@ impl FileStore {
 
     /// Current WAL length in bytes (committed + staged).
     pub fn wal_len(&self) -> u64 {
-        self.wal_len
-    }
-
-    /// Mutations staged since the last commit boundary.
-    pub fn uncommitted_ops(&self) -> u64 {
-        self.uncommitted
+        self.durable_len + self.staged.len() as u64
     }
 
     /// What the last [`open`](Self::open) recovered.
@@ -372,43 +382,57 @@ impl FileStore {
         self.recovery
     }
 
-    fn read_at(&mut self, residence: Residence, loc: BlockLoc) -> std::io::Result<Vec<u8>> {
-        let file = match residence {
-            Residence::Segment => &mut self.segment,
-            Residence::Wal => &mut self.wal,
-        };
-        read_block(file, loc)
+    /// The one read path: a block of the open transaction is copied out
+    /// of the staging buffer, any other is one positioned read.
+    fn read_at(&self, residence: Residence, loc: BlockLoc) -> std::io::Result<Vec<u8>> {
+        match residence {
+            Residence::Wal if loc.offset >= self.durable_len => {
+                let start = (loc.offset - self.durable_len) as usize;
+                Ok(self.staged[start..start + loc.len as usize].to_vec())
+            }
+            Residence::Wal => read_block(&self.wal, loc),
+            Residence::Segment => read_block(&self.segment, loc),
+        }
     }
 
-    fn append_wal(&mut self, record: &Record) -> std::io::Result<()> {
-        let frame = record.to_frame();
-        self.wal.seek(SeekFrom::Start(self.wal_len))?;
-        self.wal.write_all(&frame)?;
-        self.wal_len += frame.len() as u64;
+    /// Frames `record` into the open transaction at logical WAL offset
+    /// [`wal_len`](Self::wal_len).
+    fn stage(&mut self, record: &Record) {
+        let before = self.staged.len();
+        record.append_frame(&mut self.staged);
         self.meters.wal_appends.incr();
-        self.meters.wal_bytes.add(frame.len() as u64);
-        Ok(())
+        self.meters
+            .wal_bytes
+            .add((self.staged.len() - before) as u64);
     }
 
     fn commit_inner(&mut self) -> Result<(), StoreError> {
-        if self.uncommitted == 0 {
+        if self.staged.is_empty() {
             return Ok(());
         }
+        let open_len = self.staged.len();
+        self.stage(&Record::Commit { seq: self.seq + 1 });
+        if let Err(e) = self.wal.write_all_at(&self.staged, self.durable_len) {
+            // The transaction stays open: a retry rewrites it in place,
+            // and a reopen discards whatever prefix landed.
+            self.staged.truncate(open_len);
+            return Err(e.into());
+        }
         self.seq += 1;
-        let record = Record::Commit { seq: self.seq };
-        self.append_wal(&record)?;
+        self.durable_len += self.staged.len() as u64;
+        self.staged = Vec::new();
         timed_sync(self.opts.durability, &self.wal, true)?;
         self.stats.flushes += 1;
-        self.uncommitted = 0;
         Ok(())
     }
 
-    /// Commits staged mutations: appends a `Commit` record, fsyncs under
+    /// Commits staged mutations: appends a `Commit` record, writes the
+    /// transaction with one positioned write, fsyncs under
     /// [`Durability::Strict`], and auto-checkpoints once the WAL grows
     /// past 8 MiB. A no-op when nothing is staged.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         self.commit_inner()?;
-        if self.wal_len > CHECKPOINT_WAL_BYTES {
+        if self.durable_len > CHECKPOINT_WAL_BYTES {
             self.checkpoint()?;
         }
         Ok(())
@@ -429,13 +453,8 @@ impl FileStore {
         let mut live: Vec<(u64, (Residence, BlockLoc))> =
             self.index.iter().map(|(addr, at)| (*addr, *at)).collect();
         live.sort_unstable_by_key(|&(addr, _)| addr);
-        let (segment, wal) = (&mut self.segment, &mut self.wal);
         let blocks = live.into_iter().map(|(addr, (residence, loc))| {
-            let file = match residence {
-                Residence::Segment => &mut *segment,
-                Residence::Wal => &mut *wal,
-            };
-            read_block(file, loc).map(|block| (addr, block))
+            self.read_at(residence, loc).map(|block| (addr, block))
         });
         let mut index = Index::with_capacity(self.index.len());
         // The handle written as tmp now *is* the segment (same inode).
@@ -451,19 +470,17 @@ impl FileStore {
         self.index = index;
         self.wal.set_len(0)?;
         timed_sync(self.opts.durability, &self.wal, true)?;
-        self.wal_len = 0;
+        self.durable_len = 0;
         self.meters.checkpoints.incr();
         Ok(())
     }
 
     /// Reads every live block (bypassing stats) — test/persist helper
     /// mirroring [`safetypin_seckv::MemStore::snapshot`].
-    pub fn snapshot(&mut self) -> HashMap<u64, Vec<u8>> {
-        let entries: Vec<(u64, (Residence, BlockLoc))> =
-            self.index.iter().map(|(a, l)| (*a, *l)).collect();
-        entries
-            .into_iter()
-            .map(|(addr, (residence, loc))| {
+    pub fn snapshot(&self) -> HashMap<u64, Vec<u8>> {
+        self.index
+            .iter()
+            .map(|(&addr, &(residence, loc))| {
                 let block = self
                     .read_at(residence, loc)
                     .expect("snapshot read of indexed block");
@@ -477,13 +494,8 @@ impl BlockStore for FileStore {
     fn put(&mut self, addr: u64, block: &[u8]) {
         self.stats.writes += 1;
         self.stats.bytes_written += block.len() as u64;
-        let block_offset = self.wal_len + PUT_BLOCK_OFFSET;
-        let record = Record::Put {
-            addr,
-            block: block.to_vec(),
-        };
-        self.append_wal(&record)
-            .expect("WAL append failed (host storage unavailable)");
+        let block_offset = self.wal_len() + PUT_BLOCK_OFFSET;
+        self.stage(&Record::Put { addr, block });
         self.index.insert(
             addr,
             (
@@ -494,7 +506,6 @@ impl BlockStore for FileStore {
                 },
             ),
         );
-        self.uncommitted += 1;
     }
 
     fn get(&mut self, addr: u64) -> Option<Vec<u8>> {
@@ -510,9 +521,7 @@ impl BlockStore for FileStore {
     fn remove(&mut self, addr: u64) {
         self.stats.removes += 1;
         if self.index.remove(&addr).is_some() {
-            self.append_wal(&Record::Remove { addr })
-                .expect("WAL append failed (host storage unavailable)");
-            self.uncommitted += 1;
+            self.stage(&Record::Remove { addr });
         }
     }
 
@@ -562,16 +571,53 @@ mod tests {
     #[test]
     fn unflushed_tail_lost_on_reopen() {
         let dir = tmpdir("unflushed");
+        let committed_len;
         {
             let mut s = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
             s.put(1, &[1]);
             s.flush();
+            committed_len = s.wal_len();
             s.put(1, &[2]); // never committed
+            s.put(2, &[3]);
+            s.remove(2);
             assert_eq!(s.get(1), Some(vec![2]), "live process sees staged write");
         }
+        // The dropped transaction never reached the file.
+        let on_disk = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        assert_eq!(on_disk, committed_len);
         let mut s = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
         assert_eq!(s.get(1), Some(vec![1]), "reopen sees last commit");
-        assert!(s.recovery().torn_bytes_discarded > 0);
+        assert_eq!(s.recovery().torn_bytes_discarded, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_wal_tail_discarded_on_reopen() {
+        let dir = tmpdir("torn-tail");
+        {
+            let mut s = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
+            s.put(1, &[1; 8]);
+            s.flush();
+        }
+        // A crash mid-commit-write: half a `Put` frame lands past the
+        // last commit.
+        let mut frame = Vec::new();
+        Record::Put {
+            addr: 1,
+            block: &[2; 8],
+        }
+        .append_frame(&mut frame);
+        let torn = &frame[..frame.len() / 2];
+        let path = dir.join(WAL_FILE);
+        let mut wal = std::fs::read(&path).unwrap();
+        let committed_len = wal.len() as u64;
+        wal.extend_from_slice(torn);
+        std::fs::write(&path, &wal).unwrap();
+
+        let mut s = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
+        assert_eq!(s.recovery().torn_bytes_discarded, torn.len() as u64);
+        assert_eq!(s.get(1), Some(vec![1; 8]), "the last commit survives");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed_len);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -591,7 +637,7 @@ mod tests {
         assert_eq!(s.wal_len(), 0);
         assert_eq!(s.snapshot(), pre);
         drop(s);
-        let mut s = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
+        let s = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
         assert_eq!(s.snapshot(), pre);
         assert_eq!(s.recovery().segment_blocks, 16);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -8,9 +8,11 @@
 //! 1. **[`FileStore`]** — a [`BlockStore`](safetypin_seckv::BlockStore)
 //!    backend over an append-only
 //!    segment file plus a write-ahead log with atomic checkpointing and
-//!    per-record CRC/length framing for torn-write detection. It keeps
-//!    an index, not a cache: a read is one lookup plus one file read,
-//!    and the kernel's page cache is the only block cache. Recovered
+//!    per-record CRC/length framing for torn-write detection. A
+//!    transaction is staged in memory and reaches the WAL as one write
+//!    at its commit. It keeps an index, not a cache: a read is one
+//!    lookup plus one positioned file read, and the kernel's page cache
+//!    is the only block cache. Recovered
 //!    state after a crash is always the state at some commit boundary,
 //!    never a torn hybrid (pinned by a crash-point property test over
 //!    every WAL truncation offset). It is the **one durable mechanism**:

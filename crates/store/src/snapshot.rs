@@ -89,7 +89,7 @@ mod tests {
         mem.put(3, &[3; 10]);
         mem.put(9, &[9; 4]);
         mem.checkpoint_into(&dir, FileOptions::relaxed()).unwrap();
-        let mut back = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
+        let back = FileStore::open(&dir, FileOptions::relaxed()).unwrap();
         assert_eq!(back.snapshot(), mem.snapshot());
         assert_eq!(back.wal_len(), 0, "snapshot is segment-only");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -34,15 +34,17 @@ pub const FRAME_LEN: usize = 8;
 /// its frame: past the framing, the tag and the address.
 pub const PUT_BLOCK_OFFSET: u64 = FRAME_LEN as u64 + 9;
 
-/// One logical WAL operation.
+/// One logical WAL operation. A `Put` borrows its block: the store
+/// frames the caller's bytes straight into its buffer, and [`replay`]
+/// locates a block inside the scanned input without copying it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Record {
+pub enum Record<'a> {
     /// Store `block` at `addr`, replacing any previous block.
     Put {
         /// Destination address.
         addr: u64,
         /// Block contents.
-        block: Vec<u8>,
+        block: &'a [u8],
     },
     /// Forget the block at `addr`.
     Remove {
@@ -91,48 +93,41 @@ const TAG_PUT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 
-impl Record {
-    /// Encodes the record with its frame (length + CRC + payload).
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+impl Record<'_> {
+    /// Appends the record with its frame (length + CRC + payload) to
+    /// `out`, with no intermediate buffer.
+    pub fn append_frame(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; FRAME_LEN]);
         match self {
             Record::Put { addr, block } => {
-                payload.push(TAG_PUT);
-                payload.extend_from_slice(&addr.to_be_bytes());
-                payload.extend_from_slice(block);
+                out.push(TAG_PUT);
+                out.extend_from_slice(&addr.to_be_bytes());
+                out.extend_from_slice(block);
             }
             Record::Remove { addr } => {
-                payload.push(TAG_REMOVE);
-                payload.extend_from_slice(&addr.to_be_bytes());
+                out.push(TAG_REMOVE);
+                out.extend_from_slice(&addr.to_be_bytes());
             }
             Record::Commit { seq } => {
-                payload.push(TAG_COMMIT);
-                payload.extend_from_slice(&seq.to_be_bytes());
+                out.push(TAG_COMMIT);
+                out.extend_from_slice(&seq.to_be_bytes());
             }
         }
-        let mut out = Vec::with_capacity(FRAME_LEN + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&crc32(&payload).to_be_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    /// Framed length of this record on disk.
-    pub fn frame_len(&self) -> u64 {
-        let body = match self {
-            Record::Put { block, .. } => 9 + block.len(),
-            Record::Remove { .. } | Record::Commit { .. } => 9,
-        };
-        (FRAME_LEN + body) as u64
+        let payload = &out[start + FRAME_LEN..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+        out[start + 4..start + FRAME_LEN].copy_from_slice(&crc.to_be_bytes());
     }
 }
 
 /// Outcome of scanning one record at `input[offset..]`.
-enum Scan {
-    /// A well-formed record; `next` is the offset just past it. For
-    /// `Put`, `block_offset` locates the block bytes within the file.
+enum Scan<'a> {
+    /// A well-formed record, borrowing from the input; `next` is the
+    /// offset just past it. For `Put`, `block_offset` locates the block
+    /// bytes within the file.
     Ok {
-        record: Record,
+        record: Record<'a>,
         block_offset: u64,
         next: u64,
     },
@@ -142,7 +137,7 @@ enum Scan {
     Torn(&'static str),
 }
 
-fn scan_one(input: &[u8], offset: u64) -> Scan {
+fn scan_one(input: &[u8], offset: u64) -> Scan<'_> {
     let off = offset as usize;
     let remaining = &input[off..];
     if remaining.is_empty() {
@@ -171,7 +166,7 @@ fn scan_one(input: &[u8], offset: u64) -> Scan {
     let record = match payload[0] {
         TAG_PUT if body.len() >= 8 => Record::Put {
             addr: u64::from_be_bytes(body[..8].try_into().expect("8 bytes")),
-            block: body[8..].to_vec(),
+            block: &body[8..],
         },
         TAG_REMOVE if body.len() == 8 => Record::Remove {
             addr: u64::from_be_bytes(body.try_into().expect("8 bytes")),
@@ -275,7 +270,7 @@ mod tests {
     fn frame_stream(records: &[Record]) -> Vec<u8> {
         let mut out = Vec::new();
         for r in records {
-            out.extend_from_slice(&r.to_frame());
+            r.append_frame(&mut out);
         }
         out
     }
@@ -288,29 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn frame_len_matches_encoding() {
-        for r in [
-            Record::Put {
-                addr: 7,
-                block: vec![1, 2, 3],
-            },
-            Record::Remove { addr: 9 },
-            Record::Commit { seq: 4 },
-        ] {
-            assert_eq!(r.to_frame().len() as u64, r.frame_len());
-        }
-    }
-
-    #[test]
     fn replay_applies_committed_transactions() {
         let stream = frame_stream(&[
             Record::Put {
                 addr: 1,
-                block: vec![0xAA; 4],
+                block: &[0xAA; 4],
             },
             Record::Put {
                 addr: 2,
-                block: vec![0xBB; 2],
+                block: &[0xBB; 2],
             },
             Record::Commit { seq: 1 },
             Record::Remove { addr: 1 },
@@ -334,18 +315,16 @@ mod tests {
         let mut stream = frame_stream(&[
             Record::Put {
                 addr: 1,
-                block: vec![1],
+                block: &[1],
             },
             Record::Commit { seq: 1 },
         ]);
         let committed = stream.len() as u64;
-        stream.extend_from_slice(
-            &Record::Put {
-                addr: 1,
-                block: vec![9, 9],
-            }
-            .to_frame(),
-        );
+        Record::Put {
+            addr: 1,
+            block: &[9, 9],
+        }
+        .append_frame(&mut stream);
         let replay = replay(&stream);
         assert_eq!(replay.commits, 1);
         assert_eq!(replay.committed_len, committed);
@@ -358,25 +337,27 @@ mod tests {
         let full = frame_stream(&[
             Record::Put {
                 addr: 5,
-                block: vec![7; 16],
+                block: &[7; 16],
             },
             Record::Commit { seq: 1 },
             Record::Put {
                 addr: 5,
-                block: vec![8; 16],
+                block: &[8; 16],
             },
             Record::Put {
                 addr: 6,
-                block: vec![9; 16],
+                block: &[9; 16],
             },
             Record::Commit { seq: 2 },
         ]);
-        let first_commit_end = Record::Put {
-            addr: 5,
-            block: vec![7; 16],
-        }
-        .frame_len()
-            + Record::Commit { seq: 1 }.frame_len();
+        let first_commit_end = frame_stream(&[
+            Record::Put {
+                addr: 5,
+                block: &[7; 16],
+            },
+            Record::Commit { seq: 1 },
+        ])
+        .len() as u64;
         for cut in 0..full.len() {
             let replay = replay(&full[..cut]);
             if (cut as u64) < first_commit_end {
@@ -399,7 +380,7 @@ mod tests {
         let mut stream = frame_stream(&[
             Record::Put {
                 addr: 1,
-                block: vec![1, 2, 3, 4],
+                block: &[1, 2, 3, 4],
             },
             Record::Commit { seq: 1 },
         ]);

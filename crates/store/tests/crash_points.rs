@@ -143,7 +143,7 @@ fn crash_points_after_checkpoint_recover_over_segment() {
         std::fs::create_dir_all(&crash_dir).unwrap();
         std::fs::write(crash_dir.join("segment.bin"), &seg_bytes).unwrap();
         std::fs::write(crash_dir.join("wal.bin"), &wal_bytes[..cut as usize]).unwrap();
-        let mut reopened = FileStore::open(&crash_dir, FileOptions::relaxed()).unwrap();
+        let reopened = FileStore::open(&crash_dir, FileOptions::relaxed()).unwrap();
         let expect_idx = commit_lens.iter().rposition(|&l| l <= cut).unwrap();
         assert_eq!(
             reopened.snapshot(),
