@@ -325,6 +325,33 @@ fn every_message_variant_roundtrips() {
     );
 }
 
+/// The corpus's bytes are pinned: a codec change that moved any field
+/// of any variant — a swapped pair, a new count width, a renumbered tag
+/// — round-trips just as well, so only a golden catches it. The digest
+/// is `hash_parts` over the envelopes' encodings in corpus order.
+#[test]
+fn every_message_variant_encodes_to_the_pinned_bytes() {
+    use safetypin_primitives::hashes::{hash_parts, Domain};
+
+    let encodings: Vec<Vec<u8>> = sample_envelopes(0x5AFE_0071)
+        .iter()
+        .map(Encode::to_bytes)
+        .collect();
+    let parts: Vec<&[u8]> = encodings.iter().map(Vec::as_slice).collect();
+    let hex: String = hash_parts(Domain::LogEntry, &parts)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(
+        (encodings.len(), parts.iter().map(|p| p.len()).sum()),
+        (50, 11_847)
+    );
+    assert_eq!(
+        hex,
+        "f8c1d839cad7bf785da3f19b900e63e77a175cdca3b53346943062317a94321d"
+    );
+}
+
 /// The corpus is the variant list: for `Message` and for each of the
 /// four role enums it carries, every tag byte the decoder accepts is one
 /// some sample encodes with, and every other byte is `InvalidTag`. A
