@@ -18,7 +18,7 @@ pub struct BandwidthModel {
     pub cluster: u32,
     /// Serialized bytes of one HSM's enrollment record (identity key +
     /// BLS key + PoP + BFE public key). Measure with
-    /// `EnrollmentRecord::serialized_len`.
+    /// `EnrollmentRecord`'s `Encode::encoded_len`.
     pub enrollment_bytes: u64,
     /// System-wide recoveries per year.
     pub recoveries_per_year: f64,

@@ -47,10 +47,10 @@
 //!
 //! [`Log::plan_epoch`]: crate::log::Log::plan_epoch
 
-use safetypin_primitives::error::WireError;
 use safetypin_primitives::hashes::{Domain, Hash256, HashStream};
 use safetypin_primitives::merkle::{self, MerkleProof, MerkleTree};
-use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
+use safetypin_primitives::wire;
+use safetypin_primitives::wire::{Encode, Writer};
 
 use crate::log::EpochCut;
 use crate::trie::{ExtensionProof, MerkleTrie};
@@ -88,18 +88,20 @@ impl core::fmt::Display for AuditError {
 
 impl std::error::Error for AuditError {}
 
-/// The tuple every HSM signs: `(d, d', R)` plus the chunk count (which
-/// bounds valid leaf indices under `R`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateMessage {
-    /// Digest before the epoch (`d`).
-    pub old_digest: Hash256,
-    /// Digest after the epoch (`d'`).
-    pub new_digest: Hash256,
-    /// Merkle root over the intermediate digests (`R`).
-    pub root: Hash256,
-    /// Number of chunks in the epoch.
-    pub chunk_count: u32,
+wire! {
+    /// The tuple every HSM signs: `(d, d', R)` plus the chunk count (which
+    /// bounds valid leaf indices under `R`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct UpdateMessage {
+        /// Digest before the epoch (`d`).
+        pub old_digest: Hash256,
+        /// Digest after the epoch (`d'`).
+        pub new_digest: Hash256,
+        /// Merkle root over the intermediate digests (`R`).
+        pub root: Hash256,
+        /// Number of chunks in the epoch.
+        pub chunk_count: u32,
+    }
 }
 
 impl UpdateMessage {
@@ -112,26 +114,6 @@ impl UpdateMessage {
         w.put_fixed(&self.root);
         w.put_u32(self.chunk_count);
         w.into_bytes()
-    }
-}
-
-impl Encode for UpdateMessage {
-    fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.old_digest);
-        w.put_fixed(&self.new_digest);
-        w.put_fixed(&self.root);
-        w.put_u32(self.chunk_count);
-    }
-}
-
-impl Decode for UpdateMessage {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            old_digest: r.get_array()?,
-            new_digest: r.get_array()?,
-            root: r.get_array()?,
-            chunk_count: r.get_u32()?,
-        })
     }
 }
 
@@ -230,52 +212,30 @@ impl EpochUpdate {
     }
 }
 
-/// Audit materials for one chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkAudit {
-    /// The chunk index.
-    pub chunk: u32,
-    /// Digest before this chunk (`d_{i-1}`, or `d` for the first chunk).
-    pub start_digest: Hash256,
-    /// Digest after this chunk (`d_i`).
-    pub end_digest: Hash256,
-    /// The chunk's extension proof.
-    pub proof: ExtensionProof,
-    /// Merkle proof that `start_digest` is leaf `chunk−1` of `R`
-    /// (absent for the first chunk, which starts from `d`).
-    pub start_inclusion: Option<MerkleProof>,
-    /// Merkle proof that `end_digest` is leaf `chunk` of `R`.
-    pub end_inclusion: MerkleProof,
+wire! {
+    /// Audit materials for one chunk.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ChunkAudit {
+        /// The chunk index.
+        pub chunk: u32,
+        /// Digest before this chunk (`d_{i-1}`, or `d` for the first chunk).
+        pub start_digest: Hash256,
+        /// Digest after this chunk (`d_i`).
+        pub end_digest: Hash256,
+        /// The chunk's extension proof.
+        pub proof: ExtensionProof,
+        /// Merkle proof that `start_digest` is leaf `chunk−1` of `R`
+        /// (absent for the first chunk, which starts from `d`).
+        pub start_inclusion: Option<MerkleProof>,
+        /// Merkle proof that `end_digest` is leaf `chunk` of `R`.
+        pub end_inclusion: MerkleProof,
+    }
 }
 
 impl ChunkAudit {
     /// Serialized size (for audit-bandwidth accounting).
     pub fn proof_bytes(&self) -> usize {
         self.to_bytes().len()
-    }
-}
-
-impl Encode for ChunkAudit {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.chunk);
-        w.put_fixed(&self.start_digest);
-        w.put_fixed(&self.end_digest);
-        self.proof.encode(w);
-        w.put_option(&self.start_inclusion);
-        self.end_inclusion.encode(w);
-    }
-}
-
-impl Decode for ChunkAudit {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            chunk: r.get_u32()?,
-            start_digest: r.get_array()?,
-            end_digest: r.get_array()?,
-            proof: ExtensionProof::decode(r)?,
-            start_inclusion: r.get_option()?,
-            end_inclusion: MerkleProof::decode(r)?,
-        })
     }
 }
 
@@ -420,6 +380,7 @@ pub fn reaudit_chunks_for(
 mod tests {
     use super::*;
     use crate::log::Log;
+    use safetypin_primitives::wire::Decode;
 
     fn populated_cut(pre: usize, ins: usize, chunks: usize) -> (Log, EpochCut) {
         let mut log = Log::new();

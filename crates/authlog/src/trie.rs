@@ -160,26 +160,15 @@ pub struct LookupProof {
 
 impl Encode for LookupProof {
     fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.siblings.len() as u32);
-        for s in &self.siblings {
-            w.put_fixed(s);
-        }
+        w.put_seq(&self.siblings);
         self.end.encode(w);
     }
 }
 
 impl Decode for LookupProof {
     fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let n = r.get_u32()? as usize;
-        if n > MAX_DEPTH {
-            return Err(WireError::LengthOutOfRange);
-        }
-        let mut siblings = Vec::with_capacity(n);
-        for _ in 0..n {
-            siblings.push(r.get_array()?);
-        }
         Ok(Self {
-            siblings,
+            siblings: r.get_seq_max(MAX_DEPTH, Decode::decode)?,
             end: PathEnd::decode(r)?,
         })
     }

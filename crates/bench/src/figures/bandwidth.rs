@@ -79,7 +79,7 @@ pub fn run() {
 
     // Keying material, measured record size extrapolated to paper scale.
     let enrollments = deployment.datacenter.enrollments();
-    let record_small = enrollments[0].serialized_len() as u64;
+    let record_small = enrollments[0].encoded_len() as u64;
     // The BFE public key dominates; recompute the record size at paper
     // slot count.
     let bfe_small = enrollments[0].bfe_pk.serialized_len();

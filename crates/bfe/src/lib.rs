@@ -40,6 +40,7 @@ use safetypin_primitives::aead::{self, AeadCiphertext, AeadKey};
 use safetypin_primitives::elgamal::{PublicKey, POINT_LEN};
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::hashes::{hash_parts, indices_from_seed, Domain};
+use safetypin_primitives::wire;
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 use safetypin_primitives::{CryptoError, Result};
 use safetypin_seckv::{ArrayState, BlockStore, SecureArray, StorageError};
@@ -201,23 +202,20 @@ impl BfePublicKey {
 impl Encode for BfePublicKey {
     fn encode(&self, w: &mut Writer) {
         self.params.encode(w);
-        w.put_u32(self.points.len() as u32);
-        for p in self.points.iter() {
-            p.encode(w);
-        }
+        w.put_seq(&self.points);
     }
 }
 
 impl Decode for BfePublicKey {
     fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
         let params = BfeParams::decode(r)?;
-        let n = r.get_u32()? as usize;
-        if n as u64 != params.slots {
+        // `slots` comes from the same input as the points, so it caps the
+        // count but must not size the allocation: the bounded reader
+        // reserves only what the rest of the input can fill.
+        let slots = usize::try_from(params.slots).map_err(|_| WireError::LengthOutOfRange)?;
+        let points: Vec<PublicKey> = r.get_seq_max(slots, PublicKey::decode)?;
+        if points.len() != slots {
             return Err(WireError::LengthOutOfRange);
-        }
-        let mut points = Vec::with_capacity(n);
-        for _ in 0..n {
-            points.push(PublicKey::decode(r)?);
         }
         Ok(Self {
             params,
@@ -298,47 +296,21 @@ fn point_sec1(point: &ProjectivePoint) -> [u8; POINT_LEN] {
     out
 }
 
-/// A BFE ciphertext: one shared ephemeral nonce plus one DEM per Bloom slot
-/// of the tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BfeCiphertext {
-    eph: PublicKey,
-    /// `(slot index, DEM ciphertext)` pairs in tag-index order.
-    slots: Vec<(u64, AeadCiphertext)>,
+wire! {
+    /// A BFE ciphertext: one shared ephemeral nonce plus one DEM per Bloom slot
+    /// of the tag.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BfeCiphertext {
+        eph: PublicKey,
+        /// `(slot index, DEM ciphertext)` pairs in tag-index order.
+        slots: Vec<(u64, AeadCiphertext)> as seq(1024),
+    }
 }
 
 impl BfeCiphertext {
     /// Serialized length without outer framing.
     pub fn raw_len(&self) -> usize {
         self.to_bytes().len()
-    }
-}
-
-impl Encode for BfeCiphertext {
-    fn encode(&self, w: &mut Writer) {
-        self.eph.encode(w);
-        w.put_u32(self.slots.len() as u32);
-        for (idx, dem) in &self.slots {
-            w.put_u64(*idx);
-            dem.encode(w);
-        }
-    }
-}
-
-impl Decode for BfeCiphertext {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let eph = PublicKey::decode(r)?;
-        let n = r.get_u32()? as usize;
-        if n > 1024 {
-            return Err(WireError::LengthOutOfRange);
-        }
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            let idx = r.get_u64()?;
-            let dem = AeadCiphertext::decode(r)?;
-            slots.push((idx, dem));
-        }
-        Ok(Self { eph, slots })
     }
 }
 
@@ -424,35 +396,17 @@ impl OpReport {
     }
 }
 
-/// The constant trusted state of a [`BfeSecretKey`]: the secure-array
-/// handle (root key included — seal before persisting) plus the
-/// puncture bookkeeping that drives the rotation trigger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BfeKeyState {
-    /// Filter parameters.
-    pub params: BfeParams,
-    array: ArrayState,
-    punctures: u64,
-    slots_deleted: u64,
-}
-
-impl Encode for BfeKeyState {
-    fn encode(&self, w: &mut Writer) {
-        self.params.encode(w);
-        self.array.encode(w);
-        w.put_u64(self.punctures);
-        w.put_u64(self.slots_deleted);
-    }
-}
-
-impl Decode for BfeKeyState {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            params: BfeParams::decode(r)?,
-            array: ArrayState::decode(r)?,
-            punctures: r.get_u64()?,
-            slots_deleted: r.get_u64()?,
-        })
+wire! {
+    /// The constant trusted state of a [`BfeSecretKey`]: the secure-array
+    /// handle (root key included — seal before persisting) plus the
+    /// puncture bookkeeping that drives the rotation trigger.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BfeKeyState {
+        /// Filter parameters.
+        pub params: BfeParams,
+        array: ArrayState,
+        punctures: u64,
+        slots_deleted: u64,
     }
 }
 

@@ -172,7 +172,7 @@ impl Client {
     pub fn keying_material_bytes(&self) -> u64 {
         self.enrollments
             .iter()
-            .map(|e| e.serialized_len() as u64)
+            .map(|e| e.encoded_len() as u64)
             .sum()
     }
 

@@ -21,7 +21,7 @@ use rand::{CryptoRng, RngCore};
 use safetypin_primitives::aead::{self, AeadCiphertext, AeadKey};
 use safetypin_primitives::elgamal;
 use safetypin_primitives::hashes::{hash_parts, indices_from_seed, Domain, Hash256};
-use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
+use safetypin_primitives::wire;
 use safetypin_primitives::CryptoError;
 use safetypin_sim::OpCosts;
 
@@ -84,35 +84,17 @@ fn pin_hash(pin: &[u8], salt: &[u8; 32]) -> Hash256 {
     hash_parts(Domain::BaselinePinHash, &[salt, pin])
 }
 
-/// The user-visible baseline ciphertext.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineCiphertext {
-    /// Public salt for the PIN hash.
-    pub salt: [u8; 32],
-    /// One ElGamal ciphertext of `(recovery key ‖ pin hash)` per cluster
-    /// HSM.
-    pub shares: Vec<elgamal::Ciphertext>,
-    /// The message body under the recovery key.
-    pub body: AeadCiphertext,
-}
-
-impl Encode for BaselineCiphertext {
-    fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.salt);
-        w.put_seq(&self.shares);
-        self.body.encode(w);
-    }
-}
-
-impl Decode for BaselineCiphertext {
-    fn decode(
-        r: &mut Reader<'_>,
-    ) -> core::result::Result<Self, safetypin_primitives::error::WireError> {
-        Ok(Self {
-            salt: r.get_array()?,
-            shares: r.get_seq()?,
-            body: AeadCiphertext::decode(r)?,
-        })
+wire! {
+    /// The user-visible baseline ciphertext.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BaselineCiphertext {
+        /// Public salt for the PIN hash.
+        pub salt: [u8; 32],
+        /// One ElGamal ciphertext of `(recovery key ‖ pin hash)` per cluster
+        /// HSM.
+        pub shares: Vec<elgamal::Ciphertext> as seq,
+        /// The message body under the recovery key.
+        pub body: AeadCiphertext,
     }
 }
 
@@ -275,6 +257,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use safetypin_primitives::wire::{Decode, Encode};
 
     fn system() -> (BaselineSystem, StdRng) {
         let mut rng = StdRng::seed_from_u64(606);

@@ -6,19 +6,22 @@ use safetypin_primitives::elgamal;
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::hashes::{hash_parts, indices_from_seed, Domain};
 use safetypin_primitives::shamir::{self, Share};
+use safetypin_primitives::wire;
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 use safetypin_primitives::CryptoError;
 
 use crate::params::LheParams;
 use crate::Result;
 
-/// The public salt included in every recovery ciphertext.
-///
-/// Per §8 ("Multiple recovery ciphertexts"), a client reuses one salt across
-/// its backup series so that a single puncture revokes all of them, and
-/// picks a fresh salt after recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Salt(pub [u8; 32]);
+wire! {
+    /// The public salt included in every recovery ciphertext.
+    ///
+    /// Per §8 ("Multiple recovery ciphertexts"), a client reuses one salt across
+    /// its backup series so that a single puncture revokes all of them, and
+    /// picks a fresh salt after recovery.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct Salt(pub [u8; 32]);
+}
 
 impl Salt {
     /// Samples a fresh random salt.
@@ -26,18 +29,6 @@ impl Salt {
         let mut s = [0u8; 32];
         rng.fill_bytes(&mut s);
         Self(s)
-    }
-}
-
-impl Encode for Salt {
-    fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.0);
-    }
-}
-
-impl Decode for Salt {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self(r.get_array::<32>()?))
     }
 }
 

@@ -15,8 +15,6 @@ use aes_gcm::{Aes128Gcm, KeyInit, Nonce};
 use rand::{CryptoRng, RngCore};
 use subtle::ConstantTimeEq;
 
-use crate::error::WireError;
-use crate::wire::{Decode, Encode, Reader, Writer};
 use crate::{CryptoError, Result};
 
 /// Byte length of an AEAD key.
@@ -94,11 +92,13 @@ impl PartialEq for AeadKey {
 
 impl Eq for AeadKey {}
 
-/// An AEAD ciphertext: nonce followed by GCM output (body ‖ tag).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AeadCiphertext {
-    nonce: [u8; NONCE_LEN],
-    body: Vec<u8>,
+crate::wire! {
+    /// An AEAD ciphertext: nonce followed by GCM output (body ‖ tag).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AeadCiphertext {
+        nonce: [u8; NONCE_LEN],
+        body: Vec<u8>,
+    }
 }
 
 impl AeadCiphertext {
@@ -109,21 +109,6 @@ impl AeadCiphertext {
 
     /// Ciphertext expansion over the plaintext, in bytes.
     pub const OVERHEAD: usize = NONCE_LEN + TAG_LEN;
-}
-
-impl Encode for AeadCiphertext {
-    fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.nonce);
-        w.put_bytes(&self.body);
-    }
-}
-
-impl Decode for AeadCiphertext {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let nonce = r.get_array::<NONCE_LEN>()?;
-        let body = r.get_bytes()?.to_vec();
-        Ok(Self { nonce, body })
-    }
 }
 
 /// Encrypts `plaintext` under `key`, binding `aad` into the tag.
@@ -171,6 +156,7 @@ pub fn open(key: &AeadKey, aad: &[u8], ct: &AeadCiphertext) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Decode, Encode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

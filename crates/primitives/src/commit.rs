@@ -8,51 +8,23 @@
 
 use rand::{CryptoRng, RngCore};
 
-use crate::error::WireError;
 use crate::hashes::{hash_parts, Domain, Hash256};
-use crate::wire::{Decode, Encode, Reader, Writer};
 use crate::{CryptoError, Result};
 
-/// A commitment value (the hash `h`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Commitment(pub Hash256);
-
-impl Encode for Commitment {
-    fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.0);
-    }
+crate::wire! {
+    /// A commitment value (the hash `h`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct Commitment(pub Hash256);
 }
 
-impl Decode for Commitment {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self(r.get_array::<32>()?))
-    }
-}
-
-/// The opening of a commitment: the payload plus the blinding randomness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Opening {
-    /// Committed payload bytes.
-    pub payload: Vec<u8>,
-    /// 32 bytes of blinding randomness.
-    pub randomness: Hash256,
-}
-
-impl Encode for Opening {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.payload);
-        w.put_fixed(&self.randomness);
-    }
-}
-
-impl Decode for Opening {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let payload = r.get_bytes()?.to_vec();
-        let randomness = r.get_array::<32>()?;
-        Ok(Self {
-            payload,
-            randomness,
-        })
+crate::wire! {
+    /// The opening of a commitment: the payload plus the blinding randomness.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Opening {
+        /// Committed payload bytes.
+        pub payload: Vec<u8>,
+        /// 32 bytes of blinding randomness.
+        pub randomness: Hash256,
     }
 }
 
@@ -88,6 +60,7 @@ pub fn verify<'a>(commitment: &Commitment, opening: &'a Opening) -> Result<&'a [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Decode, Encode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

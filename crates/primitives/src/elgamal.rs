@@ -171,35 +171,21 @@ impl KeyPair {
     }
 }
 
-/// A hashed-ElGamal ciphertext: ephemeral point `g^r` plus the AEAD body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ciphertext {
-    /// Ephemeral public nonce `g^r`.
-    pub eph: PublicKey,
-    /// DEM ciphertext under `Hash'(X^r, ctx)`.
-    pub dem: AeadCiphertext,
+crate::wire! {
+    /// A hashed-ElGamal ciphertext: ephemeral point `g^r` plus the AEAD body.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Ciphertext {
+        /// Ephemeral public nonce `g^r`.
+        pub eph: PublicKey,
+        /// DEM ciphertext under `Hash'(X^r, ctx)`.
+        pub dem: AeadCiphertext,
+    }
 }
 
 impl Ciphertext {
     /// Serialized length without outer wire framing.
     pub fn raw_len(&self) -> usize {
         POINT_LEN + self.dem.raw_len()
-    }
-}
-
-impl Encode for Ciphertext {
-    fn encode(&self, w: &mut Writer) {
-        self.eph.encode(w);
-        self.dem.encode(w);
-    }
-}
-
-impl Decode for Ciphertext {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            eph: PublicKey::decode(r)?,
-            dem: AeadCiphertext::decode(r)?,
-        })
     }
 }
 

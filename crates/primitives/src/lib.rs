@@ -15,7 +15,7 @@
 //! - [`merkle`]: binary Merkle trees over arbitrary leaves (used by the
 //!   distributed log's chunk commitment and by the authenticated
 //!   dictionary).
-//! - [`wire`]: a small length-prefixed binary codec; every ciphertext and
+//! - [`wire`](mod@wire): a small length-prefixed binary codec; every ciphertext and
 //!   proof in the workspace serializes through it so sizes reported by the
 //!   benchmark harness reflect real wire costs.
 //!

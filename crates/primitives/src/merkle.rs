@@ -49,25 +49,16 @@ pub struct MerkleProof {
 impl Encode for MerkleProof {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.index);
-        w.put_u32(self.siblings.len() as u32);
-        for s in &self.siblings {
-            w.put_fixed(s);
-        }
+        w.put_seq(&self.siblings);
     }
 }
 
 impl Decode for MerkleProof {
     fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let index = r.get_u64()?;
-        let n = r.get_u32()? as usize;
-        if n > 64 {
-            return Err(WireError::LengthOutOfRange);
-        }
-        let mut siblings = Vec::with_capacity(n);
-        for _ in 0..n {
-            siblings.push(r.get_array::<32>()?);
-        }
-        Ok(Self { index, siblings })
+        Ok(Self {
+            index: r.get_u64()?,
+            siblings: r.get_seq_max(64, Decode::decode)?,
+        })
     }
 }
 

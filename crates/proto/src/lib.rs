@@ -90,7 +90,8 @@ pub use api::{
 pub use envelope::{Envelope, Message, MAX_GROUP_REQUESTS, PROTO_VERSION};
 pub use error::ProtoError;
 pub use messages::{
-    EnrollmentRecord, RecoveryRequest, RecoveryResponse, SnapshotMeta, StatusReport,
+    EnrollmentRecord, RecoveryRequest, RecoveryResponse, SnapshotMeta, StatusReport, MAX_CLUSTER,
+    MAX_SNAPSHOT_HSMS,
 };
 pub use metrics::{HistogramSummary, MetricsReport, MAX_METRICS_SERIES};
 pub use tcp::{Tcp, TcpConfig, MAX_FRAME_BYTES};

@@ -12,141 +12,53 @@
 //!
 //! [`ProviderRequest::Metrics`]: crate::api::ProviderRequest::Metrics
 
-use safetypin_primitives::error::WireError;
-use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
+use safetypin_primitives::wire;
 use safetypin_telemetry::Snapshot;
 
 /// Upper bound on the series one [`MetricsReport`] section may carry;
 /// oversized sections fail decoding with
-/// [`WireError::LengthOutOfRange`] before any payload is parsed.
+/// [`WireError::LengthOutOfRange`](safetypin_primitives::error::WireError::LengthOutOfRange)
+/// before any payload is parsed.
 pub const MAX_METRICS_SERIES: usize = 4096;
 
-/// One histogram's summary inside a [`MetricsReport`].
-///
-/// All values are in the histogram's recording unit — microseconds
-/// for every latency series (the workspace convention).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSummary {
-    /// Series name (`layer.operation`).
-    pub name: String,
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of all recorded values.
-    pub sum: u64,
-    /// Smallest recorded value (0 when the series is empty).
-    pub min: u64,
-    /// Largest recorded value.
-    pub max: u64,
-    /// Median estimate.
-    pub p50: u64,
-    /// 95th-percentile estimate.
-    pub p95: u64,
-    /// 99th-percentile estimate.
-    pub p99: u64,
-}
-
-impl Encode for HistogramSummary {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(self.name.as_bytes());
-        w.put_u64(self.count);
-        w.put_u64(self.sum);
-        w.put_u64(self.min);
-        w.put_u64(self.max);
-        w.put_u64(self.p50);
-        w.put_u64(self.p95);
-        w.put_u64(self.p99);
+wire! {
+    /// One histogram's summary inside a [`MetricsReport`].
+    ///
+    /// All values are in the histogram's recording unit — microseconds
+    /// for every latency series (the workspace convention).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct HistogramSummary {
+        /// Series name (`layer.operation`).
+        pub name: String,
+        /// Observations recorded.
+        pub count: u64,
+        /// Sum of all recorded values.
+        pub sum: u64,
+        /// Smallest recorded value (0 when the series is empty).
+        pub min: u64,
+        /// Largest recorded value.
+        pub max: u64,
+        /// Median estimate.
+        pub p50: u64,
+        /// 95th-percentile estimate.
+        pub p95: u64,
+        /// 99th-percentile estimate.
+        pub p99: u64,
     }
 }
 
-impl Decode for HistogramSummary {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            name: String::from_utf8_lossy(r.get_bytes()?).into_owned(),
-            count: r.get_u64()?,
-            sum: r.get_u64()?,
-            min: r.get_u64()?,
-            max: r.get_u64()?,
-            p50: r.get_u64()?,
-            p95: r.get_u64()?,
-            p99: r.get_u64()?,
-        })
-    }
-}
-
-/// A live snapshot of a service's metric registry, served lock-free
-/// (no fleet mutex) by `safetypind` in reply to
-/// [`ProviderRequest::Metrics`](crate::api::ProviderRequest::Metrics).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsReport {
-    /// `(name, total)` for every counter, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge, sorted by name.
-    pub gauges: Vec<(String, i64)>,
-    /// Histogram summaries, sorted by name.
-    pub histograms: Vec<HistogramSummary>,
-}
-
-/// Decodes one `(name, u64)` section written by [`put_named_u64s`].
-fn get_named_u64s(r: &mut Reader<'_>) -> core::result::Result<Vec<(String, u64)>, WireError> {
-    let len = r.get_u32()? as usize;
-    if len > MAX_METRICS_SERIES || len > r.remaining() {
-        return Err(WireError::LengthOutOfRange);
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        let name = String::from_utf8_lossy(r.get_bytes()?).into_owned();
-        out.push((name, r.get_u64()?));
-    }
-    Ok(out)
-}
-
-/// Encodes a `(name, u64)` section with a `u32` count prefix.
-fn put_named_u64s(w: &mut Writer, items: &[(String, u64)]) {
-    w.put_u32(items.len() as u32);
-    for (name, value) in items {
-        w.put_bytes(name.as_bytes());
-        w.put_u64(*value);
-    }
-}
-
-impl Encode for MetricsReport {
-    fn encode(&self, w: &mut Writer) {
-        put_named_u64s(w, &self.counters);
-        // Gauges are signed; they ride as two's-complement u64.
-        let gauges: Vec<(String, u64)> = self
-            .gauges
-            .iter()
-            .map(|(n, v)| (n.clone(), *v as u64))
-            .collect();
-        put_named_u64s(w, &gauges);
-        let histograms = &self.histograms;
-        w.put_u32(histograms.len() as u32);
-        for h in histograms {
-            h.encode(w);
-        }
-    }
-}
-
-impl Decode for MetricsReport {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        let counters = get_named_u64s(r)?;
-        let gauges = get_named_u64s(r)?
-            .into_iter()
-            .map(|(n, v)| (n, v as i64))
-            .collect();
-        let len = r.get_u32()? as usize;
-        if len > MAX_METRICS_SERIES || len > r.remaining() {
-            return Err(WireError::LengthOutOfRange);
-        }
-        let mut histograms = Vec::with_capacity(len);
-        for _ in 0..len {
-            histograms.push(HistogramSummary::decode(r)?);
-        }
-        Ok(Self {
-            counters,
-            gauges,
-            histograms,
-        })
+wire! {
+    /// A live snapshot of a service's metric registry, served lock-free
+    /// (no fleet mutex) by `safetypind` in reply to
+    /// [`ProviderRequest::Metrics`](crate::api::ProviderRequest::Metrics).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct MetricsReport {
+        /// `(name, total)` for every counter, sorted by name.
+        pub counters: Vec<(String, u64)> as seq(MAX_METRICS_SERIES),
+        /// `(name, value)` for every gauge, sorted by name.
+        pub gauges: Vec<(String, i64)> as seq(MAX_METRICS_SERIES),
+        /// Histogram summaries, sorted by name.
+        pub histograms: Vec<HistogramSummary> as seq(MAX_METRICS_SERIES),
     }
 }
 

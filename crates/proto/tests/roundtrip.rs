@@ -1,8 +1,8 @@
 //! Codec conformance for every proto message: `encode ∘ decode = id`
-//! round-trips, plus strict-decoding negative tests (truncation at every
-//! prefix length, trailing bytes, unknown version tags) — the satellite
-//! guarantees that make the envelope format safe to speak over a real
-//! link.
+//! round-trips, pinned bytes, plus strict-decoding negative tests
+//! (truncation at every prefix length, trailing bytes, unknown version
+//! tags, every count cap) — the guarantees that make the envelope format
+//! safe to speak over a real link.
 
 #![allow(
     clippy::unwrap_used,
@@ -459,153 +459,219 @@ fn unknown_version_tag_rejected_with_typed_error() {
     }
 }
 
-/// The engine's batch messages carry explicit size ceilings: a declared
-/// batch larger than the limit fails with a typed error *before* any
-/// payload parses — a wire peer cannot force an unbounded serve loop.
+/// One row of the count-cap table: the row's name, the envelope bytes
+/// before the count, one valid item, the bytes after the sequence, and the
+/// cap.
+type CapRow = (&'static str, Vec<u8>, Vec<u8>, Vec<u8>, usize);
+
+/// Every count cap a decoder enforces, one row per counted field.
+fn count_cap_rows() -> Vec<CapRow> {
+    use safetypin_proto::{
+        MAX_CLUSTER, MAX_GROUP_REQUESTS, MAX_METRICS_SERIES, MAX_RECOVER_BATCH_USERS,
+        MAX_SAVE_BATCH_USERS, MAX_SNAPSHOT_HSMS,
+    };
+
+    let head = |tags: &[u8]| [&PROTO_VERSION.to_be_bytes()[..], tags].concat();
+
+    // A one-HSM `Recover` whose request has no share indices and no reply
+    // key: its last five bytes are the empty index count and `None`.
+    let request = RecoveryRequest {
+        username: b"alice".to_vec(),
+        salt: safetypin_lhe::Salt([7; 32]),
+        opening: commit::Opening {
+            payload: b"cluster || ct-hash".to_vec(),
+            randomness: [9; 32],
+        },
+        inclusion: Default::default(),
+        ciphertext: vec![0xA5; 16],
+        share_indices: Vec::new(),
+        recovery_pk: None,
+    };
+    let recover = Envelope::seal(Message::ProviderRequest(ProviderRequest::Recover(vec![(
+        1, request,
+    )])))
+    .to_bytes();
+    let snapshot = SnapshotMeta {
+        proto_version: PROTO_VERSION,
+        fleet_size: 16,
+        epoch_count: 3,
+        log_generation: 1,
+        key_epochs: Vec::new(),
+    };
+    let snapshot = Envelope::seal(Message::SnapshotMeta(snapshot)).to_bytes();
+    let save = SaveRequest {
+        username: Vec::new(),
+        blob: Vec::new(),
+    };
+    let outcome = SaveOutcome {
+        username: Vec::new(),
+        error: None,
+    };
+    let summary = HistogramSummary {
+        name: String::new(),
+        count: 0,
+        sum: 0,
+        min: 0,
+        max: 0,
+        p50: 0,
+        p95: 0,
+        p99: 0,
+    };
+    let empty_seq = 0u32.to_be_bytes();
+    let hsm = 9u64.to_be_bytes();
+
+    vec![
+        // ProviderRequest (message tag 4) RecoverBatch (variant tag 6):
+        // each user is an empty per-HSM round.
+        (
+            "RecoverBatch",
+            head(&[4, 6]),
+            empty_seq.to_vec(),
+            vec![],
+            MAX_RECOVER_BATCH_USERS,
+        ),
+        // ProviderResponse (5) RecoveredBatch (7), the same shape back.
+        (
+            "RecoveredBatch",
+            head(&[5, 7]),
+            empty_seq.to_vec(),
+            vec![],
+            MAX_RECOVER_BATCH_USERS,
+        ),
+        // ProviderRequest (4) SaveBatch (11), and ProviderResponse (5)
+        // SavedBatch (10).
+        (
+            "SaveBatch",
+            head(&[4, 11]),
+            save.to_bytes(),
+            vec![],
+            MAX_SAVE_BATCH_USERS,
+        ),
+        (
+            "SavedBatch",
+            head(&[5, 10]),
+            outcome.to_bytes(),
+            vec![],
+            MAX_SAVE_BATCH_USERS,
+        ),
+        // ProviderResponse (5) Metrics (11): counters, gauges, histograms.
+        (
+            "Metrics.counters",
+            head(&[5, 11]),
+            (String::new(), 0u64).to_bytes(),
+            [empty_seq; 2].concat(),
+            MAX_METRICS_SERIES,
+        ),
+        (
+            "Metrics.gauges",
+            [head(&[5, 11]), empty_seq.to_vec()].concat(),
+            (String::new(), -1i64).to_bytes(),
+            empty_seq.to_vec(),
+            MAX_METRICS_SERIES,
+        ),
+        (
+            "Metrics.histograms",
+            [head(&[5, 11]), [empty_seq; 2].concat()].concat(),
+            summary.to_bytes(),
+            vec![],
+            MAX_METRICS_SERIES,
+        ),
+        // HsmGroupRequest (7) of `GetEnrollment`s and HsmGroupResponse
+        // (8) of `Ack`s, after the HSM id.
+        (
+            "HsmGroupRequest",
+            [head(&[7]), hsm.to_vec()].concat(),
+            vec![0],
+            vec![],
+            MAX_GROUP_REQUESTS,
+        ),
+        (
+            "HsmGroupResponse",
+            [head(&[8]), hsm.to_vec()].concat(),
+            vec![3],
+            vec![],
+            MAX_GROUP_REQUESTS,
+        ),
+        // RecoveryRequest.share_indices, inside a one-HSM `Recover`.
+        (
+            "RecoveryRequest.share_indices",
+            recover[..recover.len() - 5].to_vec(),
+            7u32.to_be_bytes().to_vec(),
+            vec![0],
+            MAX_CLUSTER,
+        ),
+        // SnapshotMeta (6).key_epochs, the envelope's last field.
+        (
+            "SnapshotMeta.key_epochs",
+            snapshot[..snapshot.len() - 4].to_vec(),
+            2u64.to_be_bytes().to_vec(),
+            vec![],
+            MAX_SNAPSHOT_HSMS,
+        ),
+    ]
+}
+
+/// Checks the count-cap rows named in `names` (every row when `names` is
+/// empty). A frame declaring `cap + 1` items and carrying all of them is
+/// refused with a typed error before any item parses, so only the cap can
+/// refuse it; the same frame with `cap` items decodes.
+fn assert_count_caps(names: &[&str]) {
+    let rows: Vec<CapRow> = count_cap_rows()
+        .into_iter()
+        .filter(|row| names.is_empty() || names.contains(&row.0))
+        .collect();
+    assert!(
+        names.is_empty() || rows.len() == names.len(),
+        "unknown row in {names:?}"
+    );
+    for (name, prefix, item, suffix, cap) in rows {
+        let frame = |count: usize| {
+            let mut bytes = prefix.clone();
+            bytes.reserve(4 + count * item.len() + suffix.len());
+            bytes.extend_from_slice(&u32::try_from(count).unwrap().to_be_bytes());
+            for _ in 0..count {
+                bytes.extend_from_slice(&item);
+            }
+            bytes.extend_from_slice(&suffix);
+            bytes
+        };
+        assert_eq!(
+            Envelope::from_bytes(&frame(cap + 1)).err(),
+            Some(WireError::LengthOutOfRange),
+            "{name}: cap {cap} + 1"
+        );
+        Envelope::from_bytes(&frame(cap)).unwrap_or_else(|e| panic!("{name}: cap {cap}: {e}"));
+    }
+}
+
+/// The whole count-cap table.
+#[test]
+fn every_count_cap_refuses_one_over_and_admits_the_cap() {
+    assert_count_caps(&[]);
+}
+
+/// The engine's recovery batch caps its user count in both directions.
 #[test]
 fn oversized_recover_batch_rejected_with_typed_error() {
-    use safetypin_primitives::wire::Writer;
-    use safetypin_proto::MAX_RECOVER_BATCH_USERS;
-
-    // Envelope header + ProviderRequest (message tag 4) + RecoverBatch
-    // (variant tag 6) + an oversized user count, with enough padding
-    // that only the explicit ceiling can reject it.
-    let mut w = Writer::new();
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(4);
-    w.put_u8(6);
-    w.put_u32(MAX_RECOVER_BATCH_USERS as u32 + 1);
-    let mut bytes = w.into_bytes();
-    bytes.extend(std::iter::repeat_n(0u8, MAX_RECOVER_BATCH_USERS + 64));
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::LengthOutOfRange
-    );
-
-    // The limit itself is fine structurally (each user round empty).
-    let within = ProviderRequest::RecoverBatch(vec![Vec::new(); MAX_RECOVER_BATCH_USERS]);
-    let encoded = Envelope::seal(Message::ProviderRequest(within)).to_bytes();
-    assert!(Envelope::from_bytes(&encoded).is_ok());
+    assert_count_caps(&["RecoverBatch", "RecoveredBatch"]);
 }
 
 /// Same ceiling on the save-path engine's wave, in both directions.
 #[test]
 fn oversized_save_batch_rejected_with_typed_error() {
-    use safetypin_primitives::wire::Writer;
-    use safetypin_proto::MAX_SAVE_BATCH_USERS;
-
-    // Envelope header + ProviderRequest (message tag 4) + SaveBatch
-    // (variant tag 11) + an oversized user count, padded past the
-    // allocation guard.
-    let mut w = Writer::new();
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(4);
-    w.put_u8(11);
-    w.put_u32(MAX_SAVE_BATCH_USERS as u32 + 1);
-    let mut bytes = w.into_bytes();
-    bytes.extend(std::iter::repeat_n(0u8, MAX_SAVE_BATCH_USERS + 64));
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::LengthOutOfRange
-    );
-
-    // And the ProviderResponse (message tag 5) SavedBatch (variant tag
-    // 10) direction enforces it too.
-    let mut w = Writer::new();
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(5);
-    w.put_u8(10);
-    w.put_u32(MAX_SAVE_BATCH_USERS as u32 + 1);
-    let mut bytes = w.into_bytes();
-    bytes.extend(std::iter::repeat_n(0u8, MAX_SAVE_BATCH_USERS + 64));
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::LengthOutOfRange
-    );
-
-    // The limit itself is fine structurally (empty-field saves).
-    let within = ProviderRequest::SaveBatch(vec![
-        SaveRequest {
-            username: Vec::new(),
-            blob: Vec::new(),
-        };
-        MAX_SAVE_BATCH_USERS
-    ]);
-    let encoded = Envelope::seal(Message::ProviderRequest(within)).to_bytes();
-    assert!(Envelope::from_bytes(&encoded).is_ok());
+    assert_count_caps(&["SaveBatch", "SavedBatch"]);
 }
 
-/// Every [`MetricsReport`] section caps its series count before any
-/// payload parses.
+/// Every [`MetricsReport`] section caps its series count.
 #[test]
 fn oversized_metrics_report_rejected_with_typed_error() {
-    use safetypin_primitives::wire::Writer;
-    use safetypin_proto::MAX_METRICS_SERIES;
-
-    // Envelope header + ProviderResponse (message tag 5) + Metrics
-    // (variant tag 11) + an oversized counter-section count, padded
-    // past the allocation guard.
-    let mut w = Writer::new();
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(5);
-    w.put_u8(11);
-    w.put_u32(MAX_METRICS_SERIES as u32 + 1);
-    let mut bytes = w.into_bytes();
-    bytes.extend(std::iter::repeat_n(0u8, MAX_METRICS_SERIES + 64));
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::LengthOutOfRange
-    );
-
-    // The histogram section enforces the same ceiling: an empty
-    // counter and gauge section, then an oversized summary count.
-    let mut w = Writer::new();
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(5);
-    w.put_u8(11);
-    w.put_u32(0);
-    w.put_u32(0);
-    w.put_u32(MAX_METRICS_SERIES as u32 + 1);
-    let mut bytes = w.into_bytes();
-    bytes.extend(std::iter::repeat_n(0u8, MAX_METRICS_SERIES + 64));
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::LengthOutOfRange
-    );
+    assert_count_caps(&["Metrics.counters", "Metrics.gauges", "Metrics.histograms"]);
 }
 
-/// Same ceiling on the per-device group envelope.
+/// Same ceiling on the per-device group envelope, in both directions.
 #[test]
 fn oversized_hsm_group_rejected_with_typed_error() {
-    use safetypin_primitives::wire::Writer;
-    use safetypin_proto::MAX_GROUP_REQUESTS;
-
-    // Envelope header + HsmGroupRequest (message tag 7) + id + an
-    // oversized request count, padded past the allocation guard.
-    let mut w = Writer::new();
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(7);
-    w.put_u64(9);
-    w.put_u32(MAX_GROUP_REQUESTS as u32 + 1);
-    let mut bytes = w.into_bytes();
-    bytes.extend(std::iter::repeat_n(0u8, MAX_GROUP_REQUESTS + 64));
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::LengthOutOfRange
-    );
-
-    // And the response direction (message tag 8) enforces it too.
-    let mut w = Writer::new();
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(8);
-    w.put_u64(9);
-    w.put_u32(MAX_GROUP_REQUESTS as u32 + 1);
-    let mut bytes = w.into_bytes();
-    bytes.extend(std::iter::repeat_n(0u8, MAX_GROUP_REQUESTS + 64));
-    assert_eq!(
-        Envelope::from_bytes(&bytes).unwrap_err(),
-        WireError::LengthOutOfRange
-    );
+    assert_count_caps(&["HsmGroupRequest", "HsmGroupResponse"]);
 }
 
 proptest! {

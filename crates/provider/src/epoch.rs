@@ -9,34 +9,18 @@ use safetypin_seckv::BlockStore;
 
 use crate::{each_reply, Datacenter, EpochOutcome, ProviderError};
 
-/// The quorum certificate retained for one entry of the update history:
-/// who signed and the aggregate over `(d, d', R)`. Kept so a restored
-/// (or replacement, §7.1) HSM can be caught up by *replaying* the
-/// certified chain — the HSM verifies every aggregate itself, so
-/// catch-up extends no trust beyond live participation.
-#[derive(Debug, Clone)]
-pub struct EpochCert {
-    /// Fleet indices whose keys are aggregated.
-    pub signers: Vec<u64>,
-    /// The aggregate signature over the update's signing bytes.
-    pub aggregate: Signature,
-}
-
-impl safetypin_primitives::wire::Encode for EpochCert {
-    fn encode(&self, w: &mut safetypin_primitives::wire::Writer) {
-        w.put_seq(&self.signers);
-        self.aggregate.encode(w);
-    }
-}
-
-impl safetypin_primitives::wire::Decode for EpochCert {
-    fn decode(
-        r: &mut safetypin_primitives::wire::Reader<'_>,
-    ) -> Result<Self, safetypin_primitives::error::WireError> {
-        Ok(Self {
-            signers: r.get_seq()?,
-            aggregate: Signature::decode(r)?,
-        })
+safetypin_primitives::wire! {
+    /// The quorum certificate retained for one entry of the update history:
+    /// who signed and the aggregate over `(d, d', R)`. Kept so a restored
+    /// (or replacement, §7.1) HSM can be caught up by *replaying* the
+    /// certified chain — the HSM verifies every aggregate itself, so
+    /// catch-up extends no trust beyond live participation.
+    #[derive(Debug, Clone)]
+    pub struct EpochCert {
+        /// Fleet indices whose keys are aggregated.
+        pub signers: Vec<u64> as seq,
+        /// The aggregate signature over the update's signing bytes.
+        pub aggregate: Signature,
     }
 }
 

@@ -33,7 +33,7 @@ fn encode_items(items: &[Option<Vec<u8>>]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(items.len() as u64);
     for item in items {
-        w.put_option(item);
+        item.encode(&mut w);
     }
     w.into_bytes()
 }
@@ -46,8 +46,7 @@ fn decode_items(bytes: &[u8]) -> Result<Vec<Option<Vec<u8>>>> {
     let mut items = Vec::with_capacity(n as usize);
     for _ in 0..n {
         items.push(
-            r.get_option::<Vec<u8>>()
-                .map_err(|_| StorageError::AuthFailure(BLOB_ADDR))?,
+            Option::<Vec<u8>>::decode(&mut r).map_err(|_| StorageError::AuthFailure(BLOB_ADDR))?,
         );
     }
     Ok(items)

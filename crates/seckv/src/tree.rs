@@ -21,6 +21,7 @@
 use rand::{CryptoRng, RngCore};
 use safetypin_primitives::aead::{self, AeadCiphertext, AeadKey, KEY_LEN};
 use safetypin_primitives::error::WireError;
+use safetypin_primitives::wire;
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 
 use crate::store::BlockStore;
@@ -30,27 +31,29 @@ use crate::{Result, StorageError};
 /// mirroring `Delete`'s base case in Appendix C.
 const ZERO_KEY: [u8; KEY_LEN] = [0u8; KEY_LEN];
 
-/// Symmetric-operation counters for one `SecureArray`.
-///
-/// The simulation layer converts these into SoloKey-calibrated time
-/// (AES blocks at Table 7 rates); the store's own [`crate::StoreStats`]
-/// covers the I/O half. The block counters make provider round-trips
-/// observable, so batching wins (shared path prefixes re-keyed once
-/// instead of once per delete) show up directly in the meters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Metrics {
-    /// AEAD seal operations performed.
-    pub aead_enc_ops: u64,
-    /// AEAD open operations performed.
-    pub aead_dec_ops: u64,
-    /// Plaintext bytes sealed.
-    pub bytes_encrypted: u64,
-    /// Ciphertext bytes opened.
-    pub bytes_decrypted: u64,
-    /// Blocks fetched from the provider store.
-    pub blocks_fetched: u64,
-    /// Blocks written to the provider store.
-    pub blocks_written: u64,
+wire! {
+    /// Symmetric-operation counters for one `SecureArray`.
+    ///
+    /// The simulation layer converts these into SoloKey-calibrated time
+    /// (AES blocks at Table 7 rates); the store's own [`crate::StoreStats`]
+    /// covers the I/O half. The block counters make provider round-trips
+    /// observable, so batching wins (shared path prefixes re-keyed once
+    /// instead of once per delete) show up directly in the meters.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct Metrics {
+        /// AEAD seal operations performed.
+        pub aead_enc_ops: u64,
+        /// AEAD open operations performed.
+        pub aead_dec_ops: u64,
+        /// Plaintext bytes sealed.
+        pub bytes_encrypted: u64,
+        /// Ciphertext bytes opened.
+        pub bytes_decrypted: u64,
+        /// Blocks fetched from the provider store.
+        pub blocks_fetched: u64,
+        /// Blocks written to the provider store.
+        pub blocks_written: u64,
+    }
 }
 
 impl Metrics {
@@ -62,30 +65,6 @@ impl Metrics {
     fn record_dec(&mut self, ciphertext_len: usize) {
         self.aead_dec_ops += 1;
         self.bytes_decrypted += ciphertext_len as u64;
-    }
-}
-
-impl Encode for Metrics {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.aead_enc_ops);
-        w.put_u64(self.aead_dec_ops);
-        w.put_u64(self.bytes_encrypted);
-        w.put_u64(self.bytes_decrypted);
-        w.put_u64(self.blocks_fetched);
-        w.put_u64(self.blocks_written);
-    }
-}
-
-impl Decode for Metrics {
-    fn decode(r: &mut Reader<'_>) -> core::result::Result<Self, WireError> {
-        Ok(Self {
-            aead_enc_ops: r.get_u64()?,
-            aead_dec_ops: r.get_u64()?,
-            bytes_encrypted: r.get_u64()?,
-            bytes_decrypted: r.get_u64()?,
-            blocks_fetched: r.get_u64()?,
-            blocks_written: r.get_u64()?,
-        })
     }
 }
 

@@ -120,20 +120,13 @@ impl Keyring {
 
 impl Encode for Keyring {
     fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.keys.len() as u32);
-        for key in &self.keys {
-            w.put_fixed(&key.to_bytes());
-        }
+        w.put_seq_with(&self.keys, |w, key| w.put_fixed(&key.to_bytes()));
     }
 }
 
 impl Decode for Keyring {
     fn decode(r: &mut Reader<'_>) -> Result<Self, safetypin_primitives::error::WireError> {
-        let n = r.get_u32()? as usize;
-        let mut keys = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            keys.push(DeviceKey::from_bytes(r.get_array::<KEY_LEN>()?));
-        }
+        let keys = r.get_seq_max(usize::MAX, |r| Ok(DeviceKey::from_bytes(r.get_array()?)))?;
         Ok(Self { keys })
     }
 }

@@ -7,8 +7,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use safetypin::primitives::wire::Decode;
-use safetypin_proto::{Envelope, PROTO_VERSION};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use safetypin::bfe::{self, BfeParams};
+use safetypin::primitives::elgamal;
+use safetypin::primitives::wire::{Decode, Encode};
+use safetypin::{multisig, seckv};
+use safetypin_proto::{EnrollmentRecord, Envelope, Message, ProviderResponse, PROTO_VERSION};
 
 /// The system allocator, plus the largest single request seen while
 /// `COUNTING` is set.
@@ -75,6 +80,42 @@ fn crafted_frame(head: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// A provider's `Enrollments` reply carrying one real record whose BFE
+/// public key declares 2²⁰ slots and 2²⁰ points — the count matches the
+/// slots, as a valid key's must — but carries the two points of a
+/// two-slot key.
+fn inflated_enrollments_frame() -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let sig_key = multisig::SigningKey::generate(&mut rng);
+    let (bfe_pk, _sk, _report) = bfe::keygen(
+        BfeParams::new(2, 1).unwrap(),
+        &mut seckv::MemStore::new(),
+        &mut rng,
+    )
+    .unwrap();
+    let record = EnrollmentRecord {
+        id: 0,
+        identity_pk: elgamal::KeyPair::generate(&mut rng).pk,
+        sig_vk: sig_key.verify_key(),
+        sig_pop: sig_key.prove_possession(),
+        bfe_pk,
+        key_epoch: 0,
+    };
+    let reply = ProviderResponse::Enrollments(vec![record.clone()]);
+    let mut frame = Envelope::seal(Message::ProviderResponse(reply)).to_bytes();
+    // The key's `slots` (u64) and point count (u32) sit after the
+    // envelope header, the list count and the record's first four fields.
+    let slots_at = frame.len() - record.encoded_len()
+        + 8
+        + record.identity_pk.encoded_len()
+        + record.sig_vk.encoded_len()
+        + record.sig_pop.encoded_len();
+    let count_at = slots_at + 8 + 4;
+    frame[slots_at..slots_at + 8].copy_from_slice(&(1u64 << 20).to_be_bytes());
+    frame[count_at..count_at + 4].copy_from_slice(&(1u32 << 20).to_be_bytes());
+    frame
+}
+
 #[test]
 fn a_declared_count_does_not_size_the_allocation() {
     // `Recover` (variant tag 4) is one `(u64, RecoveryRequest)`
@@ -83,6 +124,7 @@ fn a_declared_count_does_not_size_the_allocation() {
     let frames = [
         ("Recover", crafted_frame(&[4])),
         ("RecoverBatch", crafted_frame(&[6, 0, 0, 0, 1])),
+        ("Enrollments", inflated_enrollments_frame()),
     ];
     for (name, frame) in frames {
         let largest = largest_allocation_decoding(&frame);
