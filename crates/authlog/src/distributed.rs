@@ -235,7 +235,7 @@ wire! {
 impl ChunkAudit {
     /// Serialized size (for audit-bandwidth accounting).
     pub fn proof_bytes(&self) -> usize {
-        self.to_bytes().len()
+        self.encoded_len()
     }
 }
 

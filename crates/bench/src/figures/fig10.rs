@@ -147,6 +147,6 @@ trait ToBytesLen {
 impl ToBytesLen for safetypin::baseline::BaselineCiphertext {
     fn to_bytes_len(&self) -> usize {
         use safetypin_primitives::wire::Encode;
-        self.to_bytes().len()
+        self.encoded_len()
     }
 }

@@ -43,7 +43,7 @@ use safetypin_primitives::hashes::{hash_parts, indices_from_seed, Domain};
 use safetypin_primitives::wire;
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
 use safetypin_primitives::{CryptoError, Result};
-use safetypin_seckv::{ArrayState, BlockStore, SecureArray, StorageError};
+use safetypin_seckv::{ArrayState, BlockStore, Descent, Metrics, SecureArray, StorageError};
 use std::sync::Arc;
 
 /// Bloom-filter-encryption parameters.
@@ -296,6 +296,9 @@ fn point_sec1(point: &ProjectivePoint) -> [u8; POINT_LEN] {
     out
 }
 
+/// Most DEMs one [`BfeCiphertext`] may carry on the wire.
+const MAX_DEMS: usize = 1024;
+
 wire! {
     /// A BFE ciphertext: one shared ephemeral nonce plus one DEM per Bloom slot
     /// of the tag.
@@ -303,14 +306,27 @@ wire! {
     pub struct BfeCiphertext {
         eph: PublicKey,
         /// `(slot index, DEM ciphertext)` pairs in tag-index order.
-        slots: Vec<(u64, AeadCiphertext)> as seq(1024),
+        slots: Vec<(u64, AeadCiphertext)> as seq(MAX_DEMS),
     }
 }
 
 impl BfeCiphertext {
     /// Serialized length without outer framing.
     pub fn raw_len(&self) -> usize {
-        self.to_bytes().len()
+        self.encoded_len()
+    }
+
+    /// Steps over one encoded ciphertext without decoding it: lengths and
+    /// the DEM count cap are checked as [`decode`](Decode::decode) checks
+    /// them, but the ephemeral point is not parsed and no DEM is copied.
+    /// For reading one share out of many (`LheCiphertext::share_at`).
+    pub fn skip(r: &mut Reader<'_>) -> core::result::Result<(), WireError> {
+        r.get_array::<POINT_LEN>()?;
+        r.get_seq_max(MAX_DEMS, |r| {
+            r.get_u64()?;
+            AeadCiphertext::skip(r)
+        })?;
+        Ok(())
     }
 }
 
@@ -463,6 +479,12 @@ impl BfeSecretKey {
         self.array.root_key_bytes()
     }
 
+    /// The outsourced secret array's counters: every AEAD operation and
+    /// block fetch or write the key tree has served.
+    pub fn array_metrics(&self) -> Metrics {
+        self.array.metrics()
+    }
+
     /// Attempts to decrypt `ct` (created under `tag`) using any surviving
     /// slot key: [`decrypt_many_traced`](Self::decrypt_many_traced) over
     /// a batch of one.
@@ -482,16 +504,64 @@ impl BfeSecretKey {
         Ok((pt, report))
     }
 
+    /// The secret array's counters since `before`, as a report: every
+    /// AEAD operation and byte of the key tree, and its block traffic.
+    fn report_since(&self, before: Metrics) -> OpReport {
+        let after = self.array.metrics();
+        OpReport {
+            group_ops: 0,
+            aead_ops: (after.aead_dec_ops - before.aead_dec_ops)
+                + (after.aead_enc_ops - before.aead_enc_ops),
+            aead_bytes: (after.bytes_decrypted - before.bytes_decrypted)
+                + (after.bytes_encrypted - before.bytes_encrypted),
+            blocks_read: after.blocks_fetched - before.blocks_fetched,
+            blocks_written: after.blocks_written - before.blocks_written,
+        }
+    }
+
+    /// Opens the key-tree paths to every Bloom slot of `tags` in one
+    /// shared-prefix descent ([`SecureArray::open_paths`]), for the
+    /// decryptions ([`decrypt_opened`](Self::decrypt_opened)) and the one
+    /// puncture ([`puncture_opened`](Self::puncture_opened)) that follow
+    /// to share. A node that fails to open is recorded, not fatal: it
+    /// fails only the slots under it. Dropping the descent writes nothing
+    /// and wipes the keys it holds.
+    pub fn open_tags<S: BlockStore>(
+        &mut self,
+        store: &mut S,
+        tags: &[&[u8]],
+    ) -> (Descent, OpReport) {
+        let before = self.array.metrics();
+        let slots: Vec<u64> = tags
+            .iter()
+            .flat_map(|tag| self.params.indices_for_tag(tag))
+            .collect();
+        let mut descent = self.array.descent();
+        self.array.open_paths(store, &mut descent, &slots);
+        (descent, self.report_since(before))
+    }
+
     /// Decrypts many ciphertexts — typically **many users'** coalesced
     /// share decryptions on one HSM — in rounds of shared-prefix batch
-    /// reads.
-    ///
-    /// Each item needs one surviving Bloom slot; per round, every
-    /// unresolved item's next candidate slot is read through
-    /// [`SecureArray::read_batch`], so the union of all items'
-    /// root-to-leaf paths is fetched and AEAD-opened **once** instead of
-    /// once per item (a recovery storm's paths share their upper
-    /// levels). Outcomes per item are exactly what decrypting the items
+    /// reads: [`decrypt_opened`](Self::decrypt_opened) through a fresh
+    /// descent.
+    #[allow(clippy::type_complexity)]
+    pub fn decrypt_many_traced<S: BlockStore>(
+        &mut self,
+        store: &mut S,
+        items: &[(&[u8], &[u8], &BfeCiphertext)],
+    ) -> (Vec<Result<(Vec<u8>, (u64, Scalar))>>, OpReport) {
+        let mut descent = self.array.descent();
+        self.decrypt_opened(store, &mut descent, items)
+    }
+
+    /// Decrypts many ciphertexts through `descent`. Each item needs one
+    /// surviving Bloom slot; per round, every unresolved item's next
+    /// candidate slot is read through [`SecureArray::read_through`], which
+    /// opens only the path nodes `descent` lacks (none, when
+    /// [`open_tags`](Self::open_tags) opened the items' tags), so every
+    /// node on the union of the items' paths is fetched and opened
+    /// **once**. Outcomes per item are exactly what decrypting the items
     /// one batch each would produce — same slot-candidate order, same
     /// error cases — only the meters differ.
     ///
@@ -502,11 +572,13 @@ impl BfeSecretKey {
     /// ([`BfePublicKey::audit_slot_scalars`]) — and one aggregate
     /// [`OpReport`] for the whole batch.
     #[allow(clippy::type_complexity)]
-    pub fn decrypt_many_traced<S: BlockStore>(
+    pub fn decrypt_opened<S: BlockStore>(
         &mut self,
         store: &mut S,
+        descent: &mut Descent,
         items: &[(&[u8], &[u8], &BfeCiphertext)],
     ) -> (Vec<Result<(Vec<u8>, (u64, Scalar))>>, OpReport) {
+        let before = self.array.metrics();
         let mut report = OpReport::default();
         let mut out: Vec<Option<Result<(Vec<u8>, (u64, Scalar))>>> =
             Vec::with_capacity(items.len());
@@ -535,12 +607,7 @@ impl BfeSecretKey {
 
         while !active.is_empty() {
             let wanted: Vec<u64> = active.iter().map(|(_, slots, next)| slots[*next]).collect();
-            let before = self.array.metrics();
-            let reads = self.array.read_batch(store, &wanted);
-            let after = self.array.metrics();
-            report.aead_ops += after.aead_dec_ops - before.aead_dec_ops;
-            report.aead_bytes += after.bytes_decrypted - before.bytes_decrypted;
-            report.blocks_read += after.blocks_fetched - before.blocks_fetched;
+            let reads = self.array.read_through(store, descent, &wanted);
 
             let mut still_active = Vec::with_capacity(active.len());
             for ((k, slots, mut next), read) in active.into_iter().zip(reads) {
@@ -592,6 +659,7 @@ impl BfeSecretKey {
             }
             active = still_active;
         }
+        report.add(&self.report_since(before));
         (
             out.into_iter()
                 .map(|r| r.expect("every item resolved"))
@@ -620,12 +688,26 @@ impl BfeSecretKey {
         self.puncture_many(store, &[tag], rng)
     }
 
-    /// Punctures many **distinct** tags in one coalesced pass: the union
-    /// of every tag's Bloom-slot indices is securely deleted by a single
-    /// [`SecureArray::delete_batch`], so the shared upper tree levels are
-    /// decrypted and re-keyed once for the whole batch instead of once
-    /// per tag — the cross-user amortization a recovery-storm engine
-    /// lives on.
+    /// Punctures many **distinct** tags in one coalesced pass:
+    /// [`puncture_opened`](Self::puncture_opened) through a fresh descent.
+    pub fn puncture_many<S: BlockStore, R: RngCore + CryptoRng>(
+        &mut self,
+        store: &mut S,
+        tags: &[&[u8]],
+        rng: &mut R,
+    ) -> Result<OpReport> {
+        let descent = self.array.descent();
+        self.puncture_opened(store, descent, tags, rng)
+    }
+
+    /// Punctures many **distinct** tags in one coalesced pass through
+    /// `descent`: the union of every tag's Bloom-slot indices is securely
+    /// deleted by a single [`SecureArray::delete_through`], which opens
+    /// only the path nodes `descent` lacks and re-seals exactly the tags'
+    /// paths, so the shared upper tree levels are re-keyed once for the
+    /// whole batch instead of once per tag — the cross-user amortization
+    /// a recovery-storm engine lives on. If a node on those paths failed
+    /// to open, nothing is written.
     ///
     /// Semantically equivalent to puncturing each tag in turn (same
     /// subsequent decrypt outcomes, same conservative per-tag rotation
@@ -633,39 +715,30 @@ impl BfeSecretKey {
     /// serial ordering rule themselves — a tag that must observe an
     /// *earlier* puncture of the same tag cannot ride the same batch.
     /// An empty batch is a no-op.
-    pub fn puncture_many<S: BlockStore, R: RngCore + CryptoRng>(
+    pub fn puncture_opened<S: BlockStore, R: RngCore + CryptoRng>(
         &mut self,
         store: &mut S,
+        descent: Descent,
         tags: &[&[u8]],
         rng: &mut R,
     ) -> Result<OpReport> {
-        let mut report = OpReport::default();
-        if tags.is_empty() {
-            return Ok(report);
-        }
-        let mut union: Vec<u64> = Vec::new();
-        let mut requested = 0u64;
-        for tag in tags {
-            let indices = self.params.indices_for_tag(tag);
-            requested += indices.len() as u64;
-            union.extend(indices);
-        }
         let before = self.array.metrics();
-        if self.array.delete_batch(store, &union, rng).is_err() {
+        let mut union: Vec<u64> = Vec::new();
+        for tag in tags {
+            union.extend(self.params.indices_for_tag(tag));
+        }
+        if self
+            .array
+            .delete_through(store, descent, &union, rng)
+            .is_err()
+        {
             return Err(CryptoError::DecryptionFailed);
         }
         // Same conservative rotation trigger as sequential puncturing:
         // every *requested* slot counts, overlaps included.
-        self.slots_deleted += requested;
-        let after = self.array.metrics();
-        report.aead_ops +=
-            (after.aead_dec_ops - before.aead_dec_ops) + (after.aead_enc_ops - before.aead_enc_ops);
-        report.aead_bytes += (after.bytes_decrypted - before.bytes_decrypted)
-            + (after.bytes_encrypted - before.bytes_encrypted);
-        report.blocks_read += after.blocks_fetched - before.blocks_fetched;
-        report.blocks_written += after.blocks_written - before.blocks_written;
+        self.slots_deleted += union.len() as u64;
         self.punctures += tags.len() as u64;
-        Ok(report)
+        Ok(self.report_since(before))
     }
 
     /// Convenience: decrypt then puncture, the exact HSM operation behind
@@ -708,6 +781,27 @@ mod tests {
         let ct = encrypt(&pk, b"tag-1", b"ctx", b"share bytes", &mut rng);
         let (pt, _) = sk.decrypt(&mut store, b"tag-1", b"ctx", &ct).unwrap();
         assert_eq!(pt, b"share bytes");
+    }
+
+    #[test]
+    fn skip_steps_over_exactly_what_decode_reads() {
+        let mut rng = rng();
+        let mut store = MemStore::new();
+        let (pk, _, _) = keygen(small_params(), &mut store, &mut rng).unwrap();
+        for msg_len in [0usize, 1, 45, 300] {
+            let ct = encrypt(&pk, b"tag-skip", b"ctx", &vec![7u8; msg_len], &mut rng);
+            let mut bytes = ct.to_bytes();
+            bytes.extend_from_slice(b"next");
+            let mut r = Reader::new(&bytes);
+            BfeCiphertext::skip(&mut r).unwrap();
+            assert_eq!(r.remaining(), 4, "msg_len {msg_len}");
+            let encoded = &bytes[..bytes.len() - 4];
+            for cut in 0..encoded.len() {
+                let prefix = &encoded[..cut];
+                assert!(BfeCiphertext::skip(&mut Reader::new(prefix)).is_err());
+                assert!(BfeCiphertext::decode(&mut Reader::new(prefix)).is_err());
+            }
+        }
     }
 
     #[test]

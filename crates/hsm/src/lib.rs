@@ -60,7 +60,7 @@ use safetypin_primitives::elgamal;
 use safetypin_primitives::hashes::{hash_parts, Domain, Hash256};
 use safetypin_primitives::shamir::Share;
 use safetypin_primitives::wire::Encode;
-use safetypin_seckv::BlockStore;
+use safetypin_seckv::{BlockStore, Descent};
 use safetypin_sim::OpCosts;
 use safetypin_store::DeviceKey;
 
@@ -332,8 +332,9 @@ impl Hsm {
     /// Cross-request coalescing inside the group:
     ///
     /// * **Punctures** for distinct tags are deferred and applied as one
-    ///   [`BfeSecretKey::puncture_many`] pass (the union of all tags'
-    ///   Bloom slots shares root-to-leaf path prefixes). A request whose
+    ///   [`BfeSecretKey::puncture_opened`] pass (the union of all tags'
+    ///   Bloom slots shares root-to-leaf path prefixes, opened once for
+    ///   the decrypts and the puncture together). A request whose
     ///   tag's Bloom slots are **entirely covered** by the pending tags'
     ///   slots (a repeated tag is the common case; full cross-tag
     ///   coverage is the rare one), or any non-recovery request, is a
@@ -425,12 +426,17 @@ impl Hsm {
     /// outcome) end to end:
     ///
     /// 1. §4.2 validation per request ([`recover_share_checks`]);
-    /// 2. **all** surviving requests' share decryptions in one
-    ///    shared-prefix batch ([`BfeSecretKey::decrypt_many_traced`] —
-    ///    the union of every root-to-leaf path is AEAD-opened once);
-    /// 3. username-binding checks per share;
-    /// 4. the deferred-puncture discharge ([`discharge_pending`]): one
-    ///    MSM slot audit, one coalesced multi-tag puncture, responses.
+    /// 2. one descent that opens the key-tree paths to every Bloom slot
+    ///    of every surviving request's tag ([`BfeSecretKey::open_tags`]),
+    ///    each node once;
+    /// 3. **all** surviving requests' share decryptions in one batch
+    ///    that reads its candidate leaves through those nodes
+    ///    ([`BfeSecretKey::decrypt_opened`]);
+    /// 4. username-binding checks per share;
+    /// 5. the deferred-puncture discharge ([`discharge_pending`]): one
+    ///    MSM slot audit, then one coalesced multi-tag puncture that
+    ///    re-seals the punctured tags' paths from the same opened nodes,
+    ///    then responses.
     ///
     /// Outcomes per request match serving the segment one request at a
     /// time; only the meter differs.
@@ -461,8 +467,13 @@ impl Hsm {
             return;
         }
 
-        // Phase 2: one shared-prefix batch decrypt across every share of
-        // every surviving request in the segment, in request order.
+        // Phase 2: one descent over every surviving tag's slot paths, then
+        // one batch decrypt across every share of every surviving request
+        // in the segment, in request order, through the opened nodes.
+        // Every candidate slot is one of its tag's, so the decrypt opens
+        // no interior node itself.
+        let tags: Vec<&[u8]> = checked.iter().map(|(_, c)| c.tag.as_slice()).collect();
+        let (mut opened, mut report) = self.bfe_sk.open_tags(store, &tags);
         let items: Vec<(&[u8], &[u8], &safetypin_bfe::BfeCiphertext)> = checked
             .iter()
             .flat_map(|(_, c)| {
@@ -471,7 +482,8 @@ impl Hsm {
                     .map(|share_ct| (c.tag.as_slice(), c.context.as_slice(), share_ct))
             })
             .collect();
-        let (decrypted, report) = self.bfe_sk.decrypt_many_traced(store, &items);
+        let (decrypted, decrypt_report) = self.bfe_sk.decrypt_opened(store, &mut opened, &items);
+        report.add(&decrypt_report);
         // The ElGamal half of a share decryption is the "location-hiding
         // encryption" phase, the outsourced-storage traffic the
         // "puncturable encryption" phase.
@@ -527,17 +539,19 @@ impl Hsm {
         }
 
         // Phase 4: audit + coalesced puncture + response building.
-        self.discharge_pending(&mut pending, responses, store, rng);
+        self.discharge_pending(&mut pending, opened, responses, store, rng);
     }
 
     /// Discharges the deferred puncture obligations accumulated by
     /// [`serve_recovery_segment`](Self::serve_recovery_segment): one MSM
     /// audit over every pending share decryption's slot trace, one
-    /// coalesced multi-tag puncture, then the pending responses are
-    /// built in request order.
+    /// coalesced multi-tag puncture through the segment's `opened`
+    /// paths, then the pending responses are built in request order. A
+    /// refused audit or puncture drops `opened` having written nothing.
     fn discharge_pending<S: BlockStore, R: RngCore + CryptoRng>(
         &mut self,
         pending: &mut Vec<(usize, PreparedRecovery)>,
+        opened: Descent,
         responses: &mut [Option<safetypin_proto::HsmResponse>],
         store: &mut S,
         rng: &mut R,
@@ -573,12 +587,12 @@ impl Hsm {
         }
 
         // One coalesced puncture across the group's distinct tags: the
-        // union of every tag's slots is deleted in a single
-        // shared-prefix `delete_batch` pass.
+        // union of every pending tag's slots is deleted in a single pass
+        // that re-seals their paths from the nodes the decrypts opened
+        // (a request refused since keeps its slots).
         let tags: Vec<&[u8]> = pending.iter().map(|(_, p)| p.tag.as_slice()).collect();
-        self.dynamic_dirty = true;
         let puncture_span = safetypin_telemetry::start_span("hsm.coalesced_puncture");
-        let report = match self.bfe_sk.puncture_many(store, &tags, rng) {
+        let report = match self.bfe_sk.puncture_opened(store, opened, &tags, rng) {
             Ok(report) => report,
             Err(_) => {
                 for (pos, _) in pending.drain(..) {
@@ -592,6 +606,9 @@ impl Hsm {
             }
         };
         drop(puncture_span);
+        // Only a puncture that landed re-keyed the root: a refused one
+        // leaves the device state, and so the group's commit, untouched.
+        self.dynamic_dirty = true;
         self.costs.add_store_pass(&report, pending.len() as u64);
 
         for (pos, prepared) in pending.drain(..) {
@@ -713,7 +730,7 @@ impl Hsm {
         request: &RecoveryRequest,
     ) -> Result<CheckedRecovery, HsmError> {
         self.ensure_active()?;
-        self.costs.log.add_io(request.to_bytes().len() as u64);
+        self.costs.log.add_io(request.encoded_len() as u64);
 
         // 1. Recompute the client's commitment from its opening.
         let commitment = commit::commitment_of(&request.opening);
@@ -795,7 +812,7 @@ impl Hsm {
                 RecoveryResponse::Encrypted(ct)
             }
         };
-        self.costs.log.add_io(response.to_bytes().len() as u64);
+        self.costs.log.add_io(response.encoded_len() as u64);
         response
     }
 

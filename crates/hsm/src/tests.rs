@@ -1156,3 +1156,179 @@ fn tampered_or_foreign_state_blocks_are_rejected() {
         Err(StoreError::SealBroken)
     ));
 }
+
+// ----------------------------------------------------------------------
+// One descent per recovery group
+// ----------------------------------------------------------------------
+
+/// Stages one recovery each for `names` under one salt and PIN, so all
+/// of them share a cluster, certifies the attempts in one epoch, and
+/// returns the cluster's first HSM, the salt and the requests bound for
+/// that HSM.
+fn shared_cluster_group(fx: &mut Fixture, names: &[&[u8]]) -> (u64, Salt, Vec<RecoveryRequest>) {
+    let salt = Salt::random(&mut fx.rng);
+    let pin: &[u8] = b"2468";
+    let pks = fx.bfe_pks.clone();
+    let mut staged = Vec::new();
+    for &name in names {
+        let dir = BfeDirectory::new(&pks, name, &salt);
+        let ct =
+            encrypt_with_salt(&fx.params, &dir, name, pin, salt, 0, b"m", &mut fx.rng).unwrap();
+        let ct_bytes = ct.to_bytes();
+        let cluster = select(&fx.params, &salt, pin);
+        let payload = build_commit_payload(&cluster, &ciphertext_commit_hash(&ct_bytes));
+        let (commitment, opening) = commit::commit(&payload, &mut fx.rng);
+        fx.log.insert(name, &commitment.to_bytes()).unwrap();
+        staged.push((name, cluster, opening, commitment, ct_bytes));
+    }
+    fx.run_epoch();
+    let hsm_id = *Fixture::grouped(&staged[0].1).keys().next().unwrap();
+    let requests = staged
+        .into_iter()
+        .map(
+            |(name, cluster, opening, commitment, ct_bytes)| RecoveryRequest {
+                username: name.to_vec(),
+                salt,
+                opening,
+                inclusion: fx.log.prove_includes(name, &commitment.to_bytes()).unwrap(),
+                ciphertext: ct_bytes,
+                share_indices: Fixture::grouped(&cluster).remove(&hsm_id).unwrap(),
+                recovery_pk: None,
+            },
+        )
+        .collect();
+    (hsm_id, salt, requests)
+}
+
+const GROUP: [&[u8]; 4] = [b"group-1", b"group-2", b"group-3", b"group-4"];
+
+/// The interior key-tree nodes on the paths to `slots` (the fixture's
+/// 128-slot arrays are 7 levels high).
+fn tree_paths(slots: impl IntoIterator<Item = u64>) -> std::collections::BTreeSet<u64> {
+    slots
+        .into_iter()
+        .flat_map(|slot| (1..=7).map(move |level| ((1u64 << 7) + slot) >> level))
+        .collect()
+}
+
+/// Each slot index of `name`'s puncture tag, in candidate order.
+fn tag_slots(fx: &Fixture, name: &[u8], salt: &Salt) -> Vec<u64> {
+    fx.hsms[0]
+        .config
+        .bfe_params
+        .indices_for_tag(&crate::types::puncture_tag(name, salt))
+}
+
+#[test]
+fn a_recovery_group_opens_each_tree_node_once() {
+    use safetypin_proto::{HsmRequest, HsmResponse};
+    let mut fx = fixture();
+    let (hsm_id, salt, requests) = shared_cluster_group(&mut fx, &GROUP);
+    let slots: Vec<Vec<u64>> = GROUP.iter().map(|n| tag_slots(&fx, n, &salt)).collect();
+    // Every node on the group's paths, and the leaves the decrypts read:
+    // each request's first candidate slot, nothing being punctured yet.
+    let union = tree_paths(slots.iter().flatten().copied()).len() as u64;
+    let first: std::collections::BTreeSet<u64> = slots.iter().map(|s| s[0]).collect();
+    let leaves = first.len() as u64;
+
+    let hsm = &mut fx.hsms[hsm_id as usize];
+    let before = hsm.bfe_sk.array_metrics();
+    let mut rng = StdRng::seed_from_u64(5);
+    let responses = hsm.handle_batch(
+        requests.into_iter().map(HsmRequest::RecoverShare).collect(),
+        &mut fx.stores[hsm_id as usize],
+        &mut rng,
+    );
+    assert!(responses
+        .iter()
+        .all(|r| matches!(r, HsmResponse::RecoveryShare { .. })));
+    let after = hsm.bfe_sk.array_metrics();
+
+    // An interior node is a sealed key pair and a leaf a sealed scalar:
+    // 60 bytes each of nonce and body.
+    let opened = union + leaves;
+    assert_eq!(after.aead_dec_ops - before.aead_dec_ops, opened);
+    assert_eq!(after.blocks_fetched - before.blocks_fetched, opened);
+    assert_eq!(after.bytes_decrypted - before.bytes_decrypted, 60 * opened);
+    // The puncture re-seals the same union, as two descents did.
+    assert_eq!(after.aead_enc_ops - before.aead_enc_ops, union);
+    assert_eq!(after.blocks_written - before.blocks_written, union);
+    assert_eq!(after.bytes_encrypted - before.bytes_encrypted, 32 * union);
+    // What a decrypt descent then a puncture descent fetched: the nodes
+    // on the first candidates' paths once more.
+    let reopened = tree_paths(first).len() as u64;
+    assert!(reopened > 0 && reopened < union);
+}
+
+#[test]
+fn a_damaged_tree_node_refuses_the_segment_and_writes_nothing() {
+    use safetypin_proto::{HsmRequest, HsmResponse};
+    use safetypin_seckv::store::adversarial::TamperingStore;
+    use safetypin_seckv::BlockStore as _;
+    // The root fails every decrypt; a node off every first candidate's
+    // path fails only the puncture, which no decrypt would have seen.
+    for off_candidate_paths in [false, true] {
+        let mut fx = fixture();
+        let (hsm_id, salt, requests) = shared_cluster_group(&mut fx, &GROUP);
+        let slots: Vec<Vec<u64>> = GROUP.iter().map(|n| tag_slots(&fx, n, &salt)).collect();
+        let bad = if off_candidate_paths {
+            let candidates = tree_paths(slots.iter().map(|s| s[0]));
+            *tree_paths(slots.iter().flatten().copied())
+                .difference(&candidates)
+                .last()
+                .expect("some tag slot's path leaves the candidates' paths")
+        } else {
+            1
+        };
+
+        let idx = hsm_id as usize;
+        let mut rng = StdRng::seed_from_u64(6);
+        // Commit what the epoch changed, so the group's commit has only
+        // the group's own work to write.
+        fx.hsms[idx].commit(&mut fx.stores[idx], &mut rng);
+        let inner = std::mem::take(&mut fx.stores[idx]);
+        let mut store = TamperingStore::new(inner, move |addr| addr == bad);
+        let before = store.io_stats();
+        let punctures = fx.hsms[idx].punctures();
+        let responses = fx.hsms[idx].handle_batch(
+            requests
+                .iter()
+                .cloned()
+                .map(HsmRequest::RecoverShare)
+                .collect(),
+            &mut store,
+            &mut rng,
+        );
+        assert_eq!(responses.len(), GROUP.len());
+        for response in &responses {
+            match response {
+                HsmResponse::Error(e) => {
+                    assert_eq!(e.code, safetypin_proto::codes::DECRYPT_FAILED, "node {bad}")
+                }
+                other => panic!("node {bad}: expected a refusal, got {other:?}"),
+            }
+        }
+        let after = store.io_stats();
+        assert_eq!(
+            (after.writes, after.removes),
+            (before.writes, before.removes),
+            "node {bad}: a refused group writes nothing"
+        );
+        assert_eq!(fx.hsms[idx].punctures(), punctures);
+
+        // Nothing was punctured: on the honest blocks, every request of
+        // the group still recovers.
+        fx.stores[idx] = store.into_inner();
+        let responses = fx.hsms[idx].handle_batch(
+            requests.into_iter().map(HsmRequest::RecoverShare).collect(),
+            &mut fx.stores[idx],
+            &mut rng,
+        );
+        assert!(
+            responses
+                .iter()
+                .all(|r| matches!(r, HsmResponse::RecoveryShare { .. })),
+            "node {bad}"
+        );
+    }
+}

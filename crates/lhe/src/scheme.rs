@@ -115,6 +115,39 @@ impl<C: Decode> Decode for LheCiphertext<C> {
     }
 }
 
+impl<C: Decode> LheCiphertext<C> {
+    /// Decodes only the share ciphertext at `index` of an encoded
+    /// ciphertext, stepping over the other shares with `skip_share`.
+    /// Everything else is checked as [`Decode::from_bytes`] checks it; the
+    /// other shares only as far as `skip_share` checks them. `Ok(None)`
+    /// when the ciphertext has no share at `index`.
+    pub fn share_at(
+        bytes: &[u8],
+        index: usize,
+        mut skip_share: impl FnMut(&mut Reader<'_>) -> core::result::Result<(), WireError>,
+    ) -> core::result::Result<Option<C>, WireError> {
+        let mut r = Reader::new(bytes);
+        Salt::decode(&mut r)?;
+        r.get_u64()?;
+        let mut share = None;
+        let mut position = 0usize;
+        r.get_seq_max(usize::MAX, |r| {
+            if position == index {
+                share = Some(C::decode(r)?);
+            } else {
+                skip_share(r)?;
+            }
+            position += 1;
+            Ok(())
+        })?;
+        AeadCiphertext::skip(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(share)
+    }
+}
+
 /// `Select(salt, pin)` (Figure 15): the `n` HSM indices for this
 /// salt-and-PIN, sampled uniformly with replacement from `[N]`.
 pub fn select(params: &LheParams, salt: &Salt, pin: &[u8]) -> Vec<u64> {

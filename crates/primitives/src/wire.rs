@@ -57,9 +57,14 @@ use crate::error::WireError;
 pub const MAX_FIELD_LEN: usize = 64 << 20;
 
 /// Incremental encoder over a growable byte buffer.
+///
+/// [`Encode::encoded_len`] runs the same encoder through a length-only
+/// writer, which counts the bytes it is handed and keeps none of them.
 #[derive(Default, Debug)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// `Some(count)` for a length-only writer.
+    counted: Option<usize>,
 }
 
 impl Writer {
@@ -72,6 +77,16 @@ impl Writer {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             buf: Vec::with_capacity(cap),
+            counted: None,
+        }
+    }
+
+    /// A writer that only counts: its `len` is what an ordinary writer
+    /// would hold, and its bytes are always empty.
+    fn length_only() -> Self {
+        Self {
+            buf: Vec::new(),
+            counted: Some(0),
         }
     }
 
@@ -82,37 +97,40 @@ impl Writer {
 
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// Returns true if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_fixed(&[v]);
     }
 
     /// Appends a big-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put_fixed(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put_fixed(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put_fixed(&v.to_be_bytes());
     }
 
     /// Appends raw bytes with no length prefix (fixed-width fields).
     pub fn put_fixed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        match &mut self.counted {
+            Some(count) => *count += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     /// Appends a `u32` length prefix followed by the bytes.
@@ -273,9 +291,12 @@ pub trait Encode {
         w.into_bytes()
     }
 
-    /// Length of the canonical encoding in bytes.
+    /// Length of the canonical encoding in bytes, counted without
+    /// building it.
     fn encoded_len(&self) -> usize {
-        self.to_bytes().len()
+        let mut w = Writer::length_only();
+        self.encode(&mut w);
+        w.len()
     }
 }
 

@@ -205,11 +205,8 @@ pub fn ciphertext_commit_hash(ct_bytes: &[u8]) -> Hash256 {
 /// Extracts the share ciphertext at cluster position `index` from a
 /// serialized recovery ciphertext.
 pub fn share_ct_at(ct_bytes: &[u8], index: u32) -> Result<BfeCiphertext, ProtoError> {
-    let ct: LheCiphertext<BfeCiphertext> =
-        LheCiphertext::from_bytes(ct_bytes).map_err(ProtoError::Wire)?;
-    ct.share_cts
-        .get(index as usize)
-        .cloned()
+    LheCiphertext::share_at(ct_bytes, index as usize, BfeCiphertext::skip)
+        .map_err(ProtoError::Wire)?
         .ok_or(ProtoError::IndexOutOfRange(index))
 }
 

@@ -325,6 +325,70 @@ fn every_message_variant_roundtrips() {
     );
 }
 
+/// `share_ct_at` decodes one share and steps over its siblings: on a real
+/// recovery ciphertext it returns exactly the share a full decode holds
+/// at every position, and refuses a missing position, a truncation at
+/// any length and a trailing byte.
+#[test]
+fn share_ct_at_agrees_with_a_full_decode() {
+    use safetypin_bfe::BfeCiphertext;
+    use safetypin_lhe::{BfeDirectory, LheCiphertext, LheParams};
+    use safetypin_proto::messages::share_ct_at;
+
+    let mut rng = StdRng::seed_from_u64(0x5AFE_0076);
+    let mut store = safetypin_seckv::MemStore::new();
+    let keys: Vec<_> = (0..4)
+        .map(|_| {
+            safetypin_bfe::keygen(
+                safetypin_bfe::BfeParams::new(32, 2).unwrap(),
+                &mut store,
+                &mut rng,
+            )
+            .unwrap()
+            .0
+        })
+        .collect();
+    let params = LheParams::new(4, 3, 2, 100).unwrap();
+    let salt = safetypin_lhe::Salt::random(&mut rng);
+    let dir = BfeDirectory::new(&keys, b"carol", &salt);
+    let ct = safetypin_lhe::scheme::encrypt_with_salt(
+        &params, &dir, b"carol", b"42", salt, 0, b"secret", &mut rng,
+    )
+    .unwrap();
+    let bytes = ct.to_bytes();
+    let full = LheCiphertext::<BfeCiphertext>::from_bytes(&bytes).unwrap();
+    assert_eq!(full.share_cts.len(), 3);
+    for (j, share) in full.share_cts.iter().enumerate() {
+        assert_eq!(&share_ct_at(&bytes, j as u32).unwrap(), share, "share {j}");
+    }
+    assert!(share_ct_at(&bytes, 3).is_err());
+    for cut in 0..bytes.len() {
+        assert!(share_ct_at(&bytes[..cut], 0).is_err(), "cut {cut}");
+    }
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    assert!(share_ct_at(&trailing, 0).is_err());
+}
+
+/// `encoded_len` counts bytes through a length-only writer instead of
+/// building them; the count must be the encoding's length exactly, for
+/// every sampled envelope and the message inside it.
+#[test]
+fn encoded_len_counts_every_sampled_envelope_exactly() {
+    for (i, envelope) in sample_envelopes(0x5AFE_0071).into_iter().enumerate() {
+        assert_eq!(
+            envelope.encoded_len(),
+            envelope.to_bytes().len(),
+            "envelope {i}"
+        );
+        assert_eq!(
+            envelope.msg.encoded_len(),
+            envelope.msg.to_bytes().len(),
+            "message {i}"
+        );
+    }
+}
+
 /// The corpus's bytes are pinned: a codec change that moved any field
 /// of any variant — a swapped pair, a new count width, a renumbered tag
 /// — round-trips just as well, so only a golden catches it. The digest

@@ -45,7 +45,7 @@ pub mod tree;
 
 pub use error::StorageError;
 pub use store::{BlockStore, MemStore, StoreStats};
-pub use tree::{ArrayState, Metrics, SecureArray};
+pub use tree::{ArrayState, Descent, Metrics, SecureArray};
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = core::result::Result<T, StorageError>;

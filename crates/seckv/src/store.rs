@@ -14,11 +14,10 @@ use std::collections::HashMap;
 /// reads.
 ///
 /// `put` borrows the block (`&[u8]`) rather than taking ownership: the
-/// hot write paths (`SecureArray` re-keying, `delete_batch`'s shared-
-/// prefix sweep) serialize a ciphertext once and hand the same buffer to
-/// the store, so an owning signature would force a clone per re-keyed
-/// node. Backends that need ownership (e.g. an in-memory map) copy
-/// exactly once, inside the store.
+/// hot write path (`SecureArray` re-keying) seals each node into a stack
+/// frame and hands that frame to the store, so an owning signature would
+/// force an allocation per re-keyed node. Backends that need ownership
+/// (e.g. an in-memory map) copy exactly once, inside the store.
 pub trait BlockStore {
     /// Stores `block` at `addr`, replacing any previous block.
     fn put(&mut self, addr: u64, block: &[u8]);
@@ -179,6 +178,11 @@ pub mod adversarial {
                 _marker: std::marker::PhantomData,
             }
         }
+
+        /// Unwraps the honest store underneath.
+        pub fn into_inner(self) -> S {
+            self.inner
+        }
     }
 
     impl<S: BlockStore> BlockStore for TamperingStore<S> {
@@ -198,6 +202,10 @@ pub mod adversarial {
                 }
             }
             Some(block)
+        }
+
+        fn io_stats(&self) -> StoreStats {
+            self.inner.io_stats()
         }
     }
 

@@ -18,11 +18,14 @@
 //! which no sequence of recorded blocks plus current HSM state can recover
 //! the deleted item.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use rand::{CryptoRng, RngCore};
-use safetypin_primitives::aead::{self, AeadCiphertext, AeadKey, KEY_LEN};
+use safetypin_primitives::aead::{self, AeadKey, ENCODED_OVERHEAD, KEY_LEN, PLAINTEXT_OFFSET};
 use safetypin_primitives::error::WireError;
 use safetypin_primitives::wire;
 use safetypin_primitives::wire::{Decode, Encode, Reader, Writer};
+use safetypin_primitives::zeroize::wipe_array;
 
 use crate::store::BlockStore;
 use crate::{Result, StorageError};
@@ -30,6 +33,9 @@ use crate::{Result, StorageError};
 /// The "useless encryption key" (all zeros) marking a deleted leaf,
 /// mirroring `Delete`'s base case in Appendix C.
 const ZERO_KEY: [u8; KEY_LEN] = [0u8; KEY_LEN];
+
+/// Encoded size of an interior node: its children's key pair, sealed.
+const NODE_LEN: usize = 2 * KEY_LEN + ENCODED_OVERHEAD;
 
 wire! {
     /// Symmetric-operation counters for one `SecureArray`.
@@ -62,9 +68,11 @@ impl Metrics {
         self.bytes_encrypted += plaintext_len as u64;
     }
 
-    fn record_dec(&mut self, ciphertext_len: usize) {
+    /// Meters one open of an encoded ciphertext: its nonce and body, the
+    /// encoding less the body's `u32` length prefix.
+    fn record_dec(&mut self, encoded_len: usize) {
         self.aead_dec_ops += 1;
-        self.bytes_decrypted += ciphertext_len as u64;
+        self.bytes_decrypted += (encoded_len - (PLAINTEXT_OFFSET - aead::NONCE_LEN)) as u64;
     }
 }
 
@@ -141,18 +149,82 @@ fn aad_for(array_id: &[u8; 16], addr: u64) -> [u8; 24] {
     aad
 }
 
-fn split_pair(pt: &[u8]) -> Result<(AeadKey, AeadKey)> {
-    if pt.len() != 2 * KEY_LEN {
-        // An internal node with the wrong shape means the provider
-        // substituted a leaf for an interior node or vice versa; AAD
-        // binding should already prevent this, but stay defensive.
-        return Err(StorageError::AuthFailure(0));
+/// Seals an interior node, the pair of its children's keys, under `key`.
+/// The keys are written straight into the frame and encrypted there, so
+/// no plaintext copy is left behind.
+fn seal_node<R: RngCore + CryptoRng>(
+    key: &AeadKey,
+    aad: &[u8; 24],
+    left: &AeadKey,
+    right: &AeadKey,
+    rng: &mut R,
+) -> [u8; NODE_LEN] {
+    let mut frame = [0u8; NODE_LEN];
+    frame[PLAINTEXT_OFFSET..][..KEY_LEN].copy_from_slice(left.as_bytes());
+    frame[PLAINTEXT_OFFSET + KEY_LEN..][..KEY_LEN].copy_from_slice(right.as_bytes());
+    aead::seal_in_place(key, aad, &mut frame, rng)
+        .expect("NODE_LEN is a key pair plus the AEAD overhead");
+    frame
+}
+
+/// What a [`Descent`] found at one interior node.
+#[derive(Debug)]
+enum Node {
+    /// Opened: the keys of its two children.
+    Pair(AeadKey, AeadKey),
+    /// Its key is zero: every leaf under it is deleted.
+    DeletedSubtree,
+    /// It, or a node above it, could not be fetched or opened.
+    Failed(StorageError),
+}
+
+/// The interior nodes of a [`SecureArray`] opened so far, each fetched
+/// and opened once, kept so that reads and a delete can share them.
+///
+/// A descent grows with every [`SecureArray::open_paths`] and serves any
+/// number of [`SecureArray::read_through`] calls, then at most one
+/// [`SecureArray::delete_through`], which consumes it. A damaged node is
+/// recorded, not fatal: it fails only the leaves under it. The descent
+/// holds the root key it was opened under and is refused once the array
+/// has re-keyed since. Every key it holds is an [`AeadKey`], wiped when
+/// the descent is dropped.
+#[derive(Debug)]
+pub struct Descent {
+    root_key: AeadKey,
+    nodes: BTreeMap<u64, Node>,
+}
+
+impl Descent {
+    /// The key that opens the node at `addr` (a leaf or an interior node),
+    /// or the outcome its subtree inherits when there is none: deleted
+    /// under a zero key, failed under a failed parent. The parent must
+    /// have been opened.
+    fn key_for(&self, addr: u64) -> core::result::Result<&AeadKey, Node> {
+        let key = if addr == 1 {
+            &self.root_key
+        } else {
+            match self
+                .nodes
+                .get(&(addr >> 1))
+                .expect("parents are opened before children")
+            {
+                Node::Pair(left, right) => {
+                    if addr & 1 == 0 {
+                        left
+                    } else {
+                        right
+                    }
+                }
+                Node::DeletedSubtree => return Err(Node::DeletedSubtree),
+                Node::Failed(e) => return Err(Node::Failed(e.clone())),
+            }
+        };
+        if key.is_zero() {
+            Err(Node::DeletedSubtree)
+        } else {
+            Ok(key)
+        }
     }
-    let mut left = [0u8; KEY_LEN];
-    let mut right = [0u8; KEY_LEN];
-    left.copy_from_slice(&pt[..KEY_LEN]);
-    right.copy_from_slice(&pt[KEY_LEN..]);
-    Ok((AeadKey::from_bytes(left), AeadKey::from_bytes(right)))
 }
 
 impl SecureArray {
@@ -179,7 +251,11 @@ impl SecureArray {
         rng.fill_bytes(&mut array_id);
         let mut metrics = Metrics::default();
 
-        // Leaf level: encrypt each block under a fresh key.
+        // Leaf level: encrypt each block under a fresh key. Setup is cold
+        // (provisioning and rotation), so leaves keep the allocating
+        // `seal`: sealing them in place here saved no request any time
+        // and only moved where the allocator placed the fleet's blocks
+        // (README "One descent per recovery group", peak RSS).
         let mut level_keys: Vec<AeadKey> = Vec::with_capacity(padded);
         let empty: Vec<u8> = Vec::new();
         for i in 0..padded as u64 {
@@ -201,13 +277,11 @@ impl SecureArray {
             for j in 0..level_width {
                 let key = AeadKey::random(rng);
                 let addr = level_base + j as u64;
-                let mut pt = Vec::with_capacity(2 * KEY_LEN);
-                pt.extend_from_slice(level_keys[2 * j].as_bytes());
-                pt.extend_from_slice(level_keys[2 * j + 1].as_bytes());
-                let ct = aead::seal(&key, &aad_for(&array_id, addr), &pt, rng);
-                metrics.record_enc(pt.len());
+                let (left, right) = (&level_keys[2 * j], &level_keys[2 * j + 1]);
+                let frame = seal_node(&key, &aad_for(&array_id, addr), left, right, rng);
+                metrics.record_enc(2 * KEY_LEN);
                 metrics.blocks_written += 1;
-                store.put(addr, &ct.to_bytes());
+                store.put(addr, &frame);
                 parent_keys.push(key);
             }
             level_keys = parent_keys;
@@ -303,43 +377,105 @@ impl SecureArray {
         Ok(())
     }
 
-    fn fetch(&mut self, store: &mut impl BlockStore, addr: u64) -> Result<AeadCiphertext> {
-        let raw = store.get(addr).ok_or(StorageError::MissingBlock(addr))?;
-        self.metrics.blocks_fetched += 1;
-        AeadCiphertext::from_bytes(&raw).map_err(|_| StorageError::AuthFailure(addr))
+    /// A new, empty descent under the current root key.
+    pub fn descent(&self) -> Descent {
+        Descent {
+            root_key: self.root_key.clone(),
+            nodes: BTreeMap::new(),
+        }
     }
 
-    fn open_node(&mut self, key: &AeadKey, addr: u64, ct: &AeadCiphertext) -> Result<Vec<u8>> {
-        let aad = aad_for(&self.array_id, addr);
-        let pt = aead::open(key, &aad, ct).map_err(|_| StorageError::AuthFailure(addr))?;
-        self.metrics.record_dec(ct.raw_len());
+    /// Refuses a descent opened before the array last re-keyed: its
+    /// cached keys could read, or re-seal, what a delete removed since.
+    fn check_fresh(&self, descent: &Descent) -> Result<()> {
+        if descent.root_key != self.root_key {
+            return Err(StorageError::InvalidParameter(
+                "descent was opened before the array re-keyed",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Opens into `descent` every interior node on the paths to `indices`
+    /// that it does not hold yet, in one level-order sweep (ascending
+    /// addresses put parents first): each node is fetched and opened once
+    /// however many paths and calls share it. A node that is missing or
+    /// fails authentication is recorded with its error, and its subtree
+    /// inherits that error; under a zero key a subtree is recorded as
+    /// deleted. Out-of-range indices have no path and are skipped; a stale
+    /// descent is left as it is (reading or deleting through it is
+    /// refused).
+    pub fn open_paths(
+        &mut self,
+        store: &mut impl BlockStore,
+        descent: &mut Descent,
+        indices: &[u64],
+    ) {
+        if self.check_fresh(descent).is_err() {
+            return;
+        }
+        let mut needed: BTreeSet<u64> = BTreeSet::new();
+        for &i in indices.iter().filter(|&&i| i < self.len) {
+            let leaf_addr = (1u64 << self.height) + i;
+            for level in 1..=self.height {
+                let addr = leaf_addr >> level;
+                // A held node's ancestors are held too.
+                if descent.nodes.contains_key(&addr) || !needed.insert(addr) {
+                    break;
+                }
+            }
+        }
+        for addr in needed {
+            let node = match descent.key_for(addr) {
+                Ok(key) => self.open_interior(store, key, addr),
+                Err(inherited) => inherited,
+            };
+            descent.nodes.insert(addr, node);
+        }
+    }
+
+    fn open_interior(&mut self, store: &mut impl BlockStore, key: &AeadKey, addr: u64) -> Node {
+        let Some(raw) = store.get(addr) else {
+            return Node::Failed(StorageError::MissingBlock(addr));
+        };
+        self.metrics.blocks_fetched += 1;
+        let mut pair = [0u8; 2 * KEY_LEN];
+        let node = match aead::open_into(key, &aad_for(&self.array_id, addr), &raw, &mut pair) {
+            Ok(()) => {
+                self.metrics.record_dec(raw.len());
+                let (left, right) = pair.split_at(KEY_LEN);
+                Node::Pair(
+                    AeadKey::from_bytes(left.try_into().expect("KEY_LEN bytes")),
+                    AeadKey::from_bytes(right.try_into().expect("KEY_LEN bytes")),
+                )
+            }
+            Err(_) => Node::Failed(StorageError::AuthFailure(addr)),
+        };
+        wipe_array(&mut pair);
+        node
+    }
+
+    fn open_leaf(
+        &mut self,
+        store: &mut impl BlockStore,
+        key: &AeadKey,
+        addr: u64,
+    ) -> Result<Vec<u8>> {
+        let raw = store.get(addr).ok_or(StorageError::MissingBlock(addr))?;
+        self.metrics.blocks_fetched += 1;
+        let mut pt = vec![0u8; raw.len().saturating_sub(ENCODED_OVERHEAD)];
+        aead::open_into(key, &aad_for(&self.array_id, addr), &raw, &mut pt)
+            .map_err(|_| StorageError::AuthFailure(addr))?;
+        self.metrics.record_dec(raw.len());
         Ok(pt)
     }
 
     /// Reads item `i` (`Read` in Appendix C): walks the path from the root,
     /// decrypting each node with the key recovered from its parent.
     pub fn read(&mut self, store: &mut impl BlockStore, i: u64) -> Result<Vec<u8>> {
-        self.check_index(i)?;
-        // A zeroed root key marks a fully-deleted single-item array (the
-        // height-0 case of `delete`).
-        if self.root_key.is_zero() {
-            return Err(StorageError::Deleted(i));
-        }
-        let leaf_addr = (1u64 << self.height) + i;
-        let mut key = self.root_key.clone();
-        for level in (1..=self.height).rev() {
-            let addr = leaf_addr >> level;
-            let ct = self.fetch(store, addr)?;
-            let pt = self.open_node(&key, addr, &ct)?;
-            let (left, right) = split_pair(&pt).map_err(|_| StorageError::AuthFailure(addr))?;
-            let bit = (i >> (level - 1)) & 1;
-            key = if bit == 0 { left } else { right };
-            if key.is_zero() {
-                return Err(StorageError::Deleted(i));
-            }
-        }
-        let ct = self.fetch(store, leaf_addr)?;
-        self.open_node(&key, leaf_addr, &ct)
+        self.read_batch(store, &[i])
+            .pop()
+            .expect("one result per index")
     }
 
     /// Reads many items in one pass, sharing root-to-leaf path prefixes:
@@ -362,107 +498,43 @@ impl SecureArray {
         store: &mut impl BlockStore,
         indices: &[u64],
     ) -> Vec<Result<Vec<u8>>> {
-        if self.height == 0 {
-            // Single-item array: the plain path is already minimal.
-            return indices.iter().map(|&i| self.read(store, i)).collect();
+        let mut descent = self.descent();
+        self.read_through(store, &mut descent, indices)
+    }
+
+    /// [`read_batch`](Self::read_batch) through a descent that may already
+    /// hold some of the paths: only the nodes it lacks are opened, then
+    /// one leaf per distinct index is fetched and opened.
+    pub fn read_through(
+        &mut self,
+        store: &mut impl BlockStore,
+        descent: &mut Descent,
+        indices: &[u64],
+    ) -> Vec<Result<Vec<u8>>> {
+        if let Err(e) = self.check_fresh(descent) {
+            return indices.iter().map(|_| Err(e.clone())).collect();
         }
-        let mut out: Vec<Option<Result<Vec<u8>>>> = Vec::with_capacity(indices.len());
-        out.resize_with(indices.len(), || None);
-        let mut valid: Vec<(usize, u64)> = Vec::with_capacity(indices.len());
+        self.open_paths(store, descent, indices);
+        let mut first_at: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut out: Vec<Result<Vec<u8>>> = Vec::with_capacity(indices.len());
         for (k, &i) in indices.iter().enumerate() {
-            match self.check_index(i) {
-                Ok(()) => valid.push((k, i)),
-                Err(e) => out[k] = Some(Err(e)),
-            }
-        }
-
-        /// A decrypted interior node, or why its whole subtree is
-        /// unreadable.
-        enum Node {
-            Pair(AeadKey, AeadKey),
-            DeletedSubtree,
-            Failed(StorageError),
-        }
-
-        // Union of interior nodes on the requested paths, decrypted once
-        // each in one level-order descent (parents precede children in
-        // ascending address order).
-        let mut needed: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for &(_, i) in &valid {
-            let leaf_addr = (1u64 << self.height) + i;
-            for level in 1..=self.height {
-                needed.insert(leaf_addr >> level);
-            }
-        }
-        let mut nodes: std::collections::BTreeMap<u64, Node> = std::collections::BTreeMap::new();
-        for &addr in &needed {
-            let key = if addr == 1 {
-                if self.root_key.is_zero() {
-                    nodes.insert(addr, Node::DeletedSubtree);
-                    continue;
-                }
-                self.root_key.clone()
-            } else {
-                match nodes.get(&(addr >> 1)).expect("parent decrypted first") {
-                    Node::Pair(left, right) => {
-                        let key = if addr & 1 == 0 { left } else { right }.clone();
-                        if key.is_zero() {
-                            nodes.insert(addr, Node::DeletedSubtree);
-                            continue;
+            let result = match first_at.get(&i) {
+                Some(&earlier) => out[earlier].clone(),
+                None => {
+                    first_at.insert(i, k);
+                    self.check_index(i).and_then(|()| {
+                        let leaf_addr = (1u64 << self.height) + i;
+                        match descent.key_for(leaf_addr) {
+                            Ok(key) => self.open_leaf(store, key, leaf_addr),
+                            Err(Node::Failed(e)) => Err(e),
+                            Err(_) => Err(StorageError::Deleted(i)),
                         }
-                        key
-                    }
-                    Node::DeletedSubtree => {
-                        nodes.insert(addr, Node::DeletedSubtree);
-                        continue;
-                    }
-                    Node::Failed(e) => {
-                        let e = e.clone();
-                        nodes.insert(addr, Node::Failed(e));
-                        continue;
-                    }
+                    })
                 }
             };
-            let node = match self
-                .fetch(store, addr)
-                .and_then(|ct| self.open_node(&key, addr, &ct))
-                .and_then(|pt| split_pair(&pt).map_err(|_| StorageError::AuthFailure(addr)))
-            {
-                Ok((left, right)) => Node::Pair(left, right),
-                Err(e) => Node::Failed(e),
-            };
-            nodes.insert(addr, node);
+            out.push(result);
         }
-
-        // Leaves: one fetch per distinct leaf, shared by duplicates.
-        let mut leaves: std::collections::BTreeMap<u64, Result<Vec<u8>>> =
-            std::collections::BTreeMap::new();
-        for (k, i) in valid {
-            let leaf_addr = (1u64 << self.height) + i;
-            let result = match nodes.get(&(leaf_addr >> 1)).expect("leaf parent decrypted") {
-                Node::DeletedSubtree => Err(StorageError::Deleted(i)),
-                Node::Failed(e) => Err(e.clone()),
-                Node::Pair(left, right) => {
-                    let key = if leaf_addr & 1 == 0 { left } else { right };
-                    if key.is_zero() {
-                        Err(StorageError::Deleted(i))
-                    } else if let Some(cached) = leaves.get(&leaf_addr) {
-                        cached.clone()
-                    } else {
-                        let key = key.clone();
-                        let fetched = self
-                            .fetch(store, leaf_addr)
-                            .and_then(|ct| self.open_node(&key, leaf_addr, &ct));
-                        leaves.insert(leaf_addr, fetched.clone());
-                        fetched
-                    }
-                }
-            };
-            out[k] = Some(result);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every index resolved"))
-            .collect()
+        out
     }
 
     /// Securely deletes item `i` (`Delete` in Appendix C): zeroes the leaf
@@ -506,12 +578,32 @@ impl SecureArray {
         indices: &[u64],
         rng: &mut R,
     ) -> Result<()> {
+        let descent = self.descent();
+        self.delete_through(store, descent, indices, rng)
+    }
+
+    /// [`delete_batch`](Self::delete_batch) through a descent that may
+    /// already hold some of the paths, typically the one the reads before
+    /// it went through: only the nodes it lacks are opened. If any node on
+    /// the target paths could not be opened, the call fails with the
+    /// first such node's error (in address order) and writes nothing.
+    /// Otherwise the targets' leaf keys are zeroed and exactly the target
+    /// paths are re-sealed, bottom up, under fresh keys; the rest of the
+    /// descent is dropped unwritten.
+    pub fn delete_through<R: RngCore + CryptoRng>(
+        &mut self,
+        store: &mut impl BlockStore,
+        mut descent: Descent,
+        indices: &[u64],
+        rng: &mut R,
+    ) -> Result<()> {
         for &i in indices {
             self.check_index(i)?;
         }
         if indices.is_empty() {
             return Ok(());
         }
+        self.check_fresh(&descent)?;
         if self.height == 0 {
             // Single-item array: "deleting" means forgetting the root key.
             self.root_key = AeadKey::from_bytes(ZERO_KEY);
@@ -521,48 +613,32 @@ impl SecureArray {
             return Ok(());
         }
 
-        // The union of interior-node addresses on the target paths. BTree
-        // ordering puts parents before children (addr(parent) = addr/2),
-        // so one ascending sweep is a level-order descent.
-        let mut needed: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+        // The interior nodes to re-key: the union of the target paths.
+        // Every one must have opened (interior keys are fresh random
+        // values, never zero, so a "deleted" interior node is a forgery
+        // too).
+        self.open_paths(store, &mut descent, indices);
+        let mut rekey: BTreeSet<u64> = BTreeSet::new();
         for &i in indices {
             let leaf_addr = (1u64 << self.height) + i;
-            for level in 1..=self.height {
-                needed.insert(leaf_addr >> level);
-            }
+            rekey.extend((1..=self.height).map(|level| leaf_addr >> level));
         }
-
-        // Descend: decrypt each needed node once. Every needed node is an
-        // *interior* node and interior keys are always fresh random values
-        // (deletion zeroes leaf-key slots only and re-keys interior nodes),
-        // so each node's key is available from its already-decrypted
-        // parent — parents precede children in the ascending sweep.
-        let mut nodes: std::collections::BTreeMap<u64, (AeadKey, AeadKey)> =
-            std::collections::BTreeMap::new();
-        for &addr in &needed {
-            let key = if addr == 1 {
-                self.root_key.clone()
-            } else {
-                let (left, right) = nodes.get(&(addr >> 1)).expect("parent decrypted first");
-                let key = if addr & 1 == 0 { left } else { right };
-                key.clone()
-            };
-            let ct = self.fetch(store, addr)?;
-            let pt = self.open_node(&key, addr, &ct)?;
-            let pair = split_pair(&pt).map_err(|_| StorageError::AuthFailure(addr))?;
-            nodes.insert(addr, pair);
+        for &addr in &rekey {
+            match descent.nodes.get(&addr) {
+                Some(Node::Pair(..)) => {}
+                Some(Node::Failed(e)) => return Err(e.clone()),
+                Some(Node::DeletedSubtree) | None => return Err(StorageError::AuthFailure(addr)),
+            }
         }
 
         // Zero the leaf keys of every target (re-zeroing an
         // already-deleted leaf's slot is a no-op by construction).
-
         for &i in indices {
             let leaf_addr = (1u64 << self.height) + i;
-            let (left, right) = nodes
-                .get_mut(&(leaf_addr >> 1))
-                .expect("every target's parent was decrypted");
-            let slot = if leaf_addr & 1 == 0 { left } else { right };
-            *slot = AeadKey::from_bytes(ZERO_KEY);
+            if let Some(Node::Pair(left, right)) = descent.nodes.get_mut(&(leaf_addr >> 1)) {
+                let slot = if leaf_addr & 1 == 0 { left } else { right };
+                *slot = AeadKey::from_bytes(ZERO_KEY);
+            }
             // The leaf ciphertext can never be decrypted again (its key
             // slot is zeroed and the path above is about to be re-keyed):
             // tell the provider it may reclaim the block. Purely an
@@ -572,23 +648,21 @@ impl SecureArray {
         }
 
         // Ascend (descending address order = children before parents):
-        // re-encrypt every decrypted node under a fresh key and install
-        // that key in its parent; the root's fresh key becomes HSM state.
-        let addrs: Vec<u64> = nodes.keys().rev().copied().collect();
-        for addr in addrs {
+        // re-seal every node on the target paths under a fresh key and
+        // install that key in its parent; the root's fresh key becomes HSM
+        // state.
+        for &addr in rekey.iter().rev() {
             let fresh = AeadKey::random(rng);
-            let (left, right) = nodes.get(&addr).expect("decrypted node");
-            let mut pt = Vec::with_capacity(2 * KEY_LEN);
-            pt.extend_from_slice(left.as_bytes());
-            pt.extend_from_slice(right.as_bytes());
-            let ct = aead::seal(&fresh, &aad_for(&self.array_id, addr), &pt, rng);
-            self.metrics.record_enc(pt.len());
+            let Some(Node::Pair(left, right)) = descent.nodes.get(&addr) else {
+                unreachable!("every node on the target paths opened");
+            };
+            let frame = seal_node(&fresh, &aad_for(&self.array_id, addr), left, right, rng);
+            self.metrics.record_enc(2 * KEY_LEN);
             self.metrics.blocks_written += 1;
-            store.put(addr, &ct.to_bytes());
+            store.put(addr, &frame);
             if addr == 1 {
                 self.root_key = fresh;
-            } else {
-                let (left, right) = nodes.get_mut(&(addr >> 1)).expect("parent decrypted");
+            } else if let Some(Node::Pair(left, right)) = descent.nodes.get_mut(&(addr >> 1)) {
                 let slot = if addr & 1 == 0 { left } else { right };
                 *slot = fresh;
             }
@@ -914,6 +988,120 @@ mod tests {
         assert!(matches!(results[1], Err(StorageError::AuthFailure(2))));
         assert_eq!(results[2], Ok(data[4].clone()));
         assert_eq!(results[3], Ok(data[7].clone()));
+    }
+
+    /// The union of interior nodes on the paths to `indices` in a tree of
+    /// `height`.
+    fn path_union(height: u32, indices: &[u64]) -> BTreeSet<u64> {
+        indices
+            .iter()
+            .flat_map(|&i| (1..=height).map(move |level| ((1u64 << height) + i) >> level))
+            .collect()
+    }
+
+    #[test]
+    fn reads_and_a_delete_through_one_descent_open_each_node_once() {
+        let mut rng = rng();
+        let data = blocks(1024); // height 10
+        let mut store = MemStore::new();
+        let mut arr = SecureArray::setup(&mut store, &data, &mut rng).unwrap();
+        arr.reset_metrics();
+        let (opened, first_read, second_read, deleted) = (
+            [3u64, 5, 700, 701, 900],
+            [3u64, 700],
+            [5u64, 900, 3],
+            [3u64, 5, 700],
+        );
+
+        let mut descent = arr.descent();
+        arr.open_paths(&mut store, &mut descent, &opened);
+        let union = path_union(10, &opened).len() as u64;
+        assert_eq!(arr.metrics().aead_dec_ops, union);
+        let first = arr.read_through(&mut store, &mut descent, &first_read);
+        let second = arr.read_through(&mut store, &mut descent, &second_read);
+        for (i, got) in first_read
+            .iter()
+            .chain(&second_read)
+            .zip(first.iter().chain(&second))
+        {
+            assert_eq!(got.as_ref().unwrap(), &data[*i as usize]);
+        }
+        // Leaves only: the interior nodes came from the descent.
+        let leaves = (first_read.len() + second_read.len()) as u64;
+        assert_eq!(arr.metrics().aead_dec_ops, union + leaves);
+        assert_eq!(arr.metrics().blocks_fetched, union + leaves);
+
+        store.reset_stats();
+        arr.delete_through(&mut store, descent, &deleted, &mut rng)
+            .unwrap();
+        let rekeyed = path_union(10, &deleted).len() as u64;
+        let m = arr.metrics();
+        assert_eq!(m.aead_dec_ops, union + leaves, "the delete opened nothing");
+        assert_eq!(m.aead_enc_ops, rekeyed, "only the deleted paths re-seal");
+        assert_eq!(store.stats().reads, 0);
+        assert_eq!(store.stats().writes, rekeyed);
+        for i in 0..1024u64 {
+            let got = arr.read(&mut store, i);
+            if deleted.contains(&i) {
+                assert_eq!(got.unwrap_err(), StorageError::Deleted(i));
+            } else {
+                assert_eq!(got.unwrap(), data[i as usize], "i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_descent_is_refused_once_the_array_re_keys() {
+        let mut rng = rng();
+        let mut store = MemStore::new();
+        let mut arr = SecureArray::setup(&mut store, &blocks(16), &mut rng).unwrap();
+        let mut stale = arr.descent();
+        arr.open_paths(&mut store, &mut stale, &[3, 4]);
+        arr.delete(&mut store, 3, &mut rng).unwrap();
+        // Its cached leaf key for 3 predates the delete.
+        assert!(matches!(
+            arr.read_through(&mut store, &mut stale, &[3])[0],
+            Err(StorageError::InvalidParameter(_))
+        ));
+        store.reset_stats();
+        assert!(matches!(
+            arr.delete_through(&mut store, stale, &[4], &mut rng),
+            Err(StorageError::InvalidParameter(_))
+        ));
+        assert_eq!(store.stats().writes + store.stats().removes, 0);
+        assert_eq!(
+            arr.read(&mut store, 3).unwrap_err(),
+            StorageError::Deleted(3)
+        );
+    }
+
+    #[test]
+    fn delete_through_a_damaged_node_writes_nothing() {
+        let mut rng = rng();
+        let mut inner = MemStore::new();
+        let data = blocks(16);
+        let mut arr = SecureArray::setup(&mut inner, &data, &mut rng).unwrap();
+        inner.reset_stats();
+        let before = arr.root_key_bytes();
+        // Addr 5 covers leaves 4..8; leaf 9's path avoids it.
+        let mut store = TamperingStore::new(inner, |addr| addr == 5);
+        let mut descent = arr.descent();
+        arr.open_paths(&mut store, &mut descent, &[6, 9]);
+        assert!(matches!(
+            arr.read_through(&mut store, &mut descent, &[6])[0],
+            Err(StorageError::AuthFailure(5))
+        ));
+        assert_eq!(
+            arr.read_through(&mut store, &mut descent, &[9])[0],
+            Ok(data[9].clone())
+        );
+        assert_eq!(
+            arr.delete_through(&mut store, descent, &[9, 6], &mut rng),
+            Err(StorageError::AuthFailure(5))
+        );
+        let stats = store.io_stats();
+        assert_eq!((stats.writes, stats.removes), (0, 0));
+        assert_eq!(before, arr.root_key_bytes());
     }
 
     #[test]
