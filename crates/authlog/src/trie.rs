@@ -459,16 +459,6 @@ impl MerkleTrie {
         proof.path.proves_presence(digest, &kh, &vh)
     }
 
-    /// Proves that `id` is absent (used for pre-insertion paths).
-    pub fn prove_absent(&self, id: &[u8]) -> Option<LookupProof> {
-        let kh = key_hash(id);
-        let path = self.lookup_path(&kh);
-        match &path.end {
-            PathEnd::Leaf { kh: lkh, .. } if *lkh == kh => None,
-            _ => Some(path),
-        }
-    }
-
     /// Whether `id` is defined.
     pub fn contains(&self, id: &[u8]) -> bool {
         let kh = key_hash(id);
@@ -687,7 +677,7 @@ mod tests {
             t.insert(&id, &v).unwrap();
         }
         let d = t.digest();
-        let proof = t.prove_absent(b"not-there").unwrap();
+        let proof = t.lookup_path(&key_hash(b"not-there"));
         assert!(proof.proves_absence(&d, &key_hash(b"not-there")));
         // An absence proof for one missing key does not transfer to a
         // present key.
@@ -698,7 +688,8 @@ mod tests {
     fn absence_proof_for_present_key_impossible() {
         let mut t = MerkleTrie::new();
         t.insert(b"present", b"v").unwrap();
-        assert!(t.prove_absent(b"present").is_none());
+        let kh = key_hash(b"present");
+        assert!(!t.lookup_path(&kh).proves_absence(&t.digest(), &kh));
     }
 
     #[test]

@@ -173,8 +173,8 @@ impl BfePublicKey {
     /// MSM folds a whole coalesced batch — across users — into one
     /// [`p256::mul_multi`] plus a single fixed-base multiplication,
     /// which is what an HSM serving a recovery storm calls once per
-    /// batch ([`decrypt_many_traced`](BfeSecretKey::decrypt_many_traced)
-    /// supplies the traces). An empty batch passes.
+    /// batch ([`decrypt_opened`](BfeSecretKey::decrypt_opened) supplies
+    /// the traces). An empty batch passes.
     pub fn audit_slot_scalars<R: RngCore + CryptoRng>(
         &self,
         traces: &[(u64, Scalar)],
@@ -486,8 +486,8 @@ impl BfeSecretKey {
     }
 
     /// Attempts to decrypt `ct` (created under `tag`) using any surviving
-    /// slot key: [`decrypt_many_traced`](Self::decrypt_many_traced) over
-    /// a batch of one.
+    /// slot key: [`decrypt_opened`](Self::decrypt_opened) over a batch of
+    /// one, through a fresh descent.
     ///
     /// The slot indices are recomputed from `tag` rather than trusted from
     /// the ciphertext, so a malicious ciphertext cannot route decryption
@@ -499,7 +499,9 @@ impl BfeSecretKey {
         context: &[u8],
         ct: &BfeCiphertext,
     ) -> Result<(Vec<u8>, OpReport)> {
-        let (mut outcomes, report) = self.decrypt_many_traced(store, &[(tag, context, ct)]);
+        let mut descent = self.array.descent();
+        let (mut outcomes, report) =
+            self.decrypt_opened(store, &mut descent, &[(tag, context, ct)]);
         let (pt, _) = outcomes.pop().ok_or(CryptoError::DecryptionFailed)??;
         Ok((pt, report))
     }
@@ -542,20 +544,7 @@ impl BfeSecretKey {
     }
 
     /// Decrypts many ciphertexts — typically **many users'** coalesced
-    /// share decryptions on one HSM — in rounds of shared-prefix batch
-    /// reads: [`decrypt_opened`](Self::decrypt_opened) through a fresh
-    /// descent.
-    #[allow(clippy::type_complexity)]
-    pub fn decrypt_many_traced<S: BlockStore>(
-        &mut self,
-        store: &mut S,
-        items: &[(&[u8], &[u8], &BfeCiphertext)],
-    ) -> (Vec<Result<(Vec<u8>, (u64, Scalar))>>, OpReport) {
-        let mut descent = self.array.descent();
-        self.decrypt_opened(store, &mut descent, items)
-    }
-
-    /// Decrypts many ciphertexts through `descent`. Each item needs one
+    /// share decryptions on one HSM — through `descent`. Each item needs one
     /// surviving Bloom slot; per round, every unresolved item's next
     /// candidate slot is read through [`SecureArray::read_through`], which
     /// opens only the path nodes `descent` lacks (none, when
@@ -1000,8 +989,19 @@ mod tests {
         assert_eq!(sk.punctures(), 0);
     }
 
+    /// [`BfeSecretKey::decrypt_opened`] through a fresh descent.
+    #[allow(clippy::type_complexity)]
+    fn decrypt_fresh(
+        sk: &mut BfeSecretKey,
+        store: &mut MemStore,
+        items: &[(&[u8], &[u8], &BfeCiphertext)],
+    ) -> (Vec<Result<(Vec<u8>, (u64, Scalar))>>, OpReport) {
+        let mut descent = sk.array.descent();
+        sk.decrypt_opened(store, &mut descent, items)
+    }
+
     #[test]
-    fn decrypt_many_traced_matches_serial_decrypts() {
+    fn decrypt_opened_matches_serial_decrypts() {
         let mut rng = rng();
         let mut store_a = MemStore::new();
         let (pk, mut serial, _) = keygen(small_params(), &mut store_a, &mut rng).unwrap();
@@ -1031,11 +1031,11 @@ mod tests {
             .collect();
         items.push((wrong_tag.as_slice(), b"ctx", &cts[0].1));
 
-        let (batched, report) = batch.decrypt_many_traced(&mut store_b, &items);
+        let (batched, report) = decrypt_fresh(&mut batch, &mut store_b, &items);
         assert!(report.aead_ops > 0 && report.blocks_read > 0);
         // One batch of n ≡ n batches of one, item for item.
         for (k, item) in items.iter().enumerate() {
-            let (single, _) = serial.decrypt_many_traced(&mut store_a, &[*item]);
+            let (single, _) = decrypt_fresh(&mut serial, &mut store_a, &[*item]);
             match (&batched[k], &single[0]) {
                 (Ok(b), Ok(s)) => assert_eq!(b, s, "item {k}"),
                 (Err(_), Err(_)) => {}
@@ -1067,7 +1067,7 @@ mod tests {
         let mut store = MemStore::new();
         let (pk, mut sk, _) = keygen(small_params(), &mut store, &mut rng).unwrap();
         let ct = encrypt(&pk, b"t", b"c", b"m", &mut rng);
-        let (mut outcomes, _) = sk.decrypt_many_traced(&mut store, &[(b"t", b"c", &ct)]);
+        let (mut outcomes, _) = decrypt_fresh(&mut sk, &mut store, &[(b"t", b"c", &ct)]);
         let (pt, (idx, scalar)) = outcomes.pop().unwrap().unwrap();
         assert_eq!(pt, b"m");
         // The trace is the slot's true discrete log.
@@ -1093,7 +1093,7 @@ mod tests {
             .iter()
             .map(|(tag, ct)| (tag.as_slice(), b"c" as &[u8], ct))
             .collect();
-        let (outcomes, _) = sk.decrypt_many_traced(&mut store, &items);
+        let (outcomes, _) = decrypt_fresh(&mut sk, &mut store, &items);
         let traces: Vec<(u64, Scalar)> = outcomes.into_iter().map(|o| o.unwrap().1).collect();
         assert!(pk.audit_slot_scalars(&traces, &mut rng));
         assert!(pk.audit_slot_scalars(&[], &mut rng), "empty batch passes");

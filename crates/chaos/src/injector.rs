@@ -1,15 +1,16 @@
 //! The injector plane: a [`Harness`] that owns a live [`Deployment`],
 //! advances a deterministic step clock, and applies the scheduled
-//! [`ChaosEvent`]s — wrapping transports in seeded [`Faulty`] links,
-//! fail-stopping and restoring HSMs, rotating keys — while keeping its
-//! own [`FaultLedger`] of everything it actually did.
+//! [`ChaosEvent`]s — seeded fault links on the fleet hop (a [`Faulty`]
+//! transport) and the client hop (a [`FaultSource`] in front of the
+//! provider endpoint), fail-stopping and restoring HSMs, rotating keys —
+//! while keeping its own [`FaultLedger`] of everything it actually did.
 //!
 //! Two properties make scenarios replayable from one `u64` seed:
 //!
 //! 1. every random stream (provisioning, traffic, each fault link) is
 //!    derived from the scenario seed via [`mix`], and
 //! 2. faults are *counted at the point of injection* (the retired
-//!    transport's [`TransportStats`]), independently of the telemetry
+//!    link's [`TransportStats`]), independently of the telemetry
 //!    registry the same links report into — so the final audit can
 //!    reconcile two genuinely separate accounts.
 
@@ -17,11 +18,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use safetypin::primitives::wire::{Decode, Encode};
 use safetypin::{Deployment, DeploymentError, SystemParams};
-use safetypin_client::remote::RemoteError;
+use safetypin_client::remote::{ProviderEndpoint, RemoteError};
 use safetypin_proto::{
-    codes, Direct, ErrorReply, Faulty, ProtoError, ProviderRequest, ProviderResponse, Traffic,
-    TrafficReply, Transport, TransportStats,
+    Direct, Envelope, Fate, FaultSource, Faulty, Message, ProtoError, ProviderRequest,
+    ProviderResponse, TransportStats,
 };
 use safetypin_provider::ProviderError;
 use safetypin_seckv::{BlockStore, MemStore, StoreStats};
@@ -151,6 +153,44 @@ impl safetypin_store::SnapshotBlocks for SharedStore {
     }
 }
 
+/// The client hop's fault link: a seeded [`FaultSource`] in front of a
+/// [`ProviderEndpoint`]. In scope, a request draws a request-leg fate
+/// (drop or delay) before the provider serves it, and the reply a
+/// response-leg fate (drop, corrupt or delay). A corrupted reply is its
+/// encoded envelope with one bit flipped, decoded again: if it no
+/// longer decodes as a provider response, the call fails with
+/// [`ProtoError::Corrupted`].
+struct FaultyHop(FaultSource);
+
+impl FaultyHop {
+    fn call(
+        &mut self,
+        provider: &mut impl ProviderEndpoint,
+        request: ProviderRequest,
+    ) -> Result<ProviderResponse, ProtoError> {
+        let recovery = matches!(
+            request,
+            ProviderRequest::Recover(_) | ProviderRequest::RecoverBatch(_)
+        );
+        if self.0.request_fate(recovery) == Fate::Drop {
+            return Err(ProtoError::Dropped);
+        }
+        let response = provider.call(request)?;
+        match self.0.response_fate(recovery) {
+            Fate::Deliver | Fate::Delay => Ok(response),
+            Fate::Drop => Err(ProtoError::Dropped),
+            Fate::Corrupt => {
+                let mut bytes = Envelope::seal(Message::ProviderResponse(response)).to_bytes();
+                self.0.flip_bit(&mut bytes);
+                match Envelope::from_bytes(&bytes).map(|env| env.msg) {
+                    Ok(Message::ProviderResponse(response)) => Ok(response),
+                    _ => Err(ProtoError::Corrupted),
+                }
+            }
+        }
+    }
+}
+
 /// The scenario harness: one deployment, one step clock, one plan.
 ///
 /// Traffic goes through [`call`](Self::call) (or the closure from
@@ -172,7 +212,7 @@ pub struct Harness<S: BlockStore + Send = MemStore> {
     plan: ChaosPlan,
     step: u64,
     registry: Registry,
-    client_link: Option<Faulty>,
+    client_link: Option<FaultyHop>,
     client_delay_secs: f64,
     fleet_faulty: bool,
     fleet_delay_secs: f64,
@@ -270,9 +310,8 @@ impl<S: BlockStore + Send> Harness<S> {
             }
             ChaosEvent::SetClientFaults { plan, seed } => {
                 self.retire_client_link();
-                let link =
-                    Faulty::new(Box::new(Direct::new()), plan, seed).with_registry(&self.registry);
-                self.client_link = Some(link);
+                let link = FaultSource::new(plan, seed, &self.registry);
+                self.client_link = Some(FaultyHop(link));
                 self.client_delay_secs = plan.delay_seconds;
             }
             ChaosEvent::ClearClientFaults => {
@@ -309,19 +348,11 @@ impl<S: BlockStore + Send> Harness<S> {
             client_link,
             ..
         } = self;
+        let mut provider =
+            |request: ProviderRequest| Ok::<_, ProtoError>(deployment.handle(request, rng));
         match client_link {
-            // The client hop carries provider requests only, exactly as
-            // the daemon's socket does.
-            Some(link) => link.call_provider(request, &mut |traffic| {
-                TrafficReply::Provider(match traffic {
-                    Traffic::Provider(request) => deployment.handle(request, rng),
-                    _ => ProviderResponse::Error(ErrorReply::new(
-                        codes::UNSUPPORTED,
-                        "the client hop carries provider requests only",
-                    )),
-                })
-            }),
-            None => Ok(deployment.handle(request, rng)),
+            Some(link) => link.call(&mut provider, request),
+            None => provider(request),
         }
     }
 
@@ -377,9 +408,10 @@ impl<S: BlockStore + Send> Harness<S> {
     }
 
     /// Folds a drained [`TransportStats`] into the ledger. Delay counts
-    /// are recovered from the accumulated simulated seconds; the inner
-    /// transport is always `Direct`, which never charges time, so the
-    /// division is exact.
+    /// are recovered from the accumulated simulated seconds; the fleet
+    /// link's inner transport is always `Direct` and the client link has
+    /// none, so no time but the delays is charged and the division is
+    /// exact.
     fn absorb_stats(&mut self, stats: TransportStats, delay_secs: f64) {
         self.ledger.dropped += stats.dropped;
         self.ledger.corrupted += stats.corrupted;
@@ -398,7 +430,7 @@ impl<S: BlockStore + Send> Harness<S> {
 
     fn retire_client_link(&mut self) {
         if let Some(mut link) = self.client_link.take() {
-            let stats = link.take_stats();
+            let stats = link.0.take_tally();
             let delay = self.client_delay_secs;
             self.absorb_stats(stats, delay);
         }
@@ -462,6 +494,63 @@ mod tests {
         let (ledger, _) = h.settle();
         assert_eq!(ledger, h.injected_counters());
         assert!(ledger.total() >= faults);
+    }
+
+    /// A recovery-only client hop spares the rest of the provider API:
+    /// every status and backup fetch is answered, every recovery wave
+    /// is lost before the provider logs its attempt, and the ledger
+    /// still reconciles with the telemetry.
+    #[test]
+    fn recovery_only_client_faults_drop_recovery_and_nothing_else() {
+        use safetypin_client::remote;
+        let plan = ChaosPlan::new().at(
+            1,
+            ChaosEvent::SetClientFaults {
+                plan: FaultPlan::drop(1.0).recovery_only(),
+                seed: 3,
+            },
+        );
+        let mut h = Harness::provision(params(), plan, 13).unwrap();
+        h.tick().unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut client = h.deployment.new_client(b"carol").unwrap();
+        let artifact =
+            remote::save(&mut h.endpoint(), &mut client, b"2468", b"secret", &mut rng).unwrap();
+        for _ in 0..8 {
+            let status = h.call(ProviderRequest::Status);
+            assert!(
+                matches!(status, Ok(ProviderResponse::Status(_))),
+                "{status:?}"
+            );
+            let fetched = remote::fetch_backup(&mut h.endpoint(), b"carol").unwrap();
+            assert_eq!(
+                remote::encode_artifact(&fetched),
+                remote::encode_artifact(&artifact)
+            );
+        }
+        let entries = h.deployment.datacenter.log_entries().len();
+        for _ in 0..8 {
+            let outcome = remote::recover(&mut h.endpoint(), &client, b"2468", &artifact, &mut rng);
+            assert!(
+                matches!(outcome, Err(RemoteError::Transport(ProtoError::Dropped))),
+                "{outcome:?}"
+            );
+        }
+        assert_eq!(
+            h.deployment.datacenter.log_entries().len(),
+            entries,
+            "a dropped recovery reached the provider"
+        );
+        let (ledger, _) = h.settle();
+        assert_eq!(
+            ledger,
+            FaultLedger {
+                dropped: 8,
+                corrupted: 0,
+                delayed: 0
+            }
+        );
+        assert_eq!(ledger, h.injected_counters());
     }
 
     #[test]

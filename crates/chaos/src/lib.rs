@@ -24,9 +24,11 @@
 //! Three planes, composed per scenario:
 //!
 //! * the **injector plane** ([`Harness`], [`ChaosPlan`]): a step clock
-//!   drives scheduled [`ChaosEvent`]s — seeded
-//!   [`Faulty`](safetypin_proto::Faulty) links on the client and fleet
-//!   hops, HSM kill/restore/rotate, torn WAL commits via
+//!   drives scheduled [`ChaosEvent`]s — seeded fault links on the
+//!   fleet hop (a [`Faulty`](safetypin_proto::Faulty) transport) and on
+//!   the client hop (a [`FaultSource`](safetypin_proto::FaultSource) in
+//!   front of the provider endpoint), HSM kill/restore/rotate, torn WAL
+//!   commits via
 //!   [`CrashingStore`](safetypin_store::CrashingStore);
 //! * the **traffic plane** ([`traffic`]): deterministic save/recover
 //!   storms, batched recovery waves, wrong-PIN guessing storms and

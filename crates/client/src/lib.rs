@@ -501,7 +501,10 @@ mod tests {
                     .iter()
                     .map(|&c| update.audit_package(c).unwrap())
                     .collect();
-                sigs.push(hsm.audit_and_sign(&msg, &packages).unwrap());
+                sigs.push(
+                    hsm.audit_and_sign_with_failures(&msg, &[], &[], &packages)
+                        .unwrap(),
+                );
             }
             let agg = safetypin_multisig::aggregate_signatures(&sigs).unwrap();
             let signers: Vec<usize> = (0..self.hsms.len()).collect();

@@ -855,19 +855,12 @@ impl Hsm {
     /// verifies, signs `(d, d', R)`.
     ///
     /// The packages must cover exactly this HSM's deterministic assignment
-    /// and the message's old digest must match the digest this HSM holds.
-    pub fn audit_and_sign(
-        &mut self,
-        message: &UpdateMessage,
-        packages: &[ChunkAudit],
-    ) -> Result<multisig::Signature, HsmError> {
-        self.audit_and_sign_with_failures(message, &[], &[], packages)
-    }
-
-    /// Like [`audit_and_sign`](Self::audit_and_sign), but also covering the
-    /// Appendix B.3 re-audit duty: for each failed HSM, this HSM verifies
-    /// the chunks the deterministic substitution assigns to it, so the
-    /// epoch makes progress despite fail-stops.
+    /// ([`audit_assignment`](Self::audit_assignment)) and the message's
+    /// old digest must match the digest this HSM holds. The assignment
+    /// covers the Appendix B.3 re-audit duty: for each failed HSM, this
+    /// HSM also verifies the chunks the deterministic substitution
+    /// assigns to it, so the epoch makes progress despite fail-stops
+    /// (with no failures, pass empty `active_ids` and `failed_ids`).
     pub fn audit_and_sign_with_failures(
         &mut self,
         message: &UpdateMessage,
@@ -976,16 +969,6 @@ impl Hsm {
         self.key_epoch += 1;
         (self.static_dirty, self.dynamic_dirty) = (true, true);
         Ok((pk, report))
-    }
-
-    /// Current BFE public key.
-    pub fn bfe_public_key(&self) -> &BfePublicKey {
-        &self.bfe_pk
-    }
-
-    /// Identity public key.
-    pub fn identity_pk(&self) -> elgamal::PublicKey {
-        self.identity.pk
     }
 
     // ------------------------------------------------------------------

@@ -63,7 +63,7 @@ fn fixture_with_bfe(bfe_params: BfeParams) -> Fixture {
     for h in hsms.iter_mut() {
         h.register_fleet(&fleet).unwrap();
     }
-    let bfe_pks = hsms.iter().map(|h| h.bfe_public_key().clone()).collect();
+    let bfe_pks = hsms.iter().map(|h| h.enrollment().bfe_pk).collect();
     Fixture {
         params: LheParams::new(TOTAL, 4, 2, 10_000).unwrap(),
         hsms,
@@ -87,7 +87,10 @@ impl Fixture {
                 .iter()
                 .map(|&c| update.audit_package(c).unwrap())
                 .collect();
-            sigs.push(hsm.audit_and_sign(&msg, &packages).unwrap());
+            sigs.push(
+                hsm.audit_and_sign_with_failures(&msg, &[], &[], &packages)
+                    .unwrap(),
+            );
         }
         let agg = aggregate_signatures(&sigs).unwrap();
         let signers: Vec<usize> = (0..self.hsms.len()).collect();
@@ -372,7 +375,7 @@ fn epoch_update_rejects_stale_and_bad_sets() {
         .collect();
     assert_eq!(
         fx.hsms[0]
-            .audit_and_sign(&msg, &other_packages)
+            .audit_and_sign_with_failures(&msg, &[], &[], &other_packages)
             .unwrap_err(),
         HsmError::WrongAuditSet
     );
@@ -386,7 +389,9 @@ fn epoch_update_rejects_stale_and_bad_sets() {
         .map(|&c| update.audit_package(c).unwrap())
         .collect();
     assert_eq!(
-        fx.hsms[0].audit_and_sign(&stale, &packages).unwrap_err(),
+        fx.hsms[0]
+            .audit_and_sign_with_failures(&stale, &[], &[], &packages)
+            .unwrap_err(),
         HsmError::StaleDigest
     );
 }
@@ -405,7 +410,10 @@ fn aggregate_quorum_enforced() {
             .iter()
             .map(|&c| update.audit_package(c).unwrap())
             .collect();
-        sigs.push(hsm.audit_and_sign(&msg, &packages).unwrap());
+        sigs.push(
+            hsm.audit_and_sign_with_failures(&msg, &[], &[], &packages)
+                .unwrap(),
+        );
     }
     // Quorum of 7 < min_signers = 8 rejected.
     let partial = aggregate_signatures(&sigs[..7]).unwrap();
@@ -453,7 +461,8 @@ fn zero_chunk_epoch_is_refused() {
     };
     for (hsm, store) in fx.hsms.iter_mut().zip(fx.stores.iter_mut()) {
         assert_eq!(
-            hsm.audit_and_sign(&forged, &[]).unwrap_err(),
+            hsm.audit_and_sign_with_failures(&forged, &[], &[], &[])
+                .unwrap_err(),
             HsmError::Audit(AuditError::NoChunks)
         );
         // As the provider sends it: a typed refusal, no signature.
@@ -515,7 +524,8 @@ fn inflated_chunk_count_cannot_dilute_audits() {
             .map(|&c| update.audit_package(c).unwrap())
             .collect();
         assert_eq!(
-            hsm.audit_and_sign(&msg, &short).unwrap_err(),
+            hsm.audit_and_sign_with_failures(&msg, &[], &[], &short)
+                .unwrap_err(),
             HsmError::WrongAuditSet
         );
     }
@@ -530,7 +540,9 @@ fn inflated_chunk_count_cannot_dilute_audits() {
         .iter()
         .map(|&c| update.audit_package(c).unwrap())
         .collect();
-    fx.hsms[0].audit_and_sign(&msg, &full).unwrap();
+    fx.hsms[0]
+        .audit_and_sign_with_failures(&msg, &[], &[], &full)
+        .unwrap();
 }
 
 #[test]
@@ -563,7 +575,7 @@ fn key_rotation_resets_punctures() {
     let mut rng = StdRng::seed_from_u64(7);
     fx.recover_share(hsm_id, &request, &mut rng).unwrap();
     assert_eq!(fx.hsms[hsm_id as usize].punctures(), 1);
-    let old_pk = fx.hsms[hsm_id as usize].bfe_public_key().clone();
+    let old_pk = fx.hsms[hsm_id as usize].enrollment().bfe_pk;
     let (new_pk, report) = fx.hsms[hsm_id as usize]
         .rotate_keys(&mut fx.stores[hsm_id as usize], &mut rng)
         .unwrap();
@@ -593,7 +605,10 @@ fn compromise_exfiltrates_but_punctured_data_stays_safe() {
     let state = fx.hsms[0].compromise();
     assert_eq!(fx.hsms[0].status(), HsmStatus::Compromised);
     // The exfiltrated identity key matches the published one.
-    assert_eq!(state.identity_sk.public_key(), fx.hsms[0].identity_pk());
+    assert_eq!(
+        state.identity_sk.public_key(),
+        fx.hsms[0].enrollment().identity_pk
+    );
     // Compromised HSMs keep serving (stealthy attacker).
     assert!(fx.hsms[0].garbage_collect().is_ok());
 }

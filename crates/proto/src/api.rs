@@ -208,8 +208,8 @@ wire! {
 
 impl HsmRequest {
     /// True for recovery-share traffic (the messages a
-    /// [`Faulty`](crate::transport::Faulty) transport scoped to
-    /// recovery faults will touch).
+    /// [`Faulty`](crate::transport::Faulty) transport under a
+    /// recovery-only plan will fault).
     pub fn is_recovery(&self) -> bool {
         matches!(self, HsmRequest::RecoverShare(_))
     }

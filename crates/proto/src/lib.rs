@@ -37,14 +37,18 @@
 //!
 //! # Transports
 //!
-//! The [`transport`] module defines the [`Transport`] trait — one
-//! required [`round`](Transport::round) method over a request-class
-//! enum ([`Traffic`]; every fleet round is [`Traffic::Grouped`]), with
-//! typed conveniences default-implemented on top — and three backends for the provider↔fleet hop: [`Direct`]
-//! (in-process, zero-copy), [`Serialized`] (full codec round-trip,
-//! byte-metered and priced against a USB profile) and [`Faulty`]
-//! (seeded drop/delay/corrupt injection). See the module docs for how
-//! to add a backend.
+//! The [`transport`] module carries the provider↔fleet hop only. It
+//! defines the [`Transport`] trait — one required
+//! [`round`](Transport::round) method over a request-class enum
+//! ([`Traffic`]; every fleet round is [`Traffic::Grouped`], the other
+//! classes are retired), with a typed convenience default-implemented
+//! on top — and three backends: [`Direct`] (in-process, zero-copy),
+//! [`Serialized`] (full codec round-trip, byte-metered and priced
+//! against a USB profile) and [`Faulty`] (seeded drop/delay/corrupt
+//! injection into the HSMs' replies). See the module docs for how to
+//! add a backend. The [`fault`] module's [`FaultSource`] is the seeded
+//! fault stream behind [`Faulty`], and behind any fault link on the
+//! client hop (the chaos harness wraps its provider endpoint in one).
 //!
 //! # The socket
 //!
@@ -78,6 +82,7 @@
 pub mod api;
 pub mod envelope;
 pub mod error;
+pub mod fault;
 pub mod messages;
 pub mod metrics;
 pub mod tcp;
@@ -89,6 +94,7 @@ pub use api::{
 };
 pub use envelope::{Envelope, Message, MAX_GROUP_REQUESTS, PROTO_VERSION};
 pub use error::ProtoError;
+pub use fault::{Fate, FaultPlan, FaultScope, FaultSource};
 pub use messages::{
     EnrollmentRecord, RecoveryRequest, RecoveryResponse, SnapshotMeta, StatusReport, MAX_CLUSTER,
     MAX_SNAPSHOT_HSMS,
@@ -96,6 +102,5 @@ pub use messages::{
 pub use metrics::{HistogramSummary, MetricsReport, MAX_METRICS_SERIES};
 pub use tcp::{Tcp, TcpConfig, MAX_FRAME_BYTES};
 pub use transport::{
-    Direct, FaultPlan, FaultScope, Faulty, Serialized, ServeTrafficFn, Traffic, TrafficReply,
-    Transport, TransportStats,
+    Direct, Faulty, Serialized, ServeTrafficFn, Traffic, TrafficReply, Transport, TransportStats,
 };

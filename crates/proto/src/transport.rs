@@ -1,9 +1,11 @@
 //! Pluggable transports carrying [`Envelope`]s between the datacenter
-//! front-end and its HSM fleet (the client↔provider socket is
-//! [`crate::tcp`], which carries the provider API only).
+//! front-end and its HSM fleet — the fleet hop only. The
+//! client↔provider hop is [`crate::tcp`] (or any provider endpoint),
+//! which carries the provider API only; nothing here carries a client
+//! request.
 //!
-//! A [`Transport`] moves one *round* of [`Traffic`] to the serving peer
-//! and its [`TrafficReply`] back. The serving side is supplied by the
+//! A [`Transport`] moves one *round* of [`Traffic`] to the fleet and
+//! its [`TrafficReply`] back. The serving side is supplied by the
 //! caller as a `serve` closure (the datacenter owns the devices), so a
 //! transport decides only *how* the messages travel. Every fleet round
 //! — recovery, epoch audit and accept, GC, rotation — travels as
@@ -19,31 +21,28 @@
 //!   wire codec in both directions and is priced against a
 //!   [`TransportProfile`] (USB HID/CDC), making the Table 7 bandwidth
 //!   numbers measured rather than estimated.
-//! * [`Faulty`] — wraps another transport and injects configurable
-//!   drop / delay / corrupt faults (seeded, deterministic) for
-//!   failure-scenario tests.
+//! * [`Faulty`] — wraps another transport and injects seeded
+//!   drop / delay / corrupt faults into the HSMs' replies
+//!   ([`crate::fault`]) for failure-scenario tests.
 //!
 //! # Adding a transport backend
 //!
 //! Implement exactly one required method, [`Transport::round`]: given
 //! one [`Traffic`] value, deliver it (however the medium does that) and
-//! return the matching [`TrafficReply`] class. The two conveniences,
-//! [`exchange_grouped`](Transport::exchange_grouped) and
-//! [`call_provider`](Transport::call_provider), are default-implemented
-//! on top of `round` and never need overriding. A wire backend ships a
-//! grouped round as one [`Message::HsmGroupRequest`] per group and a
-//! provider round as one [`Message::ProviderRequest`]; it refuses
-//! [`Traffic::Single`] and [`Traffic::Batch`], which no envelope
-//! carries, with [`ProtoError::UnexpectedMessage`]. Encode with
-//! [`Envelope::seal`] + [`Encode::to_bytes`]; decode with
-//! [`Envelope::from_bytes`] and reject unexpected message kinds with
-//! [`ProtoError::UnexpectedMessage`]. Report moved bytes through
-//! [`TransportStats`] so benchmarks pick the backend up automatically.
+//! return the matching [`TrafficReply`] class. The convenience
+//! [`exchange_grouped`](Transport::exchange_grouped) is
+//! default-implemented on top of `round` and never needs overriding. A
+//! wire backend ships a grouped round as one [`Message::HsmGroupRequest`]
+//! per group; it refuses the retired classes ([`Traffic::Single`],
+//! [`Traffic::Batch`], [`Traffic::Provider`]) with
+//! [`ProtoError::UnexpectedMessage`]. Encode with [`Envelope::seal`] +
+//! [`Encode::to_bytes`]; decode with [`Envelope::from_bytes`] and reject
+//! unexpected message kinds with [`ProtoError::UnexpectedMessage`].
+//! Report moved bytes through [`TransportStats`] so benchmarks pick the
+//! backend up automatically.
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use safetypin_primitives::wire::{Decode, Encode};
 use safetypin_sim::transport::{TransportProfile, USB_CDC};
 use safetypin_telemetry::{Counter, Registry};
@@ -51,11 +50,11 @@ use safetypin_telemetry::{Counter, Registry};
 use crate::api::{ErrorReply, HsmRequest, HsmResponse, ProviderRequest, ProviderResponse};
 use crate::envelope::{Envelope, Message};
 use crate::error::ProtoError;
+use crate::fault::{Fate, FaultPlan, FaultSource};
 
 /// One round of requests, classified by shape, carried through the
-/// single [`Transport::round`] method. Fleet rounds are
-/// [`Grouped`](Traffic::Grouped); client rounds are
-/// [`Provider`](Traffic::Provider).
+/// single [`Transport::round`] method. Every fleet round is
+/// [`Grouped`](Traffic::Grouped); the other classes are retired.
 #[derive(Debug, Clone, PartialEq)]
 #[expect(
     clippy::large_enum_variant,
@@ -75,8 +74,10 @@ pub enum Traffic {
     /// (one envelope per HSM per direction), served under a single
     /// durability barrier (`Hsm::handle_batch`'s group commit).
     Grouped(Vec<(u64, Vec<HsmRequest>)>),
-    /// A client-facing provider request (the service API: log inserts,
-    /// epoch runs, recovery waves, backup storage, status).
+    /// Retired: a client's provider request. The client hop is not a
+    /// [`Transport`] (it is the `Tcp` socket or any provider endpoint),
+    /// so nothing sends it; it is refused exactly like
+    /// [`Single`](Traffic::Single).
     Provider(ProviderRequest),
 }
 
@@ -91,7 +92,7 @@ pub enum TrafficReply {
     /// Reply to [`Traffic::Grouped`], one `(id, responses)` entry per
     /// delivered group, in group order, each list in request order.
     Grouped(Vec<(u64, Vec<HsmResponse>)>),
-    /// Reply to [`Traffic::Provider`].
+    /// Reply to the retired [`Traffic::Provider`].
     Provider(ProviderResponse),
 }
 
@@ -157,11 +158,12 @@ impl TransportStats {
     }
 }
 
-/// A channel between protocol peers.
+/// The channel from the datacenter to its HSM fleet.
 ///
 /// Backends implement [`round`](Transport::round) (plus the accounting
-/// accessors); callers mostly use the typed conveniences, which wrap a
-/// request into its [`Traffic`] class and unwrap the matching reply.
+/// accessors); callers use the typed convenience
+/// [`exchange_grouped`](Transport::exchange_grouped), which wraps the
+/// groups into [`Traffic::Grouped`] and unwraps the matching reply.
 /// Backends are `Send` so a fleet can be owned by one service thread
 /// and served to many connection threads (what `safetypind` does).
 pub trait Transport: Send {
@@ -206,19 +208,6 @@ pub trait Transport: Send {
             _ => Err(ProtoError::UnexpectedMessage("expected an HSM group reply")),
         }
     }
-
-    /// Carries one provider (service-API) request and returns the
-    /// provider's response.
-    fn call_provider(
-        &mut self,
-        request: ProviderRequest,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<ProviderResponse, ProtoError> {
-        match self.round(Traffic::Provider(request), serve)? {
-            TrafficReply::Provider(resp) => Ok(resp),
-            _ => Err(ProtoError::UnexpectedMessage("expected a provider reply")),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -251,9 +240,8 @@ impl Transport for Direct {
     ) -> Result<TrafficReply, ProtoError> {
         // Virtual envelope counts match what a wire backend would ship
         // for the same round, so envelope counts stay comparable across
-        // transports: one per HSM per direction for grouped rounds (the
-        // grouped contract), one per direction for provider rounds. The
-        // retired classes are forwarded and count as one exchange.
+        // transports: one per HSM per direction (the grouped contract).
+        // The retired classes are forwarded and count as one exchange.
         match &traffic {
             Traffic::Single(..) | Traffic::Batch(_) | Traffic::Provider(_) => {
                 self.stats.envelopes += 2;
@@ -371,26 +359,6 @@ impl Serialized {
         }
         Ok(TrafficReply::Grouped(out))
     }
-
-    fn round_provider(
-        &mut self,
-        request: ProviderRequest,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<TrafficReply, ProtoError> {
-        self.stats.messages += 2;
-        let delivered = match self.ship_request(Message::ProviderRequest(request))? {
-            Message::ProviderRequest(req) => req,
-            _ => return Err(ProtoError::UnexpectedMessage("expected provider request")),
-        };
-        let response = match serve(Traffic::Provider(delivered)) {
-            TrafficReply::Provider(resp) => resp,
-            _ => return Err(ProtoError::UnexpectedMessage("expected a provider reply")),
-        };
-        match self.ship_response(Message::ProviderResponse(response))? {
-            Message::ProviderResponse(resp) => Ok(TrafficReply::Provider(resp)),
-            _ => Err(ProtoError::UnexpectedMessage("expected provider response")),
-        }
-    }
 }
 
 impl Transport for Serialized {
@@ -405,10 +373,11 @@ impl Transport for Serialized {
     ) -> Result<TrafficReply, ProtoError> {
         match traffic {
             Traffic::Grouped(groups) => self.round_grouped(groups, serve),
-            Traffic::Provider(request) => self.round_provider(request, serve),
-            Traffic::Single(..) | Traffic::Batch(_) => Err(ProtoError::UnexpectedMessage(
-                "no envelope carries a solo or batch HSM round",
-            )),
+            Traffic::Single(..) | Traffic::Batch(_) | Traffic::Provider(_) => {
+                Err(ProtoError::UnexpectedMessage(
+                    "the fleet transport carries grouped HSM rounds only",
+                ))
+            }
         }
     }
 
@@ -425,218 +394,57 @@ impl Transport for Serialized {
 // Faulty
 // ---------------------------------------------------------------------
 
-/// Which messages a [`Faulty`] transport may fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultScope {
-    /// Fault any message kind.
-    All,
-    /// Fault only recovery-share traffic. Epoch certification and key
-    /// management flow cleanly — this scope models the §8
-    /// failure-during-recovery scenarios without stalling the log.
-    RecoveryOnly,
-}
-
-/// Fault-injection configuration for [`Faulty`].
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Probability a message (request or response) is dropped.
-    pub drop_prob: f64,
-    /// Probability a delivered response has one bit flipped in its
-    /// encoding.
-    pub corrupt_prob: f64,
-    /// Probability a delivered message is delayed.
-    pub delay_prob: f64,
-    /// Simulated delay, in seconds, charged per delayed message.
-    pub delay_seconds: f64,
-    /// Which messages the faults apply to.
-    pub scope: FaultScope,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            delay_prob: 0.0,
-            delay_seconds: 0.0,
-            scope: FaultScope::All,
-        }
-    }
-}
-
-impl FaultPlan {
-    /// A plan that drops each in-scope message with probability `p`.
-    pub fn drop(p: f64) -> Self {
-        Self {
-            drop_prob: p,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the corruption probability.
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        self.corrupt_prob = p;
-        self
-    }
-
-    /// Sets the delay probability and per-message delay.
-    pub fn with_delay(mut self, p: f64, seconds: f64) -> Self {
-        self.delay_prob = p;
-        self.delay_seconds = seconds;
-        self
-    }
-
-    /// Restricts the faults to recovery-share traffic.
-    pub fn recovery_only(mut self) -> Self {
-        self.scope = FaultScope::RecoveryOnly;
-        self
-    }
-}
-
-/// A fault-injecting wrapper around another transport.
+/// A fault-injecting wrapper around another fleet transport.
 ///
-/// Faults are decided by a seeded deterministic generator, so a failing
-/// scenario replays exactly. Dropped messages surface as
-/// [`ProtoError::Dropped`] from provider rounds, or as
-/// [`ErrorReply::dropped`] per-item responses from grouped rounds.
-/// Corruption flips one bit of the *encoded* response — the provider
-/// reply's envelope, or a grouped item's own `HsmResponse` encoding —
-/// and then attempts a decode: sometimes that yields a typed parse
-/// failure, sometimes a structurally valid reply with mangled content,
-/// exactly like a real flaky link. The retired [`Traffic::Single`] and
-/// [`Traffic::Batch`] classes pass through unfaulted.
+/// Faults hit the HSMs' replies in grouped rounds, per item, drawn from
+/// one seeded [`FaultSource`] (see [`crate::fault`]), so a failing
+/// scenario replays exactly. A dropped reply surfaces as an
+/// [`ErrorReply::dropped`] response in its place. Corruption flips one
+/// bit of the item's own `HsmResponse` encoding and then attempts a
+/// decode: sometimes that yields a typed parse failure
+/// ([`ErrorReply::corrupted`]), sometimes a structurally valid reply
+/// with mangled content, exactly like a real flaky link. The retired
+/// classes ([`Traffic::Single`], [`Traffic::Batch`],
+/// [`Traffic::Provider`]) pass through unfaulted.
 ///
-/// Every injected fault also lands in a telemetry counter
-/// (`faults.injected_drop` / `faults.injected_corrupt` /
-/// `faults.injected_delay`), so chaos tests can assert "exactly N
-/// faults fired" instead of inferring from outcomes. Counters go to
-/// the process-wide registry by default;
+/// The fault counters go to the process-wide registry by default;
 /// [`with_registry`](Self::with_registry) redirects them to a private
 /// one so concurrent test suites do not share a ledger.
 pub struct Faulty {
     inner: Box<dyn Transport>,
-    plan: FaultPlan,
-    rng: StdRng,
-    faults: TransportStats,
-    injected_drop: Arc<Counter>,
-    injected_corrupt: Arc<Counter>,
-    injected_delay: Arc<Counter>,
-}
-
-enum Fate {
-    Deliver,
-    Drop,
-    Corrupt,
-    Delay,
+    faults: FaultSource,
 }
 
 impl Faulty {
     /// Wraps `inner`, faulting per `plan`, seeded with `seed`.
     pub fn new(inner: Box<dyn Transport>, plan: FaultPlan, seed: u64) -> Self {
-        let telemetry = safetypin_telemetry::global();
         Self {
             inner,
-            plan,
-            rng: StdRng::seed_from_u64(seed),
-            faults: TransportStats::default(),
-            injected_drop: telemetry.counter("faults.injected_drop"),
-            injected_corrupt: telemetry.counter("faults.injected_corrupt"),
-            injected_delay: telemetry.counter("faults.injected_delay"),
+            faults: FaultSource::new(plan, seed, safetypin_telemetry::global()),
         }
     }
 
     /// Redirects this instance's fault counters into `registry`
     /// (same series names), leaving the process-wide ledger untouched.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
-        self.injected_drop = registry.counter("faults.injected_drop");
-        self.injected_corrupt = registry.counter("faults.injected_corrupt");
-        self.injected_delay = registry.counter("faults.injected_delay");
+        self.faults.count_into(registry);
         self
     }
 
-    fn in_scope(&self, request: &HsmRequest) -> bool {
-        match self.plan.scope {
-            FaultScope::All => true,
-            FaultScope::RecoveryOnly => request.is_recovery(),
-        }
-    }
-
-    fn provider_in_scope(&self, request: &ProviderRequest) -> bool {
-        match self.plan.scope {
-            FaultScope::All => true,
-            FaultScope::RecoveryOnly => matches!(
-                request,
-                ProviderRequest::Recover(_) | ProviderRequest::RecoverBatch(_)
-            ),
-        }
-    }
-
-    /// Draws one message's fate.
-    fn fate(&mut self) -> Fate {
-        if self.rng.gen_bool(self.plan.drop_prob) {
-            Fate::Drop
-        } else if self.rng.gen_bool(self.plan.corrupt_prob) {
-            Fate::Corrupt
-        } else if self.rng.gen_bool(self.plan.delay_prob) {
-            Fate::Delay
-        } else {
-            Fate::Deliver
-        }
-    }
-
-    /// Flips one random bit of `bytes`.
-    fn flip_bit(&mut self, bytes: &mut [u8]) {
-        if !bytes.is_empty() {
-            let pos = self.rng.gen_range(0..bytes.len());
-            let bit = 1u8 << self.rng.gen_range(0..8u32);
-            if let Some(byte) = bytes.get_mut(pos) {
-                *byte ^= bit;
-            }
-        }
-    }
-
-    /// Applies the response-leg fate drawn for one in-scope grouped
-    /// item: a lost reply, or one whose flipped bit no longer decodes,
-    /// becomes a typed error in its place.
-    fn item_fate(&mut self, response: HsmResponse) -> HsmResponse {
-        match self.fate() {
-            Fate::Deliver => response,
-            Fate::Drop => {
-                self.faults.dropped += 1;
-                self.injected_drop.incr();
-                HsmResponse::Error(ErrorReply::dropped())
-            }
+    /// Applies the response-leg fate drawn for one grouped item
+    /// (`recovery`: whether it answers recovery traffic): a lost reply,
+    /// or one whose flipped bit no longer decodes, becomes a typed error
+    /// in its place.
+    fn item_fate(&mut self, response: HsmResponse, recovery: bool) -> HsmResponse {
+        match self.faults.response_fate(recovery) {
+            Fate::Deliver | Fate::Delay => response,
+            Fate::Drop => HsmResponse::Error(ErrorReply::dropped()),
             Fate::Corrupt => {
-                self.faults.corrupted += 1;
-                self.injected_corrupt.incr();
                 let mut bytes = response.to_bytes();
-                self.flip_bit(&mut bytes);
+                self.faults.flip_bit(&mut bytes);
                 HsmResponse::from_bytes(&bytes)
                     .unwrap_or_else(|_| HsmResponse::Error(ErrorReply::corrupted()))
             }
-            Fate::Delay => {
-                self.faults.seconds += self.plan.delay_seconds;
-                self.injected_delay.incr();
-                response
-            }
-        }
-    }
-
-    /// Draws a request-leg fate for a provider round: a dropped request
-    /// aborts the round before the peer sees it.
-    fn apply_request_fate(&mut self) -> Result<(), ProtoError> {
-        match self.fate() {
-            Fate::Drop => {
-                self.faults.dropped += 1;
-                self.injected_drop.incr();
-                Err(ProtoError::Dropped)
-            }
-            Fate::Delay => {
-                self.faults.seconds += self.plan.delay_seconds;
-                self.injected_delay.incr();
-                Ok(())
-            }
-            Fate::Deliver | Fate::Corrupt => Ok(()),
         }
     }
 
@@ -650,61 +458,24 @@ impl Faulty {
         // failure-during-recovery scenario), and faults land per item
         // so one mangled reply never sinks a whole device group, let
         // alone the round.
-        let scopes: Vec<Vec<bool>> = groups
+        let recovery: Vec<Vec<bool>> = groups
             .iter()
-            .map(|(_, reqs)| reqs.iter().map(|r| self.in_scope(r)).collect())
+            .map(|(_, reqs)| reqs.iter().map(HsmRequest::is_recovery).collect())
             .collect();
         let served = match self.inner.round(Traffic::Grouped(groups), serve)? {
             TrafficReply::Grouped(groups) => groups,
             _ => return Err(ProtoError::UnexpectedMessage("expected an HSM group reply")),
         };
         let mut out = Vec::with_capacity(served.len());
-        for ((id, responses), scoped) in served.into_iter().zip(scopes) {
-            let mut group_out = Vec::with_capacity(responses.len());
-            for (resp, in_scope) in responses.into_iter().zip(scoped) {
-                group_out.push(if in_scope { self.item_fate(resp) } else { resp });
-            }
+        for ((id, responses), recovery) in served.into_iter().zip(recovery) {
+            let group_out = responses
+                .into_iter()
+                .zip(recovery)
+                .map(|(resp, recovery)| self.item_fate(resp, recovery))
+                .collect();
             out.push((id, group_out));
         }
         Ok(TrafficReply::Grouped(out))
-    }
-
-    fn round_provider(
-        &mut self,
-        request: ProviderRequest,
-        serve: &mut ServeTrafficFn<'_>,
-    ) -> Result<TrafficReply, ProtoError> {
-        if !self.provider_in_scope(&request) {
-            return self.inner.round(Traffic::Provider(request), serve);
-        }
-        self.apply_request_fate()?;
-        let response = match self.inner.round(Traffic::Provider(request), serve)? {
-            TrafficReply::Provider(resp) => resp,
-            _ => return Err(ProtoError::UnexpectedMessage("expected a provider reply")),
-        };
-        match self.fate() {
-            Fate::Deliver => Ok(TrafficReply::Provider(response)),
-            Fate::Drop => {
-                self.faults.dropped += 1;
-                self.injected_drop.incr();
-                Err(ProtoError::Dropped)
-            }
-            Fate::Corrupt => {
-                self.faults.corrupted += 1;
-                self.injected_corrupt.incr();
-                let mut bytes = Envelope::seal(Message::ProviderResponse(response)).to_bytes();
-                self.flip_bit(&mut bytes);
-                match Envelope::from_bytes(&bytes).map(|env| env.msg) {
-                    Ok(Message::ProviderResponse(resp)) => Ok(TrafficReply::Provider(resp)),
-                    _ => Err(ProtoError::Corrupted),
-                }
-            }
-            Fate::Delay => {
-                self.faults.seconds += self.plan.delay_seconds;
-                self.injected_delay.incr();
-                Ok(TrafficReply::Provider(response))
-            }
-        }
     }
 }
 
@@ -720,20 +491,21 @@ impl Transport for Faulty {
     ) -> Result<TrafficReply, ProtoError> {
         match traffic {
             Traffic::Grouped(groups) => self.round_grouped(groups, serve),
-            Traffic::Provider(request) => self.round_provider(request, serve),
-            retired @ (Traffic::Single(..) | Traffic::Batch(_)) => self.inner.round(retired, serve),
+            retired @ (Traffic::Single(..) | Traffic::Batch(_) | Traffic::Provider(_)) => {
+                self.inner.round(retired, serve)
+            }
         }
     }
 
     fn stats(&self) -> TransportStats {
         let mut s = self.inner.stats();
-        s.absorb(&self.faults);
+        s.absorb(&self.faults.tally());
         s
     }
 
     fn take_stats(&mut self) -> TransportStats {
         let mut s = self.inner.take_stats();
-        s.absorb(&std::mem::take(&mut self.faults));
+        s.absorb(&self.faults.take_tally());
         s
     }
 }

@@ -159,13 +159,4 @@ impl<S: BlockStore + Send> Datacenter<S> {
         }
         total
     }
-
-    /// Which HSMs currently need key rotation.
-    pub fn rotation_queue(&self) -> Vec<u64> {
-        self.hsms
-            .iter()
-            .filter(|h| h.needs_rotation())
-            .map(|h| h.id())
-            .collect()
-    }
 }

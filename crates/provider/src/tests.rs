@@ -261,7 +261,7 @@ fn update_history_chains() {
 #[test]
 fn rotation_queue_and_rotate() {
     let (mut dc, mut rng) = datacenter();
-    assert!(dc.rotation_queue().is_empty());
+    assert!((0..TOTAL).all(|id| !dc.hsm(id).unwrap().needs_rotation()));
     let before = dc.hsm(2).unwrap().key_epoch();
     dc.rotate_hsm(2, &mut rng).unwrap();
     assert_eq!(dc.hsm(2).unwrap().key_epoch(), before + 1);
@@ -320,35 +320,42 @@ fn fanout_outcome_is_independent_of_worker_count() {
     assert_eq!(rng_one, rng_all, "caller RNG consumption must not either");
 }
 
-/// Every fleet round travels grouped, so the two retired traffic
-/// classes are refused, never served: through `Direct` into the fleet's
-/// serve side each gets a typed `UNSUPPORTED` reply, `Serialized` has
-/// no envelope for them, and HSM 3 keeps its keys either way.
+/// Every fleet round travels grouped, so the three retired traffic
+/// classes (solo, batch and a client's provider request) are refused,
+/// never served: through `Direct` into the fleet's serve side each gets
+/// a typed `UNSUPPORTED` reply, `Serialized` carries none of them, and
+/// HSM 3 keeps its keys either way.
 #[test]
 fn solo_and_batch_traffic_are_refused_not_served() {
     use safetypin_proto::{
-        codes, Direct, ProtoError, Serialized, Traffic, TrafficReply, Transport,
+        codes, Direct, ProtoError, ProviderRequest, ProviderResponse, Serialized, Traffic,
+        TrafficReply, Transport,
     };
     let (mut dc, mut rng) = datacenter();
     let retired = || {
         [
             Traffic::Single(3, HsmRequest::RotateKeys),
             Traffic::Batch(vec![(3, HsmRequest::RotateKeys)]),
+            Traffic::Provider(ProviderRequest::RunEpoch),
         ]
     };
     for traffic in retired() {
         let mut serve = fanout::serve_traffic(&mut dc.hsms, &mut dc.stores, &mut rng);
-        let replies = match Direct::new().round(traffic, &mut serve).unwrap() {
-            TrafficReply::Single(reply) => vec![reply],
-            TrafficReply::Batch(replies) => replies.into_iter().map(|(_, reply)| reply).collect(),
-            other => panic!("reply in the wrong class: {other:?}"),
+        let refusals = match Direct::new().round(traffic, &mut serve).unwrap() {
+            TrafficReply::Single(HsmResponse::Error(e)) => vec![e],
+            TrafficReply::Batch(replies) => replies
+                .into_iter()
+                .map(|(_, reply)| match reply {
+                    HsmResponse::Error(e) => e,
+                    served => panic!("served: {served:?}"),
+                })
+                .collect(),
+            TrafficReply::Provider(ProviderResponse::Error(e)) => vec![e],
+            other => panic!("served, or a reply in the wrong class: {other:?}"),
         };
-        assert_eq!(replies.len(), 1);
-        for reply in replies {
-            assert!(
-                matches!(&reply, HsmResponse::Error(e) if e.code == codes::UNSUPPORTED),
-                "served: {reply:?}"
-            );
+        assert_eq!(refusals.len(), 1);
+        for e in refusals {
+            assert_eq!(e.code, codes::UNSUPPORTED, "{e:?}");
         }
     }
     for traffic in retired() {

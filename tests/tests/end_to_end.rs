@@ -153,7 +153,7 @@ fn published_enrollments_share_the_devices_slot_points() {
     let (d, _) = deployment(8, 10);
     let enrollments = d.datacenter.enrollments();
     for (i, record) in enrollments.iter().enumerate() {
-        let device = d.datacenter.hsm(i as u64).unwrap().bfe_public_key();
+        let device = d.datacenter.hsm(i as u64).unwrap().enrollment().bfe_pk;
         assert!(
             std::ptr::eq(record.bfe_pk.slot(0), device.slot(0)),
             "HSM {i}'s published key copies its slot points"
