@@ -49,12 +49,8 @@ impl<S: BlockStore + Send> Datacenter<S> {
             .map_err(|_| ProviderError::EpochFailed("broken chain"))?;
         let message = update.message();
 
-        let active_ids: Vec<u64> = self
-            .hsms
-            .iter()
-            .filter(|h| h.status() != safetypin_hsm::HsmStatus::Failed)
-            .map(|h| h.id())
-            .collect();
+        let active = |h: &&safetypin_hsm::Hsm| h.status() != safetypin_hsm::HsmStatus::Failed;
+        let active_ids: Vec<u64> = self.hsms.iter().filter(active).map(|h| h.id()).collect();
         let failed_ids: Vec<u64> = self
             .hsms
             .iter()
@@ -72,7 +68,9 @@ impl<S: BlockStore + Send> Datacenter<S> {
         let mut audit_groups = Vec::with_capacity(active_ids.len());
         let mut chunk_bytes = vec![None; message.chunk_count as usize];
         let (mut audit_packages, mut audit_bytes) = (0u64, 0u64);
-        for hsm in self.hsms.iter().filter(|h| active_ids.contains(&h.id())) {
+        // The same predicate that built `active_ids`, in the same order:
+        // one pass, not an O(N) `contains` per device.
+        for hsm in self.hsms.iter().filter(active) {
             let chunks = hsm.audit_assignment(&message, &active_ids, &failed_ids);
             let mut packages = Vec::with_capacity(chunks.len());
             for &c in &chunks {

@@ -7,17 +7,31 @@
 //! out with [`std::thread::scope`] — no extra dependencies — through
 //! **one** serving loop, [`serve_grouped`]: each addressed device serves
 //! its whole request group via [`Hsm::handle_batch`]. Every fleet round
-//! arrives grouped (a lone request is a group of one). Two guarantees
-//! the transport tests pin:
+//! arrives grouped (a lone request is a group of one).
+//!
+//! Under it sits one claim loop, `fan_out`: the calling thread works
+//! beside one scoped helper per further core, and each thread claims the
+//! next device from a shared atomic cursor, one at a time, so an uneven
+//! round (one device with a large recovery group, the rest with one
+//! request each) leaves no core idle while jobs remain. Each job runs
+//! under its own panic containment: a device that panics fails its own
+//! group with a typed [`codes::INTERNAL`] error and nothing else.
+//! Two guarantees the transport tests pin:
 //!
 //! * **Deterministic results.** Each device's work runs under its own
 //!   RNG stream, seeded *sequentially* from the caller's RNG in a fixed
-//!   order (ascending HSM id). The outcome is therefore a pure function
-//!   of the caller's RNG state — independent of thread count and
-//!   scheduling, and byte-identical whether the round arrived over the
-//!   `Direct` or the `Serialized` transport.
+//!   order (ascending HSM id) before any job starts. The outcome is
+//!   therefore a pure function of the caller's RNG state — independent
+//!   of thread count, claim order and scheduling, and byte-identical
+//!   whether the round arrived over the `Direct` or the `Serialized`
+//!   transport.
 //! * **Request order.** Responses come back in group order, each group's
-//!   in request order, served by one worker per device.
+//!   in request order, every group served whole by the one thread that
+//!   claimed its device.
+
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
@@ -40,42 +54,43 @@ fn worker_count(jobs: usize) -> usize {
     cores.clamp(1, jobs.max(1))
 }
 
-/// The one fan-out loop: runs `run` over every job on up to `workers`
-/// threads — contiguous chunks, one thread each — and returns the
-/// results in job order. A worker that dies loses its chunk: those jobs
-/// come back `None`, for the caller to turn into its own typed error.
+/// The one fan-out loop: the calling thread and up to `workers − 1`
+/// scoped helpers claim jobs one at a time from a shared cursor, and
+/// each job's result is filed by its position, so the results come back
+/// in job order whichever thread ran what. Each job is contained on its
+/// own: a job that panics comes back `None`, for the caller to turn
+/// into its own typed error, and every other job is still run and
+/// returned — on one worker or many.
 fn fan_out<J: Send, T: Send>(
     jobs: &mut [J],
     workers: usize,
     run: impl Fn(&mut J) -> T + Sync,
 ) -> Vec<Option<T>> {
-    let workers = workers.clamp(1, worker_count(jobs.len()));
-    if workers <= 1 {
-        return jobs.iter_mut().map(|job| Some(run(job))).collect();
-    }
-    let total = jobs.len();
-    let chunk = total.div_ceil(workers);
-    let run = &run;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .chunks_mut(chunk)
-            .map(|chunk| {
-                let len = chunk.len();
-                (
-                    len,
-                    s.spawn(move || chunk.iter_mut().map(run).collect::<Vec<T>>()),
-                )
-            })
-            .collect();
-        let mut out = Vec::with_capacity(total);
-        for (len, handle) in handles {
-            match handle.join() {
-                Ok(results) => out.extend(results.into_iter().map(Some)),
-                Err(_) => out.extend((0..len).map(|_| None)),
-            }
+    // One cell per job: the job it borrows, then its result. Only the
+    // thread that claimed a cell's index ever locks it.
+    let cells: Vec<Mutex<(&mut J, Option<T>)>> =
+        jobs.iter_mut().map(|job| Mutex::new((job, None))).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        while let Some(cell) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let mut cell = cell.lock().unwrap_or_else(PoisonError::into_inner);
+            let (job, result) = &mut *cell;
+            *result = panic::catch_unwind(AssertUnwindSafe(|| run(job))).ok();
         }
-        out
-    })
+    };
+    let helpers = workers.clamp(1, worker_count(cells.len())) - 1;
+    // The scope joins the helpers; none can panic, as every job's panic
+    // is caught inside its own cell.
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(work);
+        }
+        work();
+    });
+    cells
+        .into_iter()
+        .map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner).1)
+        .collect()
 }
 
 /// Builds the fleet's serve side (`Datacenter::fleet_round` is the only
@@ -120,9 +135,10 @@ pub(crate) fn serve_traffic<'a, S: BlockStore + Send, R: RngCore + CryptoRng>(
 // serve_grouped: one coalesced request group per addressed HSM, each
 // served by `Hsm::handle_batch` — cross-user coalesced punctures, one
 // MSM slot audit, one group-commit flush — with independent devices
-// fanned out across up to `workers` threads. Seeds are drawn
-// sequentially in ascending HSM id order, so the served outcome is a
-// deterministic function of the caller's RNG for any worker count.
+// fanned out across up to `workers` threads (the caller among them).
+// Seeds are drawn sequentially in ascending HSM id order before any job
+// starts, so the served outcome is a deterministic function of the
+// caller's RNG for any worker count and any claim order.
 // Unknown ids (and a device addressed twice in one round) come back as
 // per-request typed error replies.
 
@@ -166,7 +182,7 @@ pub(crate) fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
     staged.sort_by_key(|&(_, id, _)| id);
 
     // `metas[pos]` remembers each group's addressee and size so a
-    // position a dead worker never served still gets typed errors.
+    // group whose job panicked still gets typed errors.
     let mut metas: Vec<(u64, usize)> = vec![(u64::MAX, 0); n];
     let mut jobs: Vec<GroupJob<'_, S>> = Vec::with_capacity(staged.len());
     for (pos, id, requests) in staged {
@@ -199,8 +215,8 @@ pub(crate) fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
         }
     }
 
-    // A panicked worker loses its chunk's groups; the positions it
-    // never filled become typed errors below.
+    // A job that panicked loses its own group only; that position
+    // becomes typed errors below.
     let served = fan_out(&mut jobs, workers, |job| {
         let mut rng = StdRng::from_seed(job.seed);
         let requests = std::mem::take(&mut job.requests);
@@ -222,7 +238,7 @@ pub(crate) fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
                     codes::INTERNAL,
                     id,
                     len,
-                    "fan-out worker failed before serving this group".to_string(),
+                    "the device failed while serving this group".to_string(),
                 )
             })
         })
@@ -247,8 +263,8 @@ pub(crate) fn provision_fleet<R: RngCore + CryptoRng>(
             (config, seed)
         })
         .collect();
-    // A dead worker provisions nothing; surface it as a fail-stop
-    // instead of propagating the panic.
+    // A device whose job panicked is not provisioned; surface it as a
+    // fail-stop instead of propagating the panic.
     fan_out(&mut jobs, workers, |&mut (config, seed)| {
         let mut rng = StdRng::from_seed(seed);
         let mut store = MemStore::new();
@@ -273,7 +289,8 @@ pub(crate) fn register_fleet_parallel<S: BlockStore + Send>(
         safetypin_multisig::ProofOfPossession,
     )],
 ) -> Result<(), HsmError> {
-    // A dead worker registered nothing; fail-stop, not panic.
+    // A device whose job panicked registered nothing; fail-stop, not
+    // panic.
     fan_out(fleet, usize::MAX, |(hsm, store)| {
         hsm.register_fleet(keys)?;
         hsm.commit(store, &mut rand::thread_rng());

@@ -290,23 +290,44 @@ fn too_many_failures_block_epoch() {
     assert!(matches!(err, ProviderError::Hsm(_)), "got {err:?}");
 }
 
-/// The per-HSM fan-out is unobservable: serving the same round on one
-/// worker and on every core, from identically seeded fleets and RNGs,
-/// yields byte-identical replies and leaves the caller's RNG in the
-/// same state (seeds are drawn per device, in id order, before any
-/// worker starts).
+/// A rotation round whose groups differ in size and arrive in
+/// descending id order: device `i` gets `i % 3 + 1` requests, so jobs
+/// take uneven time and the threads' claims interleave differently from
+/// id order. Rotation draws fresh keys from the device's RNG stream, so
+/// a seed assigned by claim order instead of id order would show in
+/// the replies.
+fn uneven_round() -> Vec<(u64, Vec<HsmRequest>)> {
+    (0..TOTAL)
+        .rev()
+        .map(|id| {
+            let mut group = vec![HsmRequest::RotateKeys];
+            group.extend((0..id % 3).map(|_| HsmRequest::GetEnrollment));
+            (id, group)
+        })
+        .collect()
+}
+
+/// The worker counts every fan-out test compares: the one-worker path
+/// (the caller alone), one helper beside the caller, and every core.
+const WORKER_COUNTS: [usize; 3] = [1, 2, usize::MAX];
+
+/// The per-HSM fan-out is unobservable: serving the same uneven round
+/// on one worker, two and every core, from identically seeded fleets
+/// and RNGs, yields byte-identical replies and leaves the caller's RNG
+/// in the same state (seeds are drawn per device, in id order, before
+/// any job is claimed).
 #[test]
 fn fanout_outcome_is_independent_of_worker_count() {
     use rand::RngCore;
     let serve = |workers: usize| {
         let (mut dc, mut rng) = datacenter();
-        // Rotation draws fresh keys from the device's RNG stream, so a
-        // worker-dependent seed assignment would show in the replies.
-        let round: Vec<(u64, Vec<HsmRequest>)> = (0..TOTAL)
-            .rev()
-            .map(|id| (id, vec![HsmRequest::RotateKeys, HsmRequest::GetEnrollment]))
-            .collect();
-        let replies = fanout::serve_grouped(&mut dc.hsms, &mut dc.stores, &mut rng, workers, round);
+        let replies = fanout::serve_grouped(
+            &mut dc.hsms,
+            &mut dc.stores,
+            &mut rng,
+            workers,
+            uneven_round(),
+        );
         let bytes: Vec<Vec<u8>> = replies
             .iter()
             .flat_map(|(_, group)| group.iter().map(|reply| reply.to_bytes()))
@@ -314,10 +335,102 @@ fn fanout_outcome_is_independent_of_worker_count() {
         (bytes, rng.next_u64())
     };
     let (one, rng_one) = serve(1);
-    let (all, rng_all) = serve(usize::MAX);
-    assert_eq!(one.len(), 2 * TOTAL as usize);
-    assert_eq!(one, all, "replies must not depend on the worker count");
-    assert_eq!(rng_one, rng_all, "caller RNG consumption must not either");
+    let requests: u64 = (0..TOTAL).map(|id| id % 3 + 1).sum();
+    assert_eq!(one.len(), requests as usize);
+    for workers in WORKER_COUNTS {
+        let (bytes, next) = serve(workers);
+        assert_eq!(bytes, one, "replies depend on the worker count ({workers})");
+        assert_eq!(next, rng_one, "caller RNG consumption does ({workers})");
+    }
+}
+
+/// A block store whose `flush` panics when `panics` is set: the shape
+/// of a `FileStore` whose WAL write fails under its `expect`.
+struct PanicOnFlush {
+    inner: safetypin_seckv::MemStore,
+    panics: bool,
+}
+
+impl safetypin_seckv::BlockStore for PanicOnFlush {
+    fn put(&mut self, addr: u64, block: &[u8]) {
+        self.inner.put(addr, block);
+    }
+
+    fn get(&mut self, addr: u64) -> Option<Vec<u8>> {
+        self.inner.get(addr)
+    }
+
+    fn remove(&mut self, addr: u64) {
+        self.inner.remove(addr);
+    }
+
+    fn flush(&mut self) {
+        if self.panics {
+            panic!("injected flush failure");
+        }
+    }
+}
+
+/// A device that panics mid-round fails its own group and nothing
+/// else, on every worker count — including the one-worker path a
+/// one-core host or a one-device round takes: its group comes back as
+/// `INTERNAL` errors, every other group's reply bytes equal a clean
+/// round's, and the panic never reaches the caller.
+#[test]
+fn a_panicking_device_fails_only_its_own_group() {
+    use safetypin_primitives::wire::Decode;
+    use safetypin_proto::codes;
+    const BROKEN: u64 = 5;
+    let serve = |workers: usize, broken: Option<u64>, round: Vec<(u64, Vec<HsmRequest>)>| {
+        let (mut dc, mut rng) = datacenter();
+        let mut stores: Vec<PanicOnFlush> = std::mem::take(&mut dc.stores)
+            .into_iter()
+            .enumerate()
+            .map(|(id, inner)| PanicOnFlush {
+                inner,
+                panics: Some(id as u64) == broken,
+            })
+            .collect();
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fanout::serve_grouped(&mut dc.hsms, &mut stores, &mut rng, workers, round)
+        }));
+        let replies = served.expect("a device's panic unwound into the caller");
+        replies
+            .into_iter()
+            .map(|(id, group)| (id, group.iter().map(|r| r.to_bytes()).collect::<Vec<_>>()))
+            .collect::<Vec<_>>()
+    };
+    // The broken device's group: every reply a typed `INTERNAL` error,
+    // as many as it sent requests.
+    let failed_internally = |replies: &[Vec<u8>]| {
+        replies.len() as u64 == BROKEN % 3 + 1
+            && replies.iter().all(|reply| {
+                matches!(HsmResponse::from_bytes(reply),
+                    Ok(HsmResponse::Error(e)) if e.code == codes::INTERNAL)
+            })
+    };
+    for workers in WORKER_COUNTS {
+        let clean = serve(workers, None, uneven_round());
+        let hurt = serve(workers, Some(BROKEN), uneven_round());
+        assert_eq!(hurt.len(), clean.len());
+        for ((id, replies), (clean_id, clean_replies)) in hurt.iter().zip(&clean) {
+            assert_eq!(id, clean_id);
+            if *id == BROKEN {
+                assert!(failed_internally(replies), "{workers} workers");
+            } else {
+                assert!(
+                    replies == clean_replies,
+                    "device {id}, {workers} workers: replies differ from a clean round's"
+                );
+            }
+        }
+        // A one-device round: the fan-out clamps to the caller alone.
+        let round = uneven_round().into_iter().filter(|(id, _)| *id == BROKEN);
+        let alone = serve(workers, Some(BROKEN), round.collect());
+        assert_eq!(alone.len(), 1);
+        assert_eq!(alone[0].0, BROKEN);
+        assert!(failed_internally(&alone[0].1), "{workers} workers, alone");
+    }
 }
 
 /// Every fleet round travels grouped, so the three retired traffic
@@ -370,7 +483,7 @@ fn solo_and_batch_traffic_are_refused_not_served() {
 }
 
 /// Provisioning is likewise a pure function of the caller's RNG: one
-/// worker and every core yield byte-identical fleets and leave the
+/// worker, two and every core yield byte-identical fleets and leave the
 /// caller's RNG in the same state.
 #[test]
 fn provisioning_is_independent_of_worker_count() {
@@ -386,10 +499,15 @@ fn provisioning_is_independent_of_worker_count() {
         (bytes, rng.next_u64())
     };
     let (one, rng_one) = provision(1);
-    let (all, rng_all) = provision(usize::MAX);
     assert_eq!(one.len(), TOTAL as usize);
-    assert_eq!(one, all, "fleet keys must not depend on the worker count");
-    assert_eq!(rng_one, rng_all, "caller RNG consumption must not either");
+    for workers in WORKER_COUNTS {
+        let (fleet, next) = provision(workers);
+        assert_eq!(
+            fleet, one,
+            "fleet keys depend on the worker count ({workers})"
+        );
+        assert_eq!(next, rng_one, "caller RNG consumption does ({workers})");
+    }
 }
 
 /// A backup involves the client and the provider only (paper §3–4): a
